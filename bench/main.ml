@@ -169,11 +169,19 @@ let sim_report ~jobs =
   in
   let wall1 = sweep_wall 1 in
   let walln = sweep_wall jobs in
-  let speedup = if walln > 0. then wall1 /. walln else 0. in
+  (* On one physical core the jobs=N sweep only time-slices the same
+     core, so its ratio to jobs=1 says nothing about parallel speedup:
+     report n/a (JSON null) rather than a misleading figure. *)
+  let speedup =
+    if physical_cores > 1 && walln > 0. then Some (wall1 /. walln) else None
+  in
   Printf.printf
     "  fig8a-style sweep (%d runs): %.2fs at jobs=1, %.2fs at jobs=%d \
-     (speedup %.2fx)\n%!"
-    (List.length cells * runs) wall1 walln jobs speedup;
+     (speedup %s)\n%!"
+    (List.length cells * runs) wall1 walln jobs
+    (match speedup with
+    | Some x -> Printf.sprintf "%.2fx" x
+    | None -> "n/a");
   (* Durability profile: one wipe-restart run per protocol on the
      fig7-double layout — how many WAL records each protocol fsyncs and
      how long crash-with-amnesia recovery replays take. *)
@@ -232,7 +240,8 @@ let sim_report ~jobs =
                ("sim_seconds_per_run", Json.Int 8);
                ("wall_s_jobs1", Json.Float wall1);
                ("wall_s_jobsN", Json.Float walln);
-               ("speedup", Json.Float speedup);
+               ( "speedup",
+                 match speedup with Some x -> Json.Float x | None -> Json.Null );
              ] );
          ( "durability",
            Json.Obj

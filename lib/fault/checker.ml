@@ -313,16 +313,18 @@ let check_seg ~require_complete ~slot_of seg =
           | None -> ())
         longest)
     keys;
-  (* 4. committed ops must execute somewhere (modulo the drain tail) *)
-  let executed_somewhere op =
-    Hashtbl.fold
-      (fun (_, o) n acc -> acc || (o = op && n > 0))
-      seg.exec_count false
-  in
+  (* 4. committed ops must execute somewhere (modulo the drain tail).
+     One pass over [exec_count] builds the executed set, so the rule is
+     O(executions + commits), not a table scan per committed op. *)
+  let executed_ops = Hashtbl.create (Hashtbl.length seg.exec_count) in
+  Hashtbl.iter
+    (fun (_, op) n -> if n > 0 then Hashtbl.replace executed_ops op ())
+    seg.exec_count;
   Hashtbl.iter
     (fun op at ->
       if
-        Time_ns.diff seg.max_at at > tail_slack && not (executed_somewhere op)
+        Time_ns.diff seg.max_at at > tail_slack
+        && not (Hashtbl.mem executed_ops op)
       then violate "op %s committed @%d but never executed" (opid_str op) at)
     seg.commit;
   (* 5. completeness, for plans that must not lose ops *)

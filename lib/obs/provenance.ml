@@ -40,6 +40,87 @@ let latency b = Time_ns.diff b.committed_at b.submitted_at
 
 let total b = List.fold_left (fun acc (_, d) -> acc + d) 0 b.parts
 
+(* Phase spans of one kind ([sched_wait] or [sync_wait]), indexed so a
+   residency interval's covered time costs O(log S + spans it meets)
+   rather than a fold over every span at the node. Anonymous spans
+   ([op = None]) apply to every op: per node, sorted by start, with
+   [reach.(i)] the largest end among spans [0..i], so a backward scan
+   stops once no earlier span reaches the interval. Node ids alias
+   across groups in multi-group journals, so spans at one node may
+   overlap; a running max, not the previous span's end, keeps the scan
+   exact then. Op-tagged spans apply only to their op and are looked up
+   by (node, op). *)
+type anon = {
+  starts : Time_ns.t array;
+  ends : Time_ns.t array;
+  reach : Time_ns.t array;
+}
+
+type span_index = {
+  anon : (int, anon) Hashtbl.t;
+  tagged : (int * Journal.opid, (Time_ns.t * Time_ns.t) list) Hashtbl.t;
+}
+
+let overlap lo hi s0 s1 =
+  Stdlib.max 0 (Time_ns.diff (Stdlib.min hi s1) (Stdlib.max lo s0))
+
+let index_spans spans_by_node =
+  let anon = Hashtbl.create 64 and tagged = Hashtbl.create 256 in
+  Hashtbl.iter
+    (fun node spans ->
+      let untagged =
+        List.filter_map
+          (fun (op, s0, s1) ->
+            match op with
+            | None -> Some (s0, s1)
+            | Some o ->
+              let k = (node, o) in
+              let prev = Option.value ~default:[] (Hashtbl.find_opt tagged k) in
+              Hashtbl.replace tagged k ((s0, s1) :: prev);
+              None)
+          !spans
+        |> Array.of_list
+      in
+      if untagged <> [||] then begin
+        Array.stable_sort (fun (x, _) (y, _) -> Int.compare x y) untagged;
+        let starts = Array.map fst untagged and ends = Array.map snd untagged in
+        let reach = Array.copy ends in
+        for i = 1 to Array.length reach - 1 do
+          reach.(i) <- Stdlib.max reach.(i - 1) reach.(i)
+        done;
+        Hashtbl.add anon node { starts; ends; reach }
+      end)
+    spans_by_node;
+  { anon; tagged }
+
+(* Sum over the spans at [node] that apply to [op] of each span's
+   overlap with [lo, hi). Overlapping spans each count in full; callers
+   clamp the sum to the interval. *)
+let covered idx node op lo hi =
+  let from_anon =
+    match Hashtbl.find_opt idx.anon node with
+    | None -> 0
+    | Some { starts; ends; reach } ->
+      (* first index whose start is >= hi *)
+      let l = ref 0 and h = ref (Array.length starts) in
+      while !l < !h do
+        let mid = (!l + !h) / 2 in
+        if starts.(mid) < hi then l := mid + 1 else h := mid
+      done;
+      let acc = ref 0 and i = ref (!l - 1) in
+      while !i >= 0 && reach.(!i) > lo do
+        acc := !acc + overlap lo hi starts.(!i) ends.(!i);
+        decr i
+      done;
+      !acc
+  in
+  match Hashtbl.find_opt idx.tagged (node, op) with
+  | None -> from_anon
+  | Some spans ->
+    List.fold_left
+      (fun acc (s0, s1) -> acc + overlap lo hi s0 s1)
+      from_anon spans
+
 let analyze j =
   let evs = Journal.to_array j in
   (* Indexes. Event order is simulation order, so indices are
@@ -48,14 +129,7 @@ let analyze j =
   let submits : (Journal.opid, int) Hashtbl.t = Hashtbl.create 1024 in
   let sent_of_seq : (int, int) Hashtbl.t = Hashtbl.create 4096 in
   let dels_acc : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let sched :
-      (int, (Journal.opid option * Time_ns.t * Time_ns.t) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let syncs :
-      (int, (Journal.opid option * Time_ns.t * Time_ns.t) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let sched_acc = Hashtbl.create 64 and syncs_acc = Hashtbl.create 64 in
   let add_span tbl node span =
     match Hashtbl.find_opt tbl node with
     | Some l -> l := span :: !l
@@ -75,11 +149,12 @@ let analyze j =
         | None -> Hashtbl.add dels_acc dst (ref [ i ])
       end
       | Journal.Phase { node; op; name = "sched_wait"; dur; at } when dur > 0
-        -> add_span sched node (op, at, Time_ns.add at dur)
+        -> add_span sched_acc node (op, at, Time_ns.add at dur)
       | Journal.Phase { node; op; name = "sync_wait"; dur; at } when dur > 0 ->
-        add_span syncs node (op, at, Time_ns.add at dur)
+        add_span syncs_acc node (op, at, Time_ns.add at dur)
       | _ -> ())
     evs;
+  let sched = index_spans sched_acc and syncs = index_spans syncs_acc in
   let dels : (int, int array) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter
     (fun node l -> Hashtbl.add dels node (Array.of_list (List.rev !l)))
@@ -121,32 +196,17 @@ let analyze j =
           (* Hops accumulate in reverse walk order, which (prepending)
              leaves the list in causal order. *)
           let hops = ref [] in
-          let overlap_in tbl node lo hi =
-            match Hashtbl.find_opt tbl node with
-            | None -> 0
-            | Some spans ->
-              List.fold_left
-                (fun acc (sop, s0, s1) ->
-                  let applies =
-                    match sop with None -> true | Some o -> o = op
-                  in
-                  if applies then
-                    let o0 = Stdlib.max lo s0 and o1 = Stdlib.min hi s1 in
-                    acc + Stdlib.max 0 (Time_ns.diff o1 o0)
-                  else acc)
-                0 !spans
-          in
           let add_resident node lo hi =
             let d = Time_ns.diff hi lo in
             if d > 0 then
               if node = submit_node then client_wait := !client_wait + d
               else begin
-                let sched_overlap = Stdlib.min (overlap_in sched node lo hi) d in
+                let sched_overlap = Stdlib.min (covered sched node op lo hi) d in
                 (* fsync waits rank below intentional scheduling delay:
                    whatever residency sched_wait already claims is not
                    re-attributed to the disk. *)
                 let sync_overlap =
-                  Stdlib.min (overlap_in syncs node lo hi) (d - sched_overlap)
+                  Stdlib.min (covered syncs node op lo hi) (d - sched_overlap)
                 in
                 sched_wait := !sched_wait + sched_overlap;
                 sync_wait := !sync_wait + sync_overlap;

@@ -60,7 +60,9 @@ val total : breakdown -> Time_ns.span
 
 val analyze : Journal.t -> breakdown list
 (** One breakdown per op with both a [Submit] and a [Commit] event in
-    the journal, in first-commit order. *)
+    the journal, in first-commit order. Costs O(E + R·log S) for E
+    journal events, R resident intervals on the critical paths and S
+    phase spans per node. *)
 
 val record : Metrics.t -> breakdown list -> unit
 (** Fill [prov.<component>_ms] histograms (and the [prov.ops] counter)

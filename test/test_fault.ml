@@ -418,18 +418,32 @@ let test_checker_order_divergence () =
 
 let test_checker_committed_never_executed () =
   let j = Journal.create () in
-  let a = (9, 0) and b = (9, 1) in
+  let a = (9, 0) and b = (9, 1) and c = (9, 2) and d = (9, 3) in
   record_all j
     [
       submit ~op:a ~at:0;
       commit ~op:a ~at:(Time_ns.ms 10);
+      (* d runs at all three replicas; c at replica 2 only, which is
+         "executed somewhere" and must not be flagged. *)
+      submit ~op:d ~at:(Time_ns.ms 50);
+      commit ~op:d ~at:(Time_ns.ms 60);
+      execute ~op:d ~replica:0 ~at:(Time_ns.ms 70);
+      execute ~op:d ~replica:1 ~at:(Time_ns.ms 70);
+      execute ~op:d ~replica:2 ~at:(Time_ns.ms 70);
+      submit ~op:c ~at:(Time_ns.ms 100);
+      commit ~op:c ~at:(Time_ns.ms 110);
+      execute ~op:c ~replica:2 ~at:(Time_ns.ms 120);
       (* Journal runs on well past the tail slack with no execution. *)
       submit ~op:b ~at:(Time_ns.sec 2);
       commit ~op:b ~at:(Time_ns.sec 2);
-      execute ~op:b ~replica:0 ~at:(Time_ns.sec 2);
+      execute ~op:b ~replica:2 ~at:(Time_ns.sec 2);
     ];
   let r = Checker.check j in
-  check_bool "lost committed op fails" false r.Checker.ok
+  check_bool "lost committed op fails" false r.Checker.ok;
+  Alcotest.(check (list string))
+    "only the never-executed op is flagged"
+    [ "op 9#0 committed @10000000 but never executed" ]
+    r.Checker.violations
 
 let test_checker_real_time_order () =
   let j = Journal.create () in

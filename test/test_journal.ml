@@ -208,6 +208,281 @@ let test_provenance_in_metrics () =
       check_bool (key ^ " registered") true (Metrics.find_histogram m key <> None))
     Provenance.components
 
+(* Reference [analyze]: the straightforward version, which folds over
+   every phase span at a node for each resident interval. Quadratic in
+   run length, so only tests use it, as the oracle the indexed
+   [Provenance.analyze] must match exactly. *)
+let reference_analyze j =
+  let evs = Journal.to_array j in
+  let submits : (Journal.opid, int) Hashtbl.t = Hashtbl.create 1024 in
+  let sent_of_seq : (int, int) Hashtbl.t = Hashtbl.create 4096 in
+  let dels_acc : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
+  let sched = Hashtbl.create 64 and syncs = Hashtbl.create 64 in
+  let add_span tbl node span =
+    match Hashtbl.find_opt tbl node with
+    | Some l -> l := span :: !l
+    | None -> Hashtbl.add tbl node (ref [ span ])
+  in
+  Array.iteri
+    (fun i ev ->
+      match ev with
+      | Journal.Submit { op; _ } ->
+        if not (Hashtbl.mem submits op) then Hashtbl.add submits op i
+      | Journal.Msg_sent { seq; _ } ->
+        if seq >= 0 && not (Hashtbl.mem sent_of_seq seq) then
+          Hashtbl.add sent_of_seq seq i
+      | Journal.Msg_delivered { dst; _ } -> begin
+        match Hashtbl.find_opt dels_acc dst with
+        | Some l -> l := i :: !l
+        | None -> Hashtbl.add dels_acc dst (ref [ i ])
+      end
+      | Journal.Phase { node; op; name = "sched_wait"; dur; at } when dur > 0
+        -> add_span sched node (op, at, Time_ns.add at dur)
+      | Journal.Phase { node; op; name = "sync_wait"; dur; at } when dur > 0 ->
+        add_span syncs node (op, at, Time_ns.add at dur)
+      | _ -> ())
+    evs;
+  let dels = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun node l -> Hashtbl.add dels node (Array.of_list (List.rev !l)))
+    dels_acc;
+  let latest_delivery node ~before ~after =
+    match Hashtbl.find_opt dels node with
+    | None -> -1
+    | Some arr ->
+      let lo = ref 0 and hi = ref (Array.length arr) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if arr.(mid) < before then lo := mid + 1 else hi := mid
+      done;
+      if !lo = 0 then -1
+      else
+        let k = arr.(!lo - 1) in
+        if k > after then k else -1
+  in
+  let seen_commit = Hashtbl.create 1024 in
+  let out = ref [] in
+  Array.iteri
+    (fun ci ev ->
+      match ev with
+      | Journal.Commit { op; node = commit_node; at = commit_at }
+        when (not (Hashtbl.mem seen_commit op)) && Hashtbl.mem submits op ->
+        Hashtbl.add seen_commit op ();
+        let i_s = Hashtbl.find submits op in
+        let submit_node, at_s =
+          match evs.(i_s) with
+          | Journal.Submit { node; at; _ } -> (node, at)
+          | _ -> assert false
+        in
+        if ci > i_s && commit_at >= at_s then begin
+          let client_wait = ref 0
+          and node_wait = ref 0
+          and sched_wait = ref 0
+          and sync_wait = ref 0 in
+          let hops = ref [] in
+          let overlap_in tbl node lo hi =
+            match Hashtbl.find_opt tbl node with
+            | None -> 0
+            | Some spans ->
+              List.fold_left
+                (fun acc (sop, s0, s1) ->
+                  let applies =
+                    match sop with None -> true | Some o -> o = op
+                  in
+                  if applies then
+                    let o0 = Stdlib.max lo s0 and o1 = Stdlib.min hi s1 in
+                    acc + Stdlib.max 0 (Time_ns.diff o1 o0)
+                  else acc)
+                0 !spans
+          in
+          let add_resident node lo hi =
+            let d = Time_ns.diff hi lo in
+            if d > 0 then
+              if node = submit_node then client_wait := !client_wait + d
+              else begin
+                let sched_overlap = Stdlib.min (overlap_in sched node lo hi) d in
+                let sync_overlap =
+                  Stdlib.min (overlap_in syncs node lo hi) (d - sched_overlap)
+                in
+                sched_wait := !sched_wait + sched_overlap;
+                sync_wait := !sync_wait + sync_overlap;
+                node_wait := !node_wait + (d - sched_overlap - sync_overlap)
+              end
+          in
+          let rec walk node time idx =
+            if time > at_s then begin
+              let jd = latest_delivery node ~before:idx ~after:i_s in
+              if jd < 0 then add_resident node at_s time
+              else begin
+                match evs.(jd) with
+                | Journal.Msg_delivered { seq; src; sent_at; at = d_at; _ }
+                  ->
+                  add_resident node d_at time;
+                  let wire_lo = Stdlib.max sent_at at_s in
+                  hops := (src, Time_ns.diff d_at wire_lo) :: !hops;
+                  if sent_at > at_s then begin
+                    let si =
+                      match Hashtbl.find_opt sent_of_seq seq with
+                      | Some s when s < jd -> s
+                      | _ -> jd
+                    in
+                    walk src sent_at si
+                  end
+                | _ -> assert false
+              end
+            end
+          in
+          walk commit_node commit_at ci;
+          let hops = !hops in
+          let k = List.length hops in
+          let request_t = ref 0 and quorum_t = ref 0 and reply_t = ref 0 in
+          List.iteri
+            (fun i (src, d) ->
+              if i = k - 1 then reply_t := !reply_t + d
+              else if i = 0 && src = submit_node then
+                request_t := !request_t + d
+              else quorum_t := !quorum_t + d)
+            hops;
+          let parts =
+            [
+              (Provenance.Client_wait, !client_wait);
+              (Provenance.Request_transit, !request_t);
+              (Provenance.Node_wait, !node_wait);
+              (Provenance.Sched_wait, !sched_wait);
+              (Provenance.Sync_wait, !sync_wait);
+              (Provenance.Quorum_transit, !quorum_t);
+              (Provenance.Reply_transit, !reply_t);
+            ]
+          in
+          out :=
+            {
+              Provenance.op;
+              submitted_at = at_s;
+              committed_at = commit_at;
+              parts;
+            }
+            :: !out
+        end
+      | _ -> ())
+    evs;
+  List.rev !out
+
+(* Sum of one component over every breakdown. *)
+let component_total bs comp =
+  List.fold_left (fun acc b -> acc + List.assq comp b.Provenance.parts) 0 bs
+
+let check_matches_reference name j =
+  let want = reference_analyze j and got = Provenance.analyze j in
+  check_int (name ^ ": same op count") (List.length want) (List.length got);
+  List.iteri
+    (fun i (w, g) ->
+      if w <> g then
+        Alcotest.failf "%s: breakdown %d (op %d#%d) differs from the reference"
+          name i (fst w.Provenance.op) (snd w.Provenance.op))
+    (List.combine want got);
+  got
+
+(* [sync_wait] spans at one node id that overlap each other: the case a
+   disjoint-span index would get wrong. *)
+let overlapping_sync_spans j =
+  let spans = Hashtbl.create 16 in
+  Journal.iter j (function
+    | Journal.Phase { node; op = None; name = "sync_wait"; dur; at } when dur > 0
+      ->
+      Hashtbl.replace spans node
+        ((at, at + dur) :: Option.value ~default:[] (Hashtbl.find_opt spans node))
+    | _ -> ());
+  Hashtbl.fold
+    (fun _ l acc ->
+      let sorted = List.sort compare l in
+      let _, n =
+        List.fold_left
+          (fun (reach, n) (s0, s1) ->
+            (Stdlib.max reach s1, if s0 < reach then n + 1 else n))
+          (min_int, 0) sorted
+      in
+      acc + n)
+    spans 0
+
+(* A hand-built journal where node 0 carries two overlapping anonymous
+   sync_wait spans, [0, 100 ms) and [10, 20 ms) — what aliased node ids
+   in a multi-group journal produce. The critical path rests at node 0
+   over [30, 60 ms): only the long span covers it, behind a later-starting
+   short span that ends before the interval. A sched_wait span tagged
+   with another op must not count. *)
+let test_provenance_overlapping_spans () =
+  let ms = Time_ns.ms in
+  let op = (9, 0) in
+  let phase node op name at dur = Journal.Phase { node; op; name; dur; at } in
+  let sent seq src dst at =
+    Journal.Msg_sent { seq; src; dst; cls = "m"; op = Some op; at }
+  in
+  let delivered seq src dst sent_at at =
+    Journal.Msg_delivered
+      { seq; src; dst; cls = "m"; op = Some op; sent_at; at }
+  in
+  let j = Journal.create () in
+  List.iter (Journal.record j)
+    [
+      Journal.Submit { op; node = 9; key = 1; at = 0 };
+      phase 0 None "sync_wait" 0 (ms 100);
+      phase 0 None "sync_wait" (ms 10) (ms 10);
+      sent 1 9 0 0;
+      delivered 1 9 0 0 (ms 30);
+      phase 0 (Some op) "sched_wait" (ms 30) (ms 5);
+      phase 0 (Some (8, 0)) "sched_wait" (ms 30) (ms 40);
+      sent 2 0 9 (ms 60);
+      delivered 2 0 9 (ms 60) (ms 70);
+      Journal.Commit { op; node = 9; at = ms 70 };
+    ];
+  match check_matches_reference "synthetic" j with
+  | [ b ] ->
+    Alcotest.(check (list (pair string int)))
+      "parts"
+      [
+        ("client_wait", 0);
+        ("request_transit", ms 30);
+        ("node_wait", 0);
+        ("sched_wait", ms 5);
+        ("sync_wait", ms 25);
+        ("quorum_transit", 0);
+        ("reply_transit", ms 10);
+      ]
+      (List.map
+         (fun (c, d) -> (Provenance.component_name c, d))
+         b.Provenance.parts)
+  | bs -> Alcotest.failf "expected one breakdown, got %d" (List.length bs)
+
+let test_provenance_matches_reference () =
+  List.iter
+    (fun (name, proto) ->
+      let j, _ = journaled_run proto in
+      let bs = check_matches_reference name j in
+      if name = "domino" then
+        check_bool "domino: sched_wait attributed" true
+          (component_total bs Provenance.Sched_wait > 0))
+    protocols;
+  (* Wipe-restarts cut the store's sync_wait spans at each new epoch. *)
+  let wipe_plan =
+    match Domino_fault.Plan.parse "at 1s wipe node=2\nat 2s wipe node=1\n" with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "plan parse: %s" e
+  in
+  let j = Journal.create () in
+  ignore
+    (Exp_common.run ~seed:11L ~duration:(Time_ns.sec 3) ~journal:j
+       ~faults:wipe_plan Exp_common.fig7_double Exp_common.Multi_paxos);
+  check_bool "wipe run recovered" true
+    (count j (function Journal.Recovery _ -> true | _ -> false) > 0);
+  let bs = check_matches_reference "wipe" j in
+  check_bool "wipe: sync_wait attributed" true
+    (component_total bs Provenance.Sync_wait > 0);
+  (* Two groups share node ids, so their stores' barriers overlap. *)
+  let j = Exp_shards.smoke_journal ~seed:11L () in
+  check_bool "2-group journal has overlapping same-node sync_wait spans" true
+    (overlapping_sync_spans j > 0);
+  ignore (check_matches_reference "2-group fabric" j)
+
 (* --- perfetto export ----------------------------------------------- *)
 
 let test_perfetto_export () =
@@ -245,6 +520,10 @@ let () =
         [
           Alcotest.test_case "tiles latency" `Slow test_provenance_tiles_latency;
           Alcotest.test_case "metrics" `Slow test_provenance_in_metrics;
+          Alcotest.test_case "overlapping spans" `Quick
+            test_provenance_overlapping_spans;
+          Alcotest.test_case "matches reference" `Slow
+            test_provenance_matches_reference;
         ] );
       ( "perfetto",
         [ Alcotest.test_case "export" `Slow test_perfetto_export ] );
