@@ -10,9 +10,8 @@
      dune exec bench/main.exe -- --no-timing # suppress wall-clock lines
                                              # (CI diffs output byte-wise)
      dune exec bench/main.exe -- --micro      # microbenchmarks -> BENCH_micro.json
-     dune exec bench/main.exe -- --sched      # pheap/wheel A/B -> BENCH_sched.json
+     dune exec bench/main.exe -- --sched      # queue A/B -> BENCH_sched.json
      dune exec bench/main.exe -- --sim-report # perf baseline -> BENCH_sim.json
-     dune exec bench/main.exe -- --scheduler pheap ...  # queue impl override
 
    Quick scale uses shorter runs and fewer repetitions than the paper's
    10 x 90 s; the shapes are stable well below that. Sweeps fan their
@@ -355,9 +354,9 @@ let sched_pattern_cancel_heavy mk n () =
     ()
   done
 
-let sched_pattern_periodic scheduler n () =
+let sched_pattern_periodic n () =
   let open Domino_sim in
-  let e = Engine.create ~scheduler () in
+  let e = Engine.create () in
   for i = 0 to n - 1 do
     ignore
       (Engine.every e
@@ -367,19 +366,15 @@ let sched_pattern_periodic scheduler n () =
   Engine.run ~until:(Time_ns.ms 5) e
 
 let sched () =
-  let open Domino_sim in
-  let impls =
-    [
-      ("pheap", Engine.Pheap_sched, pheap_ops);
-      ("wheel", Engine.Wheel_sched, wheel_ops);
-    ]
-  in
+  (* The periodic pattern drives the engine, which runs on the wheel
+     only; the heap keeps its queue-level rows as the reference. *)
+  let impls = [ ("pheap", false, pheap_ops); ("wheel", true, wheel_ops) ] in
   let sizes = [ ("1k", 1_000); ("100k", 100_000) ]
   and runs = 5 in
   Printf.printf "scheduler microbenchmarks (ns/op, median of %d):\n%!" runs;
   let results =
     List.map
-      (fun (impl_name, scheduler, mk) ->
+      (fun (impl_name, engine, mk) ->
         let cells =
           List.concat_map
             (fun (size_name, n) ->
@@ -390,11 +385,16 @@ let sched () =
                 ( "cancel-heavy-" ^ size_name,
                   median_ns_per_op ~runs ~ops:(2 * n)
                     (sched_pattern_cancel_heavy mk n) );
-                ( "periodic-" ^ size_name,
-                  (* ~5 fires per timer inside the 5 ms horizon *)
-                  median_ns_per_op ~runs ~ops:(5 * n)
-                    (sched_pattern_periodic scheduler n) );
-              ])
+              ]
+              @
+              if engine then
+                [
+                  ( "periodic-" ^ size_name,
+                    (* ~5 fires per timer inside the 5 ms horizon *)
+                    median_ns_per_op ~runs ~ops:(5 * n)
+                      (sched_pattern_periodic n) );
+                ]
+              else [])
             sizes
         in
         List.iter
@@ -403,20 +403,6 @@ let sched () =
         (impl_name, cells))
       impls
   in
-  (* End-to-end A/B: the full reference simulation under each queue.
-     Identical event streams (the queues share one total order), so the
-     wall-clock ratio is pure scheduler overhead. *)
-  let ab =
-    List.map
-      (fun (impl_name, scheduler, _) ->
-        Engine.set_default_scheduler scheduler;
-        let _, _, events, wall = single_core_throughput ~duration:(Time_ns.sec 10) in
-        Printf.printf "  %-8s end-to-end: %.0f events in %.2fs = %.0f events/s\n%!"
-          impl_name events wall (events /. wall);
-        (impl_name, events, wall))
-      impls
-  in
-  Engine.set_default_scheduler Engine.Wheel_sched;
   write_json "BENCH_sched.json"
     (Json.Obj
        [
@@ -433,18 +419,6 @@ let sched () =
                       (List.map (fun (pat, ns) -> (pat, Json.Float ns)) cells)
                   ))
                 results) );
-         ( "sim_ab",
-           Json.Obj
-             (List.map
-                (fun (impl_name, events, wall) ->
-                  ( impl_name,
-                    Json.Obj
-                      [
-                        ("sim_events", Json.Float events);
-                        ("wall_s", Json.Float wall);
-                        ("events_per_sec", Json.Float (events /. wall));
-                      ] ))
-                ab) );
        ])
 
 (* --- Bechamel microbenchmarks for the core data structures --- *)
@@ -598,7 +572,7 @@ let micro () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (* --jobs N and --scheduler IMPL take a value; strip them first. *)
+  (* --jobs N takes a value; strip it first. *)
   let jobs = ref None in
   let rec strip_valued = function
     | "--jobs" :: v :: rest ->
@@ -606,13 +580,6 @@ let () =
       | Some n when n >= 1 -> jobs := Some n
       | _ ->
         Printf.eprintf "bench: --jobs expects a positive integer, got %S\n" v;
-        exit 2);
-      strip_valued rest
-    | "--scheduler" :: v :: rest ->
-      (match Domino_sim.Engine.scheduler_of_string v with
-      | Some s -> Domino_sim.Engine.set_default_scheduler s
-      | None ->
-        Printf.eprintf "bench: --scheduler expects wheel or pheap, got %S\n" v;
         exit 2);
       strip_valued rest
     | arg :: rest -> arg :: strip_valued rest

@@ -125,21 +125,6 @@ let seed_arg =
   let doc = "Random seed (runs are deterministic per seed)." in
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"N" ~doc)
 
-let scheduler_arg =
-  let doc =
-    "Event-queue implementation: $(b,wheel) (hierarchical timing wheel, \
-     default) or $(b,pheap) (binary heap). Runs are byte-identical \
-     across the two; the flag exists for A/B measurement and as a \
-     fallback."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("wheel", Engine.Wheel_sched); ("pheap", Engine.Pheap_sched) ])
-        Engine.Wheel_sched
-    & info [ "scheduler" ] ~docv:"IMPL" ~doc)
-
 let setting_arg =
   let settings =
     [
@@ -221,7 +206,18 @@ let run_cmd =
                      counters, latency histograms) as JSON to $(docv).")
   in
   let trace_op =
-    Arg.(value & opt (some int) None
+    let non_negative =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n >= 0 -> Ok n
+            | _ ->
+              Error
+                (`Msg
+                   (Printf.sprintf "expected a non-negative integer, got %S" s))),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt (some non_negative) None
            & info [ "trace-op" ] ~docv:"N"
                ~doc:"Print the life of the N-th submitted operation \
                      (0-based, global submit order) as a span tree.")
@@ -249,10 +245,9 @@ let run_cmd =
                      with --faults (wipe events) and --check to watch \
                      the safety checker catch the violation.")
   in
-  let action seed scheduler setting proto_name duration rate alpha additional
+  let action seed setting proto_name duration rate alpha additional
       percentile metrics_out trace_op fsync_us batch_sync_us no_durability
       journal_out perfetto_out timeline_out timeline_window faults_file check =
-    Engine.set_default_scheduler scheduler;
     let proto = protocol_arg additional percentile proto_name in
     let faults = load_plan faults_file in
     let store =
@@ -278,6 +273,23 @@ let run_cmd =
       | None, None, false -> None
       | _ -> Some (Domino_obs.Journal.create ())
     in
+    (* --trace-op is a query over the journal stream: a focus tap on
+       the recorded journal, or on a capacity-1 throwaway ring when
+       nothing else records. The tap sees every event, so the tree stays
+       exact however far the ring overwrites. *)
+    let focus = Option.map Domino_obs.Provenance.focus trace_op in
+    let recording =
+      match focus with
+      | None -> journal
+      | Some f ->
+        let j =
+          match journal with
+          | Some j -> j
+          | None -> Domino_obs.Journal.create ~capacity:1 ()
+        in
+        Domino_obs.Journal.add_tap j (Domino_obs.Provenance.observe f);
+        Some j
+    in
     let agg =
       match timeline_out with
       | None -> None
@@ -289,7 +301,7 @@ let run_cmd =
     in
     let r =
       Exp_common.run ~seed ~rate ~alpha ~duration:(Time_ns.sec duration)
-        ?trace_op ?journal ?timeline:agg ?faults ~store setting proto
+        ?journal:recording ?timeline:agg ?faults ~store setting proto
     in
     let timeline = Option.map Domino_obs.Timeline.finish agg in
     let commit = Observer.Recorder.commit_latency_ms r.recorder in
@@ -361,17 +373,19 @@ let run_cmd =
         Domino_stats.Tablefmt.print (Domino_obs.Dip.to_table dips)
       end
     | _ -> ());
-    match trace_op with
-    | Some n ->
-      let tree = Domino_obs.Trace.span_tree r.trace in
+    match (trace_op, focus) with
+    | Some n, Some f ->
+      let tree =
+        Domino_obs.Provenance.span_tree (Domino_obs.Provenance.focused f)
+      in
       if tree = "" then
         Format.printf "@.no trace recorded: fewer than %d operations@." (n + 1)
       else Format.printf "@.%s" tree
-    | None -> ()
+    | _ -> ()
   in
   let term =
     Term.(
-      const action $ seed_arg $ scheduler_arg $ setting_arg
+      const action $ seed_arg $ setting_arg
       $ protocol_name_arg $ duration $ rate $ alpha $ additional_delay
       $ percentile $ metrics_out $ trace_op $ fsync_us $ batch_sync_us
       $ no_durability $ journal_out_arg $ perfetto_out_arg $ timeline_out_arg
@@ -467,9 +481,8 @@ let experiment_cmd =
              migrations (auto-rebalance) instead of the experiment's planned \
              migration plan. Only the $(b,rebalance) experiment honors it.")
   in
-  let action seed scheduler paper list_only jobs ids journal_out perfetto_out
+  let action seed paper list_only jobs ids journal_out perfetto_out
       timeline_out timeline_window faults_file check rebalance =
-    Engine.set_default_scheduler scheduler;
     let faults = load_plan faults_file in
     (match jobs with
     | Some n -> (
@@ -591,7 +604,7 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate one (or all) of the paper's tables and figures")
     Term.(
-      const action $ seed_arg $ scheduler_arg $ paper $ list_only $ jobs $ ids
+      const action $ seed_arg $ paper $ list_only $ jobs $ ids
       $ journal_out_arg $ perfetto_out_arg $ timeline_out_arg
       $ timeline_window_arg $ faults_arg $ check_arg $ rebalance)
 

@@ -72,7 +72,6 @@ let protocol_name = Protocols.name
 type result = {
   recorder : Observer.Recorder.t;
   metrics : Metrics.t;
-  trace : Trace.t;
   fast_commits : int;
   slow_commits : int;
   extra : (string * int) list;
@@ -95,7 +94,7 @@ let closest_replica setting ~client_dc =
    byte-identical (journal and metrics JSON) to the flat harness this
    module used to implement inline. *)
 let run ?seed ?rate ?alpha ?duration ?measure_from ?measure_until ?metrics
-    ?trace_op ?journal ?timeline ?sample_every ?faults ?dedup ?reconfig_mutant
+    ?journal ?timeline ?sample_every ?faults ?dedup ?reconfig_mutant
     ?store setting proto =
   let params =
     let p = Protocols.params proto in
@@ -131,14 +130,13 @@ let run ?seed ?rate ?alpha ?duration ?measure_from ?measure_until ?metrics
   in
   let r =
     Domino_shard.Fabric.run ?seed ?rate ?alpha ?duration ?measure_from
-      ?measure_until ?metrics ?trace_op ?journal ?timeline ?sample_every
+      ?measure_until ?metrics ?journal ?timeline ?sample_every
       ?faults ?dedup ?reconfig_mutant ?store config
   in
   let g = r.Domino_shard.Fabric.groups.(0) in
   {
     recorder = g.Domino_shard.Fabric.recorder;
     metrics = r.Domino_shard.Fabric.metrics;
-    trace = r.Domino_shard.Fabric.trace;
     fast_commits = g.Domino_shard.Fabric.fast_commits;
     slow_commits = g.Domino_shard.Fabric.slow_commits;
     extra = g.Domino_shard.Fabric.extra;

@@ -70,9 +70,6 @@ type result = {
   metrics : Metrics.t;
       (** the run's registry: [run.*] counters and latency histograms,
           per-class [<protocol>.msg.*] counters, [sim.events] *)
-  trace : Trace.t;
-      (** span events of the op selected by [trace_op]; empty
-          otherwise *)
   fast_commits : int;  (** protocol-reported fast-path commits, if any *)
   slow_commits : int;
   extra : (string * int) list;
@@ -103,7 +100,6 @@ val run :
   ?measure_from:Time_ns.span ->
   ?measure_until:Time_ns.span ->
   ?metrics:Metrics.t ->
-  ?trace_op:int ->
   ?journal:Journal.t ->
   ?timeline:Timeline.agg ->
   ?sample_every:Time_ns.span ->
@@ -119,9 +115,7 @@ val run :
     measured over the middle 60 s.
 
     [metrics] shares a caller's registry (default: a fresh one, in
-    [result.metrics]). [trace_op] selects the Nth submitted operation
-    (0-based, global submit order) for span tracing; without it tracing
-    is disabled and costs nothing.
+    [result.metrics]).
 
     [journal] turns on the flight recorder: every network, timer, op
     lifecycle and phase event of the run lands in the given journal,

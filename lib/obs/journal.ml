@@ -65,7 +65,8 @@ type t = {
   ring : event array;
   cap : int;
   mutable next : int;  (** total events ever recorded *)
-  mutable tap : (event -> unit) option;
+  mutable taps : (event -> unit) list;  (** installation order *)
+  mutable tap : (event -> unit) option;  (** [taps] as one closure *)
 }
 
 let create ?(capacity = 1 lsl 20) () =
@@ -74,12 +75,26 @@ let create ?(capacity = 1 lsl 20) () =
     ring = Array.make capacity (Mark { label = ""; at = Time_ns.zero });
     cap = capacity;
     next = 0;
+    taps = [];
     tap = None;
   }
 
 let capacity t = t.cap
 
-let set_tap t tap = t.tap <- tap
+(* Taps compose into one closure, so [record] still pays a single
+   option match however many are installed. *)
+let add_tap t f =
+  if not (List.memq f t.taps) then begin
+    t.taps <- t.taps @ [ f ];
+    t.tap <-
+      Some
+        (match t.tap with
+        | None -> f
+        | Some g ->
+          fun ev ->
+            g ev;
+            f ev)
+  end
 
 let record t ev =
   t.ring.(t.next mod t.cap) <- ev;

@@ -3,9 +3,9 @@
     deliveries and drops, periodic timer fires, protocol phase
     transitions, op lifecycle events, and sampled gauges.
 
-    Like {!Trace}, the journal lives below [lib/smr] in the dependency
-    order, so nodes are plain [int]s and operations are [(client,
-    seq)] pairs; the layers above translate.
+    The journal lives below [lib/smr] in the dependency order, so
+    nodes are plain [int]s and operations are [(client, seq)] pairs;
+    the layers above translate.
 
     Recording is opt-in via the {!sink} indirection: every emission
     site guards with {!enabled} (or calls {!emit}, which is a no-op on
@@ -149,13 +149,16 @@ val append : t -> t -> unit
     order. Used by the sweep runner to merge per-run journals
     deterministically. *)
 
-val set_tap : t -> (event -> unit) option -> unit
-(** Install (or clear) a tap invoked on every event recorded from now
-    on — including events copied in by {!append}. Unlike the ring, a
-    tap sees the complete stream even past overwrite, which is how
-    online timeline aggregation stays exact on long runs. Costs one
-    option match per recorded event; a journal-less run is
-    unaffected. *)
+val add_tap : t -> (event -> unit) -> unit
+(** Install a tap invoked on every event recorded from now on —
+    including events copied in by {!append}. Taps run in installation
+    order, each seeing the complete stream in record order. Installing
+    a tap that is already installed (the same closure) is a no-op, so
+    re-attaching a timeline to a reused journal does not stack. Unlike
+    the ring, a tap sees every event even past overwrite, which is how
+    online timeline aggregation and the [--trace-op] focus stay exact
+    on long runs. Costs one option match per recorded event however
+    many taps are installed; a journal-less run is unaffected. *)
 
 (** {2 Emission sink} *)
 

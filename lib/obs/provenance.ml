@@ -318,3 +318,129 @@ let to_table bs =
         ])
     summaries;
   tbl
+
+(* --- one op's span tree --- *)
+
+(* The op and instant of the five event kinds a span tree shows. *)
+let op_at = function
+  | Journal.Submit { op; at; _ }
+  | Journal.Commit { op; at; _ }
+  | Journal.Execute { op; at; _ }
+  | Journal.Msg_sent { op = Some op; at; _ }
+  | Journal.Msg_delivered { op = Some op; at; _ } -> Some (op, at)
+  | _ -> None
+
+let belongs o ev =
+  match op_at ev with
+  | Some (op, _) -> op = o
+  | None -> false
+
+type focus = {
+  nth : int;
+  mutable submits : int;
+  mutable op : Journal.opid option;
+  mutable kept : Journal.event list;  (** newest first *)
+}
+
+let focus nth =
+  if nth < 0 then invalid_arg "Provenance.focus: nth must be >= 0";
+  { nth; submits = 0; op = None; kept = [] }
+
+let observe f ev =
+  match f.op with
+  | Some o -> if belongs o ev then f.kept <- ev :: f.kept
+  | None -> (
+    match ev with
+    | Journal.Submit { op; _ } ->
+      if f.submits = f.nth then begin
+        f.op <- Some op;
+        f.kept <- [ ev ]
+      end;
+      f.submits <- f.submits + 1
+    | _ -> ())
+
+let focused f = List.rev f.kept
+
+let ms at = Printf.sprintf "%.3fms" (Time_ns.to_ms_f at)
+
+let span_ms a b = Printf.sprintf "+%.3fms" (Time_ns.to_ms_f (Time_ns.diff b a))
+
+let label base = function
+  | Journal.Submit { node; at; _ } ->
+    Printf.sprintf "submit at n%d @ %s" node (ms at)
+  | Journal.Msg_sent { src; dst; cls; at; _ } ->
+    Printf.sprintf "%s n%d->n%d @ %s (%s)" cls src dst (ms at) (span_ms base at)
+  | Journal.Msg_delivered { src; dst; cls; sent_at; at; _ } ->
+    Printf.sprintf "deliver %s n%d->n%d @ %s (wire %s)" cls src dst (ms at)
+      (span_ms sent_at at)
+  | Journal.Commit { node; at; _ } ->
+    Printf.sprintf "commit learned at n%d @ %s (%s)" node (ms at)
+      (span_ms base at)
+  | Journal.Execute { replica; at; _ } ->
+    Printf.sprintf "execute at replica n%d @ %s (%s)" replica (ms at)
+      (span_ms base at)
+  | _ -> assert false
+
+let span_tree events =
+  match List.find_map op_at events with
+  | None -> ""
+  | Some (o, base) ->
+    let evs = Array.of_list (List.filter (belongs o) events) in
+    let n = Array.length evs in
+    (* The same causality rule as [analyze], over this op's events
+       only: a delivery's parent is its send (the last one carrying
+       its sequence number); anything else a node does hangs off the
+       latest delivery there, or failing that the latest submit there.
+       One pass, with the latest delivery and submit per node kept as
+       the walk goes. *)
+    let last_sent = Hashtbl.create 16 in
+    Array.iteri
+      (fun i -> function
+        | Journal.Msg_sent { seq; _ } -> Hashtbl.replace last_sent seq i
+        | _ -> ())
+      evs;
+    let latest_del = Hashtbl.create 8 and latest_sub = Hashtbl.create 2 in
+    let resident_parent node =
+      match Hashtbl.find_opt latest_del node with
+      | Some d -> d
+      | None -> Option.value ~default:(-1) (Hashtbl.find_opt latest_sub node)
+    in
+    let parent =
+      Array.mapi
+        (fun i -> function
+          | Journal.Submit { node; _ } ->
+            Hashtbl.replace latest_sub node i;
+            -1
+          | Journal.Msg_delivered { seq; dst; _ } ->
+            Hashtbl.replace latest_del dst i;
+            Option.value ~default:(-1) (Hashtbl.find_opt last_sent seq)
+          | Journal.Msg_sent { src = node; _ }
+          | Journal.Commit { node; _ }
+          | Journal.Execute { replica = node; _ } -> resident_parent node
+          | _ -> assert false)
+        evs
+    in
+    let children = Array.make n [] and roots = ref [] in
+    for i = n - 1 downto 0 do
+      let p = parent.(i) in
+      if p >= 0 then children.(p) <- i :: children.(p)
+      else roots := i :: !roots
+    done;
+    let buf = Buffer.create 512 in
+    let client, seq = o in
+    Buffer.add_string buf (Printf.sprintf "op n%d#%d\n" client seq);
+    let rec render_all prefix = function
+      | [] -> ()
+      | [ i ] -> render prefix true i
+      | i :: rest ->
+        render prefix false i;
+        render_all prefix rest
+    and render prefix is_last i =
+      Buffer.add_string buf prefix;
+      Buffer.add_string buf (if is_last then "`- " else "|- ");
+      Buffer.add_string buf (label base evs.(i));
+      Buffer.add_char buf '\n';
+      render_all (prefix ^ if is_last then "   " else "|  ") children.(i)
+    in
+    render_all "" !roots;
+    Buffer.contents buf

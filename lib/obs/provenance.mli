@@ -70,3 +70,33 @@ val record : Metrics.t -> breakdown list -> unit
 
 val to_table : breakdown list -> Domino_stats.Tablefmt.t
 (** Per-component mean / p95 / share-of-total summary. *)
+
+(** {2 One op's span tree}
+
+    The [--trace-op] query: the life of a single operation, rebuilt
+    from journal events with the same causality rule as {!analyze}. *)
+
+type focus
+(** A streaming filter that keeps the events of one operation: the
+    [nth] (0-based) [Submit] it observes, and from then on every
+    [Submit], [Commit], [Execute], send and delivery tagged with that
+    op. Installed as a {!Journal.add_tap}, it sees the whole stream, so
+    the tree stays exact however far the ring has overwritten. *)
+
+val focus : int -> focus
+(** [focus nth] keeps the [nth] submitted operation. Raises
+    [Invalid_argument] when [nth < 0]. *)
+
+val observe : focus -> Journal.event -> unit
+(** Feed one event, in record order (the tap). *)
+
+val focused : focus -> Journal.event list
+(** The kept events, in record order; empty until the [nth] submit. *)
+
+val span_tree : Journal.event list -> string
+(** One op's life as an indented tree: submit at the root, each message
+    as [cls src->dst @ send (+delay)] nested under the delivery that
+    caused it, commit and executions as leaves. The op is the first
+    event's that carries one; events of other ops, and kinds other than
+    those {!focus} keeps, are skipped. Deterministic: same events, same
+    bytes. Empty string when no event qualifies. *)

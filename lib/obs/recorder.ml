@@ -11,7 +11,7 @@ let attach ?sample_every ?timeline journal engine =
   let sink = Journal.sink journal in
   (match timeline with
   | None -> ()
-  | Some agg -> Journal.set_tap journal (Some (Timeline.feed agg)));
+  | Some agg -> Journal.add_tap journal (Timeline.tap agg));
   let t = { journal; sink; probes = []; clock = None } in
   Engine.set_timer_hook engine (fun at ->
       Journal.emit sink (Journal.Timer_fired { at }));

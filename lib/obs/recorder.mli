@@ -23,7 +23,7 @@ val attach :
   t
 (** Install the hooks. One recorder per engine: attaching replaces any
     previously installed timer hook. With [timeline], every recorded
-    journal event is also fed to the aggregator (a {!Journal.set_tap}),
+    journal event is also fed to the aggregator (a {!Journal.add_tap}),
     building the windowed timeline online as the run executes; without
     it nothing timeline-related touches the hot path. *)
 

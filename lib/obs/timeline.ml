@@ -194,6 +194,7 @@ type agg = {
   mutable seg : seg_state;
   mutable closed : segment list;  (** newest first *)
   mutable finished : bool;
+  mutable tap : (Journal.event -> unit) option;  (** [feed] this agg *)
 }
 
 let fresh_seg label =
@@ -219,6 +220,7 @@ let create ?(window = default_window) ?group_resolver () =
     seg = fresh_seg "";
     closed = [];
     finished = false;
+    tap = None;
   }
 
 let window agg = agg.win
@@ -452,6 +454,14 @@ let feed agg ev =
     | "begin" -> seg.faults_r <- (at, "reconfig", d) :: seg.faults_r
     | _ -> seg.faults_r <- (at, "reconfig." ^ stage, d) :: seg.faults_r)
   | Store_ev _ | Msg_sent _ | Msg_delivered _ | Timer_fired _ | Phase _ -> ()
+
+let tap agg =
+  match agg.tap with
+  | Some f -> f
+  | None ->
+    let f = feed agg in
+    agg.tap <- Some f;
+    f
 
 let absorb agg ~label t =
   if agg.finished then invalid_arg "Timeline.absorb: collector is finished";

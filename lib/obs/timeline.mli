@@ -149,6 +149,10 @@ val set_group_map : agg -> group_map -> unit
 
 val feed : agg -> Journal.event -> unit
 
+val tap : agg -> Journal.event -> unit
+(** [feed agg] as one closure per collector, so installing it again on
+    the same journal ({!Journal.add_tap}) is a no-op. *)
+
 val absorb : agg -> label:string -> t -> unit
 (** Append an already-finished timeline as further segments, labeling
     unlabeled segments with [label] (prefixing labeled ones) — how

@@ -51,7 +51,6 @@ type group_result = {
 
 type result = {
   metrics : Metrics.t;
-  trace : Trace.t;
   groups : group_result array;
   provenance : Provenance.breakdown list;
   client_commit_ms : (string * Domino_stats.Summary.t) array;
@@ -73,7 +72,6 @@ val run :
   ?measure_from:Time_ns.span ->
   ?measure_until:Time_ns.span ->
   ?metrics:Metrics.t ->
-  ?trace_op:int ->
   ?journal:Journal.t ->
   ?timeline:Timeline.agg ->
   ?sample_every:Time_ns.span ->

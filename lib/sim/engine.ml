@@ -1,29 +1,7 @@
-type scheduler = Pheap_sched | Wheel_sched
-
-let scheduler_name = function Pheap_sched -> "pheap" | Wheel_sched -> "wheel"
-
-let scheduler_of_string = function
-  | "pheap" -> Some Pheap_sched
-  | "wheel" -> Some Wheel_sched
-  | _ -> None
-
-(* Process-wide default so the CLI's [--scheduler] flag reaches every
-   engine created deep inside experiment harnesses without threading a
-   parameter through each layer. *)
-let default = ref Wheel_sched
-
-let set_default_scheduler s = default := s
-
-let default_scheduler () = !default
-
 (* The queue holds plain thunks: fire-once events are the caller's
    closure as-is, and a periodic timer is one self-rescheduling [tick]
    closure allocated once at {!every} — no per-event kind box to
    allocate or match on the hot path. *)
-type queue =
-  | Q_heap of (unit -> unit) Pheap.t
-  | Q_wheel of (unit -> unit) Wheel.t
-
 type periodic = {
   interval : Time_ns.span;
   jitter : Time_ns.span;
@@ -33,7 +11,7 @@ type periodic = {
 
 type t = {
   mutable clock : Time_ns.t;
-  queue : queue;
+  queue : (unit -> unit) Wheel.t;
   root_rng : Rng.t;
   mutable events_run : int;
   mutable event_hook : (Time_ns.t -> unit) option;
@@ -45,26 +23,18 @@ type t = {
    beyond the queue entry itself: no canceller table, no id
    indirection. *)
 type event_id =
-  | Ev_heap of (unit -> unit) Pheap.handle
-  | Ev_wheel of (unit -> unit) Wheel.handle
+  | Ev_once of (unit -> unit) Wheel.handle
   | Ev_periodic of periodic
 
-let create ?(seed = 1L) ?scheduler () =
-  let scheduler = match scheduler with Some s -> s | None -> !default in
+let create ?(seed = 1L) () =
   {
     clock = Time_ns.zero;
-    queue =
-      (match scheduler with
-      | Pheap_sched -> Q_heap (Pheap.create ())
-      | Wheel_sched -> Q_wheel (Wheel.create ~dummy:(fun () -> ())));
+    queue = Wheel.create ~dummy:(fun () -> ());
     root_rng = Rng.create seed;
     events_run = 0;
     event_hook = None;
     timer_hook = None;
   }
-
-let scheduler t =
-  match t.queue with Q_heap _ -> Pheap_sched | Q_wheel _ -> Wheel_sched
 
 let now t = t.clock
 
@@ -82,10 +52,7 @@ let rng t = t.root_rng
 
 (* Fire-once insertion without a cancellation token: on the wheel this
    recycles arena entries and allocates nothing in steady state. *)
-let enqueue t ~at f =
-  match t.queue with
-  | Q_heap q -> ignore (Pheap.push q ~time:at f)
-  | Q_wheel q -> Wheel.add q ~time:at f
+let enqueue t ~at f = Wheel.add t.queue ~time:at f
 
 let schedule_at t ~at f =
   let at = Time_ns.max at t.clock in
@@ -97,9 +64,7 @@ let schedule t ~delay f =
 
 let schedule_at_cancellable t ~at f =
   let at = Time_ns.max at t.clock in
-  match t.queue with
-  | Q_heap q -> Ev_heap (Pheap.push q ~time:at f)
-  | Q_wheel q -> Ev_wheel (Wheel.push q ~time:at f)
+  Ev_once (Wheel.push t.queue ~time:at f)
 
 let schedule_cancellable t ~delay f =
   let delay = Stdlib.max 0 delay in
@@ -127,14 +92,7 @@ let every t ?(jitter = 0) ~interval body =
 
 let cancel t id =
   match id with
-  | Ev_heap handle -> (
-    match t.queue with
-    | Q_heap q -> Pheap.cancel q handle
-    | Q_wheel _ -> invalid_arg "Engine.cancel: id from another engine")
-  | Ev_wheel handle -> (
-    match t.queue with
-    | Q_wheel q -> Wheel.cancel q handle
-    | Q_heap _ -> invalid_arg "Engine.cancel: id from another engine")
+  | Ev_once handle -> Wheel.cancel t.queue handle
   | Ev_periodic p -> p.cancelled <- true
 
 let exec t time f =
@@ -144,50 +102,28 @@ let exec t time f =
   f ()
 
 let step t =
-  let next =
-    match t.queue with Q_heap q -> Pheap.pop q | Q_wheel q -> Wheel.pop q
-  in
-  match next with
+  match Wheel.pop t.queue with
   | None -> false
   | Some (time, f) ->
     exec t time f;
     true
 
 let run ?until t =
-  (match until with
-  | None -> (
-    match t.queue with
-    | Q_heap q ->
-      let continue = ref true in
-      while !continue do
-        match Pheap.pop q with
-        | None -> continue := false
-        | Some (time, f) -> exec t time f
-      done
-    | Q_wheel q ->
-      let continue = ref true in
-      while !continue do
-        match Wheel.pop q with
-        | None -> continue := false
-        | Some (time, f) -> exec t time f
-      done)
+  let q = t.queue in
+  let continue = ref true in
+  match until with
+  | None ->
+    while !continue do
+      match Wheel.pop q with
+      | None -> continue := false
+      | Some (time, f) -> exec t time f
+    done
   | Some deadline ->
-    (match t.queue with
-    | Q_heap q ->
-      let continue = ref true in
-      while !continue do
-        match Pheap.pop_due q ~limit:deadline with
-        | None -> continue := false
-        | Some (time, f) -> exec t time f
-      done
-    | Q_wheel q ->
-      let continue = ref true in
-      while !continue do
-        match Wheel.pop_due q ~limit:deadline with
-        | None -> continue := false
-        | Some (time, f) -> exec t time f
-      done);
-    if t.clock < deadline then t.clock <- deadline)
+    while !continue do
+      match Wheel.pop_due q ~limit:deadline with
+      | None -> continue := false
+      | Some (time, f) -> exec t time f
+    done;
+    if t.clock < deadline then t.clock <- deadline
 
-let pending t =
-  match t.queue with Q_heap q -> Pheap.length q | Q_wheel q -> Wheel.length q
+let pending t = Wheel.length t.queue

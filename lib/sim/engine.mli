@@ -6,41 +6,21 @@
     multi-datacenter experiment is a deterministic single-threaded
     computation reproducible from its RNG seed.
 
-    Cancellation is opt-in: {!schedule} and {!schedule_at} are the hot
-    path and allocate only the heap entry; the [_cancellable] variants
-    return an {!event_id} for {!cancel}. *)
+    Events wait in a hierarchical timing {!Wheel}, popped in
+    [(time, seq)] order. Cancellation is opt-in: {!schedule} and
+    {!schedule_at} are the hot path and allocate nothing in steady
+    state (the wheel recycles their entries); the [_cancellable]
+    variants return an {!event_id} for {!cancel}. *)
 
 type t
 
 type event_id
 (** Token for cancelling a scheduled event. *)
 
-type scheduler = Pheap_sched | Wheel_sched
-(** Event-queue implementation: the binary {!Pheap} or the hierarchical
-    timing {!Wheel}. Both pop in identical [(time, seq)] order, so runs
-    are byte-identical across the two — the wheel is simply faster on
-    the short-horizon events that dominate. *)
-
-val scheduler_name : scheduler -> string
-(** ["pheap"] / ["wheel"]. *)
-
-val scheduler_of_string : string -> scheduler option
-(** Inverse of {!scheduler_name}; [None] on anything else. *)
-
-val set_default_scheduler : scheduler -> unit
-(** Set the process-wide default used by {!create} when [?scheduler] is
-    omitted (initially [Wheel_sched]). The CLI's [--scheduler] flag
-    calls this so every engine inside an experiment harness follows. *)
-
-val default_scheduler : unit -> scheduler
-
-val create : ?seed:int64 -> ?scheduler:scheduler -> unit -> t
+val create : ?seed:int64 -> unit -> t
 (** A fresh engine with its clock at {!Time_ns.zero}. [seed] (default
     [1L]) seeds the root RNG from which subsystems {!Rng.split} their
-    own streams. [scheduler] defaults to {!default_scheduler}. *)
-
-val scheduler : t -> scheduler
-(** The queue implementation this engine runs on. *)
+    own streams. *)
 
 val now : t -> Time_ns.t
 (** Current virtual time. *)

@@ -1,11 +1,13 @@
 (** Array-based binary min-heap keyed by [(time, sequence)].
 
-    The event queue of the simulator. Ties on time are broken by an
-    insertion sequence number so that the execution order of
-    simultaneous events is deterministic (insertion order). Cancelled
-    events are removed lazily, but the heap compacts itself whenever
-    dead entries outnumber live ones, so cancellation-heavy workloads
-    stay bounded by the live event count. *)
+    The reference queue the simulator's {!Wheel} is checked against
+    (property tests and queue-level benchmarks); the engine itself runs
+    on the wheel. Ties on time are broken by an insertion sequence
+    number so that the execution order of simultaneous events is
+    deterministic (insertion order). Cancelled events are removed
+    lazily, but the heap compacts itself whenever dead entries
+    outnumber live ones, so cancellation-heavy workloads stay bounded
+    by the live event count. *)
 
 type 'a t
 

@@ -1,7 +1,7 @@
 (** Hierarchical timing wheel keyed by [(time, sequence)].
 
-    A drop-in alternative to {!Pheap} for the simulator's event queue:
-    O(1) amortized insert and extract for the short-horizon events that
+    The simulator's event queue ({!Engine} runs on it alone): O(1)
+    amortized insert and extract for the short-horizon events that
     dominate a run (link deliveries, periodic timers), against the
     heap's O(log n). Eleven levels of 32 slots cover the entire
     [Time_ns.t] range (a level-0 slot is 1.024 us, each level 32x

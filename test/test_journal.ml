@@ -1,4 +1,4 @@
-(* Flight-recorder tests: journal ring semantics, byte-identical
+(* Flight-recorder tests: journal ring and tap semantics, byte-identical
    output across --jobs, provenance components tiling the commit
    latency for every protocol, and the Perfetto exporter. *)
 
@@ -52,6 +52,31 @@ let test_append_order () =
   Alcotest.(check string)
     "concatenated oldest-first" "@0 mark 0\n@1 mark 1\n@2 mark 2\n"
     (Journal.to_lines a)
+
+(* Two taps compose: each sees every event in record order — past ring
+   overwrite, and including events copied in by [append]. Installing
+   the same closure twice does not feed it twice. *)
+let test_taps_compose () =
+  let j = Journal.create ~capacity:2 () in
+  let seen_a = ref [] and seen_b = ref [] in
+  Journal.record j (mark 0) (* before any tap: seen by neither *);
+  let tap_a ev = seen_a := ev :: !seen_a in
+  Journal.add_tap j tap_a;
+  Journal.add_tap j (fun ev -> seen_b := ev :: !seen_b);
+  Journal.add_tap j tap_a;
+  let src = Journal.create ~capacity:8 () in
+  Journal.record src (mark 4);
+  Journal.record src (mark 5);
+  for i = 1 to 3 do
+    Journal.record j (mark i)
+  done;
+  Journal.append j src;
+  let expected = List.init 5 (fun i -> mark (i + 1)) in
+  check_bool "first tap: every event, in order" true
+    (List.rev !seen_a = expected);
+  check_bool "second tap: every event, in order" true
+    (List.rev !seen_b = expected);
+  check_int "ring kept only the newest" 2 (Journal.length j)
 
 (* --- determinism across --jobs ------------------------------------- *)
 
@@ -504,6 +529,7 @@ let () =
           Alcotest.test_case "overwrite" `Quick test_ring_overwrite;
           Alcotest.test_case "sink" `Quick test_sink_disabled;
           Alcotest.test_case "append" `Quick test_append_order;
+          Alcotest.test_case "taps compose" `Quick test_taps_compose;
         ] );
       ( "determinism",
         [

@@ -1,6 +1,6 @@
 (* Tests for the observability layer: metrics registry semantics,
    HDR-style histogram bucketing, deterministic JSON emission, and the
-   trace sink's zero-cost-when-disabled contract. *)
+   span-tree focus filter behind [--trace-op]. *)
 
 open Domino_obs
 
@@ -195,27 +195,43 @@ let test_json_deterministic () =
   check_bool "counters present" true (contains s1 "a.counter");
   check_bool "histogram buckets present" true (contains s1 "\"buckets\"")
 
-(* --- trace sink --------------------------------------------------- *)
+(* --- span-tree focus ---------------------------------------------- *)
+
+let at = Domino_sim.Time_ns.(add zero (ms 5))
 
 let test_trace_disabled_by_default () =
-  check_bool "null sink disabled" true (not (Trace.enabled Trace.null));
-  let t = Trace.create () in
-  check_bool "unfocused recorder disabled" true
-    (not (Trace.enabled (Trace.sink t)));
-  check_bool "no events" true (Trace.events t = []);
-  Alcotest.(check string) "empty tree" "" (Trace.span_tree t)
+  let f = Provenance.focus 0 in
+  Provenance.observe f
+    (Journal.Msg_sent
+       { seq = 0; src = 3; dst = 0; cls = "proposal"; op = Some (3, 0); at });
+  check_bool "nothing kept before the first submit" true
+    (Provenance.focused f = []);
+  Alcotest.(check string) "empty tree" "" (Provenance.span_tree []);
+  Alcotest.check_raises "negative index rejected"
+    (Invalid_argument "Provenance.focus: nth must be >= 0") (fun () ->
+      ignore (Provenance.focus (-1)))
 
 let test_trace_records_focused_op_only () =
-  let t = Trace.create () in
-  let sink = Trace.sink t in
-  Trace.set_focus t (3, 0);
-  check_bool "focused recorder enabled" true (Trace.enabled sink);
-  let at = Domino_sim.Time_ns.(add zero (ms 5)) in
-  Trace.emit sink (Trace.Submit { op = (3, 0); node = 3; at });
-  Trace.emit sink (Trace.Submit { op = (4, 9); node = 4; at });
-  check_int "only the focused op is kept" 1 (List.length (Trace.events t));
-  let tree = Trace.span_tree t in
-  check_bool "tree names the op" true (contains tree "n3#0")
+  let f = Provenance.focus 1 in
+  let sent op = Journal.Msg_sent { seq = 0; src = 3; dst = 0; cls = "c"; op; at } in
+  List.iter (Provenance.observe f)
+    [
+      Journal.Submit { op = (4, 9); node = 4; key = 1; at };
+      Journal.Submit { op = (3, 0); node = 3; key = 2; at };
+      sent (Some (4, 9));
+      sent None;
+      sent (Some (3, 0));
+      Journal.Phase { node = 3; op = Some (3, 0); name = "p"; dur = 0; at };
+      Journal.Commit { op = (3, 0); node = 3; at };
+    ];
+  check_int "only the second op's submit, send and commit are kept" 3
+    (List.length (Provenance.focused f));
+  Alcotest.(check string) "send and commit hang off the submit"
+    "op n3#0\n\
+     `- submit at n3 @ 5.000ms\n\
+    \   |- c n3->n0 @ 5.000ms (+0.000ms)\n\
+    \   `- commit learned at n3 @ 5.000ms (+0.000ms)\n"
+    (Provenance.span_tree (Provenance.focused f))
 
 let () =
   Alcotest.run "obs"

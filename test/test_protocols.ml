@@ -105,7 +105,6 @@ let direct_run name =
         Protocol_intf.Cluster.engine;
         topo = Topology.na;
         metrics = Metrics.create ();
-        trace = Trace.null;
         journal = Journal.null;
       }
     in
@@ -168,17 +167,52 @@ let test_metrics_deterministic () =
   let a = json () and b = json () in
   Alcotest.(check string) "same seed, byte-identical metrics JSON" a b
 
+let read_golden name =
+  (* runtest runs with cwd = _build/default/test (goldens staged by the
+     dune deps); fall back to the source path for `dune exec` from the
+     project root *)
+  let path = "golden/" ^ name in
+  let path = if Sys.file_exists path then path else "test/" ^ path in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* The [--trace-op] query: a focus tap on the run's journal. Returns the
+   tree, the journal, and the focused events. *)
+let traced ?(capacity = 1) ?rate ~seed ~duration ~nth setting =
+  let j = Journal.create ~capacity () in
+  let f = Provenance.focus nth in
+  Journal.add_tap j (Provenance.observe f);
+  ignore
+    (Exp_common.run ~seed ?rate ~duration:(Time_ns.sec duration) ~journal:j
+       setting Exp_common.domino_default);
+  let evs = Provenance.focused f in
+  (Provenance.span_tree evs, j, evs)
+
+(* The goldens were rendered by the per-op recorder the journal query
+   replaced; the trees must stay byte-identical. *)
 let test_trace_deterministic () =
-  let tree () =
-    let r =
-      Exp_common.run ~seed:7L ~rate:100. ~duration:(Time_ns.sec 8) ~trace_op:3
-        Exp_common.fig7_double Exp_common.domino_default
+  let fig7 () =
+    let tree, _, _ =
+      traced ~seed:7L ~rate:100. ~duration:8 ~nth:3 Exp_common.fig7_double
     in
-    Trace.span_tree r.Exp_common.trace
+    tree
   in
-  let a = tree () and b = tree () in
-  check_bool "trace non-empty" true (String.length a > 0);
-  Alcotest.(check string) "same seed, identical span tree" a b
+  let a = fig7 () and b = fig7 () in
+  Alcotest.(check string) "same seed, identical span tree" a b;
+  Alcotest.(check string) "fig7-double op 3 matches its golden"
+    (read_golden "fig7-double-domino.trace-op3.tree") a;
+  let na3 = read_golden "na3-domino.trace-op7.tree" in
+  let tree, _, _ = traced ~seed:42L ~duration:3 ~nth:7 Exp_common.na3 in
+  Alcotest.(check string) "na3 op 7 matches its golden" na3 tree;
+  (* A ring far smaller than the run: by the end it holds none of the
+     focused op's events, yet the tap saw them all. *)
+  let tree, j, evs =
+    traced ~capacity:4096 ~seed:42L ~duration:3 ~nth:7 Exp_common.na3
+  in
+  let ring = Journal.to_array j in
+  check_bool "ring overwrote the focused op" true
+    (Journal.dropped j > 0
+    && List.for_all (fun ev -> not (Array.exists (( == ) ev) ring)) evs);
+  Alcotest.(check string) "tree exact past ring overflow" na3 tree
 
 let () =
   Alcotest.run "protocols"

@@ -1,5 +1,6 @@
 (* Tests for the discrete-event simulation engine: time arithmetic,
-   deterministic RNG, the event heap, and the scheduler. *)
+   deterministic RNG, the two event queues (the timing wheel the engine
+   runs on and the binary heap it is checked against), and the engine. *)
 
 open Domino_sim
 
@@ -510,10 +511,10 @@ let test_engine_past_deadline_clamped () =
    the deadline: nothing may execute, the clock must land exactly on
    the deadline (never on the cancelled entries' or the future event's
    time), and the future event must still fire later at its own
-   instant. Pinned for both queue implementations — the wheel answers
-   this from a peek without advancing its cursor. *)
-let run_until_pins_clock scheduler () =
-  let e = Engine.create ~scheduler () in
+   instant. The wheel answers this from a peek without advancing its
+   cursor. *)
+let test_run_until_pins_clock () =
+  let e = Engine.create () in
   let a = Engine.schedule_cancellable e ~delay:(Time_ns.ms 1) (fun () -> ()) in
   let b = Engine.schedule_cancellable e ~delay:(Time_ns.ms 2) (fun () -> ()) in
   Engine.cancel e a;
@@ -529,35 +530,34 @@ let run_until_pins_clock scheduler () =
   check_int "fires at its own instant" (Time_ns.ms 10) !hit_at;
   check_int "exactly one event executed" 1 (Engine.events_executed e)
 
-(* One scripted run, both schedulers: execution order, periodic timers
-   (whose jitter draws come from the engine RNG) and cancellations must
-   match event for event. *)
-let test_engine_scheduler_parity () =
-  let script scheduler =
-    let e = Engine.create ~seed:99L ~scheduler () in
-    let log = Buffer.create 256 in
-    let hit tag = Buffer.add_string log (Printf.sprintf "%s@%d;" tag (Engine.now e)) in
-    ignore (Engine.schedule e ~delay:(Time_ns.ms 3) (fun () -> hit "a"));
-    ignore (Engine.schedule e ~delay:(Time_ns.ms 3) (fun () -> hit "b"));
-    let p =
-      Engine.every e ~interval:(Time_ns.ms 2) ~jitter:(Time_ns.ms 1) (fun () ->
-          hit "tick")
-    in
-    let c = Engine.schedule_cancellable e ~delay:(Time_ns.ms 4) (fun () -> hit "dead") in
-    ignore
-      (Engine.schedule e ~delay:(Time_ns.ms 1) (fun () ->
-           Engine.cancel e c;
-           ignore (Engine.schedule e ~delay:(Time_ns.ms 1) (fun () -> hit "nested"))));
-    Engine.run ~until:(Time_ns.ms 20) e;
-    Engine.cancel e p;
-    Engine.run ~until:(Time_ns.ms 30) e;
-    (Buffer.contents log, Engine.events_executed e, Engine.now e)
+(* One scripted run: execution order, periodic timers (whose jitter
+   draws come from the engine RNG) and cancellations, pinned event for
+   event. The expected trace was recorded when the engine could also
+   run on the binary heap and both queues produced it. *)
+let test_engine_scripted_run () =
+  let e = Engine.create ~seed:99L () in
+  let log = Buffer.create 256 in
+  let hit tag = Buffer.add_string log (Printf.sprintf "%s@%d;" tag (Engine.now e)) in
+  ignore (Engine.schedule e ~delay:(Time_ns.ms 3) (fun () -> hit "a"));
+  ignore (Engine.schedule e ~delay:(Time_ns.ms 3) (fun () -> hit "b"));
+  let p =
+    Engine.every e ~interval:(Time_ns.ms 2) ~jitter:(Time_ns.ms 1) (fun () ->
+        hit "tick")
   in
-  let lp, np, tp = script Engine.Pheap_sched in
-  let lw, nw, tw = script Engine.Wheel_sched in
-  Alcotest.(check string) "same execution trace" lp lw;
-  check_int "same event count" np nw;
-  check_int "same final clock" tp tw
+  let c = Engine.schedule_cancellable e ~delay:(Time_ns.ms 4) (fun () -> hit "dead") in
+  ignore
+    (Engine.schedule e ~delay:(Time_ns.ms 1) (fun () ->
+         Engine.cancel e c;
+         ignore (Engine.schedule e ~delay:(Time_ns.ms 1) (fun () -> hit "nested"))));
+  Engine.run ~until:(Time_ns.ms 20) e;
+  Engine.cancel e p;
+  Engine.run ~until:(Time_ns.ms 30) e;
+  Alcotest.(check string) "execution trace"
+    "nested@2000000;tick@2622499;a@3000000;b@3000000;tick@5117063;\
+     tick@7822978;tick@9893785;tick@12478861;tick@15330560;tick@18096387;"
+    (Buffer.contents log);
+  check_int "event count" 12 (Engine.events_executed e);
+  check_int "final clock" (Time_ns.ms 30) (Engine.now e)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -620,10 +620,9 @@ let () =
           Alcotest.test_case "periodic self-cancel" `Quick test_engine_every_cancel_inside;
           Alcotest.test_case "clock monotone" `Quick test_engine_clock_monotone;
           Alcotest.test_case "past deadline clamps" `Quick test_engine_past_deadline_clamped;
-          Alcotest.test_case "run-until pins clock (pheap)" `Quick
-            (run_until_pins_clock Engine.Pheap_sched);
           Alcotest.test_case "run-until pins clock (wheel)" `Quick
-            (run_until_pins_clock Engine.Wheel_sched);
-          Alcotest.test_case "scheduler parity" `Quick test_engine_scheduler_parity;
+            test_run_until_pins_clock;
+          Alcotest.test_case "scripted run pinned" `Quick
+            test_engine_scripted_run;
         ] );
     ]
