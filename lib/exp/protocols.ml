@@ -76,24 +76,20 @@ let of_api_name = function
   | _ -> None
 
 (* [Protocol_intf.register] hands back the module it registered, so
-   resolution binds each instance once at first use — no name lookup,
-   no re-registration per run. *)
-let registered =
-  lazy
-    (let r p = Protocol_intf.register p in
-     ( r (module Domino_core.Domino.Api : Protocol_intf.S),
-       r (module Domino_proto.Mencius.Api : Protocol_intf.S),
-       r (module Domino_proto.Epaxos.Api : Protocol_intf.S),
-       r (module Domino_proto.Multipaxos.Api : Protocol_intf.S),
-       r (module Domino_proto.Fastpaxos.Api : Protocol_intf.S) ))
+   resolution binds each instance once — no name lookup, no
+   re-registration per run. Registration runs while this module
+   initialises, before any sweep fans runs out across domains: OCaml 5
+   raises [CamlinternalLazy.Undefined] when two domains force one
+   [lazy] at once, so nothing here is lazy. *)
+let domino, mencius, epaxos, multipaxos, fastpaxos =
+  let r p = Protocol_intf.register p in
+  ( r (module Domino_core.Domino.Api : Protocol_intf.S),
+    r (module Domino_proto.Mencius.Api : Protocol_intf.S),
+    r (module Domino_proto.Epaxos.Api : Protocol_intf.S),
+    r (module Domino_proto.Multipaxos.Api : Protocol_intf.S),
+    r (module Domino_proto.Fastpaxos.Api : Protocol_intf.S) )
 
-let register_all () = ignore (Lazy.force registered)
-
-let resolve proto =
-  let domino, mencius, epaxos, multipaxos, fastpaxos =
-    Lazy.force registered
-  in
-  match proto with
+let resolve = function
   | Domino _ -> domino
   | Mencius -> mencius
   | Epaxos -> epaxos

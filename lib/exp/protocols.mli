@@ -44,10 +44,8 @@ val params : t -> Protocol_intf.params
 val of_api_name : string -> t option
 (** Inverse of {!api_name}, with Domino at its default settings. *)
 
-val register_all : unit -> unit
-(** Register every protocol in {!Protocol_intf}'s registry
-    (idempotent). *)
-
 val resolve : t -> Protocol_intf.protocol
-(** The selector's registered module, bound once at registration — no
-    per-run name lookup. *)
+(** The selector's module. Every protocol is registered in
+    {!Protocol_intf}'s registry once, while this module initialises,
+    and resolution returns the bound module — no per-run name lookup,
+    and nothing left to force when a sweep's domains resolve at once. *)

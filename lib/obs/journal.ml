@@ -62,17 +62,23 @@ type event =
     }
 
 type t = {
-  ring : event array;
+  mutable ring : event array;  (** grows by doubling up to [cap] *)
   cap : int;
   mutable next : int;  (** total events ever recorded *)
   mutable taps : (event -> unit) list;  (** installation order *)
   mutable tap : (event -> unit) option;  (** [taps] as one closure *)
 }
 
+let filler = Mark { label = ""; at = Time_ns.zero }
+
+(* The ring starts small and doubles as events arrive, so a journal
+   sized for a long run costs memory only for the events it holds. *)
+let initial_slots = 1024
+
 let create ?(capacity = 1 lsl 20) () =
   if capacity < 1 then invalid_arg "Journal.create: capacity must be >= 1";
   {
-    ring = Array.make capacity (Mark { label = ""; at = Time_ns.zero });
+    ring = Array.make (Stdlib.min capacity initial_slots) filler;
     cap = capacity;
     next = 0;
     taps = [];
@@ -96,9 +102,23 @@ let add_tap t f =
             f ev)
   end
 
+let grow t =
+  let n = Array.length t.ring in
+  let ring = Array.make (Stdlib.min t.cap (2 * n)) filler in
+  Array.blit t.ring 0 ring 0 n;
+  t.ring <- ring
+
+(* Until the ring wraps, [next] is also the slot to write; it reaches
+   the ring's length exactly when the ring must grow. *)
 let record t ev =
-  t.ring.(t.next mod t.cap) <- ev;
-  t.next <- t.next + 1;
+  let n = t.next in
+  if n < Array.length t.ring then t.ring.(n) <- ev
+  else if n < t.cap then begin
+    grow t;
+    t.ring.(n) <- ev
+  end
+  else t.ring.(n mod t.cap) <- ev;
+  t.next <- n + 1;
   match t.tap with None -> () | Some f -> f ev
 
 let recorded t = t.next
@@ -132,53 +152,285 @@ let emit sink ev = match sink with Null -> () | Rec t -> record t ev
 
 (* --- serialization --- *)
 
-let opid_str (c, s) = Printf.sprintf "%d#%d" c s
+(* The renderer writes into a byte buffer of its own, sized in advance
+   by [line_length]: no format strings, no intermediate strings, no
+   closures per event, and no regrowth. Only [Sample]'s [%.6g] goes
+   through [Printf]; samples are rare. Writes are bounds-checked, so a
+   length that disagrees with [render] fails loudly. *)
+type writer = { bytes : Bytes.t; mutable pos : int }
 
-let opt_opid_str = function None -> "-" | Some id -> opid_str id
+let writer size = { bytes = Bytes.create size; pos = 0 }
 
-let pp_event buf ev =
-  let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+let mismatch () =
+  invalid_arg "Journal: rendered length differs from line_length"
+
+let[@inline] put_char w c =
+  Bytes.set w.bytes w.pos c;
+  w.pos <- w.pos + 1
+
+let[@inline] put_string w s =
+  let n = String.length s in
+  if n > Bytes.length w.bytes - w.pos then mismatch ();
+  Bytes.unsafe_blit_string s 0 w.bytes w.pos n;
+  w.pos <- w.pos + n
+
+(* [-(10^k)] at index [k]; 10^18 is the largest power of ten in a
+   63-bit int. *)
+let neg_pow10 =
+  let a = Array.make 19 (-1) in
+  for k = 1 to 18 do
+    a.(k) <- 10 * a.(k - 1)
+  done;
+  a
+
+(* Decimal digits of [m <= 0]. *)
+let digits m =
+  let d = ref 1 in
+  while !d < 19 && m <= Array.unsafe_get neg_pow10 !d do
+    incr d
+  done;
+  !d
+
+let int_length n = if n < 0 then 1 + digits n else digits (-n)
+
+(* "00" "01" ... "99": digits go out two at a time. *)
+let pairs =
+  String.init 200 (fun i ->
+      Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+(* The bytes of [Printf "%d"]. Digits are taken from the non-positive
+   side, which also covers [min_int], and written last to first. *)
+let put_int w n =
+  let len = int_length n in
+  let b = w.bytes in
+  if len > Bytes.length b - w.pos then mismatch ();
+  if n < 0 then Bytes.unsafe_set b w.pos '-';
+  let m = ref (if n < 0 then n else -n) and i = ref (w.pos + len - 1) in
+  while !m <= -100 do
+    let r = 2 * -(!m mod 100) in
+    Bytes.unsafe_set b !i (String.unsafe_get pairs (r + 1));
+    Bytes.unsafe_set b (!i - 1) (String.unsafe_get pairs r);
+    m := !m / 100;
+    i := !i - 2
+  done;
+  if !m <= -10 then begin
+    let r = 2 * - !m in
+    Bytes.unsafe_set b !i (String.unsafe_get pairs (r + 1));
+    Bytes.unsafe_set b (!i - 1) (String.unsafe_get pairs r)
+  end
+  else Bytes.unsafe_set b !i (Char.unsafe_chr (48 - !m));
+  w.pos <- w.pos + len
+
+let put_opid w (c, s) =
+  put_int w c;
+  put_char w '#';
+  put_int w s
+
+let put_opt_opid w = function
+  | None -> put_char w '-'
+  | Some id -> put_opid w id
+
+(* "@<at><kw>", the head of every line. *)
+let[@inline] put_head w at kw =
+  put_char w '@';
+  put_int w at;
+  put_string w kw
+
+(* "<seq> n<src>>n<dst> cls=<cls>", after a message keyword ending in
+   " seq=". *)
+let put_route w seq src dst cls =
+  put_int w seq;
+  put_string w " n";
+  put_int w src;
+  put_string w ">n";
+  put_int w dst;
+  put_string w " cls=";
+  put_string w cls
+
+(* An optional trailing detail: " <detail>", or nothing when empty. *)
+let put_detail w detail =
+  if detail <> "" then begin
+    put_char w ' ';
+    put_string w detail
+  end
+
+let sample_value value = Printf.sprintf "%.6g" value
+
+let render w ev =
+  let str = put_string and int = put_int in
   match ev with
   | Submit { op; node; key; at } ->
-    p "@%d submit op=%s node=%d key=%d" at (opid_str op) node key
-  | Commit { op; node; at } -> p "@%d commit op=%s node=%d" at (opid_str op) node
+    put_head w at " submit op=";
+    put_opid w op;
+    str w " node=";
+    int w node;
+    str w " key=";
+    int w key
+  | Commit { op; node; at } ->
+    put_head w at " commit op=";
+    put_opid w op;
+    str w " node=";
+    int w node
   | Execute { op; replica; at } ->
-    p "@%d execute op=%s replica=%d" at (opid_str op) replica
+    put_head w at " execute op=";
+    put_opid w op;
+    str w " replica=";
+    int w replica
   | Msg_sent { seq; src; dst; cls; op; at } ->
-    p "@%d send seq=%d n%d>n%d cls=%s op=%s" at seq src dst cls
-      (opt_opid_str op)
+    put_head w at " send seq=";
+    put_route w seq src dst cls;
+    str w " op=";
+    put_opt_opid w op
   | Msg_delivered { seq; src; dst; cls; op; sent_at; at } ->
-    p "@%d deliver seq=%d n%d>n%d cls=%s op=%s sent=@%d" at seq src dst cls
-      (opt_opid_str op) sent_at
+    put_head w at " deliver seq=";
+    put_route w seq src dst cls;
+    str w " op=";
+    put_opt_opid w op;
+    str w " sent=@";
+    int w sent_at
   | Msg_dropped { seq; src; dst; cls; reason; at } ->
-    p "@%d drop seq=%d n%d>n%d cls=%s reason=%s" at seq src dst cls reason
-  | Timer_fired { at } -> p "@%d timer" at
+    put_head w at " drop seq=";
+    put_route w seq src dst cls;
+    str w " reason=";
+    str w reason
+  | Timer_fired { at } -> put_head w at " timer"
   | Phase { node; op; name; dur; at } ->
-    p "@%d phase node=%d op=%s name=%s dur=%d" at node (opt_opid_str op) name
-      dur
-  | Sample { name; value; at } -> p "@%d sample %s=%.6g" at name value
-  | Mark { label; at } -> p "@%d mark %s" at label
-  | Fault { name; detail; at } -> p "@%d fault.%s %s" at name detail
+    put_head w at " phase node=";
+    int w node;
+    str w " op=";
+    put_opt_opid w op;
+    str w " name=";
+    str w name;
+    str w " dur=";
+    int w dur
+  | Sample { name; value; at } ->
+    put_head w at " sample ";
+    str w name;
+    put_char w '=';
+    str w (sample_value value)
+  | Mark { label; at } ->
+    put_head w at " mark ";
+    str w label
+  | Fault { name; detail; at } ->
+    put_head w at " fault.";
+    str w name;
+    put_char w ' ';
+    str w detail
   | Store_ev { node; op; detail; at } ->
-    p "@%d store.%s node=%d%s" at op node
-      (if detail = "" then "" else " " ^ detail)
+    put_head w at " store.";
+    str w op;
+    str w " node=";
+    int w node;
+    put_detail w detail
   | Recovery { node; stage; detail; at } ->
-    p "@%d recovery.%s node=%d%s" at stage node
-      (if detail = "" then "" else " " ^ detail)
+    put_head w at " recovery.";
+    str w stage;
+    str w " node=";
+    int w node;
+    put_detail w detail
   | Migrate { stage; slot; from_g; to_g; epoch; detail; at } ->
-    p "@%d migrate.%s slot=%d from=g%d to=g%d epoch=%d%s" at stage slot from_g
-      to_g epoch
-      (if detail = "" then "" else " " ^ detail)
+    put_head w at " migrate.";
+    str w stage;
+    str w " slot=";
+    int w slot;
+    str w " from=g";
+    int w from_g;
+    str w " to=g";
+    int w to_g;
+    str w " epoch=";
+    int w epoch;
+    put_detail w detail
   | Reconfig { stage; group; epoch; detail; at } ->
-    p "@%d reconfig.%s group=%d epoch=%d%s" at stage group epoch
-      (if detail = "" then "" else " " ^ detail)
+    put_head w at " reconfig.";
+    str w stage;
+    str w " group=";
+    int w group;
+    str w " epoch=";
+    int w epoch;
+    put_detail w detail
 
+(* The length of the line [render] writes, so that [to_lines] allocates
+   its result once, at its final size. Each case spells out the same
+   literals as its [render] case. *)
+let opid_length (c, s) = int_length c + 1 + int_length s
+
+let opt_opid_length = function None -> 1 | Some id -> opid_length id
+
+let detail_length d = if d = "" then 0 else 1 + String.length d
+
+let route_length seq src dst cls =
+  int_length seq + String.length " n" + int_length src + String.length ">n"
+  + int_length dst + String.length " cls=" + String.length cls
+
+let line_length ev =
+  let str = String.length and int = int_length in
+  str "@"
+  +
+  match ev with
+  | Submit { op; node; key; at } ->
+    int at + str " submit op=" + opid_length op + str " node=" + int node
+    + str " key=" + int key
+  | Commit { op; node; at } ->
+    int at + str " commit op=" + opid_length op + str " node=" + int node
+  | Execute { op; replica; at } ->
+    int at + str " execute op=" + opid_length op + str " replica="
+    + int replica
+  | Msg_sent { seq; src; dst; cls; op; at } ->
+    int at + str " send seq=" + route_length seq src dst cls + str " op="
+    + opt_opid_length op
+  | Msg_delivered { seq; src; dst; cls; op; sent_at; at } ->
+    int at + str " deliver seq=" + route_length seq src dst cls + str " op="
+    + opt_opid_length op + str " sent=@" + int sent_at
+  | Msg_dropped { seq; src; dst; cls; reason; at } ->
+    int at + str " drop seq=" + route_length seq src dst cls + str " reason="
+    + str reason
+  | Timer_fired { at } -> int at + str " timer"
+  | Phase { node; op; name; dur; at } ->
+    int at + str " phase node=" + int node + str " op=" + opt_opid_length op
+    + str " name=" + str name + str " dur=" + int dur
+  | Sample { name; value; at } ->
+    int at + str " sample " + str name + str "=" + str (sample_value value)
+  | Mark { label; at } -> int at + str " mark " + str label
+  | Fault { name; detail; at } ->
+    int at + str " fault." + str name + str " " + str detail
+  | Store_ev { node; op; detail; at } ->
+    int at + str " store." + str op + str " node=" + int node
+    + detail_length detail
+  | Recovery { node; stage; detail; at } ->
+    int at + str " recovery." + str stage + str " node=" + int node
+    + detail_length detail
+  | Migrate { stage; slot; from_g; to_g; epoch; detail; at } ->
+    int at + str " migrate." + str stage + str " slot=" + int slot
+    + str " from=g" + int from_g + str " to=g" + int to_g + str " epoch="
+    + int epoch + detail_length detail
+  | Reconfig { stage; group; epoch; detail; at } ->
+    int at + str " reconfig." + str stage + str " group=" + int group
+    + str " epoch=" + int epoch + detail_length detail
+
+(* The writer's bytes, once [render] has filled them exactly. *)
+let filled w =
+  if w.pos <> Bytes.length w.bytes then mismatch ();
+  w.bytes
+
+let pp_event buf ev =
+  let w = writer (line_length ev) in
+  render w ev;
+  Buffer.add_bytes buf (filled w)
+
+let add_int buf n =
+  let w = writer (int_length n) in
+  put_int w n;
+  Buffer.add_bytes buf w.bytes
+
+(* Sized exactly, the writer's bytes are the result: no copy. *)
 let to_lines t =
-  let buf = Buffer.create 4096 in
+  let size = ref 0 in
+  iter t (fun ev -> size := !size + line_length ev + 1);
+  let w = writer !size in
   iter t (fun ev ->
-      pp_event buf ev;
-      Buffer.add_char buf '\n');
-  Buffer.contents buf
+      render w ev;
+      put_char w '\n');
+  Bytes.unsafe_to_string (filled w)
 
 (* --- parsing (the exact inverse of pp_event) --- *)
 

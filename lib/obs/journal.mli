@@ -124,7 +124,8 @@ type t
 val create : ?capacity:int -> unit -> t
 (** A fresh journal holding at most [capacity] events (default 2^20).
     When full, the oldest events are overwritten (ring buffer) and
-    {!dropped} counts them. *)
+    {!dropped} counts them. The ring is allocated on demand: it starts
+    at 1024 slots and doubles as events arrive, up to [capacity]. *)
 
 val capacity : t -> int
 
@@ -176,7 +177,13 @@ val emit : sink -> event -> unit
 
 val pp_event : Buffer.t -> event -> unit
 (** One line, no trailing newline. Deterministic: same events, same
-    bytes. *)
+    bytes. Written straight into the buffer, without [Printf] (except
+    a [Sample]'s value, rendered as [%.6g]). *)
+
+val add_int : Buffer.t -> int -> unit
+(** The writer's integer rendering: the bytes of [Printf "%d"], for
+    every [int] including [min_int]. For emitters that build details
+    without [Printf]. *)
 
 val to_lines : t -> string
 (** The whole journal, one event per line (each newline-terminated). *)

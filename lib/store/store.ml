@@ -92,16 +92,31 @@ let durable_upto t = t.durable_upto
 
 let unsynced_count t = t.appended - t.durable_upto
 
+(* Journal details are built only under [recording]: [append] and
+   [sync] run on every write, and a run without a journal should not
+   format strings it throws away. *)
+let recording t = Journal.enabled t.journal
+
 let store_ev t op detail =
-  if Journal.enabled t.journal then
-    Journal.emit t.journal
-      (Journal.Store_ev { node = t.node; op; detail; at = Engine.now t.engine })
+  Journal.emit t.journal
+    (Journal.Store_ev { node = t.node; op; detail; at = Engine.now t.engine })
 
 let recovery_ev t stage detail =
-  if Journal.enabled t.journal then
-    Journal.emit t.journal
-      (Journal.Recovery
-         { node = t.node; stage; detail; at = Engine.now t.engine })
+  Journal.emit t.journal
+    (Journal.Recovery
+       { node = t.node; stage; detail; at = Engine.now t.engine })
+
+(* "k1=v1 k2=v2 ...", integers written by the journal's writer. *)
+let ints fields =
+  let b = Buffer.create 32 in
+  List.iteri
+    (fun i (key, v) ->
+      if i > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b key;
+      Buffer.add_char b '=';
+      Journal.add_int b v)
+    fields;
+  Buffer.contents b
 
 let kind_of record =
   match String.index_opt record ' ' with
@@ -113,7 +128,8 @@ let append t record =
   t.appended <- idx + 1;
   t.n_appends <- t.n_appends + 1;
   t.unsynced <- (idx, record) :: t.unsynced;
-  store_ev t "append" (Printf.sprintf "rec=%d kind=%s" idx (kind_of record));
+  if recording t then
+    store_ev t "append" (ints [ ("rec", idx) ] ^ " kind=" ^ kind_of record);
   idx
 
 (* One fsync barrier: everything appended before the barrier starts is
@@ -133,9 +149,10 @@ let rec start_barrier t =
     let started = Engine.now t.engine in
     t.n_syncs <- t.n_syncs + 1;
     t.n_sync_writes <- t.n_sync_writes + Stdlib.max 0 fresh;
-    store_ev t "sync"
-      (Printf.sprintf "recs=%d upto=%d dur_us=%d" fresh upto
-         (dur / Time_ns.us 1));
+    if recording t then
+      store_ev t "sync"
+        (ints
+           [ ("recs", fresh); ("upto", upto); ("dur_us", dur / Time_ns.us 1) ]);
     let epoch = t.epoch in
     Engine.schedule t.engine ~delay:dur (fun () ->
         if t.epoch = epoch then begin
@@ -148,7 +165,7 @@ let rec start_barrier t =
             t.durable <- newly @ t.durable;
             t.durable_upto <- upto
           end;
-          if Journal.enabled t.journal && dur > 0 then
+          if recording t && dur > 0 then
             Journal.emit t.journal
               (Journal.Phase
                  {
@@ -185,7 +202,9 @@ let append_sync t record k =
 let snapshot t blob ~upto =
   if upto > t.appended then invalid_arg "Store.snapshot: upto > appended";
   t.n_snapshots <- t.n_snapshots + 1;
-  store_ev t "snapshot" (Printf.sprintf "upto=%d bytes=%d" upto (String.length blob));
+  if recording t then
+    store_ev t "snapshot"
+      (ints [ ("upto", upto); ("bytes", String.length blob) ]);
   let epoch = t.epoch in
   Engine.schedule t.engine ~delay:t.params.snapshot_latency (fun () ->
       if t.epoch = epoch then begin
@@ -199,7 +218,8 @@ let snapshot t blob ~upto =
         t.unsynced <- List.filter (fun (idx, _) -> idx >= upto) t.unsynced;
         t.durable_upto <- Stdlib.max t.durable_upto upto;
         t.n_truncated <- t.n_truncated + cut;
-        if cut > 0 then store_ev t "truncate" (Printf.sprintf "recs=%d" cut)
+        if cut > 0 && recording t then
+          store_ev t "truncate" (ints [ ("recs", cut) ])
       end)
 
 let wipe t =
@@ -219,8 +239,8 @@ let wipe t =
   t.n_lost <- t.n_lost + lost;
   t.unsynced <- [];
   t.appended <- t.durable_upto;
-  recovery_ev t "wipe"
-    (Printf.sprintf "lost=%d durable=%d" lost t.durable_upto)
+  if recording t then
+    recovery_ev t "wipe" (ints [ ("lost", lost); ("durable", t.durable_upto) ])
 
 let recovery_span t =
   let n_records = List.length t.durable in
@@ -239,10 +259,13 @@ let recover t =
   t.n_replayed <- t.n_replayed + n;
   let span = recovery_span t in
   t.recovery_spans <- span :: t.recovery_spans;
-  recovery_ev t "replay"
-    (Printf.sprintf "snapshot=%s records=%d span_us=%d"
-       (match t.snap with None -> "none" | Some (_, upto) -> string_of_int upto)
-       n (span / Time_ns.us 1));
+  if recording t then begin
+    let counts = ints [ ("records", n); ("span_us", span / Time_ns.us 1) ] in
+    recovery_ev t "replay"
+      (match t.snap with
+      | None -> "snapshot=none " ^ counts
+      | Some (_, upto) -> ints [ ("snapshot", upto) ] ^ " " ^ counts)
+  end;
   (Option.map fst t.snap, records)
 
 let counters t =

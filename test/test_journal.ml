@@ -34,6 +34,29 @@ let test_ring_overwrite () =
   Alcotest.(check (array string))
     "keeps the newest, oldest first" [| "6"; "7"; "8"; "9" |] labels
 
+(* The ring is allocated on demand, doubling from 1024 slots up to its
+   capacity: across every doubling and the wrap it must keep the newest
+   [capacity] events, oldest first, and count the rest as dropped. *)
+let test_ring_grows =
+  QCheck.Test.make ~name:"growing ring keeps the newest events" ~count:100
+    QCheck.(pair (int_range 1 5_000) (int_range 0 12_000))
+    (fun (capacity, n) ->
+      let j = Journal.create ~capacity () in
+      for i = 0 to n - 1 do
+        Journal.record j (Journal.Timer_fired { at = i })
+      done;
+      let kept = min n capacity in
+      let ats = ref [] in
+      Journal.iter j (function
+        | Journal.Timer_fired { at } -> ats := at :: !ats
+        | _ -> ());
+      Journal.length j = kept
+      && Journal.dropped j = n - kept
+      && Journal.recorded j = n
+      && List.rev !ats = List.init kept (fun k -> n - kept + k)
+      && Journal.to_array j
+         = Array.init kept (fun k -> Journal.Timer_fired { at = n - kept + k }))
+
 let test_sink_disabled () =
   check_bool "null sink disabled" true (not (Journal.enabled Journal.null));
   Journal.emit Journal.null (mark 0) (* no-op, must not raise *);
@@ -530,6 +553,7 @@ let () =
           Alcotest.test_case "sink" `Quick test_sink_disabled;
           Alcotest.test_case "append" `Quick test_append_order;
           Alcotest.test_case "taps compose" `Quick test_taps_compose;
+          QCheck_alcotest.to_alcotest test_ring_grows;
         ] );
       ( "determinism",
         [

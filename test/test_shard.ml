@@ -621,6 +621,32 @@ let test_golden_na3_domino () =
     (read_file "golden/na3-domino.metrics.json")
     (Metrics.to_json_string r.Exp_common.metrics)
 
+(* The journal writer against the Printf renderer it replaced, on a
+   real multi-group run whose faults reach every emitter: a migration,
+   a wipe (store and recovery events) and a leader transfer. *)
+let test_writer_matches_reference () =
+  let j = Journal.create () in
+  let _ =
+    Fabric.run ~seed:23L ~rate:100. ~duration:(Time_ns.sec 4) ~journal:j
+      ~faults:
+        (plan_exn
+           "at 1s migrate slot=0 from=0 to=1\n\
+            at 2s wipe node=2\n\
+            at 3s transfer group=1 to=0\n")
+      (fabric_config ())
+  in
+  let lines = Journal.to_lines j in
+  List.iter
+    (fun kind -> check_bool (kind ^ " journaled") true (contains lines kind))
+    [
+      " mark g1 "; " fault.wipe"; " store.append"; " store.sync";
+      " recovery.replay"; " migrate.epoch"; " reconfig.transfer"; " deliver ";
+      " phase ";
+    ];
+  check_string "to_lines = Printf reference"
+    (Digest.to_hex (Digest.string (Reference_pp.to_lines j)))
+    (Digest.to_hex (Digest.string lines))
+
 let () =
   Alcotest.run "shard"
     [
@@ -666,5 +692,7 @@ let () =
         [
           Alcotest.test_case "fig8a journal" `Slow test_golden_fig8a_journal;
           Alcotest.test_case "na3 domino run" `Slow test_golden_na3_domino;
+          Alcotest.test_case "writer = Printf reference" `Slow
+            test_writer_matches_reference;
         ] );
     ]

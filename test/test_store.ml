@@ -133,6 +133,41 @@ let test_snapshot_truncates_log () =
   Alcotest.(check (list string)) "truncated log is empty" [] records;
   check_int "frontier covers the snapshot" 2 (Store.durable_upto store)
 
+(* The [store.*] and [recovery.*] details, built with the journal's
+   integer writer only when a journal records: the same bytes the
+   [Printf] formats they replaced gave, on both replay paths. *)
+let test_journal_details () =
+  let engine = Engine.create ~seed:1L () in
+  let j = Journal.create () in
+  let store = Store.create engine ~node:3 ~params ~journal:(Journal.sink j) in
+  ignore (Store.append store "put k 1");
+  Store.append_sync store "del" (fun () -> ());
+  Engine.run engine;
+  Store.wipe store;
+  ignore (Store.recover store);
+  Store.snapshot store "blob" ~upto:2;
+  Engine.run engine;
+  ignore (Store.append store "put k 2");
+  Store.wipe store;
+  ignore (Store.recover store);
+  Alcotest.(check (list string))
+    "journal lines"
+    [
+      "@0 store.append node=3 rec=0 kind=put";
+      "@0 store.append node=3 rec=1 kind=del";
+      "@0 store.sync node=3 recs=2 upto=2 dur_us=102";
+      "@0 phase node=3 op=- name=sync_wait dur=102000";
+      "@102000 recovery.wipe node=3 lost=0 durable=2";
+      "@102000 recovery.replay node=3 snapshot=none records=2 span_us=102";
+      "@102000 store.snapshot node=3 upto=2 bytes=4";
+      "@1102000 store.truncate node=3 recs=2";
+      "@1102000 store.append node=3 rec=2 kind=put";
+      "@1102000 recovery.wipe node=3 lost=1 durable=2";
+      "@1102000 recovery.replay node=3 snapshot=2 records=0 span_us=1100";
+    ]
+    (String.split_on_char '\n' (Journal.to_lines j)
+    |> List.filter (fun l -> l <> ""))
+
 let test_skip_fsync_mutant_loses_everything () =
   let engine, store = mk ~params:{ params with Store.durable = false } () in
   ignore (Store.append store "a 1");
@@ -168,6 +203,7 @@ let () =
             test_wipe_aborts_inflight_barrier;
           Alcotest.test_case "snapshot truncates log" `Quick
             test_snapshot_truncates_log;
+          Alcotest.test_case "journal details" `Quick test_journal_details;
           Alcotest.test_case "skip-fsync mutant loses everything" `Quick
             test_skip_fsync_mutant_loses_everything;
         ] );

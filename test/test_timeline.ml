@@ -244,10 +244,30 @@ let tok_gen =
 let detail_gen =
   QCheck.Gen.(map (String.concat " ") (list_size (int_range 1 4) tok_gen))
 
-let time_gen = QCheck.Gen.(map Time_ns.ms (int_range 0 50_000))
-let opid_gen = QCheck.Gen.(pair (int_range 0 99) (int_range 0 9_999))
+(* Details the emitters may leave empty. *)
+let opt_detail_gen = QCheck.Gen.(oneof [ return ""; detail_gen ])
+
+(* Mostly plausible values, but also negatives and both extremes: the
+   writer renders digits itself, so every sign and width must come out
+   as [%d] would write it, and parse back. *)
+let int_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, int_range 0 99_999);
+        (2, int_range (-99_999) (-1));
+        (1, return min_int);
+        (1, return max_int);
+        (1, int);
+      ])
+
+let time_gen =
+  QCheck.Gen.(
+    frequency [ (4, map Time_ns.ms (int_range 0 50_000)); (1, int_gen) ])
+
+let opid_gen = QCheck.Gen.(pair int_gen int_gen)
 let opt_opid_gen = QCheck.Gen.(opt opid_gen)
-let node_gen = QCheck.Gen.int_range 0 99
+let node_gen = int_gen
 
 let event_gen : Journal.event QCheck.Gen.t =
   QCheck.Gen.(
@@ -256,7 +276,7 @@ let event_gen : Journal.event QCheck.Gen.t =
         map3
           (fun op node (key, at) -> Journal.Submit { op; node; key; at })
           opid_gen node_gen
-          (pair (int_range 0 1023) time_gen);
+          (pair int_gen time_gen);
         map3
           (fun op node at -> Journal.Commit { op; node; at })
           opid_gen node_gen time_gen;
@@ -266,49 +286,56 @@ let event_gen : Journal.event QCheck.Gen.t =
         map3
           (fun (seq, src, dst) (cls, op) at ->
             Journal.Msg_sent { seq; src; dst; cls; op; at })
-          (triple (int_range 0 99_999) node_gen node_gen)
+          (triple int_gen node_gen node_gen)
           (pair tok_gen opt_opid_gen)
           time_gen;
         map3
           (fun (seq, src, dst) (cls, op) (sent_at, at) ->
             Journal.Msg_delivered { seq; src; dst; cls; op; sent_at; at })
-          (triple (int_range 0 99_999) node_gen node_gen)
+          (triple int_gen node_gen node_gen)
           (pair tok_gen opt_opid_gen)
           (pair time_gen time_gen);
         map3
           (fun (seq, src, dst) (cls, reason) at ->
             Journal.Msg_dropped { seq; src; dst; cls; reason; at })
-          (triple (int_range (-1) 99_999) node_gen node_gen)
+          (triple int_gen node_gen node_gen)
           (pair tok_gen tok_gen) time_gen;
         map (fun at -> Journal.Timer_fired { at }) time_gen;
         map3
           (fun (node, op) (name, dur) at ->
             Journal.Phase { node; op; name; dur; at })
           (pair node_gen opt_opid_gen)
-          (pair tok_gen (map Time_ns.ms (int_range 0 5_000)))
+          (pair tok_gen (oneof [ map Time_ns.ms (int_range 0 5_000); int_gen ]))
           time_gen;
         map3
           (fun name value at -> Journal.Sample { name; value; at })
           tok_gen
           (oneof [ float_range (-1e6) 1e6; return 0.; return 1e-3 ])
           time_gen;
-        map2 (fun label at -> Journal.Mark { label; at }) detail_gen time_gen;
+        map2
+          (fun label at -> Journal.Mark { label; at })
+          opt_detail_gen time_gen;
         map3
           (fun name detail at -> Journal.Fault { name; detail; at })
-          tok_gen detail_gen time_gen;
+          tok_gen opt_detail_gen time_gen;
         map3
           (fun (node, op) detail at -> Journal.Store_ev { node; op; detail; at })
-          (pair node_gen tok_gen) detail_gen time_gen;
+          (pair node_gen tok_gen) opt_detail_gen time_gen;
         map3
           (fun (node, stage) detail at ->
             Journal.Recovery { node; stage; detail; at })
-          (pair node_gen tok_gen) detail_gen time_gen;
+          (pair node_gen tok_gen) opt_detail_gen time_gen;
         map3
           (fun (stage, slot) (from_g, to_g, epoch) (detail, at) ->
             Journal.Migrate { stage; slot; from_g; to_g; epoch; detail; at })
-          (pair tok_gen (int_range 0 99))
-          (triple (int_range 0 9) (int_range 0 9) (int_range 0 99))
-          (pair (oneof [ return ""; detail_gen ]) time_gen);
+          (pair tok_gen int_gen)
+          (triple int_gen int_gen int_gen)
+          (pair opt_detail_gen time_gen);
+        map3
+          (fun (stage, group) epoch (detail, at) ->
+            Journal.Reconfig { stage; group; epoch; detail; at })
+          (pair tok_gen int_gen) int_gen
+          (pair opt_detail_gen time_gen);
       ])
 
 let render ev =
@@ -329,6 +356,32 @@ let test_parse_roundtrip =
         if line <> line' then
           QCheck.Test.fail_reportf "re-render mismatch:\n%s\n%s" line line';
         true)
+
+let reference_render ev =
+  let b = Buffer.create 64 in
+  Reference_pp.pp_event b ev;
+  Buffer.contents b
+
+let test_writer_matches_reference =
+  QCheck.Test.make ~name:"pp_event writes the Printf reference's bytes"
+    ~count:2_000
+    (QCheck.make ~print:reference_render event_gen)
+    (fun ev ->
+      let line = render ev and expected = reference_render ev in
+      if line <> expected then
+        QCheck.Test.fail_reportf "writer:    %s\nreference: %s" line expected;
+      true)
+
+let test_to_lines_matches_reference =
+  QCheck.Test.make ~name:"to_lines writes the Printf reference's bytes"
+    ~count:200
+    (QCheck.make
+       ~print:(fun evs -> String.concat "\n" (List.map reference_render evs))
+       QCheck.Gen.(list_size (int_range 0 40) event_gen))
+    (fun evs ->
+      let j = Journal.create ~capacity:(max 1 (List.length evs)) () in
+      List.iter (Journal.record j) evs;
+      Journal.to_lines j = Reference_pp.to_lines j)
 
 let test_of_lines_real_journal () =
   (* A faulted run covers every event class, including store.* and
@@ -648,6 +701,8 @@ let () =
       ( "parser",
         [
           q test_parse_roundtrip;
+          q test_writer_matches_reference;
+          q test_to_lines_matches_reference;
           Alcotest.test_case "real journal round-trip" `Slow
             test_of_lines_real_journal;
           Alcotest.test_case "errors and blanks" `Quick test_of_lines_errors;
