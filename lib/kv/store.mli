@@ -33,7 +33,8 @@ val import : t -> (int * int64) list -> unit
     mutate identically. *)
 
 val fingerprint : t -> int
-(** Digest of (applied-op count, sorted key/value contents). Replicas
-    that applied the same multiset of operations with the same same-key
+(** Digest of the applied-op count and every key/value binding, kept up
+    to date by {!apply} and {!import}, so this is O(1). Replicas that
+    applied the same multiset of operations with the same same-key
     order have equal fingerprints; commuting reorderings (different
     keys) do not affect it. *)

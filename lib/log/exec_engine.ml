@@ -1,32 +1,124 @@
 open Domino_sim
 
-module Tsmap = Map.Make (Int)
-
 type 'op decision = Noop | Op of 'op
 
-type 'op lane_state = {
-  mutable pending : 'op decision Tsmap.t;  (** decided, not yet executed *)
+(* Int keys in increasing order, each with a value, in one growable
+   window of two parallel arrays: O(1) at both ends, binary search in
+   between. Per lane it holds the pending decisions and the executed
+   timestamps. *)
+module Kq = struct
+  type 'a t = {
+    mutable keys : int array;
+    mutable vals : 'a array;
+    mutable head : int;
+    mutable len : int;
+    fill : 'a;  (** overwrites dropped values, so they can be collected *)
+  }
+
+  let create fill = { keys = [||]; vals = [||]; head = 0; len = 0; fill }
+
+  let is_empty q = q.len = 0
+
+  let min_key q = q.keys.(q.head)
+
+  let min_val q = q.vals.(q.head)
+
+  let last_key q = q.keys.(q.head + q.len - 1)
+
+  (* Room for one more element at the back: slide the window to the
+     front when it fills at most half the arrays, else double them. *)
+  let reserve q =
+    let cap = Array.length q.keys in
+    if q.head + q.len = cap then
+      if q.len > 0 && 2 * q.len <= cap then begin
+        Array.blit q.keys q.head q.keys 0 q.len;
+        Array.blit q.vals q.head q.vals 0 q.len;
+        Array.fill q.vals q.len (cap - q.len) q.fill;
+        q.head <- 0
+      end
+      else begin
+        let cap' = Stdlib.max 8 (2 * cap) in
+        let keys = Array.make cap' 0 and vals = Array.make cap' q.fill in
+        Array.blit q.keys q.head keys 0 q.len;
+        Array.blit q.vals q.head vals 0 q.len;
+        q.keys <- keys;
+        q.vals <- vals;
+        q.head <- 0
+      end
+
+  let push_back q k v =
+    reserve q;
+    let i = q.head + q.len in
+    q.keys.(i) <- k;
+    q.vals.(i) <- v;
+    q.len <- q.len + 1
+
+  let pop_front q =
+    q.vals.(q.head) <- q.fill;
+    q.len <- q.len - 1;
+    q.head <- (if q.len = 0 then 0 else q.head + 1)
+
+  (* Number of keys below [k]. Keys mostly arrive in order, so the
+     back is checked first. *)
+  let rank q k =
+    if q.len = 0 || last_key q < k then q.len
+    else begin
+      let lo = ref 0 and hi = ref q.len in
+      while !lo < !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        if q.keys.(q.head + mid) < k then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    end
+
+  let mem_at q r k = r < q.len && q.keys.(q.head + r) = k
+
+  let mem q k = mem_at q (rank q k) k
+
+  let insert_at q r k v =
+    reserve q;
+    let i = q.head + r and n = q.len - r in
+    Array.blit q.keys i q.keys (i + 1) n;
+    Array.blit q.vals i q.vals (i + 1) n;
+    q.keys.(i) <- k;
+    q.vals.(i) <- v;
+    q.len <- q.len + 1
+
+  (* Drop every key <= [k]; returns how many went. *)
+  let drop_le q k =
+    let n = ref 0 in
+    while q.len > 0 && min_key q <= k do
+      pop_front q;
+      incr n
+    done;
+    !n
+end
+
+(* A lane's coverage is one integer, [covered]: the watermark extended
+   by the contiguous run of executed positions right above it (dense
+   slots and adjacent explicit no-ops make progress without waiting for
+   the next watermark). No executed position ever lies above
+   [covered + 1]: (ts, lane) executes only once every lane, its own
+   included, covers ts - 1. So executing ts either extends [covered]
+   by one or falls at or below it, and a watermark raise never has a
+   detached run to absorb. *)
+type 'op lane = {
+  pending : 'op decision Kq.t;  (** decided, not yet executed, by ts *)
   mutable watermark : Time_ns.t;
-  mutable executed_set : Interval_set.t;
-      (** executed explicit positions above the watermark: contiguous
-          runs extend the lane's effective coverage, so dense-slot
-          protocols (and adjacent explicit no-ops) make progress without
-          waiting for the next watermark *)
+  mutable covered : Time_ns.t;  (** effective watermark *)
+  seen : unit Kq.t;
+      (** executed timestamps, for duplicate-versus-late classification;
+          pruned against the lowest watermark *)
 }
 
 type 'op t = {
-  lanes : 'op lane_state array;
+  lanes : 'op lane array;
   on_exec : Position.t -> 'op -> unit;
-  mutable cursor : Position.t option;  (** last executed explicit position *)
+  mutable cursor_ts : Time_ns.t;  (** last executed explicit position *)
+  mutable cursor_lane : int;  (** -1 until something executes *)
   mutable executed : int;
   mutable late : int;
-  mutable seen : Position.Set.t;
-      (** executed explicit positions, for duplicate detection; pruned
-          against [cursor] lazily *)
-  mutable seen_size : int;
-      (** [Set.cardinal t.seen], maintained incrementally: the prune
-          threshold check runs on every watermark raise and a Set's
-          cardinal is an O(n) walk *)
+  mutable seen_size : int;  (** executed timestamps held, over all lanes *)
 }
 
 let create ~n_lanes ~on_exec =
@@ -35,114 +127,92 @@ let create ~n_lanes ~on_exec =
     lanes =
       Array.init n_lanes (fun _ ->
           {
-            pending = Tsmap.empty;
+            pending = Kq.create Noop;
             watermark = -1;
-            executed_set = Interval_set.empty;
+            covered = -1;
+            seen = Kq.create ();
           });
     on_exec;
-    cursor = None;
+    cursor_ts = min_int;
+    cursor_lane = -1;
     executed = 0;
     late = 0;
-    seen = Position.Set.empty;
     seen_size = 0;
   }
 
 let watermark t ~lane = t.lanes.(lane).watermark
 
-(* Effective coverage: the watermark, extended by any contiguous run of
-   executed explicit positions starting right above it. *)
-let effective_watermark (state : _ lane_state) =
-  match Interval_set.covered_from state.executed_set (state.watermark + 1) with
-  | Some hi -> hi
-  | None -> state.watermark
-
-(* Smallest pending explicit decision across lanes, in position order. *)
+(* Lane of the smallest pending decision in position order, or -1.
+   At equal timestamps the lower lane wins. *)
 let candidate t =
-  let best = ref None in
-  Array.iteri
-    (fun lane state ->
-      match Tsmap.min_binding_opt state.pending with
-      | None -> ()
-      | Some (ts, decision) ->
-        let pos = { Position.ts; lane } in
-        let better =
-          match !best with
-          | None -> true
-          | Some (bpos, _) -> Position.compare pos bpos < 0
-        in
-        if better then best := Some (pos, decision))
-    t.lanes;
+  let best = ref (-1) and best_ts = ref 0 in
+  for lane = 0 to Array.length t.lanes - 1 do
+    let pending = t.lanes.(lane).pending in
+    if
+      (not (Kq.is_empty pending))
+      && (!best < 0 || Kq.min_key pending < !best_ts)
+    then begin
+      best := lane;
+      best_ts := Kq.min_key pending
+    end
+  done;
   !best
 
-(* Every position strictly before [pos] must be decided. Undecided
-   positions are exactly those above each lane's watermark with no
-   pending/executed decision; since [pos] is the global minimum pending
-   decision, it suffices that each lane's watermark covers its share of
-   the prefix: up to [ts] for lanes ordered before [pos.lane] at equal
-   timestamp, up to [ts - 1] for the others. *)
-let executable t (pos : Position.t) =
-  let ok = ref true in
-  Array.iteri
-    (fun lane state ->
-      let required = if lane < pos.lane then pos.ts else pos.ts - 1 in
-      if effective_watermark state < required then ok := false)
-    t.lanes;
+(* Every position strictly before (ts, lane) must be decided. Since it
+   is the global minimum pending decision, it suffices that each lane's
+   coverage reaches its share of the prefix: up to [ts] for lanes
+   ordered before [lane] at equal timestamp, up to [ts - 1] for the
+   others. *)
+let executable t ~lane ~ts =
+  let ok = ref true and l = ref 0 in
+  while !ok && !l < Array.length t.lanes do
+    let required = if !l < lane then ts else ts - 1 in
+    if t.lanes.(!l).covered < required then ok := false;
+    incr l
+  done;
   !ok
 
 let rec pump t =
-  match candidate t with
-  | None -> ()
-  | Some (pos, decision) ->
-    if executable t pos then begin
-      let state = t.lanes.(pos.lane) in
-      state.pending <- Tsmap.remove pos.ts state.pending;
-      state.executed_set <- Interval_set.add pos.ts state.executed_set;
-      t.cursor <- Some pos;
-      (* [add] returns the set itself when the element is present, so
-         the physical-equality check keeps [seen_size] exact. *)
-      let seen' = Position.Set.add pos t.seen in
-      if seen' != t.seen then begin
-        t.seen <- seen';
-        t.seen_size <- t.seen_size + 1
-      end;
+  let lane = candidate t in
+  if lane >= 0 then begin
+    let st = t.lanes.(lane) in
+    let ts = Kq.min_key st.pending in
+    if executable t ~lane ~ts then begin
+      let decision = Kq.min_val st.pending in
+      Kq.pop_front st.pending;
+      if ts > st.covered then st.covered <- ts;
+      t.cursor_ts <- ts;
+      t.cursor_lane <- lane;
+      Kq.push_back st.seen ts ();
+      t.seen_size <- t.seen_size + 1;
       (match decision with
       | Noop -> ()
       | Op op ->
         t.executed <- t.executed + 1;
-        t.on_exec pos op);
+        t.on_exec { Position.ts; lane } op);
       pump t
     end
-
-let passed t (pos : Position.t) =
-  (* [pos] already executed or covered as noop. *)
-  if Position.Set.mem pos t.seen then true
-  else begin
-    let lane_covered = effective_watermark t.lanes.(pos.lane) >= pos.ts in
-    let behind_cursor =
-      match t.cursor with
-      | None -> false
-      | Some c -> Position.compare pos c <= 0
-    in
-    lane_covered || behind_cursor
   end
 
 let decide t (pos : Position.t) decision =
   if pos.lane < 0 || pos.lane >= Array.length t.lanes then
     invalid_arg "Exec_engine.decide: bad lane";
-  let state = t.lanes.(pos.lane) in
-  if Tsmap.mem pos.ts state.pending then () (* duplicate, not yet run *)
-  else if passed t pos then begin
-    (* Either a duplicate of an executed decision (benign) or a decision
-       for a position the engine already treated as a no-op (protocol
-       bug). Only the latter counts as late. *)
-    if not (Position.Set.mem pos t.seen) then begin
+  let st = t.lanes.(pos.lane) in
+  let r = Kq.rank st.pending pos.ts in
+  if Kq.mem_at st.pending r pos.ts then () (* duplicate, not yet run *)
+  else if st.covered >= pos.ts then begin
+    (* Already passed (every position at or behind the last execution is
+       covered too). Either a duplicate of an executed decision (benign)
+       or a decision for a position the engine already treated as a
+       no-op (protocol bug). Only the latter counts as late. *)
+    if not (Kq.mem st.seen pos.ts) then begin
       match decision with
       | Noop -> () (* noop where a noop was assumed: consistent *)
       | Op _ -> t.late <- t.late + 1
     end
   end
   else begin
-    state.pending <- Tsmap.add pos.ts decision state.pending;
+    Kq.insert_at st.pending r pos.ts decision;
     pump t
   end
 
@@ -150,43 +220,39 @@ let decide_op t pos op = decide t pos (Op op)
 
 let decide_noop t pos = decide t pos Noop
 
+(* The executed timestamps only tell duplicates from late decisions.
+   Once more than 4096 are held, those at or below every lane's
+   watermark are dropped; a duplicate of a dropped position then counts
+   as late. *)
 let prune_seen t =
-  (* Positions at or below every lane's watermark can never be decided
-     again through [passed]'s lane_covered check, so drop them. *)
-  let min_wm =
-    Array.fold_left (fun acc s -> Stdlib.min acc s.watermark) max_int t.lanes
-  in
   if t.seen_size > 4096 then begin
-    t.seen <- Position.Set.filter (fun p -> p.Position.ts > min_wm) t.seen;
-    t.seen_size <- Position.Set.cardinal t.seen
+    let min_wm = ref max_int in
+    for lane = 0 to Array.length t.lanes - 1 do
+      min_wm := Stdlib.min !min_wm t.lanes.(lane).watermark
+    done;
+    for lane = 0 to Array.length t.lanes - 1 do
+      t.seen_size <- t.seen_size - Kq.drop_le t.lanes.(lane).seen !min_wm
+    done
   end
 
 let set_watermark t ~lane ts =
-  let state = t.lanes.(lane) in
-  if ts > state.watermark then begin
-    (* A watermark must never cover a pending (undecided-to-us) explicit
-       decision's gap incorrectly; pending decided entries remain
-       executable because [candidate]/[executable] consult pending
-       before coverage. *)
-    state.watermark <- ts;
-    (* Executed positions at or below the watermark no longer extend
-       coverage; drop them to bound memory. *)
-    if Interval_set.range_count state.executed_set > 64 then
-      state.executed_set <-
-        Interval_set.fold_ranges
-          (fun ~lo ~hi acc ->
-            if hi <= ts then acc
-            else Interval_set.add_range ~lo:(Stdlib.max lo (ts + 1)) ~hi acc)
-          state.executed_set Interval_set.empty;
+  let st = t.lanes.(lane) in
+  if ts > st.watermark then begin
+    (* Pending decisions at or below the new watermark stay executable:
+       [candidate] consults pending before coverage. *)
+    st.watermark <- ts;
+    if ts > st.covered then st.covered <- ts;
     prune_seen t;
     pump t
   end
 
-let frontier t = t.cursor
+let frontier t =
+  if t.cursor_lane < 0 then None
+  else Some { Position.ts = t.cursor_ts; lane = t.cursor_lane }
 
 let executed_ops t = t.executed
 
 let pending_ops t =
-  Array.fold_left (fun acc s -> acc + Tsmap.cardinal s.pending) 0 t.lanes
+  Array.fold_left (fun acc st -> acc + st.pending.Kq.len) 0 t.lanes
 
 let late_decisions t = t.late

@@ -14,12 +14,3 @@ let compare a b =
 let equal a b = compare a b = 0
 
 let pp fmt t = Format.fprintf fmt "(%a,l%d)" Time_ns.pp t.ts t.lane
-
-module Ord = struct
-  type nonrec t = t
-
-  let compare = compare
-end
-
-module Map = Map.Make (Ord)
-module Set = Set.Make (Ord)

@@ -20,6 +20,3 @@ val dfp : n_replicas:int -> Time_ns.t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-module Map : Map.S with type key = t
-module Set : Set.S with type elt = t

@@ -78,23 +78,23 @@ let obs_observer ~prefix metrics jsink ~exec_replica_for ~note_commit =
   let executed_c = counter "run.executed" in
   let commit_h = Metrics.histogram metrics (prefix ^ "run.commit_latency_ms") in
   let exec_h = Metrics.histogram metrics (prefix ^ "run.exec_latency_ms") in
-  let submit_times : (Op.id, Time_ns.t) Hashtbl.t = Hashtbl.create 1024 in
+  let submit_times : Time_ns.t Op.Idtbl.t = Op.Idtbl.create 1 in
   let latency_ms op ~now =
-    match Hashtbl.find_opt submit_times (Op.id op) with
+    match Op.Idtbl.find_opt submit_times (Op.id op) with
     | Some at -> Some (Time_ns.to_ms_f (Time_ns.diff now at))
     | None -> None
   in
   {
     Observer.on_submit =
       (fun op ~now ->
-        if Hashtbl.mem submit_times (Op.id op) then
+        if Op.Idtbl.mem submit_times (Op.id op) then
           (* A protocol-level re-submission of a timed-out request:
              latency stays anchored at the first submit, and the
              journal keeps a single Submit per op. *)
           Metrics.inc retries_c
         else begin
           Metrics.inc submitted_c;
-          Hashtbl.replace submit_times (Op.id op) now;
+          Op.Idtbl.add submit_times (Op.id op) now;
           if Journal.enabled jsink then
             Journal.emit jsink
               (Journal.Submit
@@ -121,10 +121,12 @@ let obs_observer ~prefix metrics jsink ~exec_replica_for ~note_commit =
     on_execute =
       (fun ~replica op ~now ->
         Metrics.inc executed_c;
-        (if exec_replica_for op = Some replica then
-           match latency_ms op ~now with
-           | Some l -> Metrics.observe exec_h l
-           | None -> ());
+        (match exec_replica_for op with
+        | Some r when Nodeid.equal r replica -> (
+          match latency_ms op ~now with
+          | Some l -> Metrics.observe exec_h l
+          | None -> ())
+        | _ -> ());
         if Journal.enabled jsink then
           Journal.emit jsink
             (Journal.Execute { op = Op.id op; replica; at = now }));
@@ -316,12 +318,15 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
         on_phase = (fun ~node:_ ~op:_ ~name:_ ~dur:_ ~now:_ -> ());
       }
     in
-    let exec_replica_for (op : Op.t) =
-      let client_dc = placement.(op.Op.client) in
-      Some
-        (Placement.closest_replica config.topo ~replica_dcs:spec.replica_dcs
-           ~client_dc)
+    (* Each node's closest replica, resolved once: it coordinates the
+       node's requests, and the execution-latency sample comes from
+       there. *)
+    let closest =
+      Placement.closest_replicas config.topo ~replica_dcs:spec.replica_dcs
+        ~client_dcs:placement
     in
+    let exec_at = Array.map Option.some closest in
+    let exec_replica_for (op : Op.t) = exec_at.(op.Op.client) in
     (* Per-group retry/failover sits between the router and the
        protocol. A protocol whose params arm an in-protocol client
        retry (Domino under faults) handles timeouts and coordinator
@@ -364,11 +369,7 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
             then inner.Observer.on_execute ~replica op ~now);
       }
     in
-    let coordinator_of client =
-      replicas.(Placement.closest_replica config.topo
-                  ~replica_dcs:spec.replica_dcs
-                  ~client_dc:placement.(client))
-    in
+    let coordinator_of client = replicas.(closest.(client)) in
     let delivered = ref (fun () -> 0) in
     let sent = ref (fun () -> 0) in
     let wipe_node = ref (fun (_ : int) : Time_ns.span -> 0) in

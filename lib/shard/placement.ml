@@ -1,15 +1,23 @@
 open Domino_net
 
+let closest_replicas topo ~replica_dcs ~client_dcs =
+  let ris = Array.map (Topology.index topo) replica_dcs in
+  Array.map
+    (fun client_dc ->
+      let ci = Topology.index topo client_dc in
+      let best = ref 0 and best_rtt = ref infinity in
+      for idx = 0 to Array.length ris - 1 do
+        let rtt = Topology.rtt_ms topo ci ris.(idx) in
+        if rtt < !best_rtt then begin
+          best := idx;
+          best_rtt := rtt
+        end
+      done;
+      !best)
+    client_dcs
+
 let closest_replica topo ~replica_dcs ~client_dc =
-  let ci = Topology.index topo client_dc in
-  let best = ref (0, infinity) in
-  Array.iteri
-    (fun idx dc ->
-      let ri = Topology.index topo dc in
-      let rtt = Topology.rtt_ms topo ci ri in
-      if rtt < snd !best then best := (idx, rtt))
-    replica_dcs;
-  fst !best
+  (closest_replicas topo ~replica_dcs ~client_dcs:[| client_dc |]).(0)
 
 (* Total client RTT cost of placing the leader/coordinator at each
    replica. Ties break to the lower replica index, so ranking is

@@ -17,6 +17,12 @@ val closest_replica :
     datacenter — the per-client entry point (Mencius, EPaxos) and
     execution-latency measurement site. *)
 
+val closest_replicas :
+  Topology.t -> replica_dcs:string array -> client_dcs:string array ->
+  int array
+(** {!closest_replica} for each of [client_dcs], resolving the replica
+    datacenters once. *)
+
 val rank :
   Topology.t -> replica_dcs:string array -> client_dcs:string array ->
   int array

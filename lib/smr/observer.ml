@@ -46,9 +46,9 @@ module Recorder = struct
   type observer = t
 
   type t = {
-    mutable submit_times : Time_ns.t Op.Idmap.t;
-    mutable committed_ids : Op.Idset.t;
-    mutable executed_ids : Op.Idset.t;
+    submit_times : Time_ns.t Op.Idtbl.t;
+    committed_ids : unit Op.Idtbl.t;
+    executed_ids : unit Op.Idtbl.t;
     commit_ms : Domino_stats.Summary.t;
     exec_ms : Domino_stats.Summary.t;
     mutable per_client : Domino_stats.Summary.t Nodeid.Map.t;
@@ -61,9 +61,9 @@ module Recorder = struct
 
   let create () =
     {
-      submit_times = Op.Idmap.empty;
-      committed_ids = Op.Idset.empty;
-      executed_ids = Op.Idset.empty;
+      submit_times = Op.Idtbl.create 1;
+      committed_ids = Op.Idtbl.create 1;
+      executed_ids = Op.Idtbl.create 1;
       commit_ms = Domino_stats.Summary.create ();
       exec_ms = Domino_stats.Summary.create ();
       per_client = Nodeid.Map.empty;
@@ -78,9 +78,9 @@ module Recorder = struct
     (* Keep the first submission: a client retry re-announces the same
        op id, and latency must be measured from the original send. *)
     let id = Op.id op in
-    if not (Op.Idmap.mem id t.submit_times) then begin
+    if not (Op.Idtbl.mem t.submit_times id) then begin
       t.submitted <- t.submitted + 1;
-      t.submit_times <- Op.Idmap.add id now t.submit_times
+      Op.Idtbl.add t.submit_times id now
     end
 
   let start_measuring t at = t.measure_from <- at
@@ -100,9 +100,9 @@ module Recorder = struct
   let observer t ?exec_replica_for () =
     let on_commit (op : Op.t) ~now =
       let id = Op.id op in
-      if not (Op.Idset.mem id t.committed_ids) then begin
-        t.committed_ids <- Op.Idset.add id t.committed_ids;
-        match Op.Idmap.find_opt id t.submit_times with
+      if not (Op.Idtbl.mem t.committed_ids id) then begin
+        Op.Idtbl.add t.committed_ids id ();
+        match Op.Idtbl.find_opt t.submit_times id with
         | None -> ()
         | Some sent ->
           if in_window t sent then begin
@@ -118,16 +118,14 @@ module Recorder = struct
       let id = Op.id op in
       let wanted =
         match exec_replica_for with
-        | None -> not (Op.Idset.mem id t.executed_ids)
+        | None -> true
         | Some f -> begin
-          match f op with
-          | None -> not (Op.Idset.mem id t.executed_ids)
-          | Some r -> Nodeid.equal r replica
+          match f op with None -> true | Some r -> Nodeid.equal r replica
         end
       in
-      if wanted && not (Op.Idset.mem id t.executed_ids) then begin
-        t.executed_ids <- Op.Idset.add id t.executed_ids;
-        match Op.Idmap.find_opt id t.submit_times with
+      if wanted && not (Op.Idtbl.mem t.executed_ids id) then begin
+        Op.Idtbl.add t.executed_ids id ();
+        match Op.Idtbl.find_opt t.submit_times id with
         | None -> ()
         | Some sent ->
           if in_window t sent then
@@ -148,7 +146,7 @@ module Recorder = struct
 
   let commit_latency_of_client_ms t client = client_summary t client
 
-  let committed t = Op.Idset.cardinal t.committed_ids
+  let committed t = Op.Idtbl.length t.committed_ids
 
   let submitted t = t.submitted
 

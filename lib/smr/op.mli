@@ -36,3 +36,7 @@ val of_wire : string -> t option
 
 module Idmap : Map.S with type key = id
 module Idset : Set.S with type elt = id
+
+module Idtbl : Hashtbl.S with type key = id
+(** Op-id hash tables with an integer hash, for the per-op bookkeeping
+    on the commit/execute path. *)

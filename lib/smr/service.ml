@@ -47,22 +47,23 @@ let queue_depth t = t.depth
 module Dedup = struct
   type t = {
     enabled : bool;
-    mutable seen : Op.Idset.t;
+    seen : unit Op.Idtbl.t;
     mutable dups : int;
   }
 
-  let create ?(enabled = true) () = { enabled; seen = Op.Idset.empty; dups = 0 }
+  let create ?(enabled = true) () =
+    { enabled; seen = Op.Idtbl.create 1; dups = 0 }
 
   let fresh t op =
     if not t.enabled then true
     else begin
       let id = Op.id op in
-      if Op.Idset.mem id t.seen then begin
+      if Op.Idtbl.mem t.seen id then begin
         t.dups <- t.dups + 1;
         false
       end
       else begin
-        t.seen <- Op.Idset.add id t.seen;
+        Op.Idtbl.add t.seen id ();
         true
       end
     end

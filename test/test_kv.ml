@@ -38,6 +38,21 @@ let test_store_fingerprint_same_key_order () =
   check_bool "same-key reorder detected" true
     (Store.fingerprint a <> Store.fingerprint b)
 
+let test_store_fingerprint_late_key () =
+  (* The digest covers every binding, not just the first few. *)
+  let a = Store.create () and b = Store.create () in
+  for key = 1 to 1_000 do
+    Store.apply a (op ~key ~value:(Int64.of_int key));
+    Store.apply b
+      (op ~key ~value:(if key = 1_000 then 0L else Int64.of_int key))
+  done;
+  check_bool "1,000th key differs" true
+    (Store.fingerprint a <> Store.fingerprint b);
+  (* Overwriting the binding back restores equality. *)
+  Store.apply b (op ~key:1_000 ~value:1_000L);
+  Store.apply a (op ~key:1_000 ~value:1_000L);
+  check_int "converged again" (Store.fingerprint a) (Store.fingerprint b)
+
 let test_zipf_range () =
   let rng = Rng.create 3L in
   let z = Workload.Zipf.create ~alpha:0.75 ~n:1_000 rng in
@@ -130,6 +145,8 @@ let () =
           Alcotest.test_case "fingerprint content" `Quick test_store_fingerprint_content;
           Alcotest.test_case "fingerprint same-key order" `Quick
             test_store_fingerprint_same_key_order;
+          Alcotest.test_case "fingerprint late key" `Quick
+            test_store_fingerprint_late_key;
         ] );
       ( "zipf",
         [

@@ -264,6 +264,157 @@ let prop_exec_runs_in_position_order =
       in
       sorted (List.rev !order) && Exec_engine.late_decisions eng = 0)
 
+(* --- Exec_engine = reference engine --- *)
+
+(* Actions against a moving base timestamp, so long runs keep deciding
+   fresh positions while short ones revisit old ones. *)
+type exec_action =
+  | Dec of int * int * bool  (** lane, offset from base, op (else noop) *)
+  | Wm of int * int  (** lane, offset from base *)
+  | Noop_above of int * int
+      (** lane, k: a noop at the lane's watermark + 1 + k *)
+  | Old of int * int  (** lane, distance below base: a late or duplicate op *)
+  | Advance of int
+  | Burst of int * int * bool list
+      (** lane, n: ops at base .. base+n-1 on [lane]; each other lane is
+          covered either by a watermark raise or (when its flag is set)
+          by explicit no-ops; then base moves past the burst *)
+
+let pp_exec_action = function
+  | Dec (l, o, op) ->
+    Printf.sprintf "dec(l%d,+%d,%s)" l o (if op then "op" else "noop")
+  | Wm (l, o) -> Printf.sprintf "wm(l%d,+%d)" l o
+  | Noop_above (l, k) -> Printf.sprintf "noop_above(l%d,%d)" l k
+  | Old (l, b) -> Printf.sprintf "old(l%d,-%d)" l b
+  | Advance d -> Printf.sprintf "advance(%d)" d
+  | Burst (l, n, _) -> Printf.sprintf "burst(l%d,%d)" l n
+
+let exec_actions_arb ~long =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 4 >>= fun n_lanes ->
+    let lane = int_bound (n_lanes - 1) in
+    let small =
+      frequency
+        [
+          ( 6,
+            map3 (fun l o op -> Dec (l, o, op)) lane (int_range (-6) 16) bool
+          );
+          (4, map2 (fun l o -> Wm (l, o)) lane (int_range (-4) 16));
+          (2, map2 (fun l k -> Noop_above (l, k)) lane (int_bound 2));
+          ( 2,
+            map2
+              (fun l b -> Old (l, b))
+              lane
+              (int_range 1 (if long then 6000 else 20)) );
+          (1, map (fun d -> Advance d) (int_bound 12));
+        ]
+    in
+    let burst =
+      map3
+        (fun l n flags -> Burst (l, n, flags))
+        lane (int_range 700 1400) (list_repeat n_lanes bool)
+    in
+    let steps =
+      if long then
+        list_size (int_range 5 8)
+          (pair burst (list_size (int_bound 12) small))
+        >|= List.concat_map (fun (b, rest) -> b :: rest)
+      else list_size (int_bound 80) small
+    in
+    pair (return n_lanes) steps
+  in
+  QCheck.make gen ~print:(fun (n, acts) ->
+      Printf.sprintf "%d lanes: %s" n
+        (String.concat " " (List.map pp_exec_action acts)))
+
+let prop_exec_matches_reference ~long =
+  QCheck.Test.make
+    ~name:
+      (if long then "engine = reference past the seen-prune"
+       else "engine = reference on random interleavings")
+    ~count:(if long then 25 else 500)
+    (exec_actions_arb ~long)
+    (fun (n_lanes, actions) ->
+      let ran_a = Queue.create () and ran_b = Queue.create () in
+      let a =
+        Exec_engine.create ~n_lanes ~on_exec:(fun pos op ->
+            Queue.push (pos, op) ran_a)
+      in
+      let b =
+        Reference_exec_engine.create ~n_lanes ~on_exec:(fun pos op ->
+            Queue.push (pos, op) ran_b)
+      in
+      let take q =
+        let l = List.of_seq (Queue.to_seq q) in
+        Queue.clear q;
+        l
+      in
+      let step = ref 0 in
+      let agree what =
+        incr step;
+        let ea = take ran_a and eb = take ran_b in
+        let same =
+          ea = eb
+          && Exec_engine.frontier a = Reference_exec_engine.frontier b
+          && Exec_engine.executed_ops a = Reference_exec_engine.executed_ops b
+          && Exec_engine.pending_ops a = Reference_exec_engine.pending_ops b
+          && Exec_engine.late_decisions a
+             = Reference_exec_engine.late_decisions b
+          && List.for_all
+               (fun lane ->
+                 Exec_engine.watermark a ~lane
+                 = Reference_exec_engine.watermark b ~lane)
+               (List.init n_lanes Fun.id)
+        in
+        if not same then
+          QCheck.Test.fail_reportf "diverged at call %d (%s)" !step (what ())
+      in
+      let next_op = ref 0 in
+      let decide ts lane op =
+        let pos = { Position.ts; lane } in
+        if op then begin
+          incr next_op;
+          Exec_engine.decide_op a pos !next_op;
+          Reference_exec_engine.decide_op b pos !next_op
+        end
+        else begin
+          Exec_engine.decide_noop a pos;
+          Reference_exec_engine.decide_noop b pos
+        end;
+        agree (fun () -> Format.asprintf "decide %a" Position.pp pos)
+      in
+      let raise_wm lane ts =
+        Exec_engine.set_watermark a ~lane ts;
+        Reference_exec_engine.set_watermark b ~lane ts;
+        agree (fun () -> Printf.sprintf "watermark l%d %d" lane ts)
+      in
+      let base = ref 0 in
+      List.iter
+        (function
+          | Dec (l, o, op) -> decide (!base + o) l op
+          | Wm (l, o) -> raise_wm l (!base + o)
+          | Noop_above (l, k) ->
+            decide (Exec_engine.watermark a ~lane:l + 1 + k) l false
+          | Old (l, back) -> decide (!base - back) l true
+          | Advance d -> base := !base + d
+          | Burst (l, n, flags) ->
+            for i = 0 to n - 1 do
+              decide (!base + i) l true
+            done;
+            List.iteri
+              (fun l' explicit ->
+                if l' <> l then
+                  if explicit then
+                    for i = 0 to n - 1 do
+                      decide (!base + i) l' false
+                    done
+                  else raise_wm l' (!base + n - 1))
+              flags;
+            base := !base + n)
+        actions;
+      true)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "log"
@@ -303,5 +454,7 @@ let () =
           Alcotest.test_case "watermark monotone" `Quick test_exec_watermark_monotone;
           Alcotest.test_case "pending count" `Quick test_exec_pending_count;
           q prop_exec_runs_in_position_order;
+          q (prop_exec_matches_reference ~long:false);
+          q (prop_exec_matches_reference ~long:true);
         ] );
     ]

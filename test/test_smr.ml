@@ -164,7 +164,68 @@ let test_latency_series () =
     Alcotest.(check (float 1e-9)) "lat" 20. lat
   | _ -> Alcotest.fail "expected one point"
 
+let test_recorder_retry_keeps_first_submit () =
+  let r = Observer.Recorder.create () in
+  let obs = Observer.Recorder.observer r () in
+  let o = op ~client:3 ~seq:4 in
+  obs.Observer.on_submit o ~now:(Time_ns.ms 10);
+  obs.Observer.on_submit o ~now:(Time_ns.ms 40);
+  obs.Observer.on_commit o ~now:(Time_ns.ms 70);
+  check_int "one submission" 1 (Observer.Recorder.submitted r);
+  Alcotest.(check (float 1e-9)) "from the first submit" 60.
+    (Domino_stats.Summary.mean (Observer.Recorder.commit_latency_ms r))
+
+let test_recorder_committed_distinct () =
+  let r = Observer.Recorder.create () in
+  let obs = Observer.Recorder.observer r () in
+  List.iter
+    (fun (client, seq) -> obs.Observer.on_commit (op ~client ~seq) ~now:0)
+    [ (1, 0); (1, 1); (1, 0); (2, 0); (1, 1) ];
+  check_int "distinct ids" 3 (Observer.Recorder.committed r)
+
+let test_recorder_ids_across_clients () =
+  (* The same seq from two clients is two operations. *)
+  let r = Observer.Recorder.create () in
+  let obs = Observer.Recorder.observer r () in
+  let a = op ~client:1 ~seq:5 and b = op ~client:2 ~seq:5 in
+  obs.Observer.on_submit a ~now:0;
+  obs.Observer.on_submit b ~now:(Time_ns.ms 20);
+  obs.Observer.on_commit a ~now:(Time_ns.ms 30);
+  obs.Observer.on_commit b ~now:(Time_ns.ms 30);
+  obs.Observer.on_execute ~replica:0 a ~now:(Time_ns.ms 40);
+  obs.Observer.on_execute ~replica:0 b ~now:(Time_ns.ms 40);
+  check_int "two submissions" 2 (Observer.Recorder.submitted r);
+  check_int "two commits" 2 (Observer.Recorder.committed r);
+  Alcotest.(check (list (float 1e-9))) "per-op latencies" [ 30.; 10. ]
+    (List.map snd (Observer.Recorder.latency_series r));
+  check_int "two exec samples" 2
+    (Domino_stats.Summary.count (Observer.Recorder.exec_latency_ms r))
+
 (* --- Service --- *)
+
+let test_dedup_counts_repeats () =
+  let d = Service.Dedup.create () in
+  let fresh =
+    List.map (fun (client, seq) -> Service.Dedup.fresh d (op ~client ~seq))
+  in
+  Alcotest.(check (list bool)) "first sightings"
+    [ true; true; false; true; false; false ]
+    (fresh [ (1, 0); (1, 1); (1, 0); (2, 0); (2, 0); (1, 1) ]);
+  check_int "duplicates" 3 (Service.Dedup.duplicates d)
+
+let test_dedup_ids_across_clients () =
+  let d = Service.Dedup.create () in
+  check_bool "client 1" true (Service.Dedup.fresh d (op ~client:1 ~seq:9));
+  check_bool "client 2, same seq" true
+    (Service.Dedup.fresh d (op ~client:2 ~seq:9));
+  check_int "no duplicates" 0 (Service.Dedup.duplicates d)
+
+let test_dedup_disabled () =
+  let d = Service.Dedup.create ~enabled:false () in
+  let o = op ~client:1 ~seq:0 in
+  check_bool "first" true (Service.Dedup.fresh d o);
+  check_bool "repeat passes" true (Service.Dedup.fresh d o);
+  check_int "nothing counted" 0 (Service.Dedup.duplicates d)
 
 let test_service_wrap () =
   let engine = Engine.create () in
@@ -208,6 +269,20 @@ let () =
           Alcotest.test_case "per client" `Quick test_recorder_per_client;
           Alcotest.test_case "observer fanout" `Quick test_observer_both;
           Alcotest.test_case "latency series" `Quick test_latency_series;
+          Alcotest.test_case "retry keeps first submit" `Quick
+            test_recorder_retry_keeps_first_submit;
+          Alcotest.test_case "committed counts distinct ids" `Quick
+            test_recorder_committed_distinct;
+          Alcotest.test_case "ids distinct across clients" `Quick
+            test_recorder_ids_across_clients;
         ] );
-      ("service", [ Alcotest.test_case "wrap" `Quick test_service_wrap ]);
+      ( "service",
+        [
+          Alcotest.test_case "wrap" `Quick test_service_wrap;
+          Alcotest.test_case "dedup counts repeats" `Quick
+            test_dedup_counts_repeats;
+          Alcotest.test_case "dedup ids across clients" `Quick
+            test_dedup_ids_across_clients;
+          Alcotest.test_case "dedup disabled" `Quick test_dedup_disabled;
+        ] );
     ]
