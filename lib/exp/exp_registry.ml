@@ -167,6 +167,13 @@ let all =
       smoke = None;
     };
     {
+      id = "storage";
+      describe = "section 6 storage compression of the no-op log";
+      aliases = [];
+      run = (fun ~quick:_ ~seed:_ -> [ Exp_storage.run () ]);
+      smoke = None;
+    };
+    {
       id = "fig13";
       describe = "peak throughput, 3 replicas, LAN cluster";
       aliases = [];

@@ -1,13 +1,10 @@
 (** Name -> runner registry of the paper's tables and figures.
 
-    One entry per reproducible experiment in `lib/exp`, shared by the
-    benchmark harness (`bench/main.exe`) and the CLI's [experiment]
-    subcommand, so both front ends dispatch over the same list instead
-    of wiring each figure twice. Entries run at quick or paper scale
-    and return their rendered tables; printing, timing, and parallel
+    One entry per reproducible experiment in `lib/exp`, dispatched by
+    the CLI's [experiment] subcommand. Entries run at quick or paper
+    scale and return their rendered tables; printing and parallel
     [--jobs] policy (via {!Domino_par.Par.set_jobs}) belong to the
-    caller. Bench-only extras that need [Unix] (wall-clock throughput)
-    live in `bench/main.ml`, not here. *)
+    caller. *)
 
 type entry = {
   id : string;

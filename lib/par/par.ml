@@ -46,9 +46,6 @@ let physical_cores () =
         else if !logical > 0 then !logical
         else recommended ())
 
-let recommended_jobs () =
-  Stdlib.max 1 (Stdlib.min (physical_cores ()) (recommended ()))
-
 (* One task outcome per input slot. Workers write disjoint slots, so
    the only shared mutable state is the [next] task counter; the
    [Domain.join] barrier publishes every slot to the caller. *)

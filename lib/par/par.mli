@@ -23,10 +23,6 @@ val physical_cores : unit -> int
     runs are compute-bound, so running more jobs than this only adds
     scheduling noise. *)
 
-val recommended_jobs : unit -> int
-(** [max 1 (min (physical_cores ()) (recommended ()))]: the largest
-    [--jobs] that adds throughput. *)
-
 val set_jobs : int -> unit
 (** Set the process-wide default parallelism used when [?jobs] is not
     passed (the CLI's [--jobs] flag lands here). Raises
