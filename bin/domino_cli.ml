@@ -472,17 +472,8 @@ let experiment_cmd =
             "Independent simulation runs to execute in parallel (default: \
              all cores). Output is byte-identical for every value.")
   in
-  let rebalance =
-    Arg.(
-      value & flag
-      & info [ "rebalance" ]
-          ~doc:
-            "Smoke runs only: let the hot-shard detector trigger live slot \
-             migrations (auto-rebalance) instead of the experiment's planned \
-             migration plan. Only the $(b,rebalance) experiment honors it.")
-  in
   let action seed paper list_only jobs ids journal_out perfetto_out
-      timeline_out timeline_window faults_file check rebalance =
+      timeline_out timeline_window faults_file check =
     let faults = load_plan faults_file in
     (match jobs with
     | Some n -> (
@@ -505,7 +496,7 @@ let experiment_cmd =
            (fun a b -> compare a.Exp_registry.id b.Exp_registry.id)
            Exp_registry.all)
     else if journal_out <> None || perfetto_out <> None || timeline_out <> None
-            || check || faults <> None || rebalance
+            || check || faults <> None
     then begin
       (* Flight-record one experiment's smoke run instead of printing
          its tables. *)
@@ -544,7 +535,7 @@ let experiment_cmd =
                  ~window:(timeline_window_span timeline_window)
                  ~group_resolver:Domino_shard.Slots.resolver_of_mark ())
         in
-        let j = smoke ~seed ?faults ~rebalance ?timeline:agg () in
+        let j = smoke ~seed ?faults ?timeline:agg () in
         (match journal_out with
         | Some file ->
           write_file file (Domino_obs.Journal.to_lines j);
@@ -606,7 +597,7 @@ let experiment_cmd =
     Term.(
       const action $ seed_arg $ paper $ list_only $ jobs $ ids
       $ journal_out_arg $ perfetto_out_arg $ timeline_out_arg
-      $ timeline_window_arg $ faults_arg $ check_arg $ rebalance)
+      $ timeline_window_arg $ faults_arg $ check_arg)
 
 (* --- analyze --- *)
 

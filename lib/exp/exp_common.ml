@@ -94,23 +94,11 @@ let closest_replica setting ~client_dc =
    byte-identical (journal and metrics JSON) to the flat harness this
    module used to implement inline. *)
 let run ?seed ?rate ?alpha ?duration ?measure_from ?measure_until ?metrics
-    ?journal ?timeline ?sample_every ?faults ?dedup ?reconfig_mutant
-    ?store setting proto =
+    ?journal ?timeline ?faults ?dedup ?reconfig_mutant ?store setting proto =
   let params =
-    let p = Protocols.params proto in
-    (* Under faults, arm Domino's in-protocol client retry (same
-       patience as the harness-side [Retry.default_policy]); the fabric
-       gives every group whose params leave it unarmed the harness-side
-       [Retry] wrapper instead. *)
-    match (faults, proto) with
-    | Some _, Domino _ ->
-      {
-        p with
-        Protocol_intf.retry_timeout = Time_ns.ms 800;
-        retry_max_attempts = 6;
-        retry_failover_after = 1;
-      }
-    | _ -> p
+    match faults with
+    | Some _ -> Protocols.params_under_faults proto
+    | None -> Protocols.params proto
   in
   let config =
     {
@@ -130,8 +118,8 @@ let run ?seed ?rate ?alpha ?duration ?measure_from ?measure_until ?metrics
   in
   let r =
     Domino_shard.Fabric.run ?seed ?rate ?alpha ?duration ?measure_from
-      ?measure_until ?metrics ?journal ?timeline ?sample_every
-      ?faults ?dedup ?reconfig_mutant ?store config
+      ?measure_until ?metrics ?journal ?timeline ?faults ?dedup
+      ?reconfig_mutant ?store config
   in
   let g = r.Domino_shard.Fabric.groups.(0) in
   {

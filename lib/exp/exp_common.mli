@@ -102,7 +102,6 @@ val run :
   ?metrics:Metrics.t ->
   ?journal:Journal.t ->
   ?timeline:Timeline.agg ->
-  ?sample_every:Time_ns.span ->
   ?faults:Domino_fault.Plan.t ->
   ?dedup:bool ->
   ?reconfig_mutant:bool ->
@@ -119,10 +118,9 @@ val run :
 
     [journal] turns on the flight recorder: every network, timer, op
     lifecycle and phase event of the run lands in the given journal,
-    gauges are sampled into it every [sample_every] (default 100 ms of
-    sim time), and [result.provenance] carries the critical-path
-    latency decomposition (also recorded as [prov.*] histograms in the
-    metrics registry). Without [journal], none of this costs anything
+    gauges are sampled into it every 100 ms of sim time, and
+    [result.provenance] carries the critical-path latency decomposition
+    (also recorded as [prov.*] histograms in the metrics registry). Without [journal], none of this costs anything
     beyond one variant match per hook.
 
     [timeline] feeds the given {!Domino_obs.Timeline} collector online
@@ -132,8 +130,9 @@ val run :
     [faults] arms a {!Domino_fault.Plan} on the run's network
     ({!Domino_fault.Inject.install}) and switches on client retry: the
     harness-side {!Retry} wrapper for Mencius/EPaxos/Multi-Paxos/Fast
-    Paxos, Domino's in-protocol retry+failover via params. The result's
-    [extra] then also carries [harness_retries] / [harness_abandoned].
+    Paxos, Domino's in-protocol retry+failover via
+    {!Protocols.params_under_faults}. The result's [extra] then also
+    carries [harness_retries] / [harness_abandoned].
 
     [dedup] (default [true]) guards each replica's execution stream
     with {!Service.Dedup}, so retried ops apply at most once to the

@@ -45,9 +45,7 @@ let run ?(quick = true) ?(seed = 42L) () =
         "Rolling patch: leader crash vs graceful transfer vs rolling \
          wipe-upgrade — NA, 3 replicas, 2 clients, 200 req/s each, 100 ms \
          windows"
-      ~header:
-        [ "protocol"; "plan"; "event"; "detail"; "at"; "base_rps"; "dip_rps";
-          "dip%"; "ttr"; "p99_base"; "p99_spike" ]
+      ~header:([ "protocol"; "plan"; "event"; "detail" ] @ Dip.header)
   in
   List.iter
     (fun proto ->
@@ -62,20 +60,8 @@ let run ?(quick = true) ?(seed = 42L) () =
           List.iter
             (fun (r : Dip.report) ->
               Tablefmt.add_row t
-                [
-                  Exp_common.protocol_name proto;
-                  plan_name;
-                  r.Dip.fault;
-                  r.Dip.detail;
-                  Tablefmt.cell_ms r.Dip.at_ms;
-                  Tablefmt.cell_f r.Dip.baseline_rps;
-                  Tablefmt.cell_f r.Dip.dip_rps;
-                  Tablefmt.cell_f r.Dip.dip_pct;
-                  (if Float.is_nan r.Dip.ttr_ms then "never"
-                   else Tablefmt.cell_ms r.Dip.ttr_ms);
-                  Tablefmt.cell_ms r.Dip.p99_base_ms;
-                  Tablefmt.cell_ms r.Dip.p99_spike_ms;
-                ])
+                (Exp_common.protocol_name proto :: plan_name :: r.Dip.fault
+                :: r.Dip.detail :: Dip.cells r))
             reports)
         plans)
     protocols;

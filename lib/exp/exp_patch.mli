@@ -4,7 +4,7 @@
     Compares three ways of taking a replica (or the whole group)
     through maintenance under traffic — an ungraceful leader crash, a
     graceful leader transfer ({!Domino_smr.Reconfig}), and a full
-    rolling wipe-upgrade ({!Domino_fault.Roll}) — with an online
+    rolling wipe-upgrade ({!Domino_smr.Reconfig.roll}) — with an online
     {!Domino_obs.Timeline}, rendering {!Domino_obs.Dip.analyze}'s
     per-event reports (baseline RPS, dip depth, time-to-recover, p99
     spike; per-node rows for each replica a roll wipes) as one table.

@@ -56,16 +56,6 @@ let plan_exn text =
 
 let planned_plan = "at 3s migrate slot=0 from=0 to=1\n"
 
-(* The detector flags a group when its window delta exceeds
-   [factor x mean]; with 2 groups a share can never exceed 2x the even
-   split (that would be more than the total), so the default factor 2
-   is inert here. The Zipf head on slot 0 puts ~75% of traffic on g0
-   (~1.5x the even split), so 1.3 fires on the skew while leaving a
-   balanced fabric alone. Auto runs only — planned/stay keep the
-   default so their journals stay byte-identical with the detector
-   silent. *)
-let auto_hot_factor = 1.3
-
 type mode = Stay | Planned | Auto
 
 let mode_name = function
@@ -91,7 +81,6 @@ let run_cell ~seed ~duration mode =
   in
   let r =
     Fabric.run ~seed ~duration ~timeline:agg ?faults
-      ~hot_factor:(if mode = Auto then auto_hot_factor else 2.)
       ~auto_rebalance:(mode = Auto) (config ())
   in
   let aggregate =
@@ -162,45 +151,28 @@ let run ?(quick = true) ?(seed = 42L) () =
   let d =
     Tablefmt.create
       ~title:"Rebalance: throughput dip per migration (Dip.analyze)"
-      ~header:
-        [ "mode"; "fault"; "at"; "base_rps"; "dip_rps"; "dip%"; "ttr";
-          "p99_base"; "p99_spike" ]
+      ~header:([ "mode"; "fault" ] @ Dip.header)
   in
   List.iter
     (fun c ->
       List.iter
         (fun (r : Dip.report) ->
-          Tablefmt.add_row d
-            [
-              c.mode;
-              r.Dip.fault;
-              Tablefmt.cell_ms r.Dip.at_ms;
-              Tablefmt.cell_f r.Dip.baseline_rps;
-              Tablefmt.cell_f r.Dip.dip_rps;
-              Tablefmt.cell_f r.Dip.dip_pct;
-              (if Float.is_nan r.Dip.ttr_ms then "never"
-               else Tablefmt.cell_ms r.Dip.ttr_ms);
-              Tablefmt.cell_ms r.Dip.p99_base_ms;
-              Tablefmt.cell_ms r.Dip.p99_spike_ms;
-            ])
+          Tablefmt.add_row d (c.mode :: r.Dip.fault :: Dip.cells r))
         c.reports)
     cells;
   [ s; m; d ]
 
 (* The CLI/CI smoke target: a 6-second 2-group run that migrates the
-   hot slot at 3 s (or lets the detector trigger the moves, with
-   [rebalance]), journaled and optionally fed to an online timeline. *)
-let smoke_journal ~seed ?faults ?(rebalance = false) ?timeline () =
+   hot slot at 3 s, journaled and optionally fed to an online
+   timeline. *)
+let smoke_journal ~seed ?faults ?timeline () =
   let faults =
-    match faults with
-    | Some f -> Some f
-    | None -> if rebalance then None else Some (plan_exn planned_plan)
+    match faults with Some f -> f | None -> plan_exn planned_plan
   in
   let j = Journal.create () in
   ignore
-    (Fabric.run ~seed ~duration:(Time_ns.sec 6) ~journal:j ?timeline ?faults
-       ~hot_factor:(if rebalance then auto_hot_factor else 2.)
-       ~auto_rebalance:rebalance (config ()));
+    (Fabric.run ~seed ~duration:(Time_ns.sec 6) ~journal:j ?timeline ~faults
+       (config ()));
   j
 
 (* The chaos suite's 2-group runner: the same layout as the experiment
@@ -211,22 +183,10 @@ let smoke_journal ~seed ?faults ?(rebalance = false) ?timeline () =
    harness-side [Retry] wrapper. *)
 let chaos_journal ~seed ~faults ?(proto = Exp_common.domino_default)
     ?(duration = Time_ns.sec 6) ?timeline () =
-  let params =
-    let p = Protocols.params proto in
-    match proto with
-    | Protocols.Domino _ ->
-      {
-        p with
-        Domino_smr.Protocol_intf.retry_timeout = Time_ns.ms 800;
-        retry_max_attempts = 6;
-        retry_failover_after = 1;
-      }
-    | _ -> p
-  in
   let j = Journal.create () in
   ignore
     (Fabric.run ~seed ~rate:100. ~duration ~journal:j ?timeline ~faults
-       (config_for ~proto ~params ()));
+       (config_for ~proto ~params:(Protocols.params_under_faults proto) ()));
   j
 
 (* A migration-heavy multi-run sweep for the determinism check: each

@@ -21,13 +21,11 @@ val run :
 val smoke_journal :
   seed:int64 ->
   ?faults:Domino_fault.Plan.t ->
-  ?rebalance:bool ->
   ?timeline:Domino_obs.Timeline.agg ->
   unit ->
   Domino_obs.Journal.t
-(** A 6-second journaled 2-group run migrating the hot slot at 3 s;
-    [rebalance] switches from the planned plan to detector-triggered
-    auto mode; an explicit [faults] plan replaces the default.
+(** A 6-second journaled 2-group run migrating the hot slot at 3 s; an
+    explicit [faults] plan replaces the default.
     [timeline] is fed online during the run — byte-identical to
     offline replay of the returned journal. *)
 

@@ -33,9 +33,7 @@ let run ?(quick = true) ?(seed = 42L) () =
       ~title:
         "Timelines & recovery: throughput dip and time-to-recover under \
          faults — NA, 3 replicas, 2 clients, 200 req/s each, 100 ms windows"
-      ~header:
-        [ "protocol"; "plan"; "fault"; "at"; "base_rps"; "dip_rps"; "dip%";
-          "ttr"; "p99_base"; "p99_spike" ]
+      ~header:([ "protocol"; "plan"; "fault" ] @ Dip.header)
   in
   List.iter
     (fun proto ->
@@ -50,19 +48,8 @@ let run ?(quick = true) ?(seed = 42L) () =
           List.iter
             (fun (r : Dip.report) ->
               Tablefmt.add_row t
-                [
-                  Exp_common.protocol_name proto;
-                  plan_name;
-                  r.Dip.fault;
-                  Tablefmt.cell_ms r.Dip.at_ms;
-                  Tablefmt.cell_f r.Dip.baseline_rps;
-                  Tablefmt.cell_f r.Dip.dip_rps;
-                  Tablefmt.cell_f r.Dip.dip_pct;
-                  (if Float.is_nan r.Dip.ttr_ms then "never"
-                   else Tablefmt.cell_ms r.Dip.ttr_ms);
-                  Tablefmt.cell_ms r.Dip.p99_base_ms;
-                  Tablefmt.cell_ms r.Dip.p99_spike_ms;
-                ])
+                (Exp_common.protocol_name proto :: plan_name :: r.Dip.fault
+                :: Dip.cells r))
             reports)
         plans)
     protocols;

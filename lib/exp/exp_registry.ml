@@ -9,7 +9,6 @@ type entry = {
   smoke :
     (seed:int64 ->
     ?faults:Domino_fault.Plan.t ->
-    ?rebalance:bool ->
     ?timeline:Domino_obs.Timeline.agg ->
     unit ->
     Domino_obs.Journal.t)
@@ -98,7 +97,7 @@ let all =
       run = (fun ~quick ~seed -> [ Exp_fig8.run ~quick ~seed Exp_fig8.Na3 () ]);
       smoke =
         Some
-          (fun ~seed ?faults ?rebalance:_ ?timeline () ->
+          (fun ~seed ?faults ?timeline () ->
             Exp_fig8.smoke_journal ~seed ?faults ?timeline Exp_fig8.Na3);
     };
     {
@@ -108,7 +107,7 @@ let all =
       run = (fun ~quick ~seed -> [ Exp_fig8.run ~quick ~seed Exp_fig8.Na5 () ]);
       smoke =
         Some
-          (fun ~seed ?faults ?rebalance:_ ?timeline () ->
+          (fun ~seed ?faults ?timeline () ->
             Exp_fig8.smoke_journal ~seed ?faults ?timeline Exp_fig8.Na5);
     };
     {
@@ -119,7 +118,7 @@ let all =
         (fun ~quick ~seed -> [ Exp_fig8.run ~quick ~seed Exp_fig8.Globe () ]);
       smoke =
         Some
-          (fun ~seed ?faults ?rebalance:_ ?timeline () ->
+          (fun ~seed ?faults ?timeline () ->
             Exp_fig8.smoke_journal ~seed ?faults ?timeline Exp_fig8.Globe);
     };
     {
@@ -194,10 +193,7 @@ let all =
          p99 spike per fault x protocol";
       aliases = [ "dips"; "timelines" ];
       run = (fun ~quick ~seed -> [ Exp_recovery.run ~quick ~seed () ]);
-      smoke =
-        Some
-          (fun ~seed ?faults ?rebalance:_ ?timeline () ->
-            Exp_recovery.smoke_journal ~seed ?faults ?timeline ());
+      smoke = Some Exp_recovery.smoke_journal;
     };
     {
       id = "patch";
@@ -206,10 +202,7 @@ let all =
          transfer vs rolling wipe-upgrade, dip + TTR per protocol";
       aliases = [ "roll" ];
       run = (fun ~quick ~seed -> [ Exp_patch.run ~quick ~seed () ]);
-      smoke =
-        Some
-          (fun ~seed ?faults ?rebalance:_ ?timeline () ->
-            Exp_patch.smoke_journal ~seed ?faults ?timeline ());
+      smoke = Some Exp_patch.smoke_journal;
     };
     {
       id = "shards";
@@ -218,10 +211,7 @@ let all =
          count x client population";
       aliases = [ "fabric" ];
       run = (fun ~quick ~seed -> Exp_shards.run ~quick ~seed ());
-      smoke =
-        Some
-          (fun ~seed ?faults ?rebalance:_ ?timeline () ->
-            Exp_shards.smoke_journal ~seed ?faults ?timeline ());
+      smoke = Some Exp_shards.smoke_journal;
     };
     {
       id = "rebalance";
@@ -230,10 +220,7 @@ let all =
          moved mid-run (planned or hotspot-triggered), throughput dip + TTR";
       aliases = [ "migrate" ];
       run = (fun ~quick ~seed -> Exp_rebalance.run ~quick ~seed ());
-      smoke =
-        Some
-          (fun ~seed ?faults ?rebalance ?timeline () ->
-            Exp_rebalance.smoke_journal ~seed ?faults ?rebalance ?timeline ());
+      smoke = Some Exp_rebalance.smoke_journal;
     };
   ]
 

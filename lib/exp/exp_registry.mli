@@ -14,7 +14,6 @@ type entry = {
   smoke :
     (seed:int64 ->
     ?faults:Domino_fault.Plan.t ->
-    ?rebalance:bool ->
     ?timeline:Domino_obs.Timeline.agg ->
     unit ->
     Domino_obs.Journal.t)
@@ -23,9 +22,7 @@ type entry = {
           [--journal-out]/[--perfetto-out]/[--faults]/[--check]; [None]
           where one would add nothing (input tables, trace analyses).
           [timeline] is fed online during the run (byte-identical to
-          offline replay of the journal); [rebalance] switches the
-          [rebalance] experiment to detector-triggered auto mode and is
-          ignored elsewhere *)
+          offline replay of the journal) *)
 }
 
 val all : entry list

@@ -67,6 +67,22 @@ let params = function
     }
   | Mencius | Epaxos | Multi_paxos | Fast_paxos -> Protocol_intf.default_params
 
+(* Domino's in-protocol client retry, armed under faults with the same
+   patience as the harness-side [Retry.default_policy]; the fabric
+   gives every group whose params leave it unarmed the harness-side
+   [Retry] wrapper instead. *)
+let params_under_faults proto =
+  let p = params proto in
+  match proto with
+  | Domino _ ->
+    {
+      p with
+      Protocol_intf.retry_timeout = Time_ns.ms 800;
+      retry_max_attempts = 6;
+      retry_failover_after = 1;
+    }
+  | Mencius | Epaxos | Multi_paxos | Fast_paxos -> p
+
 let of_api_name = function
   | "domino" -> Some domino_default
   | "mencius" -> Some Mencius

@@ -41,6 +41,12 @@ val params : t -> Protocol_intf.params
 (** The selector's knobs as the typed record, every other field at its
     {!Protocol_intf.default_params} value. *)
 
+val params_under_faults : t -> Protocol_intf.params
+(** {!params} for a run with faults injected: Domino arms its
+    in-protocol client retry (800 ms timeout, 6 attempts, failover to
+    another coordinator after 1); the other protocols' params are
+    unchanged, and the fabric wraps them in the harness-side retry. *)
+
 val of_api_name : string -> t option
 (** Inverse of {!api_name}, with Domino at its default settings. *)
 

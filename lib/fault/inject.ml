@@ -88,8 +88,8 @@ let schedule_event net jsink { Plan.at; action } =
   | Plan.Migrate _ | Plan.Transfer _ | Plan.Reconfig _ | Plan.Roll _ ->
     (* Not network faults: the shard fabric splits the orchestrated
        verbs out of the plan (Plan.partition_control) and drives them
-       through Shard.Migrate / Smr.Reconfig / Fault.Roll. Reaching here
-       (e.g. such an event left in a per-group plan) is a no-op. *)
+       through Shard.Migrate and Smr.Reconfig (rolls included). Reaching
+       here (e.g. such an event left in a per-group plan) is a no-op. *)
     ()
 
 let install plan ~net ~journal =

@@ -51,7 +51,7 @@
     - [roll]: rolling wipe-upgrade of group [group] under load — for
       each member in turn: transfer leadership away if held, wipe,
       wait for snapshot+log recovery, readmit, then dwell [dwell]
-      before the next node ([Fault.Roll] orchestrates). *)
+      before the next node ([Smr.Reconfig.roll] orchestrates). *)
 
 open Domino_sim
 
@@ -102,6 +102,6 @@ val partition_migrations : t -> t * t
 val partition_control : t -> t * t
 (** Split a plan into its orchestrated events ([migrate], [transfer],
     [reconfig], [roll]) and the network faults. The fabric drives the
-    first list through its orchestrators ([Shard.Migrate],
-    [Smr.Reconfig], [Fault.Roll]) and installs only the second with
-    {!Inject}. *)
+    first list through its orchestrators ([Shard.Migrate] and
+    [Smr.Reconfig], whose [roll] runs the rolling patch) and installs
+    only the second with {!Inject}. *)

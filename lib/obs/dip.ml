@@ -214,28 +214,34 @@ let to_json reports =
            ])
        reports)
 
+let header =
+  [ "at"; "base_rps"; "dip_rps"; "dip%"; "ttr"; "p99_base"; "p99_spike" ]
+
+let cells r =
+  [
+    Tablefmt.cell_ms r.at_ms;
+    Tablefmt.cell_f r.baseline_rps;
+    Tablefmt.cell_f r.dip_rps;
+    Tablefmt.cell_f r.dip_pct;
+    (if Float.is_nan r.ttr_ms then "never" else Tablefmt.cell_ms r.ttr_ms);
+    Tablefmt.cell_ms r.p99_base_ms;
+    Tablefmt.cell_ms r.p99_spike_ms;
+  ]
+
 let to_table reports =
   let tbl =
     Tablefmt.create ~title:"fault dips"
-      ~header:
-        [ "seg"; "label"; "fault"; "detail"; "at"; "base_rps"; "dip_rps";
-          "dip%"; "ttr"; "p99_base"; "p99_spike" ]
+      ~header:([ "seg"; "label"; "fault"; "detail" ] @ header)
   in
   List.iter
     (fun r ->
       Tablefmt.add_row tbl
-        [
-          string_of_int r.seg;
-          (if r.label = "" then "-" else r.label);
-          r.fault;
-          r.detail;
-          Tablefmt.cell_ms r.at_ms;
-          Tablefmt.cell_f r.baseline_rps;
-          Tablefmt.cell_f r.dip_rps;
-          Tablefmt.cell_f r.dip_pct;
-          (if Float.is_nan r.ttr_ms then "never" else Tablefmt.cell_ms r.ttr_ms);
-          Tablefmt.cell_ms r.p99_base_ms;
-          Tablefmt.cell_ms r.p99_spike_ms;
-        ])
+        ([
+           string_of_int r.seg;
+           (if r.label = "" then "-" else r.label);
+           r.fault;
+           r.detail;
+         ]
+        @ cells r))
     reports;
   tbl

@@ -58,4 +58,12 @@ val to_csv : report list -> string
 
 val to_json : report list -> Domino_stats.Json.t
 
+val header : string list
+(** The column names of {!cells}. *)
+
+val cells : report -> string list
+(** A report's table cells: at, base_rps, dip_rps, dip%, ttr ("never"
+    when it never recovered), p99_base and p99_spike — the columns every
+    dip table shares, after its own leading ones. *)
+
 val to_table : report list -> Domino_stats.Tablefmt.t

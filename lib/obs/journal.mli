@@ -111,8 +111,8 @@ type event =
           and the membership epoch bumped — the externalization point),
           [done] (submits released under the new config), [abort].
           Leader transfer: [transfer] / [transfer_done]. Rolling patch
-          ([Fault.Roll]): [roll] (roll started), [roll_node] (a node
-          taken down for its wipe-upgrade), [roll_done]. Details lead
+          ([Smr.Reconfig.roll]): [roll] (roll started), [roll_node] (a
+          node taken down for its wipe-upgrade), [roll_done]. Details lead
           with [node=<n>] where a node is affected so dip reports can
           attribute the event. Like [Migrate], NOT a [Mark] — a
           reconfiguration happens mid-run and must not split the

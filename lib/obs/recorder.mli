@@ -2,10 +2,10 @@
     engine.
 
     Attaching installs the engine's periodic-timer hook (every timer
-    fire becomes a [Timer_fired] event) and, when [sample_every] is
-    given, a sampling loop that snapshots every registered gauge probe
-    into [Sample] events at that fixed sim-time cadence. Probes run in
-    registration order, so the sample stream is deterministic.
+    fire becomes a [Timer_fired] event) and a sampling loop that
+    snapshots every registered gauge probe into [Sample] events every
+    100 ms of sim time. Probes run in registration order, so the
+    sample stream is deterministic.
 
     Nothing here touches the fire-once scheduling hot path: the timer
     hook only fires on periodic events, and with no recorder attached
@@ -16,7 +16,6 @@ open Domino_sim
 type t
 
 val attach :
-  ?sample_every:Time_ns.span ->
   ?timeline:Timeline.agg ->
   Journal.t ->
   Engine.t ->
@@ -34,8 +33,3 @@ val add_probe : t -> string -> (unit -> float) -> unit
 val journal : t -> Journal.t
 
 val sink : t -> Journal.sink
-
-val clock : t -> Timeline.Clock.t option
-(** The sampling cadence driver ([Some] iff [sample_every] was given):
-    other fixed-window consumers can register on it instead of
-    scheduling their own periodic timers. *)

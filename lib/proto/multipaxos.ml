@@ -378,12 +378,12 @@ let submit t (op : Op.t) =
   Fifo_net.send t.net ~src:op.Op.client ~dst:t.leader (Request op)
 
 (* Graceful leader handoff: stop opening slots, wait for every open
-   slot to reach quorum (bounded by a drain deadline — an unreachable
-   acceptor must not wedge the transfer), then flip [t.leader], swap
-   the node handlers, and re-drive the requests parked during the
-   drain through the new leader. In this simulation the proposal state
-   lives on the shared [t], so the flip stands in for the state
-   transfer a real handoff would perform. *)
+   slot to reach quorum (bounded by [Quiesce]'s deadline — an
+   unreachable acceptor must not wedge the transfer), then flip
+   [t.leader], swap the node handlers, and re-drive the requests parked
+   during the drain through the new leader. In this simulation the
+   proposal state lives on the shared [t], so the flip stands in for the
+   state transfer a real handoff would perform. *)
 let transfer t ~to_ ~k =
   if not (Array.exists (Nodeid.equal to_) t.replicas) then false
   else if Nodeid.equal t.leader to_ then begin
@@ -392,10 +392,9 @@ let transfer t ~to_ ~k =
   end
   else begin
     t.draining <- true;
-    let engine = Fifo_net.engine t.net in
-    let deadline = Time_ns.add (now t) (Time_ns.ms 1500) in
-    let rec poll () =
-      if Hashtbl.length t.slots = 0 || now t >= deadline then begin
+    Quiesce.await (Fifo_net.engine t.net)
+      ~inflight:(fun () -> Hashtbl.length t.slots)
+      (fun ~left:_ ->
         let old = t.leader in
         t.leader <- to_;
         t.observer.Observer.on_phase ~node:to_ ~op:None ~name:"leader_transfer"
@@ -407,11 +406,7 @@ let transfer t ~to_ ~k =
         while not (Queue.is_empty t.pending_reqs) do
           handle_leader t ~src:to_ (Request (Queue.pop t.pending_reqs))
         done;
-        k ()
-      end
-      else Engine.schedule engine ~delay:(Time_ns.ms 10) poll
-    in
-    poll ();
+        k ());
     true
   end
 

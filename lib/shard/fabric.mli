@@ -74,9 +74,6 @@ val run :
   ?metrics:Metrics.t ->
   ?journal:Journal.t ->
   ?timeline:Timeline.agg ->
-  ?sample_every:Time_ns.span ->
-  ?hot_every:Time_ns.span ->
-  ?hot_factor:float ->
   ?faults:Domino_fault.Plan.t ->
   ?dedup:bool ->
   ?auto_rebalance:bool ->
@@ -103,7 +100,9 @@ val run :
     Live slot migration ({!Migrate}) is armed when the fault plan
     contains [migrate] events or [auto_rebalance] is set (the
     {!Hotspot} detector's flags then trigger moves of the hot group's
-    most-routed slot to the least-routed group). The slots [Mark] of a
+    most-routed slot to the least-routed group; the detector then
+    flags a group at 1.3x the even split instead of 2x, which two
+    groups can never reach). The slots [Mark] of a
     migration-armed run carries [epoch=0 assign=...] so offline replay
     seeds the starting map before applying journaled [migrate.epoch]
     bumps; runs without migration keep the short mark, byte-identical
@@ -114,8 +113,8 @@ val run :
     remove=/replace=…], [roll group=… dwell=…]) arm one
     {!Domino_smr.Reconfig} controller per group (stop-the-world epoch
     bumps over the router's group freeze, leader transfer through the
-    protocol's [control] hook) and a {!Domino_fault.Roll} orchestrator
-    driving rolling wipe-upgrades through it. They work on any fabric,
+    protocol's [control] hook, and rolling wipe-upgrades through
+    {!Domino_smr.Reconfig.roll}). They work on any fabric,
     including single-group; runs without control verbs build none of
     it and keep their exact event streams. [reconfig_mutant] is the
     stale-config build: removed replicas stay on the network and keep

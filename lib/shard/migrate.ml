@@ -21,20 +21,21 @@ type t = {
   kv_of_group : int -> Domino_kv.Store.t array;
   dstores_of_group : int -> Domino_store.Store.t array;
   install_span : records:int -> Time_ns.span;
-  poll : Time_ns.span;
-  drain_deadline : Time_ns.span;
-  grace : Time_ns.span;
-  cooldown : Time_ns.span;
   mutant : bool;
   mutable active : bool;
   mutable next_allowed : Time_ns.t;
   mutable outcomes_r : outcome list;  (** newest first *)
 }
 
+(* After the drain, follower executions get [grace] to land group-wide
+   before the source is snapshotted; after a successful cutover the
+   slot rests for [cooldown] before the next request. *)
+let grace = Time_ns.ms 200
+
+let cooldown = Time_ns.ms 1500
+
 let create engine ~router ~journal ~spec ~kv_of_group ~dstores_of_group
-    ~install_span ?(poll = Time_ns.ms 10) ?(drain_deadline = Time_ns.ms 1500)
-    ?(grace = Time_ns.ms 200) ?(cooldown = Time_ns.ms 1500) ?(mutant = false)
-    () =
+    ~install_span ?(mutant = false) () =
   {
     engine;
     router;
@@ -43,17 +44,11 @@ let create engine ~router ~journal ~spec ~kv_of_group ~dstores_of_group
     kv_of_group;
     dstores_of_group;
     install_span;
-    poll;
-    drain_deadline;
-    grace;
-    cooldown;
     mutant;
     active = false;
     next_allowed = Time_ns.zero;
     outcomes_r = [];
   }
-
-let active t = t.active
 
 let outcomes t = List.rev t.outcomes_r
 
@@ -62,7 +57,7 @@ let recently_moved t ~slot =
     (fun o ->
       o.slot = slot
       && (not o.aborted)
-      && Time_ns.diff (Engine.now t.engine) o.finished_at < t.cooldown)
+      && Time_ns.diff (Engine.now t.engine) o.finished_at < cooldown)
     t.outcomes_r
 
 let emit t ~stage ~slot ~from_g ~to_g ~epoch ~detail =
@@ -81,7 +76,7 @@ let emit t ~stage ~slot ~from_g ~to_g ~epoch ~detail =
 
 let finish t outcome =
   t.active <- false;
-  t.next_allowed <- Time_ns.add (Engine.now t.engine) t.cooldown;
+  t.next_allowed <- Time_ns.add (Engine.now t.engine) cooldown;
   t.outcomes_r <- outcome :: t.outcomes_r
 
 (* The migration state machine, each phase a journaled [migrate.*]
@@ -90,19 +85,17 @@ let finish t outcome =
      freeze -> (drain poll) -> drain -> (grace) -> transfer
             -> (durable handoff + install span) -> epoch -> done
 
-   or, if the drain deadline expires first: freeze -> abort. Aborting
-   unfreezes WITHOUT reassigning: a pre-freeze op still in flight at
-   the source could commit after an epoch bump, and its write would
-   then land invisibly behind the destination's snapshot — the
-   lost-update hazard the deadline exists to dodge (a crashed source
-   leader mid-migration hits exactly this path). *)
+   or, if the drain deadline expires first ([Quiesce.drain]): freeze ->
+   abort. Aborting unfreezes WITHOUT reassigning: a pre-freeze op still
+   in flight at the source could commit after an epoch bump, and its
+   write would then land invisibly behind the destination's snapshot —
+   the lost-update hazard the deadline exists to dodge (a crashed
+   source leader mid-migration hits exactly this path). *)
 let start t ~slot ~from_g ~to_g =
   t.active <- true;
   let started_at = Engine.now t.engine in
   let epoch0 = Router.epoch t.router in
   emit t ~stage:"freeze" ~slot ~from_g ~to_g ~epoch:epoch0 ~detail:"";
-  Router.freeze t.router slot;
-  let deadline = Time_ns.add started_at t.drain_deadline in
   let cutover ~records () =
     (* Re-point the slot and journal the epoch bump in the same
        closure: nothing can interleave between the live router's map
@@ -145,34 +138,25 @@ let start t ~slot ~from_g ~to_g =
     (* Durable handoff: every destination replica persists a handoff
        record (persist-then-act), and only when the last fsync lands
        does the modeled snapshot-install span start ticking. *)
-    let dstores = t.dstores_of_group to_g in
-    let n = Array.length dstores in
-    let landed = ref 0 in
-    let record =
-      Printf.sprintf "handoff slot=%d from=g%d to=g%d records=%d" slot from_g
-        to_g records
-    in
-    Array.iter
-      (fun st ->
-        Domino_store.Store.append_sync st record (fun () ->
-            incr landed;
-            if !landed = n then
-              Engine.schedule t.engine ~delay:(t.install_span ~records)
-                (cutover ~records)))
-      dstores
+    Domino_smr.Quiesce.persist
+      (Array.to_list (t.dstores_of_group to_g))
+      (Printf.sprintf "handoff slot=%d from=g%d to=g%d records=%d" slot from_g
+         to_g records)
+      (fun () ->
+        Engine.schedule t.engine ~delay:(t.install_span ~records)
+          (cutover ~records))
   in
-  let rec poll_drain () =
-    let left = Router.inflight_on t.router ~slot in
-    let now = Engine.now t.engine in
-    if left = 0 then begin
+  Domino_smr.Quiesce.drain t.engine
+    ~freeze:(fun () -> Router.freeze t.router slot)
+    ~inflight:(fun () -> Router.inflight_on t.router ~slot)
+    ~unfreeze:(fun () -> Router.unfreeze t.router slot)
+    ~drained:(fun () ->
       emit t ~stage:"drain" ~slot ~from_g ~to_g ~epoch:epoch0
         ~detail:
           (Printf.sprintf "waited_ms=%.0f"
-             (Time_ns.to_ms_f (Time_ns.diff now started_at)));
-      Engine.schedule t.engine ~delay:t.grace transfer
-    end
-    else if now >= deadline then begin
-      let queued = Router.unfreeze t.router slot in
+             (Time_ns.to_ms_f (Time_ns.diff (Engine.now t.engine) started_at)));
+      Engine.schedule t.engine ~delay:grace transfer)
+    ~aborted:(fun ~left ~queued ->
       emit t ~stage:"abort" ~slot ~from_g ~to_g ~epoch:epoch0
         ~detail:(Printf.sprintf "left=%d queued=%d" left queued);
       finish t
@@ -184,13 +168,9 @@ let start t ~slot ~from_g ~to_g =
           records = 0;
           queued;
           started_at;
-          finished_at = now;
+          finished_at = Engine.now t.engine;
           aborted = true;
-        }
-    end
-    else Engine.schedule t.engine ~delay:t.poll poll_drain
-  in
-  poll_drain ()
+        })
 
 let request t ~slot ~to_g =
   let groups = Router.groups t.router in

@@ -11,8 +11,8 @@ open Domino_obs
 
     - [freeze]: new submits for the slot park in the router's FIFO
       queue; in-flight ops keep going.
-    - [drain]: poll {!Router.inflight_on} every [poll] until the slot
-      has zero routed-but-uncommitted ops, then wait [grace] for
+    - [drain]: poll {!Router.inflight_on} every 10 ms until the slot
+      has zero routed-but-uncommitted ops, then wait a 200 ms grace for
       follower executions to land group-wide.
     - [transfer]: snapshot the slot's keys from a source replica's KV
       store and import into {e every} destination replica, then
@@ -25,7 +25,9 @@ open Domino_obs
     - [done]: {!Router.unfreeze} releases the queued submits FIFO to
       the new owner.
 
-    If the drain deadline expires first (source group wedged — e.g.
+    The freeze and drain, and the handoff fsync barrier, are
+    {!Domino_smr.Quiesce.drain} and {!Domino_smr.Quiesce.persist}. If
+    the 1.5 s drain deadline expires first (source group wedged — e.g.
     its leader crashed mid-migration), the migration [abort]s:
     unfreeze {e without} reassigning. Cutting over with source ops
     still in flight would let a pre-freeze write commit at the old
@@ -53,26 +55,19 @@ val create :
   kv_of_group:(int -> Domino_kv.Store.t array) ->
   dstores_of_group:(int -> Domino_store.Store.t array) ->
   install_span:(records:int -> Time_ns.span) ->
-  ?poll:Time_ns.span ->
-  ?drain_deadline:Time_ns.span ->
-  ?grace:Time_ns.span ->
-  ?cooldown:Time_ns.span ->
   ?mutant:bool ->
   unit ->
   t
-(** [poll] defaults to 10 ms, [drain_deadline] to 1.5 s, [grace] to
-    200 ms, [cooldown] to 1.5 s. [mutant] arms the double-owner bug
+(** [mutant] arms the double-owner bug
     ({!Router.set_double_owner}) after each successful cutover — the
     deliberately-broken build the migration-aware checker must catch.
     Test-only. *)
 
 val request : t -> slot:int -> to_g:int -> bool
 (** Start migrating [slot] to [to_g]. Returns [false] (and does
-    nothing) when a migration is already active, the cooldown since
-    the last one has not elapsed, the slot or group is out of range,
+    nothing) when a migration is already active, the 1.5 s cooldown
+    since the last one has not elapsed, the slot or group is out of range,
     or [to_g] already owns the slot. *)
-
-val active : t -> bool
 
 val recently_moved : t -> slot:int -> bool
 (** [true] while the slot's last successful migration is younger than

@@ -6,19 +6,9 @@ type change =
   | Remove of int
   | Replace of { node : int; with_ : int }
 
-type outcome = {
-  change : change;
-  epoch : int;
-  queued : int;
-  started_at : Time_ns.t;
-  finished_at : Time_ns.t;
-  aborted : bool;
-}
-
 (* The orchestrator drives everything through callbacks so the group's
    harness (the shard fabric) stays the only module that knows about
-   the router, the network, and the protocol instance at once — the
-   same inversion [Fault.Roll] uses. *)
+   the router, the network, and the protocol instance at once. *)
 type hooks = {
   control : Protocol_intf.control -> k:(unit -> unit) -> bool;
       (** the group protocol's planned-operation entry point *)
@@ -27,6 +17,8 @@ type hooks = {
   inflight : unit -> int;  (** submitted-but-uncommitted ops on the group *)
   crash_node : int -> unit;  (** take a removed replica off the network *)
   recover_node : int -> unit;  (** readmit an added replica *)
+  wipe : int -> Time_ns.span;
+      (** wipe-restart a replica; returns its modeled recovery span *)
 }
 
 type t = {
@@ -37,18 +29,15 @@ type t = {
   members : bool array;
   stores : Domino_store.Store.t array;
   hooks : hooks;
-  poll : Time_ns.span;
-  drain_deadline : Time_ns.span;
   mutant : bool;
   mutable holder : int;
   mutable epoch : int;
-  mutable active : bool;
-  mutable outcomes_r : outcome list;  (** newest first *)
+  mutable active : bool;  (** a membership change is in progress *)
+  mutable rolling : bool;  (** a rolling patch is in progress *)
 }
 
-let create engine ~journal ~group ~n ~leader ~stores ~hooks
-    ?(poll = Time_ns.ms 10) ?(drain_deadline = Time_ns.ms 1500)
-    ?(mutant = false) () =
+let create engine ~journal ~group ~n ~leader ~stores ~hooks ?(mutant = false)
+    () =
   if n <= 0 then invalid_arg "Reconfig.create: empty group";
   if Array.length stores <> n then
     invalid_arg "Reconfig.create: one store per replica required";
@@ -61,20 +50,12 @@ let create engine ~journal ~group ~n ~leader ~stores ~hooks
     members = Array.make n true;
     stores;
     hooks;
-    poll;
-    drain_deadline;
     mutant;
     holder = leader;
     epoch = 0;
     active = false;
-    outcomes_r = [];
+    rolling = false;
   }
-
-let epoch t = t.epoch
-
-let holder t = t.holder
-
-let active t = t.active
 
 let is_member t node = node >= 0 && node < t.n && t.members.(node)
 
@@ -84,8 +65,6 @@ let members t =
     if t.members.(i) then out := i :: !out
   done;
   !out
-
-let outcomes t = List.rev t.outcomes_r
 
 let emit t ~stage ~detail =
   if Journal.enabled t.journal then
@@ -104,15 +83,13 @@ let emit t ~stage ~detail =
    A graceful, non-crash handoff: no freeze, no epoch bump — the
    protocol itself drains whatever the handoff needs (Multi-Paxos
    parks requests while its open slots empty; Mencius and Domino
-   re-steer routing and are done immediately). [from_] defaults to the
-   tracked coordination holder; [Fault.Roll] passes an explicit
-   [from_] to steer clients away from a non-leader replica it is about
-   to wipe. Protocols with no coordination role at [from_] accept
-   vacuously, so a transfer always completes and always journals its
-   [reconfig.transfer] / [reconfig.transfer_done] pair (the dip
-   analyzer's start/heal anchors). *)
-let transfer t ?from_ ~to_ ~k () =
-  let from_ = match from_ with Some f -> f | None -> t.holder in
+   re-steer routing and are done immediately). Duties move from the
+   tracked coordination holder. Protocols with no coordination role
+   there accept vacuously, so a transfer always completes and always
+   journals its [reconfig.transfer] / [reconfig.transfer_done] pair
+   (the dip analyzer's start/heal anchors). *)
+let transfer t ~to_ ~k =
+  let from_ = t.holder in
   if not (is_member t to_) || not (is_member t from_) then false
   else if from_ = to_ then begin
     k ();
@@ -136,6 +113,16 @@ let transfer t ?from_ ~to_ ~k () =
 let restore t ~node =
   if is_member t node then
     ignore (t.hooks.control (Protocol_intf.Restore { node }) ~k:(fun () -> ()))
+
+(* Hand [node]'s coordination duties to the first other member, then
+   continue with [k] — which takes [node] out of service. [k] runs at
+   once when [node] holds no duties or no other member is left. *)
+let hand_off t ~node ~k =
+  if node <> t.holder then k ()
+  else
+    match List.find_opt (fun m -> m <> node) (members t) with
+    | Some to_ -> if not (transfer t ~to_ ~k) then k ()
+    | None -> k ()
 
 (* --- membership change ---
 
@@ -196,25 +183,9 @@ let request t change ~k =
     | Error _ -> false
     | Ok () ->
       t.active <- true;
-      let started_at = Engine.now t.engine in
       let detail = change_detail change in
-      let removed =
-        match change with
-        | Remove node | Replace { node; _ } -> Some node
-        | Add _ -> None
-      in
-      let finish ~epoch ~queued ~aborted =
+      let finish () =
         t.active <- false;
-        t.outcomes_r <-
-          {
-            change;
-            epoch;
-            queued;
-            started_at;
-            finished_at = Engine.now t.engine;
-            aborted;
-          }
-          :: t.outcomes_r;
         k ()
       in
       let apply_and_release () =
@@ -238,7 +209,7 @@ let request t change ~k =
           restore t ~node:with_);
         let queued = t.hooks.unfreeze () in
         emit t ~stage:"done" ~detail:(Printf.sprintf "%s queued=%d" detail queued);
-        finish ~epoch:t.epoch ~queued ~aborted:false
+        finish ()
       in
       let persist () =
         (* Persist-then-act: every member of the NEW configuration
@@ -255,46 +226,86 @@ let request t change ~k =
             (t.epoch + 1)
             (members_str members_after)
         in
+        (* Prepending visits the members in descending index order: the
+           fsync order the journal pins. *)
         let targets = ref [] in
         Array.iteri
           (fun i m -> if m then targets := t.stores.(i) :: !targets)
           members_after;
-        let want = List.length !targets in
-        let landed = ref 0 in
-        List.iter
-          (fun st ->
-            Domino_store.Store.append_sync st record (fun () ->
-                incr landed;
-                if !landed = want then apply_and_release ()))
-          !targets
+        Quiesce.persist !targets record apply_and_release
       in
       let begin_change () =
         emit t ~stage:"begin" ~detail;
-        t.hooks.freeze ();
-        let deadline = Time_ns.add (Engine.now t.engine) t.drain_deadline in
-        let rec poll_drain () =
-          let left = t.hooks.inflight () in
-          if left = 0 then persist ()
-          else if Engine.now t.engine >= deadline then begin
-            let queued = t.hooks.unfreeze () in
+        Quiesce.drain t.engine ~freeze:t.hooks.freeze
+          ~inflight:t.hooks.inflight ~unfreeze:t.hooks.unfreeze
+          ~drained:persist ~aborted:(fun ~left ~queued ->
             emit t ~stage:"abort"
               ~detail:(Printf.sprintf "%s left=%d queued=%d" detail left queued);
-            finish ~epoch:t.epoch ~queued ~aborted:true
-          end
-          else Engine.schedule t.engine ~delay:t.poll poll_drain
-        in
-        poll_drain ()
+            finish ())
       in
       (* Removing the coordination holder: steer duties away first so
          the group is not leaderless the instant the node goes. *)
-      (match removed with
-      | Some node when node = t.holder -> (
-        let target =
-          List.find_opt (fun m -> m <> node) (members t)
-        in
-        match target with
-        | Some to_ ->
-          if not (transfer t ~to_ ~k:begin_change ()) then begin_change ()
-        | None -> begin_change ())
-      | _ -> begin_change ());
+      (match change with
+      | Remove node | Replace { node; _ } -> hand_off t ~node ~k:begin_change
+      | Add _ -> begin_change ());
       true
+
+(* --- rolling patch ---
+
+   One full rolling wipe-upgrade of the group under load. Per node, in
+   ascending id order over the membership at start:
+
+     1. hand the node's coordination duties off, if it holds them
+        (graceful — journals transfer/transfer_done);
+     2. journal [reconfig.roll_node node=<n>] and wipe-restart the
+        node: volatile state gone, stable store truncated to its
+        durable frontier, snapshot + log replay on the way back;
+     3. after the modeled recovery span, journal the node's
+        [recovery.up] (the dip analyzer's heal anchor for the node's
+        row), clear any steering against it, and dwell before the next
+        node.
+
+   The whole campaign is bracketed by [reconfig.roll] /
+   [reconfig.roll_done] so the cluster-wide dip row spans it. Nodes
+   that leave the membership mid-roll (a concurrent membership change)
+   are skipped. *)
+let roll t ~dwell ~k =
+  if t.rolling then false
+  else begin
+    t.rolling <- true;
+    let nodes = members t in
+    emit t ~stage:"roll"
+      ~detail:
+        (Printf.sprintf "nodes=%s dwell_ms=%d"
+           (String.concat "," (List.map string_of_int nodes))
+           (dwell / Time_ns.ms 1));
+    let rolled = ref 0 in
+    let rec roll_next = function
+      | [] ->
+        emit t ~stage:"roll_done" ~detail:(Printf.sprintf "rolled=%d" !rolled);
+        t.rolling <- false;
+        k ()
+      | node :: rest when not (is_member t node) -> roll_next rest
+      | node :: rest ->
+        hand_off t ~node ~k:(fun () ->
+            emit t ~stage:"roll_node" ~detail:(Printf.sprintf "node=%d" node);
+            let span = t.hooks.wipe node in
+            Engine.schedule t.engine ~delay:span (fun () ->
+                if Journal.enabled t.journal then
+                  Journal.emit t.journal
+                    (Journal.Recovery
+                       {
+                         node;
+                         stage = "up";
+                         detail =
+                           Printf.sprintf "after_us=%d" (span / Time_ns.us 1);
+                         at = Engine.now t.engine;
+                       });
+                restore t ~node;
+                incr rolled;
+                Engine.schedule t.engine ~delay:dwell (fun () ->
+                    roll_next rest)))
+    in
+    roll_next nodes;
+    true
+  end

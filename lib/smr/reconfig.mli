@@ -12,10 +12,11 @@ open Domino_obs
     — a removed replica is taken off the network, an added one is
     readmitted — before the parked submits are released. No op can
     therefore commit across an epoch boundary out of order, which is
-    the invariant the chaos checker's reconfig rules verify. If the
-    drain deadline expires first, the change aborts: submits are
-    released, the epoch is untouched, and [reconfig.abort] is
-    journaled.
+    the invariant the chaos checker's reconfig rules verify. The freeze
+    and drain, and the fsync barrier, are {!Quiesce.drain} and
+    {!Quiesce.persist}. If the drain deadline expires first, the change
+    aborts: submits are released, the epoch is untouched, and
+    [reconfig.abort] is journaled.
 
     {!transfer} is the orthogonal graceful operation: hand coordination
     duties from one replica to another without stopping the world,
@@ -24,6 +25,9 @@ open Domino_obs
     handed-off coordinator's clients, Domino steers every client's DM
     routing; leaderless protocols accept vacuously).
 
+    {!roll} is the rolling patch: wipe-upgrade every member in turn,
+    handing duties off each node before it goes down.
+
     All stages land in the journal as {!Domino_obs.Journal.Reconfig}
     events, with details leading with [node=<n>] so the dip analyzer
     attributes each transfer and roll step to the replica it touched.
@@ -31,21 +35,12 @@ open Domino_obs
     The orchestrator is callback-driven ({!hooks}): it owns the epoch
     counter, the membership bitmap, and the tracked coordination
     holder, while the shard fabric supplies the router freeze, the
-    network crash/readmit, and the protocol control dispatch. *)
+    network crash/readmit/wipe, and the protocol control dispatch. *)
 
 type change =
   | Add of int  (** readmit a (previously removed) replica index *)
   | Remove of int
   | Replace of { node : int; with_ : int }
-
-type outcome = {
-  change : change;
-  epoch : int;  (** the epoch after the change; unchanged on abort *)
-  queued : int;  (** submits parked during the freeze *)
-  started_at : Time_ns.t;
-  finished_at : Time_ns.t;
-  aborted : bool;
-}
 
 type hooks = {
   control : Protocol_intf.control -> k:(unit -> unit) -> bool;
@@ -54,6 +49,8 @@ type hooks = {
   inflight : unit -> int;
   crash_node : int -> unit;
   recover_node : int -> unit;
+  wipe : int -> Time_ns.span;
+      (** wipe-restart a replica; returns its modeled recovery span *)
 }
 
 type t
@@ -66,8 +63,6 @@ val create :
   leader:int ->
   stores:Domino_store.Store.t array ->
   hooks:hooks ->
-  ?poll:Time_ns.span ->
-  ?drain_deadline:Time_ns.span ->
   ?mutant:bool ->
   unit ->
   t
@@ -79,11 +74,9 @@ val create :
     replicas are never taken off the network — the bug the checker's
     removed-node rule exists to catch. *)
 
-val transfer : t -> ?from_:int -> to_:int -> k:(unit -> unit) -> unit -> bool
-(** Graceful handoff of coordination duties to [to_]; [from_] defaults
-    to the tracked holder (pass it explicitly to steer clients away
-    from a non-leader replica about to be serviced). [false] only when
-    an endpoint is not a member. [k] fires once the protocol reports
+val transfer : t -> to_:int -> k:(unit -> unit) -> bool
+(** Graceful handoff of the tracked holder's coordination duties to
+    [to_]. [false] only when an endpoint is not a member. [k] fires once the protocol reports
     the handoff complete — immediately for steering-only protocols and
     vacuous transfers, after the drain for Multi-Paxos. Journals the
     [reconfig.transfer] / [reconfig.transfer_done] pair. *)
@@ -94,21 +87,16 @@ val request : t -> change -> k:(unit -> unit) -> bool
     on done or abort. Removing the current holder transfers duties
     away first. *)
 
-val restore : t -> node:int -> unit
-(** Clear any protocol steering against [node] (vacuous where none). *)
-
-val epoch : t -> int
-
-val holder : t -> int
-(** The tracked coordination holder (initially [leader], updated by
-    successful transfers). *)
-
-val active : t -> bool
-
-val is_member : t -> int -> bool
-
-val members : t -> int list
-(** Current member replica indices, ascending. *)
-
-val outcomes : t -> outcome list
-(** Completed (or aborted) membership changes, oldest first. *)
+val roll : t -> dwell:Time_ns.span -> k:(unit -> unit) -> bool
+(** Start a rolling wipe-upgrade over the membership at call time,
+    driven by the plan verb [roll group=G dwell=SPAN]; [false] if a
+    roll is already active. Per node, in ascending order: hand its
+    duties off if it holds them ({!transfer}), wipe-restart it
+    ([hooks.wipe]), journal its [recovery.up] once the modeled recovery
+    span has passed, clear any steering against it (the protocol's
+    [Restore] control), and dwell before the next. Nodes no longer
+    members when their turn comes are skipped. The campaign is bracketed by [reconfig.roll] /
+    [reconfig.roll_done] and each wipe starts with
+    [reconfig.roll_node], so {!Domino_obs.Dip} reports one
+    cluster-wide row for the roll plus a per-node row for every wipe.
+    [k] fires once, after the last node's dwell. *)

@@ -1,19 +1,26 @@
-(* Regenerates the analyze golden CSVs pinned by test_timeline:
+(* Regenerates every golden this module owns — each journal golden in
+   Golden_runs.journals (md5 and head), the na3-domino metrics JSON, and
+   the analyze CSVs pinned by test_timeline — into a directory:
 
-     dune exec test/gen_golden.exe -- \
-       test/golden/recovery-smoke.timeline.csv \
-       test/golden/recovery-smoke.dips.csv \
-       test/golden/rebalance-smoke.timeline.csv \
-       test/golden/rebalance-smoke.dips.csv
+     dune exec test/gen_golden.exe -- test/golden
 
-   Only do this when the timeline/dip output format deliberately
-   changes; the goldens otherwise pin byte-identical rendering. *)
+   Only do this when a journal, metrics, timeline or dip format
+   deliberately changes; the goldens otherwise pin byte-identical
+   output. *)
 let () =
-  let write path s =
-    let oc = open_out_bin path in
+  let dir = Sys.argv.(1) in
+  let write name s =
+    let oc = open_out_bin (Filename.concat dir name) in
     output_string oc s;
     close_out oc
   in
+  List.iter
+    (fun (name, run) ->
+      let lines = Domino_obs.Journal.to_lines (run ()) in
+      write (name ^ ".journal.md5") (Golden_runs.md5 lines ^ "\n");
+      write (name ^ ".journal.head") (Golden_runs.head lines))
+    Golden_runs.journals;
+  write "na3-domino.metrics.json" (snd (Golden_runs.na3_domino ()));
   let replay name j =
     Printf.eprintf "%s journal: %d events, %d dropped\n%!" name
       (Domino_obs.Journal.length j)
@@ -21,13 +28,13 @@ let () =
     Domino_obs.Timeline.of_journal
       ~group_resolver:Domino_shard.Slots.resolver_of_mark j
   in
-  let tl =
-    replay "recovery" (Domino_exp.Exp_recovery.smoke_journal ~seed:42L ())
-  in
-  write Sys.argv.(1) (Domino_obs.Timeline.to_csv tl);
-  write Sys.argv.(2) (Domino_obs.Dip.to_csv (Domino_obs.Dip.analyze tl));
-  let tl =
-    replay "rebalance" (Domino_exp.Exp_rebalance.smoke_journal ~seed:42L ())
-  in
-  write Sys.argv.(3) (Domino_obs.Timeline.to_csv tl);
-  write Sys.argv.(4) (Domino_obs.Dip.to_csv (Domino_obs.Dip.analyze tl))
+  List.iter
+    (fun (name, j) ->
+      let tl = replay name j in
+      write (name ^ "-smoke.timeline.csv") (Domino_obs.Timeline.to_csv tl);
+      write (name ^ "-smoke.dips.csv")
+        (Domino_obs.Dip.to_csv (Domino_obs.Dip.analyze tl)))
+    [
+      ("recovery", Domino_exp.Exp_recovery.smoke_journal ~seed:42L ());
+      ("rebalance", Domino_exp.Exp_rebalance.smoke_journal ~seed:42L ());
+    ]

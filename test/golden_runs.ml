@@ -1,0 +1,66 @@
+(* The runs whose journals the md5 goldens under test/golden pin. Shared
+   by test_shard, which checks each journal against its golden, and
+   gen_golden, which writes the goldens — so the two cannot drift. *)
+
+open Domino_sim
+open Domino_obs
+open Domino_exp
+
+let parse_exn text =
+  match Domino_fault.Plan.parse text with
+  | Ok p -> p
+  | Error e -> invalid_arg ("Golden_runs plan: " ^ e)
+
+(* The 3 s na3 Domino run behind the na3-domino journal and metrics
+   goldens. *)
+let na3_domino () =
+  let j = Journal.create () in
+  let r =
+    Exp_common.run ~seed:42L ~duration:(Time_ns.sec 3) ~journal:j
+      Exp_common.na3 Exp_common.domino_default
+  in
+  (j, Metrics.to_json_string r.Exp_common.metrics)
+
+(* A membership change under load: retire replica 2 of a fig7-double
+   Domino group, then readmit it (test_fault's reconfig-under-load plan
+   and harness settings). *)
+let fig7_double_reconfig () =
+  let j = Journal.create () in
+  ignore
+    (Exp_common.run ~seed:5L ~rate:50. ~duration:(Time_ns.sec 6)
+       ~measure_from:(Time_ns.ms 500) ~measure_until:(Time_ns.sec 6)
+       ~journal:j
+       ~faults:
+         (parse_exn
+            "at 1500ms reconfig group=0 remove=2\n\
+             at 3500ms reconfig group=0 add=2\n")
+       Exp_common.fig7_double Exp_common.domino_default);
+  j
+
+(* Every journal golden: [<name>.journal.md5] holds the md5 of the
+   rendered journal, [<name>.journal.head] its first five lines for a
+   reader diagnosing a mismatch. *)
+let journals =
+  [
+    ("fig8a-smoke", fun () -> Exp_fig8.smoke_journal ~seed:42L Exp_fig8.Na3);
+    ("na3-domino", fun () -> fst (na3_domino ()));
+    (* a rolling patch of a fig7-double Domino group: each node's duties
+       are handed off before its wipe *)
+    ("patch-smoke", fun () -> Exp_patch.smoke_journal ~seed:42L ());
+    (* a planned slot migration on the 2-group rebalance layout *)
+    ("rebalance-smoke", fun () -> Exp_rebalance.smoke_journal ~seed:42L ());
+    ("fig7-double-reconfig", fig7_double_reconfig);
+  ]
+
+let md5 lines = Digest.to_hex (Digest.string lines)
+
+let head lines =
+  let buf = Buffer.create 512 in
+  List.iteri
+    (fun i l ->
+      if i < 5 then begin
+        Buffer.add_string buf l;
+        Buffer.add_char buf '\n'
+      end)
+    (String.split_on_char '\n' lines);
+  Buffer.contents buf

@@ -691,6 +691,47 @@ let test_reconfig_under_load () =
         (count_reconfig journal ~stage:"done"))
     [ Exp_common.domino_default; Exp_common.Multi_paxos ]
 
+let test_reconfig_drain_abort () =
+  (* The drain deadline, deterministically: the Multi-Paxos leader
+     crashes for good before the request, so the group's in-flight ops
+     can never commit. The change must abort at the 1.5 s deadline with
+     the epoch untouched, send the submits parked during the freeze
+     back out, and leave a clean checker. *)
+  let faults =
+    parse_exn "at 1s crash node=0\nat 1500ms reconfig group=0 remove=2\n"
+  in
+  let journal = Journal.create () in
+  ignore
+    (Exp_common.run ~seed:5L ~rate:50. ~duration:(Time_ns.sec 4) ~journal
+       ~faults Exp_common.fig7_double Exp_common.Multi_paxos);
+  let abort = ref None and epochs = ref 0 in
+  Journal.iter journal (function
+    | Journal.Reconfig { stage = "abort"; epoch; detail; at; _ } ->
+      abort := Some (epoch, detail, at)
+    | Journal.Reconfig { stage = "epoch"; _ } -> incr epochs
+    | _ -> ());
+  let epoch, detail, at =
+    match !abort with
+    | Some a -> a
+    | None -> Alcotest.fail "reconfig.abort not journaled"
+  in
+  check_int "epoch unchanged" 0 epoch;
+  check_int "no epoch bump" 0 !epochs;
+  check_int "aborted at the deadline" (Time_ns.ms 3000) at;
+  let queued =
+    Scanf.sscanf detail "node=2 remove left=%d queued=%d" (fun _ q -> q)
+  in
+  check_bool "submits were parked" true (queued > 0);
+  let released = ref 0 in
+  Journal.iter journal (function
+    | Journal.Submit { at = s; _ } when s = at -> incr released
+    | _ -> ());
+  check_int "parked submits released at the abort" queued !released;
+  let report = Checker.check journal in
+  if not report.Checker.ok then
+    Alcotest.failf "aborted reconfig violates:@.%a" Checker.pp_report report;
+  check_int "checker saw no epoch bump" 0 report.Checker.reconfigs
+
 let test_stale_config_mutant_caught () =
   (* The deliberately-broken build: a removed replica keeps its network
      endpoints and goes on executing. The checker's removed-node rule
@@ -861,6 +902,8 @@ let () =
             test_roll_under_load;
           Alcotest.test_case "membership change under load" `Quick
             test_reconfig_under_load;
+          Alcotest.test_case "reconfig drain deadline aborts" `Quick
+            test_reconfig_drain_abort;
           Alcotest.test_case "stale-config mutant caught" `Quick
             test_stale_config_mutant_caught;
           Alcotest.test_case "roll sweep deterministic across jobs" `Slow

@@ -233,20 +233,14 @@ let test_router_group_freeze () =
 let replica_dcs = [| "WA"; "VA"; "QC" |]
 let client_dcs = Exp_common.na3.Exp_common.client_dcs
 
-let fabric_config ?(groups = 2) ?(arm_retry = false) () =
+let fabric_config ?(groups = 2) ?(arm_retry = false)
+    ?(proto = Protocols.domino_default) () =
   let leaders =
     Placement.spread_leaders Topology.na ~replica_dcs ~client_dcs ~groups
   in
   let params =
-    let p = Protocols.params Protocols.domino_default in
-    if arm_retry then
-      {
-        p with
-        Protocol_intf.retry_timeout = Time_ns.ms 800;
-        retry_max_attempts = 6;
-        retry_failover_after = 1;
-      }
-    else p
+    if arm_retry then Protocols.params_under_faults proto
+    else Protocols.params proto
   in
   {
     Fabric.topo = Topology.na;
@@ -256,7 +250,7 @@ let fabric_config ?(groups = 2) ?(arm_retry = false) () =
           {
             Fabric.replica_dcs;
             leader = leaders.(k);
-            protocol = Protocols.resolve Protocols.domino_default;
+            protocol = Protocols.resolve proto;
             params;
           });
     slots = Slots.Hash { slots = 16 };
@@ -449,6 +443,46 @@ let test_fabric_migration () =
       | [] -> Alcotest.failf "g%d: no store fingerprints" k)
     r.Fabric.groups
 
+(* The drain deadline, deterministically: g0's Multi-Paxos leader
+   (node 1) crashes for good before the request, so the slot's
+   in-flight ops can never commit. The migration must abort at the
+   1.5 s deadline with no epoch bump (the slot stays with g0), send the
+   submits parked during the freeze back out, and leave a clean
+   checker. *)
+let test_migrate_drain_abort () =
+  let spec = Slots.Range { slots = 16; keys = 1_000_000 } in
+  let j = Journal.create () in
+  let r =
+    Fabric.run ~seed:19L ~rate:50. ~duration:(Time_ns.sec 5) ~journal:j
+      ~faults:
+        (plan_exn "at 1s crash node=1\nat 2s migrate slot=0 from=0 to=1\n")
+      { (fabric_config ~proto:Protocols.Multi_paxos ()) with Fabric.slots = spec }
+  in
+  let o =
+    match r.Fabric.migrations with
+    | [ o ] -> o
+    | os ->
+      Alcotest.failf "expected exactly one migration, got %d" (List.length os)
+  in
+  check_bool "aborted" true o.Migrate.aborted;
+  check_int "epoch unchanged" 0 o.Migrate.epoch;
+  check_int "aborted at the deadline" (Time_ns.ms 3500) o.Migrate.finished_at;
+  check_bool "submits were parked" true (o.Migrate.queued > 0);
+  let aborts = ref 0 and epochs = ref 0 and released = ref 0 in
+  Journal.iter j (function
+    | Journal.Migrate { stage = "abort"; _ } -> incr aborts
+    | Journal.Migrate { stage = "epoch"; _ } -> incr epochs
+    | Journal.Submit { key; at; _ }
+      when at = o.Migrate.finished_at && Slots.slot_of_key spec key = 0 ->
+      incr released
+    | _ -> ());
+  check_int "migrate.abort journaled" 1 !aborts;
+  check_int "no epoch bump: the slot stays with g0" 0 !epochs;
+  check_int "parked submits released at the abort" o.Migrate.queued !released;
+  let report = check_safe "aborted migration" j in
+  check_int "checker saw no epoch bump" 0
+    report.Domino_fault.Checker.migrations
+
 (* The double-owner mutant: after cutover the stale group keeps
    serving the slot. The migration-aware checker MUST flag it — this
    is the test that proves the checker can catch a real rebalancing
@@ -480,10 +514,11 @@ let test_fabric_auto_rebalance () =
       Fabric.slots = Slots.Range { slots = 16; keys = 1_000_000 } }
   in
   let r =
-    (* hot_factor 1.3: with 2 groups the default 2x-the-even-split can
-       never fire (a share cannot exceed the total) *)
+    (* auto-rebalance flags a group at 1.3x the even split: with 2
+       groups the default 2x can never fire (a share cannot exceed the
+       total) *)
     Fabric.run ~seed:23L ~rate:100. ~duration:(Time_ns.sec 6) ~journal:j
-      ~hot_factor:1.3 ~auto_rebalance:true config
+      ~auto_rebalance:true config
   in
   check_bool "detector-triggered migrations happened" true
     (r.Fabric.migrations <> []);
@@ -602,24 +637,20 @@ let golden_md5 path =
   | hex :: _ -> hex
   | [] -> Alcotest.failf "empty golden %s" path
 
-let test_golden_fig8a_journal () =
-  let j = Exp_fig8.smoke_journal ~seed:42L Exp_fig8.Na3 in
-  check_string "fig8a smoke journal identical to pre-refactor seed"
-    (golden_md5 "golden/fig8a-smoke.journal.md5")
-    (Digest.to_hex (Digest.string (Journal.to_lines j)))
+let check_journal_golden name j =
+  check_string (name ^ " journal identical to its golden")
+    (golden_md5 ("golden/" ^ name ^ ".journal.md5"))
+    (Golden_runs.md5 (Journal.to_lines j))
+
+let journal_golden name () =
+  check_journal_golden name ((List.assoc name Golden_runs.journals) ())
 
 let test_golden_na3_domino () =
-  let j = Journal.create () in
-  let r =
-    Exp_common.run ~seed:42L ~duration:(Time_ns.sec 3) ~journal:j
-      Exp_common.na3 Exp_common.domino_default
-  in
-  check_string "na3-domino journal identical to pre-refactor seed"
-    (golden_md5 "golden/na3-domino.journal.md5")
-    (Digest.to_hex (Digest.string (Journal.to_lines j)));
+  let j, metrics = Golden_runs.na3_domino () in
+  check_journal_golden "na3-domino" j;
   check_string "na3-domino metrics JSON identical to pre-refactor seed"
     (read_file "golden/na3-domino.metrics.json")
-    (Metrics.to_json_string r.Exp_common.metrics)
+    metrics
 
 (* The journal writer against the Printf renderer it replaced, on a
    real multi-group run whose faults reach every emitter: a migration,
@@ -683,6 +714,8 @@ let () =
             test_fabric_migration;
           Alcotest.test_case "double-owner mutant caught" `Slow
             test_migrate_mutant_caught;
+          Alcotest.test_case "drain deadline aborts" `Slow
+            test_migrate_drain_abort;
           Alcotest.test_case "auto rebalance" `Slow test_fabric_auto_rebalance;
           Alcotest.test_case "sweep deterministic across jobs" `Slow
             test_rebalance_sweep_deterministic;
@@ -690,8 +723,14 @@ let () =
         ] );
       ( "golden",
         [
-          Alcotest.test_case "fig8a journal" `Slow test_golden_fig8a_journal;
+          Alcotest.test_case "fig8a journal" `Slow (journal_golden "fig8a-smoke");
           Alcotest.test_case "na3 domino run" `Slow test_golden_na3_domino;
+          Alcotest.test_case "patch smoke journal" `Slow
+            (journal_golden "patch-smoke");
+          Alcotest.test_case "rebalance smoke journal" `Slow
+            (journal_golden "rebalance-smoke");
+          Alcotest.test_case "fig7-double reconfig journal" `Slow
+            (journal_golden "fig7-double-reconfig");
           Alcotest.test_case "writer = Printf reference" `Slow
             test_writer_matches_reference;
         ] );

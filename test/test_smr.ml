@@ -246,6 +246,69 @@ let test_service_wrap () =
   check_int "count" 2 (Service.processed svc);
   check_int "busy" (Time_ns.ms 10) (Service.busy_time svc)
 
+(* --- Quiesce --- *)
+
+let test_quiesce_drained () =
+  (* The count reaches zero at 25 ms: the drain sees it on the 30 ms
+     poll, with the freeze still on. *)
+  let engine = Engine.create () in
+  let inflight = ref 2 and frozen = ref false and drained_at = ref (-1) in
+  Quiesce.drain engine
+    ~freeze:(fun () -> frozen := true)
+    ~inflight:(fun () -> !inflight)
+    ~unfreeze:(fun () -> Alcotest.fail "a drained quiesce must not unfreeze")
+    ~drained:(fun () -> drained_at := Engine.now engine)
+    ~aborted:(fun ~left:_ ~queued:_ -> Alcotest.fail "drained, not aborted");
+  check_bool "frozen at once" true !frozen;
+  Engine.schedule engine ~delay:(Time_ns.ms 25) (fun () -> inflight := 0);
+  Engine.run ~until:(Time_ns.sec 3) engine;
+  check_int "drained at the first poll after zero" (Time_ns.ms 30) !drained_at
+
+let test_quiesce_deadline () =
+  (* One op never finishes: at the deadline the drain unfreezes, reports
+     what it released, and gives up. *)
+  let engine = Engine.create () in
+  let frozen = ref false and aborted = ref None in
+  Quiesce.drain engine
+    ~freeze:(fun () -> frozen := true)
+    ~inflight:(fun () -> 1)
+    ~unfreeze:(fun () ->
+      frozen := false;
+      7)
+    ~drained:(fun () -> Alcotest.fail "nothing drained")
+    ~aborted:(fun ~left ~queued ->
+      aborted := Some (left, queued, Engine.now engine));
+  Engine.run ~until:(Time_ns.sec 3) engine;
+  check_bool "unfrozen" false !frozen;
+  match !aborted with
+  | Some (left, queued, at) ->
+    check_int "left in flight" 1 left;
+    check_int "released submits" 7 queued;
+    check_int "aborted at the deadline" Quiesce.deadline at
+  | None -> Alcotest.fail "drain never aborted"
+
+let test_quiesce_persist () =
+  (* The barrier acts once, after every store has made the record
+     durable. *)
+  let engine = Engine.create () in
+  let stores =
+    List.init 3 (fun node ->
+        Domino_store.Store.create engine ~node
+          ~params:Domino_store.Store.default_params
+          ~journal:Domino_obs.Journal.null)
+  in
+  let acted = ref 0 in
+  Quiesce.persist stores "config epoch=1" (fun () ->
+      incr acted;
+      List.iter
+        (fun st ->
+          check_int "durable before the act" 1
+            (Domino_store.Store.durable_upto st))
+        stores);
+  check_int "nothing before the fsyncs land" 0 !acted;
+  Engine.run engine;
+  check_int "acted once" 1 !acted
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "smr"
@@ -284,5 +347,11 @@ let () =
           Alcotest.test_case "dedup ids across clients" `Quick
             test_dedup_ids_across_clients;
           Alcotest.test_case "dedup disabled" `Quick test_dedup_disabled;
+        ] );
+      ( "quiesce",
+        [
+          Alcotest.test_case "drained" `Quick test_quiesce_drained;
+          Alcotest.test_case "deadline aborts" `Quick test_quiesce_deadline;
+          Alcotest.test_case "persist barrier" `Quick test_quiesce_persist;
         ] );
     ]
