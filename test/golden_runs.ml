@@ -37,6 +37,23 @@ let fig7_double_reconfig () =
        Exp_common.fig7_double Exp_common.domino_default);
   j
 
+(* A rolling crash-with-amnesia of a fig7-double group (the chaos
+   suite's rolling_wipe plan): every replica, the leader/coordinator at
+   node 0 last, loses its volatile state and rebuilds from its WAL, so
+   the journal pins what each protocol writes and what its replay
+   restores. *)
+let rolling_wipe proto () =
+  let j = Journal.create () in
+  ignore
+    (Exp_common.run ~seed:42L ~rate:100. ~duration:(Time_ns.sec 5)
+       ~measure_from:(Time_ns.ms 500) ~measure_until:(Time_ns.sec 5)
+       ~journal:j
+       ~faults:
+         (parse_exn
+            "at 1s wipe node=1\nat 2200ms wipe node=2\nat 3400ms wipe node=0\n")
+       Exp_common.fig7_double proto);
+  j
+
 (* Every journal golden: [<name>.journal.md5] holds the md5 of the
    rendered journal, [<name>.journal.head] its first five lines for a
    reader diagnosing a mismatch. *)
@@ -50,6 +67,10 @@ let journals =
     (* a planned slot migration on the 2-group rebalance layout *)
     ("rebalance-smoke", fun () -> Exp_rebalance.smoke_journal ~seed:42L ());
     ("fig7-double-reconfig", fig7_double_reconfig);
+    ("epaxos-rolling-wipe", rolling_wipe Exp_common.Epaxos);
+    ("mencius-rolling-wipe", rolling_wipe Exp_common.Mencius);
+    ("fastpaxos-rolling-wipe", rolling_wipe Exp_common.Fast_paxos);
+    ("multipaxos-rolling-wipe", rolling_wipe Exp_common.Multi_paxos);
   ]
 
 let md5 lines = Digest.to_hex (Digest.string lines)

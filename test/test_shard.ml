@@ -731,6 +731,14 @@ let () =
             (journal_golden "rebalance-smoke");
           Alcotest.test_case "fig7-double reconfig journal" `Slow
             (journal_golden "fig7-double-reconfig");
+          Alcotest.test_case "epaxos rolling wipe journal" `Slow
+            (journal_golden "epaxos-rolling-wipe");
+          Alcotest.test_case "mencius rolling wipe journal" `Slow
+            (journal_golden "mencius-rolling-wipe");
+          Alcotest.test_case "fastpaxos rolling wipe journal" `Slow
+            (journal_golden "fastpaxos-rolling-wipe");
+          Alcotest.test_case "multipaxos rolling wipe journal" `Slow
+            (journal_golden "multipaxos-rolling-wipe");
           Alcotest.test_case "writer = Printf reference" `Slow
             test_writer_matches_reference;
         ] );
