@@ -20,9 +20,9 @@ type t = {
   self : Nodeid.t;
   estimator : Estimator.t;
   observer : Observer.t;
-  pending : (Op.id, pending) Hashtbl.t;
-  inflight : (Op.id, inflight) Hashtbl.t;
-  done_ids : (Op.id, unit) Hashtbl.t;
+  pending : pending Op.Idtbl.t;
+  inflight : inflight Op.Idtbl.t;
+  done_ids : unit Op.Idtbl.t;
   feedback : Feedback.t option;  (** §5.4 adaptive controller *)
   mutable ts_cursor : Time_ns.t;
   mutable probe_seq : int;
@@ -65,9 +65,9 @@ let create ~net ~cfg ~self ~observer () =
         Estimator.create ~window:cfg.Config.window
           ~percentile:cfg.Config.percentile ~n_replicas:(Config.n cfg) ();
       observer;
-      pending = Hashtbl.create 64;
-      inflight = Hashtbl.create 64;
-      done_ids = Hashtbl.create 256;
+      pending = Op.Idtbl.create 64;
+      inflight = Op.Idtbl.create 64;
+      done_ids = Op.Idtbl.create 256;
       feedback =
         (if cfg.Config.adaptive then
            Some (Feedback.create ~baseline:cfg.Config.additional_delay ())
@@ -95,27 +95,27 @@ let note_outcome t outcome =
   | None -> ()
 
 let disarm_retry t id =
-  match Hashtbl.find_opt t.inflight id with
+  match Op.Idtbl.find_opt t.inflight id with
   | None -> ()
   | Some e ->
     (match e.timer with
     | Some tid -> Engine.cancel (Fifo_net.engine t.net) tid
     | None -> ());
     e.timer <- None;
-    Hashtbl.remove t.inflight id
+    Op.Idtbl.remove t.inflight id
 
 let commit t (op : Op.t) ~fast =
   let id = Op.id op in
   (* Retries (and replica-side resends) can deliver the commit signal
      more than once; the client reports each op committed exactly once. *)
-  if not (Hashtbl.mem t.done_ids id) then begin
-    Hashtbl.replace t.done_ids id ();
+  if not (Op.Idtbl.mem t.done_ids id) then begin
+    Op.Idtbl.replace t.done_ids id ();
     disarm_retry t id;
-    (match Hashtbl.find_opt t.pending id with
+    (match Op.Idtbl.find_opt t.pending id with
     | Some p ->
       p.done_ <- true;
       note_outcome t (if fast then Feedback.Fast else Feedback.Slow);
-      Hashtbl.remove t.pending id
+      Op.Idtbl.remove t.pending id
     | None ->
       (* DM replies have no pending entry on the DFP table. *)
       ());
@@ -131,7 +131,7 @@ let submit_dfp t (op : Op.t) ~ts =
   t.dfp_count <- t.dfp_count + 1;
   let ts = Stdlib.max ts (t.ts_cursor + 1) in
   t.ts_cursor <- ts;
-  Hashtbl.replace t.pending (Op.id op) { op; accepts = 0; done_ = false };
+  Op.Idtbl.replace t.pending (Op.id op) { op; accepts = 0; done_ = false };
   Array.iter (fun r -> send t ~dst:r (Message.Dfp_propose { ts; op })) (replicas t)
 
 let closest_leader t ~now_local =
@@ -183,10 +183,10 @@ let rec arm_retry t e =
 and on_retry_timeout t e =
   e.timer <- None;
   let id = Op.id e.iop in
-  if Hashtbl.mem t.inflight id then begin
+  if Op.Idtbl.mem t.inflight id then begin
     if e.attempts >= t.cfg.Config.retry_max_attempts then begin
       t.abandoned_count <- t.abandoned_count + 1;
-      Hashtbl.remove t.inflight id
+      Op.Idtbl.remove t.inflight id
     end
     else begin
       e.attempts <- e.attempts + 1;
@@ -216,7 +216,7 @@ and on_retry_timeout t e =
 let track_retry t (op : Op.t) =
   if t.cfg.Config.retry_timeout > 0 then begin
     let id = Op.id op in
-    if not (Hashtbl.mem t.inflight id || Hashtbl.mem t.done_ids id) then begin
+    if not (Op.Idtbl.mem t.inflight id || Op.Idtbl.mem t.done_ids id) then begin
       let e =
         {
           iop = op;
@@ -225,7 +225,7 @@ let track_retry t (op : Op.t) =
           timer = None;
         }
       in
-      Hashtbl.replace t.inflight id e;
+      Op.Idtbl.replace t.inflight id e;
       arm_retry t e
     end
   end
@@ -286,7 +286,7 @@ let submit t (op : Op.t) =
 
 let on_vote t ~subject ~report =
   let id = Op.id subject in
-  match Hashtbl.find_opt t.pending id with
+  match Op.Idtbl.find_opt t.pending id with
   | None -> ()
   | Some p ->
     if not p.done_ then begin

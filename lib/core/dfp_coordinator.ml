@@ -3,6 +3,15 @@ open Domino_smr
 module Store = Domino_store.Store
 module Iset = Set.Make (Int)
 
+(* The coordinator's WAL records, in the co-located replica's store.
+   Journal kinds in quotes. *)
+type Store.record +=
+  | Decided of { ts : Time_ns.t; value : Op.t option; slow : bool }
+        (** "cdec": a decision, synced before anything externalizes it *)
+  | Decided_wm of Time_ns.t
+        (** "cwm": the decided watermark's no-op blanket, synced before
+            it is announced *)
+
 type callbacks = {
   send_commit : Time_ns.t -> Op.t option -> unit;
   send_p2a : Time_ns.t -> Op.t option -> unit;
@@ -33,7 +42,7 @@ type t = {
   cfg : Config.t;
   cb : callbacks;
   store : Store.t option;
-      (** shared with the co-located replica ("c"-prefixed records);
+      (** shared with the co-located replica;
           [None] runs without durability (engine-less unit tests) *)
   mutable cwm_logged : Time_ns.t;
       (** largest decided watermark whose "cwm" record is on disk — the
@@ -42,6 +51,7 @@ type t = {
   q : int;
   m : int;
   watermarks : Time_ns.t array;  (** per-acceptor no-op fill time T_i *)
+  sorted_wm : Time_ns.t array;  (** scratch for [w_fast] *)
   applied_wm : Time_ns.t array;
       (** per-acceptor frontier up to which implied no-op reports have
           been folded into tracked posts (avoids rescanning the whole
@@ -50,8 +60,8 @@ type t = {
   mutable undecided : Iset.t;  (** timestamps of tracked undecided posts *)
   mutable w_dec : Time_ns.t;
   mutable w_sent : Time_ns.t;
-  mutable committed_ops : Op.Idset.t;
-  mutable rescued : Op.Idset.t;
+  committed_ops : unit Op.Idtbl.t;
+  rescued : unit Op.Idtbl.t;
   mutable fast : int;
   mutable slow : int;
   mutable conflicts : int;
@@ -69,13 +79,14 @@ let create ?store cfg cb =
     q = Config.supermajority cfg;
     m = Config.majority cfg;
     watermarks = Array.make n (-1);
+    sorted_wm = Array.make n (-1);
     applied_wm = Array.make n (-1);
     tracked = Hashtbl.create 1024;
     undecided = Iset.empty;
     w_dec = -1;
     w_sent = -1;
-    committed_ops = Op.Idset.empty;
-    rescued = Op.Idset.empty;
+    committed_ops = Op.Idtbl.create 1024;
+    rescued = Op.Idtbl.create 64;
     fast = 0;
     slow = 0;
     conflicts = 0;
@@ -95,9 +106,19 @@ let undecided_positions t = Iset.cardinal t.undecided
 (* q-th largest acceptor watermark: positions strictly below it have
    no-op coverage from at least a supermajority of replicas. *)
 let w_fast t =
-  let sorted = Array.copy t.watermarks in
-  Array.sort (fun a b -> Int.compare b a) sorted;
-  sorted.(t.q - 1) - 1
+  (* Insertion sort, descending, into the scratch array: [n] is a
+     handful of replicas and this runs on every vote and heartbeat. *)
+  let a = t.sorted_wm in
+  for i = 0 to t.n - 1 do
+    let v = t.watermarks.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) < v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done;
+  a.(t.q - 1) - 1
 
 let recompute_w_dec t =
   let bound =
@@ -110,22 +131,20 @@ let recompute_w_dec t =
 let rescue_op t (op : Op.t) =
   let id = Op.id op in
   if
-    (not (Op.Idset.mem id t.committed_ops))
-    && not (Op.Idset.mem id t.rescued)
+    (not (Op.Idtbl.mem t.committed_ops id))
+    && not (Op.Idtbl.mem t.rescued id)
   then begin
-    t.rescued <- Op.Idset.add id t.rescued;
+    Op.Idtbl.replace t.rescued id ();
     t.conflicts <- t.conflicts + 1;
     t.cb.rescue op
   end
 
 let value_id = function None -> None | Some op -> Some (Op.id op)
 
-let value_wire = function None -> "-" | Some op -> Op.to_wire op
-
-let value_of_wire s = if String.equal s "-" then None else Op.of_wire s
-
-let persist t record k =
-  match t.store with None -> k () | Some store -> Store.append_sync store record k
+let persist t ~kind record k =
+  match t.store with
+  | None -> k ()
+  | Some store -> Store.append_sync store ~kind record k
 
 (* Run [k] only once a "cwm" record covering [w] is durable: the
    decided watermark no-op-blankets every untracked position below it,
@@ -135,9 +154,7 @@ let persist t record k =
 let with_durable_wm t w k =
   if w <= t.cwm_logged then k ()
   else
-    persist t
-      (Printf.sprintf "cwm %d" w)
-      (fun () ->
+    persist t ~kind:"cwm" (Decided_wm w) (fun () ->
         if w > t.cwm_logged then t.cwm_logged <- w;
         k ())
 
@@ -153,11 +170,10 @@ let decide t post value ~slow_path =
     post.decided <- Some value;
     if slow_path then t.slow <- t.slow + 1 else t.fast <- t.fast + 1;
     (match value with
-    | Some op -> t.committed_ops <- Op.Idset.add (Op.id op) t.committed_ops
+    | Some op -> Op.Idtbl.replace t.committed_ops (Op.id op) ()
     | None -> ());
-    persist t
-      (Printf.sprintf "cdec %d %s %s" post.ts (value_wire value)
-         (if slow_path then "s" else "f"))
+    persist t ~kind:"cdec"
+      (Decided { ts = post.ts; value; slow = slow_path })
       (fun () ->
         post.durable <- true;
         t.undecided <- Iset.remove post.ts t.undecided;
@@ -174,31 +190,37 @@ let decide t post value ~slow_path =
         recompute_w_dec t)
   end
 
-(* Count reports per candidate value. Returns (best op candidate with
-   count, noop count, reported). *)
+let same_op (a : Op.t) (b : Op.t) = a.client = b.client && a.seq = b.seq
+
+(* Count reports per candidate value: the most-voted operation with its
+   count (ties go to the smallest op id), and the no-op count. Reports
+   hold at most one entry per acceptor, so counting by rescanning the
+   list is cheap. *)
 let tally reports =
-  let ops, noops =
-    List.fold_left
-      (fun (ops, noops) (_, report) ->
-        match report with
-        | Message.Voted_noop -> (ops, noops + 1)
-        | Message.Voted_op op ->
-          let id = Op.id op in
-          let c =
-            match Op.Idmap.find_opt id ops with Some (c, _) -> c | None -> 0
-          in
-          (Op.Idmap.add id (c + 1, op) ops, noops))
-      (Op.Idmap.empty, 0) reports
-  in
-  let best =
-    Op.Idmap.fold
-      (fun _ (c, op) acc ->
-        match acc with
-        | Some (bc, _) when bc >= c -> acc
-        | _ -> Some (c, op))
-      ops None
-  in
-  (ops, best, noops)
+  let best = ref None and noops = ref 0 in
+  List.iter
+    (fun (_, report) ->
+      match report with
+      | Message.Voted_noop -> incr noops
+      | Message.Voted_op op -> (
+        let c =
+          List.fold_left
+            (fun c (_, r) ->
+              match r with
+              | Message.Voted_op o when same_op o op -> c + 1
+              | _ -> c)
+            0 reports
+        in
+        match !best with
+        | Some (bc, (b : Op.t))
+          when bc > c
+               || (bc = c
+                  && (b.client < op.client
+                     || (b.client = op.client && b.seq <= op.seq))) ->
+          ()
+        | _ -> best := Some (c, op)))
+    reports;
+  (!best, !noops)
 
 (* Fast Paxos value-picking rule over the first classic quorum of
    round-0 reports: a value voted by >= q - f members of that quorum
@@ -206,7 +228,7 @@ let tally reports =
    most-voted operation (helps the client), else no-op. *)
 let recovery_value t post =
   let quorum = List.filteri (fun i _ -> i < t.m) (List.rev post.reports) in
-  let _, best, noops = tally quorum in
+  let best, noops = tally quorum in
   let threshold = t.q - Config.f t.cfg in
   match best with
   | Some (c, op) when c >= threshold -> Some op
@@ -224,7 +246,7 @@ let start_recovery t post =
 
 let check_decision t post =
   if post.decided = None && post.recovering = None then begin
-    let _, best, noops = tally post.reports in
+    let best, noops = tally post.reports in
     let reported = List.length post.reports in
     let undetermined = t.n - reported in
     let best_op_count = match best with Some (c, _) -> c | None -> 0 in
@@ -459,43 +481,32 @@ let wipe_volatile t =
   t.w_dec <- -1;
   t.w_sent <- -1;
   t.cwm_logged <- -1;
-  t.committed_ops <- Op.Idset.empty;
+  Op.Idtbl.reset t.committed_ops;
   (* [rescued] is volatile: a re-rescue after restart proposes the op at
      a fresh DM position, and the execution engines' seen-sets collapse
      the duplicate. [conflicts] stays — it is a cumulative statistic. *)
-  t.rescued <- Op.Idset.empty;
+  Op.Idtbl.reset t.rescued;
   t.fast <- 0;
   t.slow <- 0;
   t.ticks <- 0
 
 let replay_record t record =
-  match String.split_on_char ' ' record with
-  | [ "cdec"; ts; v; path ] -> begin
-    match int_of_string_opt ts with
-    | None -> ()
-    | Some ts ->
-      let value = value_of_wire v in
-      let post = get_post t ts in
-      if post.decided = None then begin
-        post.decided <- Some value;
-        post.durable <- true;
-        t.undecided <- Iset.remove ts t.undecided;
-        if String.equal path "s" then t.slow <- t.slow + 1
-        else t.fast <- t.fast + 1;
-        match value with
-        | Some op ->
-          t.committed_ops <- Op.Idset.add (Op.id op) t.committed_ops
-        | None -> ()
-      end
-  end
-  | [ "cwm"; w ] -> begin
-    match int_of_string_opt w with
-    | None -> ()
-    | Some w ->
-      (* The durable blanket is re-honoured verbatim; [w_sent] stays -1
-         so the next tick re-announces it — with a jumped decision
-         sequence number, which is what drives every replica to pull. *)
-      if w > t.w_dec then t.w_dec <- w;
-      if w > t.cwm_logged then t.cwm_logged <- w
-  end
-  | _ -> ()
+  match record with
+  | Decided { ts; value; slow } ->
+    let post = get_post t ts in
+    if post.decided = None then begin
+      post.decided <- Some value;
+      post.durable <- true;
+      t.undecided <- Iset.remove ts t.undecided;
+      if slow then t.slow <- t.slow + 1 else t.fast <- t.fast + 1;
+      match value with
+      | Some op -> Op.Idtbl.replace t.committed_ops (Op.id op) ()
+      | None -> ()
+    end
+  | Decided_wm w ->
+    (* The durable blanket is re-honoured verbatim; [w_sent] stays -1
+       so the next tick re-announces it — with a jumped decision
+       sequence number, which is what drives every replica to pull. *)
+    if w > t.w_dec then t.w_dec <- w;
+    if w > t.cwm_logged then t.cwm_logged <- w
+  | _ -> () (* the co-located replica's records; not ours *)

@@ -48,8 +48,9 @@ type callbacks = {
 type t
 
 val create : ?store:Domino_store.Store.t -> Config.t -> callbacks -> t
-(** [store] (shared with the co-located replica) receives "c"-prefixed
-    WAL records: "cdec" before a decision is externalized — the commit
+(** [store] (shared with the co-located replica) receives the
+    coordinator's WAL records: "cdec" before a decision is
+    externalized — the commit
     broadcast, slow reply and loser rescues wait for its fsync — and
     "cwm" before a decided watermark is announced, since the watermark
     no-op-blankets untracked positions and must survive an amnesiac
@@ -101,9 +102,10 @@ val undecided_positions : t -> int
 val wipe_volatile : t -> unit
 (** Drop everything an amnesiac reboot loses: tracked posts, acceptor
     watermarks, the decided watermark and the committed-op set. Pair
-    with {!replay_record} over the surviving "c"-prefixed records. *)
+    with {!replay_record} over the surviving records. *)
 
-val replay_record : t -> string -> unit
+val replay_record : t -> Domino_store.Store.record -> unit
 (** Re-apply one surviving "cdec"/"cwm" record (in log order): decided
     positions and the durable decided-watermark blanket are restored
-    without re-externalizing anything. *)
+    without re-externalizing anything. Records it does not own — the
+    co-located replica's — are ignored. *)

@@ -10,6 +10,10 @@ type t = {
   clients : (Nodeid.t, Client.t) Hashtbl.t;
 }
 
+(* The coordinator's decision-stream high water for one destination
+   (journal kind "dsq"); see [stamp] below. *)
+type Domino_store.Store.record += Seq_high_water of { acceptor : int; seq : int }
+
 type stats = {
   dfp_fast_decisions : int;
   dfp_slow_decisions : int;
@@ -52,8 +56,8 @@ let create ~net ~cfg ~observer ?stores () =
     let seq = decision_seq.(acceptor) in
     if seq land 63 = 0 then
       ignore
-        (Domino_store.Store.append coord_store
-           (Printf.sprintf "dsq %d %d" acceptor seq));
+        (Domino_store.Store.append coord_store ~kind:"dsq"
+           (Seq_high_water { acceptor; seq }));
     seq
   in
   let callbacks =
@@ -101,8 +105,8 @@ let create ~net ~cfg ~observer ?stores () =
   let t = { net; cfg; replicas; coordinator; clients } in
   (* Crash-with-amnesia hooks: at the wipe instant volatile state drops;
      at the restart instant the surviving WAL suffix replays. The
-     coordinator's records share the co-located replica's store,
-     dispatched by prefix. *)
+     coordinator's records share the co-located replica's store; each
+     side replays the constructors it owns and skips the rest. *)
   let seq_slack = 64 + 1_000_000 in
   Durable.install net ~replicas:cfg.Config.replicas ~stores
     ~wipe:(fun i ->
@@ -113,18 +117,13 @@ let create ~net ~cfg ~observer ?stores () =
       let dsq_hw = Array.make n 0 in
       List.iter
         (fun record ->
-          if i = coord_index then
-            match String.split_on_char ' ' record with
-            | [ "dsq"; acceptor; seq ] -> begin
-              match (int_of_string_opt acceptor, int_of_string_opt seq) with
-              | Some a, Some s when a >= 0 && a < n ->
-                if s > dsq_hw.(a) then dsq_hw.(a) <- s
-              | _ -> ()
-            end
-            | kind :: _ when String.length kind > 0 && kind.[0] = 'c' ->
-              Dfp_coordinator.replay_record coordinator record
-            | _ -> Replica.replay_record replicas.(i) record
-          else Replica.replay_record replicas.(i) record)
+          if i = coord_index then begin
+            match record with
+            | Seq_high_water { acceptor; seq } ->
+              dsq_hw.(acceptor) <- Stdlib.max dsq_hw.(acceptor) seq
+            | _ -> Dfp_coordinator.replay_record coordinator record
+          end;
+          Replica.replay_record replicas.(i) record)
         records;
       Replica.set_replaying replicas.(i) false;
       if i = coord_index then

@@ -6,15 +6,47 @@ open Domino_measure
 module Store = Domino_store.Store
 
 module Tsmap = Map.Make (Int)
-module Iset = Set.Make (Int)
+
+(* DM positions, (lane, ts), hashed without the polymorphic hash. *)
+module Postbl = Hashtbl.Make (struct
+  type t = int * Time_ns.t
+
+  let equal (l1, t1) (l2, t2) = Int.equal l1 l2 && Int.equal t1 t2
+
+  (* Timestamps share trailing zeros; fold the high bits down so the
+     bucket index (the low bits) sees them. *)
+  let hash (lane, ts) =
+    let h = (ts * 0x9E3779B1) + lane in
+    h lxor (h lsr 32)
+end)
+
+(* This replica's share of the node's WAL (a co-located coordinator
+   adds its own records to the same store). Journal kinds in quotes. *)
+type Store.record +=
+  | Accepted of { ts : Time_ns.t; op : Op.t }
+        (** "dv": DFP round-0 accept, synced before the vote; "dp2a":
+            round-1 accept, synced before the P2b *)
+  | Decided of { ts : Time_ns.t; value : Op.t option }
+        (** "dc": DFP decision, synced before execution *)
+  | Decided_wm of Time_ns.t
+        (** "dw": DFP decided watermark, synced before its no-op
+            blanket opens positions to execution *)
+  | Dm_proposed of { ts : Time_ns.t; op : Op.t }
+        (** "dmp": own-lane DM proposal, synced before the accept round
+            — an amnesiac leader must not reuse the timestamp *)
+  | Dm_committed of { lane : int; ts : Time_ns.t; op : Op.t }
+        (** "dmc": DM commit, synced before execution *)
+  | Dm_wm of { lane : int; upto : Time_ns.t }
+        (** "dmw": DM lane watermark, synced before applying *)
 
 type dm_inst = {
   op : Op.t;
   mutable acks : int;
   mutable committed : bool;
-  mutable commit_acks : Iset.t;
-      (** replicas that applied the commit; the instance is retained
-          (holding the lane watermark down) until all have *)
+  mutable commit_acks : int;
+      (** bitmask of the replicas that applied the commit; the instance
+          is retained (holding the lane watermark down) until all have *)
+  mutable n_commit_acks : int;  (** bits set in [commit_acks] *)
   opened : Time_ns.t;  (** engine time, for retransmission pacing *)
 }
 
@@ -52,26 +84,14 @@ type t = {
   mutable dm_watermark_sent : Time_ns.t;
   (* DM acceptor: commits already persisted, to keep retransmissions
      from re-syncing. *)
-  dm_commit_seen : (int * Time_ns.t, unit) Hashtbl.t;
+  dm_commit_seen : unit Postbl.t;
   dm_wm_logged : Time_ns.t array;  (** per lane, like [dfp_wm_logged] *)
   (* Optional learner role (every_replica_learns): per (ts, op) accept
      counts from broadcast votes. *)
   learner_counts : (Time_ns.t * Op.id, int ref) Hashtbl.t;
   mutable probe_seq : int;
   mutable executed : int;
-  (* Durability. This replica's share of the node's WAL ("d"-prefixed
-     records; a co-located coordinator writes "c"-prefixed records to
-     the same store):
-     - "dv <ts> <op>"        DFP round-0 accept, synced before the vote;
-     - "dp2a <ts> <op>"      DFP round-1 accept, synced before the P2b;
-     - "dc <ts> <op|->"      DFP decision, synced before execution;
-     - "dw <upto>"           DFP decided watermark, synced before its
-       no-op blanket opens positions to execution;
-     - "dmp <ts> <op>"       own-lane DM proposal, synced before the
-       accept round — an amnesiac leader must not reuse the timestamp;
-     - "dmc <lane> <ts> <op>" DM commit, synced before execution;
-     - "dmw <lane> <upto>"   DM lane watermark, synced before applying. *)
-  store : Store.t;
+  store : Store.t;  (** the node's WAL; see the record type above *)
   mutable replaying : bool;
 }
 
@@ -162,9 +182,7 @@ let dfp_on_propose t (op : Op.t) ~ts =
         ~dur:(Time_ns.diff ts local)
         ~now:(now_engine t);
       t.dfp_accepted <- Tsmap.add ts op t.dfp_accepted;
-      Store.append_sync t.store
-        (Printf.sprintf "dv %d %s" ts (Op.to_wire op))
-        (fun () -> dfp_send_vote t ~ts ~subject:op ~report:(Message.Voted_op op))
+      Store.append_sync t.store ~kind:"dv" (Accepted { ts; op }) (fun () -> dfp_send_vote t ~ts ~subject:op ~report:(Message.Voted_op op))
     end
     else
       (* The position expired: it already holds an implicit no-op. *)
@@ -184,9 +202,7 @@ let dfp_on_p2a t ~ts ~value =
       ack () (* retransmitted P2a: already durable *)
     | _ ->
       t.dfp_accepted <- Tsmap.add ts op t.dfp_accepted;
-      Store.append_sync t.store
-        (Printf.sprintf "dp2a %d %s" ts (Op.to_wire op))
-        ack)
+      Store.append_sync t.store ~kind:"dp2a" (Accepted { ts; op }) ack)
 
 let dfp_lane t = Config.dfp_lane t.cfg
 
@@ -216,10 +232,8 @@ let dfp_commit_now t ~ts ~value =
 
 let dfp_on_commit t ~ts ~value ~seq =
   ignore (dfp_stream_in t ~seq : bool);
-  Store.append_sync t.store
-    (Printf.sprintf "dc %d %s" ts
-       (match value with Some op -> Op.to_wire op | None -> "-"))
-    (fun () -> dfp_commit_now t ~ts ~value)
+  Store.append_sync t.store ~kind:"dc" (Decided { ts; value }) (fun () ->
+      dfp_commit_now t ~ts ~value)
 
 (* The §6 storage claim in numbers: a billion log positions per second
    collapse into a handful of interval nodes. We blanket the newly
@@ -241,7 +255,7 @@ let dfp_apply_watermark t ~upto =
      must be durable before it takes effect. *)
   if upto > t.dfp_wm_logged then begin
     t.dfp_wm_logged <- upto;
-    Store.append_sync t.store (Printf.sprintf "dw %d" upto) (fun () ->
+    Store.append_sync t.store ~kind:"dw" (Decided_wm upto) (fun () ->
         dfp_apply_watermark_now t ~upto)
   end
 
@@ -280,8 +294,8 @@ let learner_on_vote t ~ts ~report =
       Hashtbl.remove t.learner_counts key;
       (* A locally learned decision is a decision like any other: it
          must hit the WAL before the state machine. *)
-      Store.append_sync t.store
-        (Printf.sprintf "dc %d %s" ts (Op.to_wire op))
+      Store.append_sync t.store ~kind:"dc"
+        (Decided { ts; value = Some op })
         (fun () ->
           Exec_engine.decide_op t.exec { Position.ts; lane = dfp_lane t } op)
     end;
@@ -309,13 +323,12 @@ let dm_propose t (op : Op.t) =
         op;
         acks = 1;
         committed = false;
-        commit_acks = Iset.empty;
+        commit_acks = 0;
+        n_commit_acks = 0;
         opened = now_engine t;
       }
       t.dm_pending;
-  Store.append_sync t.store
-    (Printf.sprintf "dmp %d %s" ts (Op.to_wire op))
-    (fun () ->
+  Store.append_sync t.store ~kind:"dmp" (Dm_proposed { ts; op }) (fun () ->
       Array.iteri
         (fun i r ->
           if i <> t.index then
@@ -347,13 +360,13 @@ let dm_on_accepted t ~ts =
     end
 
 let dm_on_commit t ~leader ~ts ~op =
-  if Hashtbl.mem t.dm_commit_seen (leader, ts) then
+  if Postbl.mem t.dm_commit_seen (leader, ts) then
     send t ~dst:(replicas t).(leader)
       (Message.Dm_commit_ack { leader; ts; acceptor = t.index })
   else begin
-    Hashtbl.replace t.dm_commit_seen (leader, ts) ();
-    Store.append_sync t.store
-      (Printf.sprintf "dmc %d %d %s" leader ts (Op.to_wire op))
+    Postbl.replace t.dm_commit_seen (leader, ts) ();
+    Store.append_sync t.store ~kind:"dmc"
+      (Dm_committed { lane = leader; ts; op })
       (fun () ->
         Exec_engine.decide_op t.exec { Position.ts; lane = leader } op;
         send t ~dst:(replicas t).(leader)
@@ -364,15 +377,18 @@ let dm_on_commit_ack t ~ts ~acceptor =
   match Tsmap.find_opt ts t.dm_pending with
   | None -> ()
   | Some inst ->
-    inst.commit_acks <- Iset.add acceptor inst.commit_acks;
-    if inst.committed && Iset.cardinal inst.commit_acks >= Config.n t.cfg then
+    let bit = 1 lsl acceptor in
+    if inst.commit_acks land bit = 0 then begin
+      inst.commit_acks <- inst.commit_acks lor bit;
+      inst.n_commit_acks <- inst.n_commit_acks + 1
+    end;
+    if inst.committed && inst.n_commit_acks >= Config.n t.cfg then
       t.dm_pending <- Tsmap.remove ts t.dm_pending
 
 let dm_on_watermark t ~leader ~upto =
   if upto > t.dm_wm_logged.(leader) then begin
     t.dm_wm_logged.(leader) <- upto;
-    Store.append_sync t.store
-      (Printf.sprintf "dmw %d %d" leader upto)
+    Store.append_sync t.store ~kind:"dmw" (Dm_wm { lane = leader; upto })
       (fun () -> Exec_engine.set_watermark t.exec ~lane:leader upto)
   end
 
@@ -443,7 +459,7 @@ let retransmit t =
         if inst.committed then
           Array.iteri
             (fun i r ->
-              if not (Iset.mem i inst.commit_acks) then
+              if inst.commit_acks land (1 lsl i) = 0 then
                 send t ~dst:r
                   (Message.Dm_commit { leader = t.index; ts; op = inst.op }))
             (replicas t)
@@ -512,54 +528,37 @@ let wipe_volatile t =
   t.dm_cursor <- -1;
   t.dm_pending <- Tsmap.empty;
   t.dm_watermark_sent <- -1;
-  Hashtbl.reset t.dm_commit_seen;
+  Postbl.reset t.dm_commit_seen;
   Array.fill t.dm_wm_logged 0 (Array.length t.dm_wm_logged) (-1);
   Hashtbl.reset t.learner_counts
 
 let replay_record t record =
-  match String.split_on_char ' ' record with
-  | [ "dv"; ts; w ] | [ "dp2a"; ts; w ] -> begin
-    match Op.of_wire w with
-    | Some op -> t.dfp_accepted <- Tsmap.add (int_of_string ts) op t.dfp_accepted
-    | None -> ()
-  end
-  | [ "dc"; ts; w ] ->
-    dfp_commit_now t ~ts:(int_of_string ts)
-      ~value:(if w = "-" then None else Op.of_wire w)
-  | [ "dw"; upto ] ->
-    let upto = int_of_string upto in
+  match record with
+  | Accepted { ts; op } -> t.dfp_accepted <- Tsmap.add ts op t.dfp_accepted
+  | Decided { ts; value } -> dfp_commit_now t ~ts ~value
+  | Decided_wm upto ->
     t.dfp_wm_logged <- Stdlib.max t.dfp_wm_logged upto;
     dfp_apply_watermark_now t ~upto
-  | [ "dmp"; ts; w ] -> begin
-    match Op.of_wire w with
-    | None -> ()
-    | Some op ->
-      let ts = int_of_string ts in
-      t.dm_cursor <- Stdlib.max t.dm_cursor ts;
-      (* Replayed as uncommitted: the retransmission timer re-drives the
-         accept round, which is idempotent at the acceptors and decides
-         the same (ts, op). *)
-      t.dm_pending <-
-        Tsmap.add ts
-          {
-            op;
-            acks = 1;
-            committed = false;
-            commit_acks = Iset.empty;
-            opened = now_engine t;
-          }
-          t.dm_pending
-  end
-  | [ "dmc"; lane; ts; w ] -> begin
-    match Op.of_wire w with
-    | None -> ()
-    | Some op ->
-      let lane = int_of_string lane and ts = int_of_string ts in
-      Hashtbl.replace t.dm_commit_seen (lane, ts) ();
-      Exec_engine.decide_op t.exec { Position.ts; lane } op
-  end
-  | [ "dmw"; lane; upto ] ->
-    let lane = int_of_string lane and upto = int_of_string upto in
+  | Dm_proposed { ts; op } ->
+    t.dm_cursor <- Stdlib.max t.dm_cursor ts;
+    (* Replayed as uncommitted: the retransmission timer re-drives the
+       accept round, which is idempotent at the acceptors and decides
+       the same (ts, op). *)
+    t.dm_pending <-
+      Tsmap.add ts
+        {
+          op;
+          acks = 1;
+          committed = false;
+          commit_acks = 0;
+        n_commit_acks = 0;
+          opened = now_engine t;
+        }
+        t.dm_pending
+  | Dm_committed { lane; ts; op } ->
+    Postbl.replace t.dm_commit_seen (lane, ts) ();
+    Exec_engine.decide_op t.exec { Position.ts; lane } op
+  | Dm_wm { lane; upto } ->
     if upto > t.dm_wm_logged.(lane) then begin
       t.dm_wm_logged.(lane) <- upto;
       Exec_engine.set_watermark t.exec ~lane upto
@@ -589,7 +588,7 @@ let create ~net ~cfg ~index ~observer ~store () =
       dm_cursor = -1;
       dm_pending = Tsmap.empty;
       dm_watermark_sent = -1;
-      dm_commit_seen = Hashtbl.create 256;
+      dm_commit_seen = Postbl.create 256;
       dm_wm_logged = Array.make n (-1);
       learner_counts = Hashtbl.create 256;
       probe_seq = 0;

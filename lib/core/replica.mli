@@ -36,9 +36,9 @@ val create :
     network handler is installed by {!Domino.create}, which routes
     messages here via {!handle} (and to the coordinator when
     co-located). Starts the probing and heartbeat/watermark timers.
-    [store] is the node's stable store; the replica writes "d"-prefixed
-    WAL records to it (a co-located coordinator shares it with "c"
-    records). *)
+    [store] is the node's stable store; the replica writes its own WAL
+    records to it (journal kinds "dv", "dp2a", "dc", "dw", "dmp", "dmc",
+    "dmw"; a co-located coordinator shares it with its own). *)
 
 val handle : t -> src:Nodeid.t -> Message.msg -> unit
 
@@ -49,9 +49,10 @@ val wipe_volatile : t -> unit
     {!Domino.create}); pair with {!replay_record} over the store's
     surviving records. *)
 
-val replay_record : t -> string -> unit
-(** Re-apply one surviving "d"-prefixed WAL record (in log order).
-    Records of a co-located coordinator are ignored. *)
+val replay_record : t -> Domino_store.Store.record -> unit
+(** Re-apply one surviving WAL record of this replica's (in log order).
+    Records it does not own — a co-located coordinator's — are
+    ignored. *)
 
 val set_replaying : t -> bool -> unit
 (** While true, replayed executions skip the observer — they were

@@ -12,10 +12,12 @@ type t = {
      add/expire so {!percentile} is a pair of array reads instead of a
      copy + sort per call. [sorted.(0 .. size-1)] always equals the
      ascending sort of the live ring values; inserts and removals are a
-     binary search plus an [Array.blit] shift (a memmove), which for the
-     ~100-element windows the estimator keeps is far cheaper than the
-     O(n log n) sort this replaces — percentile queries dominated whole
-     simulation runs before. *)
+     binary search plus a shift, which for the ~100-element windows the
+     estimator keeps is far cheaper than the O(n log n) sort this
+     replaces — percentile queries dominated whole simulation runs
+     before. The shifts are plain loops, not [Array.blit]: on an array
+     in the major heap OCaml 5's blit calls [caml_modify] per element,
+     since it cannot know the elements are ints. *)
   mutable sorted : Time_ns.span array;
 }
 
@@ -50,14 +52,20 @@ let lower_bound t v =
 
 let sorted_insert t v =
   let i = lower_bound t v in
-  Array.blit t.sorted i t.sorted (i + 1) (t.size - i);
-  t.sorted.(i) <- v
+  let a = t.sorted in
+  for j = t.size downto i + 1 do
+    a.(j) <- a.(j - 1)
+  done;
+  a.(i) <- v
 
 let sorted_remove t v =
   let i = lower_bound t v in
   (* The value is present by invariant: it was inserted on add and is
      removed exactly once, on expiry. *)
-  Array.blit t.sorted (i + 1) t.sorted i (t.size - 1 - i)
+  let a = t.sorted in
+  for j = i to t.size - 2 do
+    a.(j) <- a.(j + 1)
+  done
 
 let grow t =
   let cap = capacity t in
@@ -72,7 +80,9 @@ let grow t =
   t.values <- nvalues;
   t.head <- 0;
   let nsorted = Array.make ncap 0 in
-  Array.blit t.sorted 0 nsorted 0 t.size;
+  for i = 0 to t.size - 1 do
+    nsorted.(i) <- t.sorted.(i)
+  done;
   t.sorted <- nsorted
 
 let expire t ~now =

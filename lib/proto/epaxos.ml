@@ -23,34 +23,6 @@ let attrs_equal a b =
   a.seq = b.seq
   && List.sort_uniq compare a.deps = List.sort_uniq compare b.deps
 
-(* Wire forms for stable-storage records (space-free tokens): an
-   instance is "lane.iid", attributes are "seq:dep,dep,...". *)
-let inst_wire i = Printf.sprintf "%d.%d" i.lane i.iid
-
-let inst_of_wire s =
-  match String.split_on_char '.' s with
-  | [ l; i ] -> (
-    match (int_of_string_opt l, int_of_string_opt i) with
-    | Some lane, Some iid -> Some { lane; iid }
-    | _ -> None)
-  | _ -> None
-
-let attrs_wire a =
-  Printf.sprintf "%d:%s" a.seq (String.concat "," (List.map inst_wire a.deps))
-
-let attrs_of_wire s =
-  match String.split_on_char ':' s with
-  | [ seq; deps ] -> (
-    match int_of_string_opt seq with
-    | None -> None
-    | Some seq ->
-      let deps =
-        List.filter_map inst_of_wire
-          (List.filter (fun d -> d <> "") (String.split_on_char ',' deps))
-      in
-      Some { seq; deps })
-  | _ -> None
-
 type msg =
   | Request of Op.t
   | PreAccept of { inst : inst_id; op : Op.t; attrs : attrs }
@@ -64,6 +36,21 @@ type msg =
   | Reply of { op : Op.t }
 
 type status = Preaccepted | Accepted | Committed | Executed
+
+(* WAL records, per replica: an instance's op and attributes as of one
+   phase (journal kinds in quotes):
+   - "own": leader, synced before the PreAccept round — an amnesiac
+     leader must not reuse the instance id;
+   - "pre": acceptor, first PreAccept only, synced before PreAcceptOk —
+     the recorded attributes are the promise;
+   - "macc": accept-round attributes (at the leader before MAccept goes
+     out, at acceptors before MAcceptOk);
+   - "cmt": synced before the commit is externalized (leader) or
+     executed (everyone). *)
+type phase = Own | Pre | Macc | Cmt
+
+type Store.record +=
+  | Instance of { phase : phase; inst : inst_id; op : Op.t; attrs : attrs }
 
 type cmd = {
   op : Op.t;
@@ -104,21 +91,19 @@ type t = {
   mutable states : replica_state array;
   mutable fast : int;
   mutable slow : int;
-  (* Durability. WAL records, per replica ([i] = "lane.iid", [a] =
-     "seq:dep,dep"):
-     - "own <i> <op> <a>"   leader, synced before the PreAccept round —
-       an amnesiac leader must not reuse the instance id;
-     - "pre <i> <op> <a>"   acceptor, first PreAccept only, synced
-       before PreAcceptOk — the recorded attributes are the promise;
-     - "macc <i> <op> <a>"  accept-round attributes (at the leader
-       before MAccept goes out, at acceptors before MAcceptOk);
-     - "cmt <i> <op> <a>"   synced before the commit is externalized
-       (leader) or executed (everyone). *)
-  stores : Store.t array;
+  stores : Store.t array;  (** the replicas' WALs; see the record type *)
   replaying : bool array;
 }
 
 let now t = Engine.now (Fifo_net.engine t.net)
+
+let persist t st phase ~inst ~op ~attrs k =
+  let kind =
+    match phase with Own -> "own" | Pre -> "pre" | Macc -> "macc" | Cmt -> "cmt"
+  in
+  Store.append_sync t.stores.(st.lane) ~kind
+    (Instance { phase; inst; op; attrs })
+    k
 
 (* --- Attribute computation against the local interference table --- *)
 
@@ -283,10 +268,7 @@ let record_commit t st ~inst ~op ~attrs =
 (* --- Leader logic --- *)
 
 let broadcast_commit t st ~inst ~op ~attrs =
-  Store.append_sync t.stores.(st.lane)
-    (Printf.sprintf "cmt %s %s %s" (inst_wire inst) (Op.to_wire op)
-       (attrs_wire attrs))
-    (fun () ->
+  persist t st Cmt ~inst ~op ~attrs (fun () ->
       Array.iter
         (fun r ->
           if not (Nodeid.equal r st.self) then
@@ -311,10 +293,7 @@ let leader_on_request t st (op : Op.t) =
         opened = now t;
       }
       st.pending;
-  Store.append_sync t.stores.(st.lane)
-    (Printf.sprintf "own %s %s %s" (inst_wire inst) (Op.to_wire op)
-       (attrs_wire attrs))
-    (fun () ->
+  persist t st Own ~inst ~op ~attrs (fun () ->
       if t.n = 1 then broadcast_commit t st ~inst ~op ~attrs
       else
         Array.iter
@@ -365,10 +344,7 @@ let leader_on_preaccept_ok t st ~inst ~acceptor ~(attrs : attrs) =
             (* The union attributes are this leader's accept-round
                proposal; they must survive a wipe or a re-driven round
                could propose a different union. *)
-            Store.append_sync t.stores.(st.lane)
-              (Printf.sprintf "macc %s %s %s" (inst_wire inst)
-                 (Op.to_wire cmd.op) (attrs_wire attrs))
-              (fun () ->
+            persist t st Macc ~inst ~op:cmd.op ~attrs (fun () ->
                 Array.iter
                   (fun r ->
                     if not (Nodeid.equal r st.self) then
@@ -415,10 +391,7 @@ let acceptor_on_preaccept t st ~inst ~(op : Op.t) ~attrs =
     st.cmds <-
       Instmap.add inst { op; attrs = merged; status = Preaccepted } st.cmds;
     note_instance st ~key:op.Op.key ~inst ~seq:merged.seq;
-    Store.append_sync t.stores.(st.lane)
-      (Printf.sprintf "pre %s %s %s" (inst_wire inst) (Op.to_wire op)
-         (attrs_wire merged))
-      (fun () ->
+    persist t st Pre ~inst ~op ~attrs:merged (fun () ->
         Fifo_net.send t.net ~src:st.self
           ~dst:t.replicas.(inst.lane)
           (PreAcceptOk { inst; attrs = merged; acceptor = st.self }))
@@ -448,10 +421,7 @@ let acceptor_on_accept t st ~(inst : inst_id) ~(op : Op.t) ~attrs =
     | None ->
       st.cmds <- Instmap.add inst { op; attrs; status = Accepted } st.cmds);
     note_instance st ~key:op.Op.key ~inst ~seq:attrs.seq;
-    Store.append_sync t.stores.(st.lane)
-      (Printf.sprintf "macc %s %s %s" (inst_wire inst) (Op.to_wire op)
-         (attrs_wire attrs))
-      ack
+    persist t st Macc ~inst ~op ~attrs ack
   end
 
 let handle t lane ~src msg =
@@ -467,10 +437,8 @@ let handle t lane ~src msg =
     match Instmap.find_opt inst st.cmds with
     | Some { status = Committed | Executed; _ } -> () (* re-delivered *)
     | _ ->
-      Store.append_sync t.stores.(st.lane)
-        (Printf.sprintf "cmt %s %s %s" (inst_wire inst) (Op.to_wire op)
-           (attrs_wire attrs))
-        (fun () -> record_commit t st ~inst ~op ~attrs)
+      persist t st Cmt ~inst ~op ~attrs (fun () ->
+          record_commit t st ~inst ~op ~attrs)
   end
   | CommitReq { inst } -> begin
     match Instmap.find_opt inst st.cmds with
@@ -498,66 +466,56 @@ let wipe t lane =
 
 let replay_record t lane record =
   let st = t.states.(lane) in
-  match String.split_on_char ' ' record with
-  | [ kind; i; w; a ] -> begin
-    match (inst_of_wire i, Op.of_wire w, attrs_of_wire a) with
-    | Some inst, Some op, Some attrs -> begin
-      if inst.lane = lane then
-        st.next_iid <- Stdlib.max st.next_iid (inst.iid + 1);
-      match kind with
-      | "own" ->
-        if not (Instmap.mem inst st.cmds) then begin
-          st.cmds <-
-            Instmap.add inst { op; attrs; status = Preaccepted } st.cmds;
-          note_instance st ~key:op.Op.key ~inst ~seq:attrs.seq;
-          st.pending <-
-            Instmap.add inst
-              {
-                initial = attrs;
-                replies = [];
-                acks = Nodeid.Set.singleton st.self;
-                in_accept = false;
-                opened = now t;
-              }
-              st.pending
-        end
-      | "pre" ->
-        if not (Instmap.mem inst st.cmds) then begin
-          st.cmds <-
-            Instmap.add inst { op; attrs; status = Preaccepted } st.cmds;
-          note_instance st ~key:op.Op.key ~inst ~seq:attrs.seq
-        end
-      | "macc" -> begin
-        (match Instmap.find_opt inst st.cmds with
-        | Some ({ status = Preaccepted | Accepted; _ } as cmd) ->
-          cmd.attrs <- attrs;
-          cmd.status <- Accepted
-        | Some _ -> ()
-        | None ->
-          st.cmds <- Instmap.add inst { op; attrs; status = Accepted } st.cmds);
+  match record with
+  | Instance { phase; inst; op; attrs } -> begin
+    if inst.lane = lane then
+      st.next_iid <- Stdlib.max st.next_iid (inst.iid + 1);
+    match phase with
+    | Own ->
+      if not (Instmap.mem inst st.cmds) then begin
+        st.cmds <- Instmap.add inst { op; attrs; status = Preaccepted } st.cmds;
         note_instance st ~key:op.Op.key ~inst ~seq:attrs.seq;
-        if inst.lane = lane then
-          match Instmap.find_opt inst st.pending with
-          | Some p ->
-            p.in_accept <- true;
-            p.acks <- Nodeid.Set.singleton st.self
-          | None -> ()
+        st.pending <-
+          Instmap.add inst
+            {
+              initial = attrs;
+              replies = [];
+              acks = Nodeid.Set.singleton st.self;
+              in_accept = false;
+              opened = now t;
+            }
+            st.pending
       end
-      | "cmt" ->
-        if inst.lane = lane then st.pending <- Instmap.remove inst st.pending;
-        record_commit t st ~inst ~op ~attrs
-      | _ -> ()
+    | Pre ->
+      if not (Instmap.mem inst st.cmds) then begin
+        st.cmds <- Instmap.add inst { op; attrs; status = Preaccepted } st.cmds;
+        note_instance st ~key:op.Op.key ~inst ~seq:attrs.seq
+      end
+    | Macc -> begin
+      (match Instmap.find_opt inst st.cmds with
+      | Some ({ status = Preaccepted | Accepted; _ } as cmd) ->
+        cmd.attrs <- attrs;
+        cmd.status <- Accepted
+      | Some _ -> ()
+      | None ->
+        st.cmds <- Instmap.add inst { op; attrs; status = Accepted } st.cmds);
+      note_instance st ~key:op.Op.key ~inst ~seq:attrs.seq;
+      if inst.lane = lane then
+        match Instmap.find_opt inst st.pending with
+        | Some p ->
+          p.in_accept <- true;
+          p.acks <- Nodeid.Set.singleton st.self
+        | None -> ()
     end
-    | _ -> ()
+    | Cmt ->
+      if inst.lane = lane then st.pending <- Instmap.remove inst st.pending;
+      record_commit t st ~inst ~op ~attrs
   end
   | _ -> ()
 
-let replay t lane snap records =
+(* EPaxos never snapshots: its log is the whole recovery state. *)
+let replay t lane _snap records =
   t.replaying.(lane) <- true;
-  (match snap with
-  | None -> ()
-  | Some blob ->
-    List.iter (replay_record t lane) (String.split_on_char '\n' blob));
   List.iter (replay_record t lane) records;
   t.replaying.(lane) <- false
 

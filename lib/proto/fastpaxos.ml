@@ -18,6 +18,22 @@ type msg =
       (** replica -> coordinator: resend decided commits from this slot *)
   | Reply of { op : Op.t }  (** coordinator -> client, slow path result *)
 
+(* WAL records (journal kinds in quotes):
+   - "vote": acceptor, synced before its round-0 Vote — an amnesiac
+     acceptor must never double-vote a slot nor reuse one;
+   - "p2a": acceptor, synced before its P2b ack;
+   - "dec": coordinator, synced before the decision is revealed (Commit
+     broadcast / Reply);
+   - "reco": coordinator, synced before the round-1 P2a — the recovery
+     value must not change across a wipe;
+   - "cmt": every replica, synced before execution. *)
+type Store.record +=
+  | Voted of { slot : int; op : Op.t }
+  | Accepted_r1 of { slot : int; value : Op.t option }
+  | Decided of { slot : int; value : Op.t option; fast : bool }
+  | Recovering of { slot : int; value : Op.t option }
+  | Committed of { slot : int; value : Op.t option }
+
 type acceptor_state = {
   self : Nodeid.t;
   idx : int;
@@ -69,16 +85,7 @@ type t = {
   mutable client_votes : Nodeid.Set.t Imap.t Op.Idmap.t;
   mutable fast : int;
   mutable slow : int;
-  (* Durability. WAL records:
-     - "vote <slot> <op>"     acceptor, synced before its round-0 Vote —
-       an amnesiac acceptor must never double-vote a slot nor reuse one;
-     - "p2a <slot> <v|->"     acceptor, synced before its P2b ack;
-     - "dec <slot> <v|-> <f|s>"  coordinator, synced before the decision
-       is revealed (Commit broadcast / Reply);
-     - "reco <slot> <v|->"    coordinator, synced before the round-1
-       P2a — the recovery value must not change across a wipe;
-     - "cmt <slot> <v|->"     every replica, synced before execution. *)
-  stores : Store.t array;
+  stores : Store.t array;  (** the replicas' WALs; see the record type *)
   replaying : bool array;
 }
 
@@ -86,10 +93,6 @@ let now t = Engine.now (Fifo_net.engine t.net)
 
 let broadcast t ~src msg =
   Array.iter (fun r -> Fifo_net.send t.net ~src ~dst:r msg) t.replicas
-
-let value_wire = function Some op -> Op.to_wire op | None -> "-"
-
-let value_of_wire = function "-" -> None | w -> Op.of_wire w
 
 let tally t slot =
   match Imap.find_opt slot t.tallies with
@@ -134,8 +137,7 @@ let deliver_commit t idx slot value =
   if not (Interval_set.mem slot t.decided_sets.(idx)) then
     if t.replaying.(idx) then deliver_commit_now t idx slot value
     else
-      Store.append_sync t.stores.(idx)
-        (Printf.sprintf "cmt %d %s" slot (value_wire value))
+      Store.append_sync t.stores.(idx) ~kind:"cmt" (Committed { slot; value })
         (fun () -> deliver_commit_now t idx slot value)
 
 (* --- Coordinator logic --- *)
@@ -145,8 +147,8 @@ let deliver_commit t idx slot value =
    (so it never changes across a wipe), and only then on the wire. *)
 let send_recovery t slot (tl : slot_tally) value =
   tl.recovering <- Some value;
-  Store.append_sync t.stores.(t.coord_idx)
-    (Printf.sprintf "reco %d %s" slot (value_wire value))
+  Store.append_sync t.stores.(t.coord_idx) ~kind:"reco"
+    (Recovering { slot; value })
     (fun () ->
       tl.reco_durable <- true;
       broadcast t ~src:t.coordinator (P2a { slot; value }))
@@ -192,9 +194,8 @@ let commit_slot t slot value ~fast_path =
         true
       | _ -> false
     in
-    Store.append_sync t.stores.(t.coord_idx)
-      (Printf.sprintf "dec %d %s %s" slot (value_wire value)
-         (if fast_path then "f" else "s"))
+    Store.append_sync t.stores.(t.coord_idx) ~kind:"dec"
+      (Decided { slot; value; fast = fast_path })
       (fun () ->
         tl.durable <- true;
         broadcast t ~src:t.coordinator (Commit { slot; value });
@@ -342,8 +343,7 @@ let acceptor_on_propose t (st : acceptor_state) (op : Op.t) =
   let slot = st.next_free in
   st.next_free <- slot + 1;
   st.voted <- Imap.add slot (0, op, now t) st.voted;
-  Store.append_sync t.stores.(st.idx)
-    (Printf.sprintf "vote %d %s" slot (Op.to_wire op))
+  Store.append_sync t.stores.(st.idx) ~kind:"vote" (Voted { slot; op })
     (fun () ->
       let vote = Vote { slot; op; acceptor = st.self } in
       Fifo_net.send t.net ~src:st.self ~dst:t.coordinator vote;
@@ -367,8 +367,8 @@ let acceptor_on_p2a t (st : acceptor_state) ~slot ~value =
     (match value with
     | Some op -> st.voted <- Imap.add slot (1, op, now t) st.voted
     | None -> ());
-    Store.append_sync t.stores.(st.idx)
-      (Printf.sprintf "p2a %d %s" slot (value_wire value))
+    Store.append_sync t.stores.(st.idx) ~kind:"p2a"
+      (Accepted_r1 { slot; value })
       ack
   end
 
@@ -418,48 +418,34 @@ let wipe t i =
 
 let replay_record t i record =
   let st = t.acceptors.(i) in
-  match String.split_on_char ' ' record with
-  | [ "vote"; s; w ] -> begin
-    match Op.of_wire w with
-    | None -> ()
-    | Some op ->
-      let slot = int_of_string s in
-      st.voted <- Imap.add slot (0, op, now t) st.voted;
-      st.next_free <- Stdlib.max st.next_free (slot + 1)
-  end
-  | [ "p2a"; s; w ] -> begin
-    match value_of_wire w with
-    | None -> ()
-    | Some op ->
-      let slot = int_of_string s in
-      st.voted <- Imap.add slot (1, op, now t) st.voted;
-      st.next_free <- Stdlib.max st.next_free (slot + 1)
-  end
-  | [ "cmt"; s; w ] ->
-    let slot = int_of_string s in
+  match record with
+  | Voted { slot; op } ->
+    st.voted <- Imap.add slot (0, op, now t) st.voted;
+    st.next_free <- Stdlib.max st.next_free (slot + 1)
+  | Accepted_r1 { slot; value = Some op } ->
+    st.voted <- Imap.add slot (1, op, now t) st.voted;
+    st.next_free <- Stdlib.max st.next_free (slot + 1)
+  | Committed { slot; value } ->
     if not (Interval_set.mem slot t.decided_sets.(i)) then
-      deliver_commit_now t i slot (value_of_wire w)
-  | [ "dec"; s; w; f ] when i = t.coord_idx ->
-    let slot = int_of_string s in
+      deliver_commit_now t i slot value
+  | Decided { slot; value; fast } when i = t.coord_idx ->
     let tl = tally t slot in
     if not tl.decided then begin
       tl.decided <- true;
       tl.durable <- true;
-      tl.value <- value_of_wire w;
+      tl.value <- value;
       t.undecided_slots <- Islot.remove slot t.undecided_slots;
-      if f = "f" then t.fast <- t.fast + 1 else t.slow <- t.slow + 1;
+      if fast then t.fast <- t.fast + 1 else t.slow <- t.slow + 1;
       t.max_slot <- Stdlib.max t.max_slot slot;
-      match tl.value with
+      match value with
       | Some op ->
         t.committed_ops <- Op.Idset.add (Op.id op) t.committed_ops;
         t.ops_seen <- Op.Idmap.add (Op.id op) op t.ops_seen
       | None -> ()
     end
-  | [ "reco"; s; w ] when i = t.coord_idx ->
-    let slot = int_of_string s in
+  | Recovering { slot; value } when i = t.coord_idx ->
     let tl = tally t slot in
     if not tl.decided then begin
-      let value = value_of_wire w in
       tl.recovering <- Some value;
       tl.reco_durable <- true;
       t.max_slot <- Stdlib.max t.max_slot slot;
@@ -471,11 +457,9 @@ let replay_record t i record =
     end
   | _ -> ()
 
-let replay t i snap records =
+(* Fast Paxos never snapshots: its log is the whole recovery state. *)
+let replay t i _snap records =
   t.replaying.(i) <- true;
-  (match snap with
-  | None -> ()
-  | Some blob -> List.iter (replay_record t i) (String.split_on_char '\n' blob));
   List.iter (replay_record t i) records;
   t.replaying.(i) <- false
 

@@ -24,6 +24,26 @@ type proposal = {
 
 module Imap = Map.Make (Int)
 
+(* WAL records, per replica (journal kinds in quotes):
+   - "prop": owner, synced before the Accept broadcast and the local
+     decision — an amnesiac owner must re-propose the same value into
+     the same slot;
+   - "acc": acceptor, synced before its Accepted ack and the local
+     decision (an Accept is final in Mencius);
+   - "skip": owner, synced before the Skip broadcast — the owner must
+     never propose below a noop bound others learned;
+   - "wm": acceptor, synced before the noop watermark advances —
+     execution past a skip must survive a wipe;
+   - "cmt": owner, plain append (rides the next group commit) marking
+     its proposal majority-acknowledged, so replay does not
+     double-count or re-announce old commits. *)
+type Store.record +=
+  | Proposed of { slot : int; op : Op.t }
+  | Accepted_slot of { slot : int; op : Op.t }
+  | Skipped of int
+  | Skip_wm of { lane : int; upto_k : int }
+  | Committed of int
+
 type replica_state = {
   self : Nodeid.t;
   lane : int;  (** this replica's lane = its index in [replicas] *)
@@ -50,20 +70,7 @@ type t = {
      handoff; in-flight proposals on the old lane still settle. *)
   steer : (Nodeid.t, Nodeid.t) Hashtbl.t;
   mutable committed_count : int;
-  (* Durability. WAL records, per replica:
-     - "prop <slot> <op>"  owner, synced before the Accept broadcast and
-       the local decision — an amnesiac owner must re-propose the same
-       value into the same slot;
-     - "acc <slot> <op>"   acceptor, synced before its Accepted ack and
-       the local decision (an Accept is final in Mencius);
-     - "skip <upto_k>"     owner, synced before the Skip broadcast — the
-       owner must never propose below a noop bound others learned;
-     - "wm <lane> <upto_k>" acceptor, synced before the noop watermark
-       advances — execution past a skip must survive a wipe;
-     - "cmt <slot>"        owner, plain append (rides the next group
-       commit) marking its proposal majority-acknowledged, so replay
-       does not double-count or re-announce old commits. *)
-  stores : Store.t array;
+  stores : Store.t array;  (** the replicas' WALs; see the record type *)
   replaying : bool array;
 }
 
@@ -89,7 +96,7 @@ let maybe_broadcast_skip t st =
   in
   if limit > st.skip_sent && not t.replaying.(st.lane) then begin
     st.skip_sent <- limit;
-    Store.append_sync t.stores.(st.lane) (Printf.sprintf "skip %d" limit)
+    Store.append_sync t.stores.(st.lane) ~kind:"skip" (Skipped limit)
       (fun () ->
         broadcast t ~src:st.self (Skip { owner_lane = st.lane; upto_k = limit }))
   end
@@ -103,8 +110,8 @@ let apply_skip t lane_idx ~owner_lane ~upto_k =
     let apply () = Exec_engine.set_watermark st.exec ~lane:owner_lane (upto_k - 1) in
     if t.replaying.(lane_idx) then apply ()
     else
-      Store.append_sync t.stores.(lane_idx)
-        (Printf.sprintf "wm %d %d" owner_lane upto_k)
+      Store.append_sync t.stores.(lane_idx) ~kind:"wm"
+        (Skip_wm { lane = owner_lane; upto_k })
         apply
   end
 
@@ -154,8 +161,7 @@ let handle t lane_idx ~src:_ msg =
     in
     st.proposals <- Imap.add slot p st.proposals;
     Hashtbl.replace st.own_by_id (Op.id op) p;
-    Store.append_sync t.stores.(lane_idx)
-      (Printf.sprintf "prop %d %s" slot (Op.to_wire op))
+    Store.append_sync t.stores.(lane_idx) ~kind:"prop" (Proposed { slot; op })
       (fun () ->
         Array.iter
           (fun r ->
@@ -174,8 +180,8 @@ let handle t lane_idx ~src:_ msg =
     else begin
       Hashtbl.replace st.acc_seen slot ();
       advance_past t st slot;
-      Store.append_sync t.stores.(lane_idx)
-        (Printf.sprintf "acc %d %s" slot (Op.to_wire op))
+      Store.append_sync t.stores.(lane_idx) ~kind:"acc"
+        (Accepted_slot { slot; op })
         (fun () ->
           ack ();
           record_decision t lane_idx slot op)
@@ -188,7 +194,7 @@ let handle t lane_idx ~src:_ msg =
       if (not p.committed) && Nodeid.Set.cardinal p.acks >= t.majority then begin
         p.committed <- true;
         t.committed_count <- t.committed_count + 1;
-        ignore (Store.append t.stores.(lane_idx) (Printf.sprintf "cmt %d" slot));
+        ignore (Store.append t.stores.(lane_idx) ~kind:"cmt" (Committed slot));
         t.observer.Observer.on_phase ~node:st.self ~op:(Some p.op)
           ~name:"quorum_reached" ~dur:0 ~now:(now t);
         maybe_reply t st p
@@ -237,48 +243,36 @@ let wipe t lane =
 
 let replay_record t lane record =
   let st = t.states.(lane) in
-  match String.split_on_char ' ' record with
-  | [ "prop"; s; w ] -> begin
-    match Op.of_wire w with
-    | None -> ()
-    | Some op ->
-      let slot = int_of_string s in
-      st.next_k <- Stdlib.max st.next_k (k_of ~n:t.n slot + 1);
-      let p =
-        {
-          op;
-          acks = Nodeid.Set.singleton st.self;
-          committed = false;
-          ordered = false;
-          replied = false;
-          opened = now t;
-        }
-      in
-      st.proposals <- Imap.add slot p st.proposals;
-      Hashtbl.replace st.own_by_id (Op.id op) p;
-      record_decision t lane slot op
-  end
-  | [ "acc"; s; w ] -> begin
-    match Op.of_wire w with
-    | None -> ()
-    | Some op ->
-      let slot = int_of_string s in
-      Hashtbl.replace st.acc_seen slot ();
-      advance_past t st slot;
-      record_decision t lane slot op
-  end
-  | [ "skip"; k ] ->
-    let k = int_of_string k in
+  match record with
+  | Proposed { slot; op } ->
+    st.next_k <- Stdlib.max st.next_k (k_of ~n:t.n slot + 1);
+    let p =
+      {
+        op;
+        acks = Nodeid.Set.singleton st.self;
+        committed = false;
+        ordered = false;
+        replied = false;
+        opened = now t;
+      }
+    in
+    st.proposals <- Imap.add slot p st.proposals;
+    Hashtbl.replace st.own_by_id (Op.id op) p;
+    record_decision t lane slot op
+  | Accepted_slot { slot; op } ->
+    Hashtbl.replace st.acc_seen slot ();
+    advance_past t st slot;
+    record_decision t lane slot op
+  | Skipped k ->
     st.skip_sent <- Stdlib.max st.skip_sent k;
     st.next_k <- Stdlib.max st.next_k k
-  | [ "wm"; l; k ] ->
-    let l = int_of_string l and k = int_of_string k in
+  | Skip_wm { lane = l; upto_k = k } ->
     if k - 1 > st.wm_seen.(l) then begin
       st.wm_seen.(l) <- k - 1;
       Exec_engine.set_watermark st.exec ~lane:l (k - 1)
     end
-  | [ "cmt"; s ] -> begin
-    match Imap.find_opt (int_of_string s) st.proposals with
+  | Committed slot -> begin
+    match Imap.find_opt slot st.proposals with
     | Some p ->
       p.committed <- true;
       maybe_reply t st p
@@ -286,12 +280,9 @@ let replay_record t lane record =
   end
   | _ -> ()
 
-let replay t lane snap records =
+(* Mencius never snapshots: its log is the whole recovery state. *)
+let replay t lane _snap records =
   t.replaying.(lane) <- true;
-  (match snap with
-  | None -> ()
-  | Some blob ->
-    List.iter (replay_record t lane) (String.split_on_char '\n' blob));
   List.iter (replay_record t lane) records;
   t.replaying.(lane) <- false;
   (* The replayed cursor may be announceable now. *)

@@ -12,6 +12,25 @@ type msg =
   | Reply of { op : Op.t }
   | Pull of { from : int }  (** catch-up: resend commits from this slot *)
 
+(* WAL records (journal kinds in quotes):
+   - "open": leader, synced before the Accept broadcast — the slot->op
+     binding survives a leader wipe, so a re-driven slot can only
+     re-decide the same value;
+   - "acc": follower, synced before its Accepted ack — the classic
+     promise-before-ack;
+   - "dec": leader, on quorum (synced in the background: the binding is
+     already durable via "open");
+   - "cmt": every replica, synced before the op is parked/executed —
+     execution is gated on durability, so replay reproduces exactly the
+     executed prefix;
+   - "applied": the snapshot's header only (see [encode]). *)
+type Store.record +=
+  | Opened of { slot : int; op : Op.t }
+  | Acked of { slot : int; op : Op.t }
+  | Decided of { slot : int; op : Op.t }
+  | Committed of { slot : int; op : Op.t }
+  | Applied of int
+
 type slot_state = {
   op : Op.t;
   mutable acks : Nodeid.Set.t;
@@ -46,18 +65,7 @@ type t = {
   applied : (Nodeid.t, int ref) Hashtbl.t;
   parked : (Nodeid.t, (int, Op.t) Hashtbl.t) Hashtbl.t;
   execs : (Nodeid.t, Op.t Exec_engine.t) Hashtbl.t;
-  (* Durability. WAL records (one string each, space-separated):
-     - "open <slot> <op>"  leader, synced before the Accept broadcast —
-       the slot->op binding survives a leader wipe, so a re-driven slot
-       can only re-decide the same value;
-     - "acc <slot> <op>"   follower, synced before its Accepted ack —
-       the classic promise-before-ack;
-     - "dec <slot> <op>"   leader, on quorum (synced in the background:
-       the binding is already durable via "open");
-     - "cmt <slot> <op>"   every replica, synced before the op is
-       parked/executed — execution is gated on durability, so replay
-       reproduces exactly the executed prefix. *)
-  stores : Store.t array;
+  stores : Store.t array;  (** the replicas' WALs; see the record type *)
   acc_seen : (int, unit) Hashtbl.t array;  (** follower slots already synced *)
   replaying : bool array;
   mutable committed_count : int;
@@ -68,8 +76,6 @@ let now t = Engine.now (Fifo_net.engine t.net)
 let index_of t node = Durable.index_of t.replicas node
 
 let exec_engine t node = Hashtbl.find t.execs node
-
-let op_rec kind slot op = Printf.sprintf "%s %d %s" kind slot (Op.to_wire op)
 
 (* Commits normally arrive on the FIFO channel from the leader in slot
    order, but a replica that was crashed (or a slot that committed late
@@ -100,8 +106,8 @@ let apply_commit t node slot op =
     let idx = index_of t node in
     if t.replaying.(idx) then apply_commit_now t node slot op
     else
-      Store.append_sync t.stores.(idx) (op_rec "cmt" slot op) (fun () ->
-          apply_commit_now t node slot op)
+      Store.append_sync t.stores.(idx) ~kind:"cmt" (Committed { slot; op })
+        (fun () -> apply_commit_now t node slot op)
 
 let handle_leader t ~src msg =
   match msg with
@@ -120,7 +126,8 @@ let handle_leader t ~src msg =
       }
     in
     Hashtbl.replace t.slots slot state;
-    Store.append_sync t.stores.(index_of t t.leader) (op_rec "open" slot op)
+    Store.append_sync t.stores.(index_of t t.leader) ~kind:"open"
+      (Opened { slot; op })
       (fun () ->
         Array.iter
           (fun r ->
@@ -143,8 +150,9 @@ let handle_leader t ~src msg =
         (* The slot->op binding is already durable ("open"), so the
            decision can be externalized before its own record syncs: a
            wiped leader re-drives the slot to the same value. *)
-        Store.append_sync t.stores.(index_of t t.leader)
-          (op_rec "dec" slot state.op) (fun () -> ());
+        Store.append_sync t.stores.(index_of t t.leader) ~kind:"dec"
+          (Decided { slot; op = state.op })
+          (fun () -> ());
         Fifo_net.send t.net ~src:t.leader ~dst:state.op.Op.client
           (Reply { op = state.op });
         Array.iter
@@ -181,7 +189,7 @@ let handle_follower t self ~src:_ msg =
     if Hashtbl.mem t.acc_seen.(idx) slot then ack ()
     else begin
       Hashtbl.replace t.acc_seen.(idx) slot ();
-      Store.append_sync t.stores.(idx) (op_rec "acc" slot op) ack
+      Store.append_sync t.stores.(idx) ~kind:"acc" (Acked { slot; op }) ack
     end
   | Commit { slot; op } -> apply_commit t self slot op
   | Request _ | Accepted _ | Reply _ | Pull _ -> ()
@@ -199,26 +207,40 @@ let fresh_exec t r =
       if not t.replaying.(idx) then
         t.observer.Observer.on_execute ~replica:r op ~now:(now t))
 
-(* The snapshot is the same language as the WAL plus an "applied"
-   header, so decode is just replay. *)
+(* The snapshot codec, the one place a WAL record is text: an
+   "applied" header, then the leader's decided and open slots, one
+   "<kind> <slot> <op>" line each. Its length is journaled
+   ([store.snapshot … bytes=]), so the format is fixed. Decoding yields
+   the log's own records, and replay treats both alike. *)
 let encode t i =
   let node = t.replicas.(i) in
   let buf = Buffer.create 256 in
+  let line kind slot op =
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (Printf.sprintf "%s %d %s" kind slot (Op.to_wire op))
+  in
   Buffer.add_string buf
     (Printf.sprintf "applied %d" !(Hashtbl.find t.applied node));
   if Nodeid.equal node t.leader then begin
+    Hashtbl.iter (fun slot op -> line "dec" slot op) t.committed_log;
     Hashtbl.iter
-      (fun slot op ->
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (op_rec "dec" slot op))
-      t.committed_log;
-    Hashtbl.iter
-      (fun slot (state : slot_state) ->
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (op_rec "open" slot state.op))
+      (fun slot (state : slot_state) -> line "open" slot state.op)
       t.slots
   end;
   Buffer.contents buf
+
+let decode blob =
+  List.filter_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "applied"; n ] -> Some (Applied (int_of_string n))
+      | [ kind; s; w ] -> (
+        match (kind, Op.of_wire w) with
+        | "dec", Some op -> Some (Decided { slot = int_of_string s; op })
+        | "open", Some op -> Some (Opened { slot = int_of_string s; op })
+        | _ -> None)
+      | _ -> None)
+    (String.split_on_char '\n' blob)
 
 let wipe t i =
   let node = t.replicas.(i) in
@@ -235,53 +257,35 @@ let wipe t i =
 
 let replay_record t node record =
   let is_leader = Nodeid.equal node t.leader in
-  match String.split_on_char ' ' record with
-  | [ "applied"; n ] ->
-    let n = int_of_string n in
+  match record with
+  | Applied n ->
     Hashtbl.find t.applied node := n;
     Exec_engine.set_watermark (exec_engine t node) ~lane:0 (n - 1)
-  | [ "open"; s; w ] when is_leader -> begin
-    match Op.of_wire w with
-    | None -> ()
-    | Some op ->
-      let slot = int_of_string s in
-      t.next_slot <- Stdlib.max t.next_slot (slot + 1);
-      if not (Hashtbl.mem t.committed_log slot) then
-        Hashtbl.replace t.slots slot
-          {
-            op;
-            acks = Nodeid.Set.singleton t.leader;
-            committed = false;
-            opened = now t;
-          }
-  end
-  | [ "dec"; s; w ] when is_leader -> begin
-    match Op.of_wire w with
-    | None -> ()
-    | Some op ->
-      let slot = int_of_string s in
-      t.next_slot <- Stdlib.max t.next_slot (slot + 1);
-      Hashtbl.remove t.slots slot;
-      if not (Hashtbl.mem t.committed_log slot) then begin
-        Hashtbl.replace t.committed_log slot op;
-        t.committed_count <- t.committed_count + 1
-      end
-  end
-  | [ "acc"; s; _ ] -> Hashtbl.replace t.acc_seen.(index_of t node) (int_of_string s) ()
-  | [ "cmt"; s; w ] -> begin
-    match Op.of_wire w with
-    | None -> ()
-    | Some op -> apply_commit_now t node (int_of_string s) op
-  end
+  | Opened { slot; op } when is_leader ->
+    t.next_slot <- Stdlib.max t.next_slot (slot + 1);
+    if not (Hashtbl.mem t.committed_log slot) then
+      Hashtbl.replace t.slots slot
+        {
+          op;
+          acks = Nodeid.Set.singleton t.leader;
+          committed = false;
+          opened = now t;
+        }
+  | Decided { slot; op } when is_leader ->
+    t.next_slot <- Stdlib.max t.next_slot (slot + 1);
+    Hashtbl.remove t.slots slot;
+    if not (Hashtbl.mem t.committed_log slot) then begin
+      Hashtbl.replace t.committed_log slot op;
+      t.committed_count <- t.committed_count + 1
+    end
+  | Acked { slot; _ } -> Hashtbl.replace t.acc_seen.(index_of t node) slot ()
+  | Committed { slot; op } -> apply_commit_now t node slot op
   | _ -> ()
 
 let replay t i snap records =
   let node = t.replicas.(i) in
   t.replaying.(i) <- true;
-  (match snap with
-  | None -> ()
-  | Some blob ->
-    List.iter (replay_record t node) (String.split_on_char '\n' blob));
+  Option.iter (fun blob -> List.iter (replay_record t node) (decode blob)) snap;
   List.iter (replay_record t node) records;
   t.replaying.(i) <- false
 

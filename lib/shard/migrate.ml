@@ -79,6 +79,11 @@ let finish t outcome =
   t.next_allowed <- Time_ns.add (Engine.now t.engine) cooldown;
   t.outcomes_r <- outcome :: t.outcomes_r
 
+(* The WAL record every destination replica fsyncs before the slot's
+   install span starts. Nothing replays it. *)
+type Domino_store.Store.record +=
+  | Handoff of { slot : int; from_g : int; to_g : int; records : int }
+
 (* The migration state machine, each phase a journaled [migrate.*]
    event:
 
@@ -140,8 +145,8 @@ let start t ~slot ~from_g ~to_g =
        does the modeled snapshot-install span start ticking. *)
     Domino_smr.Quiesce.persist
       (Array.to_list (t.dstores_of_group to_g))
-      (Printf.sprintf "handoff slot=%d from=g%d to=g%d records=%d" slot from_g
-         to_g records)
+      ~kind:"handoff"
+      (Handoff { slot; from_g; to_g; records })
       (fun () ->
         Engine.schedule t.engine ~delay:(t.install_span ~records)
           (cutover ~records))

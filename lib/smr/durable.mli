@@ -23,7 +23,7 @@ val install :
   replicas:Nodeid.t array ->
   stores:Domino_store.Store.t array ->
   wipe:(int -> unit) ->
-  replay:(int -> string option -> string list -> unit) ->
+  replay:(int -> string option -> Domino_store.Store.record list -> unit) ->
   unit
 (** Install {!Fifo_net.set_wipe_hook} for every replica: at the wipe
     instant [wipe i] drops replica [i]'s volatile state, then the store

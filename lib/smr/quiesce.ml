@@ -21,11 +21,11 @@ let drain engine ~freeze ~inflight ~unfreeze ~drained ~aborted =
         let queued = unfreeze () in
         aborted ~left ~queued)
 
-let persist stores record k =
+let persist stores ~kind record k =
   let waiting = ref (List.length stores) in
   List.iter
     (fun st ->
-      Domino_store.Store.append_sync st record (fun () ->
+      Domino_store.Store.append_sync st ~kind record (fun () ->
           decr waiting;
           if !waiting = 0 then k ()))
     stores

@@ -35,8 +35,13 @@ val drain :
     [unfreeze ()] releases the parked work (it returns how many
     submits it released, [queued]) and [aborted ~left ~queued] runs. *)
 
-val persist : Domino_store.Store.t list -> string -> (unit -> unit) -> unit
-(** [persist stores record k] appends [record] with an fsync on each of
+val persist :
+  Domino_store.Store.t list ->
+  kind:string ->
+  Domino_store.Store.record ->
+  (unit -> unit) ->
+  unit
+(** [persist stores ~kind record k] appends [record] with an fsync on each of
     the (non-empty) [stores], in list order, and calls [k] once, when
     the last fsync lands. A store wiped before its fsync lands drops
     the callback, and [k] never runs. *)

@@ -152,10 +152,11 @@ let change_detail = function
   | Replace { node; with_ } ->
     Printf.sprintf "node=%d replace with=%d" node with_
 
-let members_str members =
-  let out = ref [] in
-  Array.iteri (fun i m -> if m then out := i :: !out) members;
-  String.concat "," (List.rev_map string_of_int !out)
+(* The WAL record every member of a new configuration fsyncs before
+   the epoch externalizes. Nothing replays it: a restarted member
+   learns its configuration from the harness. *)
+type Domino_store.Store.record +=
+  | Config of { group : int; epoch : int; members : bool array }
 
 let validate_change t change =
   match change with
@@ -222,9 +223,7 @@ let request t change ~k =
           members_after.(node) <- false;
           members_after.(with_) <- true);
         let record =
-          Printf.sprintf "config group=%d epoch=%d members=%s" t.group
-            (t.epoch + 1)
-            (members_str members_after)
+          Config { group = t.group; epoch = t.epoch + 1; members = members_after }
         in
         (* Prepending visits the members in descending index order: the
            fsync order the journal pins. *)
@@ -232,7 +231,7 @@ let request t change ~k =
         Array.iteri
           (fun i m -> if m then targets := t.stores.(i) :: !targets)
           members_after;
-        Quiesce.persist !targets record apply_and_release
+        Quiesce.persist !targets ~kind:"config" record apply_and_release
       in
       let begin_change () =
         emit t ~stage:"begin" ~detail;

@@ -27,18 +27,24 @@ let default_params =
     durable = true;
   }
 
+type record = ..
+
+(* Filler for log slots that hold no record; never handed out. *)
+type record += Hole
+
 type t = {
   engine : Engine.t;
   node : int;
   params : params;
   journal : Journal.sink;
-  (* Record lists are newest-first; indices are global append positions.
-     [durable_upto] is the disk frontier: records with idx < durable_upto
-     survive a wipe (via the snapshot for idx < snapshot upto, via
-     [durable] for the rest). *)
+  (* The log is one array: [log.(i)] holds record [base + i], for
+     [base <= base + i < appended]. Records below [base] are covered by
+     the snapshot. [durable_upto] is the disk frontier: records in
+     [base, durable_upto) survive a wipe, [durable_upto, appended) do
+     not. *)
+  mutable log : record array;
+  mutable base : int;
   mutable appended : int;
-  mutable unsynced : (int * string) list;
-  mutable durable : (int * string) list;
   mutable durable_upto : int;
   mutable snap : (string * int) option;
   mutable waiting : (unit -> unit) list;
@@ -64,9 +70,9 @@ let create engine ~node ~params ~journal =
     node;
     params;
     journal;
+    log = Array.make 64 Hole;
+    base = 0;
     appended = 0;
-    unsynced = [];
-    durable = [];
     durable_upto = 0;
     snap = None;
     waiting = [];
@@ -118,18 +124,21 @@ let ints fields =
     fields;
   Buffer.contents b
 
-let kind_of record =
-  match String.index_opt record ' ' with
-  | None -> record
-  | Some i -> String.sub record 0 i
+(* Release the records in log slots [from, upto) to the GC. *)
+let clear t ~from ~upto = Array.fill t.log from (upto - from) Hole
 
-let append t record =
+let append t ~kind record =
   let idx = t.appended in
+  let slot = idx - t.base in
+  if slot = Array.length t.log then begin
+    let log = Array.make (2 * slot) Hole in
+    Array.blit t.log 0 log 0 slot;
+    t.log <- log
+  end;
+  t.log.(slot) <- record;
   t.appended <- idx + 1;
   t.n_appends <- t.n_appends + 1;
-  t.unsynced <- (idx, record) :: t.unsynced;
-  if recording t then
-    store_ev t "append" (ints [ ("rec", idx) ] ^ " kind=" ^ kind_of record);
+  if recording t then store_ev t "append" (ints [ ("rec", idx) ] ^ " kind=" ^ kind);
   idx
 
 (* One fsync barrier: everything appended before the barrier starts is
@@ -157,14 +166,7 @@ let rec start_barrier t =
     Engine.schedule t.engine ~delay:dur (fun () ->
         if t.epoch = epoch then begin
           t.inflight <- false;
-          if upto > t.durable_upto then begin
-            let newly, still =
-              List.partition (fun (idx, _) -> idx < upto) t.unsynced
-            in
-            t.unsynced <- still;
-            t.durable <- newly @ t.durable;
-            t.durable_upto <- upto
-          end;
+          if upto > t.durable_upto then t.durable_upto <- upto;
           if recording t && dur > 0 then
             Journal.emit t.journal
               (Journal.Phase
@@ -195,8 +197,8 @@ let sync t k =
           end)
     end
 
-let append_sync t record k =
-  ignore (append t record);
+let append_sync t ~kind record k =
+  ignore (append t ~kind record);
   sync t k
 
 let snapshot t blob ~upto =
@@ -211,11 +213,16 @@ let snapshot t blob ~upto =
         (match t.snap with
         | Some (_, prev) when prev >= upto -> ()
         | _ -> t.snap <- Some (blob, upto));
-        (* The snapshot covers every record below [upto]; drop them. *)
-        let keep_d = List.filter (fun (idx, _) -> idx >= upto) t.durable in
-        let cut = List.length t.durable - List.length keep_d in
-        t.durable <- keep_d;
-        t.unsynced <- List.filter (fun (idx, _) -> idx >= upto) t.unsynced;
+        (* The snapshot covers every record below [upto]: drop that
+           prefix of the log. [cut] counts the durable records among
+           them. *)
+        let cut = Stdlib.max 0 (Stdlib.min upto t.durable_upto - t.base) in
+        if upto > t.base then begin
+          let used = t.appended - t.base and dropped = upto - t.base in
+          Array.blit t.log dropped t.log 0 (used - dropped);
+          clear t ~from:(used - dropped) ~upto:used;
+          t.base <- upto
+        end;
         t.durable_upto <- Stdlib.max t.durable_upto upto;
         t.n_truncated <- t.n_truncated + cut;
         if cut > 0 && recording t then
@@ -228,22 +235,24 @@ let wipe t =
   t.barrier_open <- false;
   t.waiting <- [];
   t.n_wipes <- t.n_wipes + 1;
+  (* The unsynced tail is gone; the skip-fsync mutant's disk
+     acknowledged everything and kept nothing — the crash reveals the
+     lie. *)
+  let keep = if t.params.durable then t.durable_upto - t.base else 0 in
+  clear t ~from:keep ~upto:(t.appended - t.base);
   if not t.params.durable then begin
-    (* Skip-fsync mutant: the disk acknowledged everything and kept
-       nothing — the crash reveals the lie. *)
-    t.durable <- [];
+    t.base <- 0;
     t.durable_upto <- 0;
     t.snap <- None
   end;
   let lost = t.appended - t.durable_upto in
   t.n_lost <- t.n_lost + lost;
-  t.unsynced <- [];
   t.appended <- t.durable_upto;
   if recording t then
     recovery_ev t "wipe" (ints [ ("lost", lost); ("durable", t.durable_upto) ])
 
 let recovery_span t =
-  let n_records = List.length t.durable in
+  let n_records = t.durable_upto - t.base in
   let snap_part =
     match t.snap with None -> 0 | Some _ -> t.params.snapshot_latency
   in
@@ -251,11 +260,8 @@ let recovery_span t =
     (Time_ns.add snap_part (t.params.replay_per_record * n_records))
 
 let recover t =
-  let records =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) t.durable
-    |> List.map snd
-  in
-  let n = List.length records in
+  let n = t.durable_upto - t.base in
+  let records = List.init n (fun i -> t.log.(i)) in
   t.n_replayed <- t.n_replayed + n;
   let span = recovery_span t in
   t.recovery_spans <- span :: t.recovery_spans;

@@ -1,8 +1,11 @@
 (** Simulated per-node stable storage: a write-ahead log plus an atomic
     snapshot, with modeled latency and crash-with-amnesia semantics.
 
-    A store holds opaque string records in append order. [append] is an
-    in-memory buffer write; a record only survives a {!wipe} once an
+    A store holds typed records in append order, in one array indexed
+    from the snapshot's frontier. Records are values of the extensible
+    variant {!record}: each protocol adds its own constructors, writes
+    them, and pattern-matches them on replay — nothing is formatted or
+    parsed on the write path. [append] is an in-memory buffer write; a record only survives a {!wipe} once an
     fsync barrier covering it has completed ({!sync}), or once a later
     {!snapshot} subsumes it. Sync barriers take simulated time — an
     engine timer of [sync_latency + append_latency * fresh records] —
@@ -17,7 +20,7 @@
     covered by a completed barrier is lost, pending callbacks die, and
     in-flight barrier/snapshot completions are aborted (epoch guard).
     {!recover} then returns the surviving snapshot blob and the
-    surviving log suffix, oldest first, for the owner to replay;
+    surviving records, oldest first, for the owner to replay;
     {!recovery_span} is the modeled wall time that reload takes.
 
     With [durable = false] the store is a skip-fsync mutant: every
@@ -52,28 +55,35 @@ val default_params : params
 (** 40 us fsync (power-loss-protected NVMe) + 0.5 us/record, 2 ms
     snapshots, [Immediate], durable. *)
 
+type record = ..
+(** A WAL record. Protocols extend this with their own constructors
+    and ignore the ones they do not own. *)
+
 type t
 
 val create : Engine.t -> node:int -> params:params -> journal:Journal.sink -> t
 
 val node : t -> int
 
-val append : t -> string -> int
+val append : t -> kind:string -> record -> int
 (** Buffer a record; returns its log index. Not durable until a
-    subsequent {!sync} barrier (or covering {!snapshot}) completes. *)
+    subsequent {!sync} barrier (or covering {!snapshot}) completes.
+    [kind] names the record in the journal's [store.append … kind=]
+    detail. *)
 
 val sync : t -> (unit -> unit) -> unit
 (** Request an fsync barrier; the callback fires (in request order)
     once every record appended before the barrier started is durable.
     Callbacks die silently if the node wipes first. *)
 
-val append_sync : t -> string -> (unit -> unit) -> unit
+val append_sync : t -> kind:string -> record -> (unit -> unit) -> unit
 (** [append] then [sync] — the WAL idiom for "persist, then act". *)
 
 val snapshot : t -> string -> upto:int -> unit
 (** Write [blob] as a snapshot covering every record with index below
     [upto] (typically {!appended}). After [snapshot_latency] the blob
-    becomes durable atomically and covered log records are truncated.
+    becomes durable atomically and covered log records are truncated —
+    unsynced ones too, when [upto] is past {!durable_upto}.
     Aborted by an intervening {!wipe}. *)
 
 val appended : t -> int
@@ -94,7 +104,7 @@ val recovery_span : t -> Time_ns.span
 (** Modeled duration of {!recover}: mount + snapshot load + per-record
     replay. The caller keeps the node down for this long. *)
 
-val recover : t -> string option * string list
+val recover : t -> string option * record list
 (** The surviving snapshot blob and log suffix (oldest first), for the
     owner to rebuild from. Journals a [recovery.replay] event. *)
 

@@ -287,6 +287,8 @@ let test_quiesce_deadline () =
     check_int "aborted at the deadline" Quiesce.deadline at
   | None -> Alcotest.fail "drain never aborted"
 
+type Domino_store.Store.record += Test_config of int
+
 let test_quiesce_persist () =
   (* The barrier acts once, after every store has made the record
      durable. *)
@@ -298,7 +300,7 @@ let test_quiesce_persist () =
           ~journal:Domino_obs.Journal.null)
   in
   let acted = ref 0 in
-  Quiesce.persist stores "config epoch=1" (fun () ->
+  Quiesce.persist stores ~kind:"config" (Test_config 1) (fun () ->
       incr acted;
       List.iter
         (fun st ->
