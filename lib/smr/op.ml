@@ -16,8 +16,8 @@ let conflicts a b = a.key = b.key && compare_id (id a) (id b) <> 0
 let pp fmt t =
   Format.fprintf fmt "op(%a#%d k=%d)" Nodeid.pp t.client t.seq t.key
 
-(* Wire form for stable-storage records: colon-separated, no spaces, so
-   an op is a single token inside a space-separated log record. *)
+(* Text form for Multi-Paxos snapshots: colon-separated, no spaces, so
+   an op is a single token inside a space-separated snapshot line. *)
 let to_wire t = Printf.sprintf "%d:%d:%d:%Ld" t.client t.seq t.key t.value
 
 let of_wire s =

@@ -29,8 +29,9 @@ val compare_id : id -> id -> int
 val pp : Format.formatter -> t -> unit
 
 val to_wire : t -> string
-(** Single-token encoding ([client:seq:key:value]) for stable-storage
-    log records; inverse of {!of_wire}. *)
+(** Single-token encoding ([client:seq:key:value]) for the text of
+    Multi-Paxos snapshots; inverse of {!of_wire}. WAL records are typed
+    ({!Domino_store.Store.record}) and never encode ops. *)
 
 val of_wire : string -> t option
 
