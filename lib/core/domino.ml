@@ -12,7 +12,8 @@ type t = {
 
 (* The coordinator's decision-stream high water for one destination
    (journal kind "dsq"); see [stamp] below. *)
-type Domino_store.Store.record += Seq_high_water of { acceptor : int; seq : int }
+type Domino_store.Store.record +=
+  | Seq_high_water of { acceptor : int; seq : int }
 
 type stats = {
   dfp_fast_decisions : int;

@@ -182,7 +182,8 @@ let dfp_on_propose t (op : Op.t) ~ts =
         ~dur:(Time_ns.diff ts local)
         ~now:(now_engine t);
       t.dfp_accepted <- Tsmap.add ts op t.dfp_accepted;
-      Store.append_sync t.store ~kind:"dv" (Accepted { ts; op }) (fun () -> dfp_send_vote t ~ts ~subject:op ~report:(Message.Voted_op op))
+      Store.append_sync t.store ~kind:"dv" (Accepted { ts; op }) (fun () ->
+          dfp_send_vote t ~ts ~subject:op ~report:(Message.Voted_op op))
     end
     else
       (* The position expired: it already holds an implicit no-op. *)

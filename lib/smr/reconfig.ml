@@ -223,7 +223,8 @@ let request t change ~k =
           members_after.(node) <- false;
           members_after.(with_) <- true);
         let record =
-          Config { group = t.group; epoch = t.epoch + 1; members = members_after }
+          Config
+            { group = t.group; epoch = t.epoch + 1; members = members_after }
         in
         (* Prepending visits the members in descending index order: the
            fsync order the journal pins. *)

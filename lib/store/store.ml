@@ -138,7 +138,8 @@ let append t ~kind record =
   t.log.(slot) <- record;
   t.appended <- idx + 1;
   t.n_appends <- t.n_appends + 1;
-  if recording t then store_ev t "append" (ints [ ("rec", idx) ] ^ " kind=" ^ kind);
+  if recording t then
+    store_ev t "append" (ints [ ("rec", idx) ] ^ " kind=" ^ kind);
   idx
 
 (* One fsync barrier: everything appended before the barrier starts is

@@ -5,9 +5,10 @@
     from the snapshot's frontier. Records are values of the extensible
     variant {!record}: each protocol adds its own constructors, writes
     them, and pattern-matches them on replay — nothing is formatted or
-    parsed on the write path. [append] is an in-memory buffer write; a record only survives a {!wipe} once an
-    fsync barrier covering it has completed ({!sync}), or once a later
-    {!snapshot} subsumes it. Sync barriers take simulated time — an
+    parsed on the write path. [append] is an in-memory buffer write; a
+    record only survives a {!wipe} once an fsync barrier covering it
+    has completed ({!sync}), or once a later {!snapshot} subsumes
+    it. Sync barriers take simulated time — an
     engine timer of [sync_latency + append_latency * fresh records] —
     so protocols that fsync before externalizing state pay the disk on
     their commit critical path (visible as the journal's [sync_wait]
