@@ -5,14 +5,7 @@ open Domino_measure
 
 type pending = { op : Op.t; mutable accepts : int; mutable done_ : bool }
 
-(* Retry bookkeeping, one entry per op still awaiting its commit when
-   [cfg.retry_timeout > 0]. *)
-type inflight = {
-  iop : Op.t;
-  mutable attempts : int;
-  mutable patience : Time_ns.span;
-  mutable timer : Engine.event_id option;
-}
+type retry = { policy : Retry.policy; failover_after : int }
 
 type t = {
   net : Message.msg Fifo_net.t;
@@ -21,7 +14,7 @@ type t = {
   estimator : Estimator.t;
   observer : Observer.t;
   pending : pending Op.Idtbl.t;
-  inflight : inflight Op.Idtbl.t;
+  retry : Retry.t option;
   done_ids : unit Op.Idtbl.t;
   feedback : Feedback.t option;  (** §5.4 adaptive controller *)
   mutable ts_cursor : Time_ns.t;
@@ -29,8 +22,6 @@ type t = {
   mutable dfp_count : int;
   mutable dm_count : int;
   mutable commit_count : int;
-  mutable retry_count : int;
-  mutable abandoned_count : int;
   mutable last_choice : Estimator.choice option;
   (* DM coordinator steering, set by the reconfiguration orchestrator
      while a replica is being rolled: route around [steer_avoid]
@@ -55,54 +46,10 @@ let send_probes t =
         (Message.Probe_req { seq = t.probe_seq; sent_local = now_local t }))
     (replicas t)
 
-let create ~net ~cfg ~self ~observer () =
-  let t =
-    {
-      net;
-      cfg;
-      self;
-      estimator =
-        Estimator.create ~window:cfg.Config.window
-          ~percentile:cfg.Config.percentile ~n_replicas:(Config.n cfg) ();
-      observer;
-      pending = Op.Idtbl.create 64;
-      inflight = Op.Idtbl.create 64;
-      done_ids = Op.Idtbl.create 256;
-      feedback =
-        (if cfg.Config.adaptive then
-           Some (Feedback.create ~baseline:cfg.Config.additional_delay ())
-         else None);
-      ts_cursor = -1;
-      probe_seq = 0;
-      dfp_count = 0;
-      dm_count = 0;
-      commit_count = 0;
-      retry_count = 0;
-      abandoned_count = 0;
-      last_choice = None;
-      steer_avoid = None;
-      steer_prefer = None;
-    }
-  in
-  ignore
-    (Engine.every (Fifo_net.engine net) ~jitter:(Time_ns.us 500)
-       ~interval:cfg.Config.probe_interval (fun () -> send_probes t));
-  t
-
 let note_outcome t outcome =
   match t.feedback with
   | Some f -> Feedback.record f outcome
   | None -> ()
-
-let disarm_retry t id =
-  match Op.Idtbl.find_opt t.inflight id with
-  | None -> ()
-  | Some e ->
-    (match e.timer with
-    | Some tid -> Engine.cancel (Fifo_net.engine t.net) tid
-    | None -> ());
-    e.timer <- None;
-    Op.Idtbl.remove t.inflight id
 
 let commit t (op : Op.t) ~fast =
   let id = Op.id op in
@@ -110,7 +57,7 @@ let commit t (op : Op.t) ~fast =
      more than once; the client reports each op committed exactly once. *)
   if not (Op.Idtbl.mem t.done_ids id) then begin
     Op.Idtbl.replace t.done_ids id ();
-    disarm_retry t id;
+    (match t.retry with Some r -> Retry.on_commit r op | None -> ());
     (match Op.Idtbl.find_opt t.pending id with
     | Some p ->
       p.done_ <- true;
@@ -165,74 +112,70 @@ let extra_delay t =
   | Some f -> Feedback.extra_delay f
   | None -> t.cfg.Config.additional_delay
 
-(* --- request timeout, bounded exponential backoff, leader failover ---
+(* Domino's resend rule for the shared {!Retry} loop: a timed-out
+   request goes again through DM — the robust path — to the closest
+   leader for the first [failover_after] retries, then rotating through
+   the other replicas. Server-side dedup (the service layer) keeps
+   duplicate deliveries harmless. *)
+let resend t ~failover_after (op : Op.t) ~attempt =
+  let retries = attempt - 1 in
+  let closest = closest_leader t ~now_local:(now_local t) in
+  let leader =
+    if retries <= failover_after then closest
+    else (closest + (retries - failover_after)) mod Config.n t.cfg
+  in
+  (* The failover rotation may land on a steered-away replica. *)
+  let leader =
+    if t.steer_avoid = Some leader then (leader + 1) mod Config.n t.cfg
+    else leader
+  in
+  t.observer.Observer.on_phase ~node:t.self ~op:(Some op) ~name:"client_retry"
+    ~dur:0 ~now:(Engine.now (Fifo_net.engine t.net));
+  submit_dm t op ~leader
 
-   Enabled when [cfg.retry_timeout > 0]. A timed-out request is
-   re-submitted through DM — the robust path — to the closest leader
-   for the first [retry_failover_after] retries, then rotating through
-   the other replicas. The timeout doubles per retry; after
-   [retry_max_attempts] total attempts the op is abandoned. Server-side
-   dedup (the service layer) keeps duplicate deliveries harmless. *)
-
-let rec arm_retry t e =
-  e.timer <-
-    Some
-      (Engine.schedule_cancellable (Fifo_net.engine t.net) ~delay:e.patience
-         (fun () -> on_retry_timeout t e))
-
-and on_retry_timeout t e =
-  e.timer <- None;
-  let id = Op.id e.iop in
-  if Op.Idtbl.mem t.inflight id then begin
-    if e.attempts >= t.cfg.Config.retry_max_attempts then begin
-      t.abandoned_count <- t.abandoned_count + 1;
-      Op.Idtbl.remove t.inflight id
-    end
-    else begin
-      e.attempts <- e.attempts + 1;
-      t.retry_count <- t.retry_count + 1;
-      e.patience <- 2 * e.patience;
-      let retries = e.attempts - 1 in
-      let closest = closest_leader t ~now_local:(now_local t) in
-      let leader =
-        if retries <= t.cfg.Config.retry_failover_after then closest
-        else
-          (closest + (retries - t.cfg.Config.retry_failover_after))
-          mod Config.n t.cfg
-      in
-      (* The failover rotation may land on a steered-away replica. *)
-      let leader =
-        if t.steer_avoid = Some leader then (leader + 1) mod Config.n t.cfg
-        else leader
-      in
-      t.observer.Observer.on_phase ~node:t.self ~op:(Some e.iop)
-        ~name:"client_retry" ~dur:0
-        ~now:(Engine.now (Fifo_net.engine t.net));
-      submit_dm t e.iop ~leader;
-      arm_retry t e
-    end
-  end
-
-let track_retry t (op : Op.t) =
-  if t.cfg.Config.retry_timeout > 0 then begin
-    let id = Op.id op in
-    if not (Op.Idtbl.mem t.inflight id || Op.Idtbl.mem t.done_ids id) then begin
-      let e =
-        {
-          iop = op;
-          attempts = 1;
-          patience = t.cfg.Config.retry_timeout;
-          timer = None;
-        }
-      in
-      Op.Idtbl.replace t.inflight id e;
-      arm_retry t e
-    end
-  end
+let create ~net ~cfg ~self ~observer ?retry () =
+  let engine = Fifo_net.engine net in
+  let t =
+    {
+      net;
+      cfg;
+      self;
+      estimator =
+        Estimator.create ~window:cfg.Config.window
+          ~percentile:cfg.Config.percentile ~n_replicas:(Config.n cfg) ();
+      observer;
+      pending = Op.Idtbl.create 64;
+      retry =
+        Option.map (fun r -> Retry.create ~policy:r.policy engine) retry;
+      done_ids = Op.Idtbl.create 256;
+      feedback =
+        (if cfg.Config.adaptive then
+           Some (Feedback.create ~baseline:cfg.Config.additional_delay ())
+         else None);
+      ts_cursor = -1;
+      probe_seq = 0;
+      dfp_count = 0;
+      dm_count = 0;
+      commit_count = 0;
+      last_choice = None;
+      steer_avoid = None;
+      steer_prefer = None;
+    }
+  in
+  (match (t.retry, retry) with
+  | Some r, Some { failover_after; _ } ->
+    Retry.set_resend r (resend t ~failover_after)
+  | _ -> ());
+  ignore
+    (Engine.every engine ~jitter:(Time_ns.us 500)
+       ~interval:cfg.Config.probe_interval (fun () -> send_probes t));
+  t
 
 let submit t (op : Op.t) =
   t.observer.Observer.on_submit op ~now:(Engine.now (Fifo_net.engine t.net));
-  track_retry t op;
+  (match t.retry with
+  | Some r when not (Op.Idtbl.mem t.done_ids (Op.id op)) -> Retry.track r op
+  | _ -> ());
   let local = now_local t in
   if t.steer_avoid <> None || t.steer_prefer <> None then begin
     let leader =
@@ -320,9 +263,9 @@ let commits t = t.commit_count
 
 let dm_submissions t = t.dm_count
 
-let retries t = t.retry_count
+let retries t = Option.fold ~none:0 ~some:Retry.retries t.retry
 
-let abandoned t = t.abandoned_count
+let abandoned t = Option.fold ~none:0 ~some:Retry.abandoned t.retry
 
 let last_choice t = t.last_choice
 

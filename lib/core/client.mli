@@ -22,15 +22,30 @@ open Domino_smr
 
 type t
 
+type retry = {
+  policy : Retry.policy;
+  failover_after : int;
+      (** retries sent to the closest leader before rotating to the
+          next replica — failover for a crashed or partitioned leader *)
+}
+(** Client request retry. The timer loop — timeout, doubling, abandon
+    after [policy.max_attempts], counters — is the shared {!Retry};
+    the client supplies only its resend rule: a timed-out request goes
+    again through DM to the closest leader for the first
+    [failover_after] retries, then rotates through the other replicas,
+    never to a steered-away one (see {!set_steer}). *)
+
 val create :
   net:Message.msg Fifo_net.t ->
   cfg:Config.t ->
   self:Nodeid.t ->
   observer:Observer.t ->
+  ?retry:retry ->
   unit ->
   t
 (** Starts the probing timer. The node's handler is installed by
-    {!Domino.create}, which routes messages via {!handle}. *)
+    {!Domino.create}, which routes messages via {!handle}. Without
+    [retry] the client is the paper's fire-and-forget client. *)
 
 val handle : t -> src:Nodeid.t -> Message.msg -> unit
 
@@ -44,13 +59,12 @@ val dfp_submissions : t -> int
 val dm_submissions : t -> int
 
 val retries : t -> int
-(** Timed-out requests re-submitted (0 unless [cfg.retry_timeout > 0]).
-    Each retry goes through DM with the timeout doubled; after
-    [retry_failover_after] retries the client rotates away from its
-    closest leader. *)
+(** Timed-out requests re-sent by the {!Retry} loop (0 without
+    [retry]). Each goes through DM by the {!retry} resend rule, emitting
+    a [client_retry] phase first. *)
 
 val abandoned : t -> int
-(** Requests given up on after [cfg.retry_max_attempts] attempts. *)
+(** Requests given up on after [retry.policy.max_attempts] attempts. *)
 
 val commits : t -> int
 (** Operations this client has learned committed. *)

@@ -13,15 +13,11 @@ type t = {
   every_replica_learns : bool;
   force_dfp : bool;
   adaptive : bool;
-  retry_timeout : Time_ns.span;
-  retry_max_attempts : int;
-  retry_failover_after : int;
 }
 
 let make ?(probe_interval = Time_ns.ms 10) ?(heartbeat_interval = Time_ns.ms 10)
     ?(window = Time_ns.sec 1) ?(percentile = 95.) ?(additional_delay = 0)
     ?(every_replica_learns = false) ?(force_dfp = false) ?(adaptive = false)
-    ?(retry_timeout = 0) ?(retry_max_attempts = 6) ?(retry_failover_after = 1)
     ?coordinator ~replicas () =
   if Array.length replicas = 0 then invalid_arg "Config.make: no replicas";
   let coordinator =
@@ -40,9 +36,6 @@ let make ?(probe_interval = Time_ns.ms 10) ?(heartbeat_interval = Time_ns.ms 10)
     every_replica_learns;
     force_dfp;
     adaptive;
-    retry_timeout;
-    retry_max_attempts;
-    retry_failover_after;
   }
 
 let n t = Array.length t.replicas

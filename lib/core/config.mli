@@ -6,7 +6,12 @@ open Domino_net
     Defaults mirror the paper's experimental settings (§7.1): 10 ms
     probing and heartbeat intervals, a 1 s measurement window, the 95th
     percentile delay estimate, and no additional delay on DFP request
-    timestamps. *)
+    timestamps.
+
+    Client request retry is not part of the deployment config: it is
+    the shared {!Domino_smr.Retry} loop with Domino's DM resend rule,
+    armed per client through {!Domino.create}'s [?retry]
+    ({!Client.retry}). *)
 
 type t = {
   replicas : Nodeid.t array;
@@ -31,16 +36,6 @@ type t = {
           work): clients monitor their DFP fast-path success rate,
           adaptively raise their additional delay when mispredictions
           cluster, and fall back to DM while the fast path is broken *)
-  retry_timeout : Time_ns.span;
-      (** client request timeout before the first retry; [0] (the
-          default) disables client retries entirely — the benign-network
-          latency experiments keep the paper's fire-and-forget client *)
-  retry_max_attempts : int;
-      (** total attempts per op, including the first; the timeout
-          doubles per retry (bounded exponential backoff) *)
-  retry_failover_after : int;
-      (** retries sent to the closest leader before rotating to the
-          next replica — failover for a crashed or partitioned leader *)
 }
 
 val make :
@@ -52,9 +47,6 @@ val make :
   ?every_replica_learns:bool ->
   ?force_dfp:bool ->
   ?adaptive:bool ->
-  ?retry_timeout:Time_ns.span ->
-  ?retry_max_attempts:int ->
-  ?retry_failover_after:int ->
   ?coordinator:Nodeid.t ->
   replicas:Nodeid.t array ->
   unit ->

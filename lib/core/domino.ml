@@ -24,7 +24,7 @@ type stats = {
   late_decisions : int;
 }
 
-let create ~net ~cfg ~observer ?stores () =
+let create ~net ~cfg ~observer ?stores ?retry () =
   let n = Config.n cfg in
   let stores =
     match stores with
@@ -158,7 +158,7 @@ let create ~net ~cfg ~observer ?stores () =
     cfg.Config.replicas;
   for node = 0 to Fifo_net.size net - 1 do
     if not (Array.exists (Nodeid.equal node) cfg.Config.replicas) then begin
-      let client = Client.create ~net ~cfg ~self:node ~observer () in
+      let client = Client.create ~net ~cfg ~self:node ~observer ?retry () in
       Hashtbl.replace clients node client;
       Fifo_net.set_handler net node (Client.handle client)
     end
@@ -248,12 +248,23 @@ module Api = struct
       Config.make ~additional_delay:p.additional_delay
         ~percentile:p.percentile ~every_replica_learns:p.every_replica_learns
         ~adaptive:p.adaptive ~force_dfp:p.force_dfp
-        ~retry_timeout:p.retry_timeout
-        ~retry_max_attempts:p.retry_max_attempts
-        ~retry_failover_after:p.retry_failover_after
         ~coordinator:env.Group.leader ~replicas:env.Group.replicas ()
     in
-    create ~net ~cfg ~observer:env.Group.observer ~stores:env.Group.stores ()
+    let retry =
+      if p.retry_timeout = 0 then None
+      else
+        Some
+          {
+            Client.policy =
+              {
+                Retry.timeout = p.retry_timeout;
+                max_attempts = p.retry_max_attempts;
+              };
+            failover_after = p.retry_failover_after;
+          }
+    in
+    create ~net ~cfg ~observer:env.Group.observer ~stores:env.Group.stores
+      ?retry ()
 
   let submit = submit
   let committed_count = committed_count

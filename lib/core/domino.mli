@@ -25,12 +25,15 @@ val create :
   cfg:Config.t ->
   observer:Observer.t ->
   ?stores:Domino_store.Store.t array ->
+  ?retry:Client.retry ->
   unit ->
   t
 (** [stores] (one per replica, indexed like [cfg.replicas]) hold each
     node's durable state; the coordinator shares the co-located
     replica's store. Fresh default stores when omitted. Installs the
-    wipe-restart hooks ({!Fifo_net.set_wipe_hook}) for every replica. *)
+    wipe-restart hooks ({!Fifo_net.set_wipe_hook}) for every replica.
+    [retry] arms every client's request retry ({!Client.retry}); the
+    registry entry builds it from [env.params] when [retry_timeout > 0]. *)
 
 val submit : t -> Op.t -> unit
 (** Submit from [op.client]'s client library. *)

@@ -129,10 +129,12 @@ val run :
 
     [faults] arms a {!Domino_fault.Plan} on the run's network
     ({!Domino_fault.Inject.install}) and switches on client retry: the
-    harness-side {!Retry} wrapper for Mencius/EPaxos/Multi-Paxos/Fast
-    Paxos, Domino's in-protocol retry+failover via
-    {!Protocols.params_under_faults}. The result's [extra] then also
-    carries [harness_retries] / [harness_abandoned].
+    one {!Retry} loop, resending through the protocol's own submit for
+    Mencius/EPaxos/Multi-Paxos/Fast Paxos and by Domino's DM failover
+    rule for Domino, whose params {!Protocols.params_under_faults}
+    arms. Under the generic resend the result's [extra] then also
+    carries [harness_retries] / [harness_abandoned]; Domino's extra
+    always carries its clients' [client_retries] / [client_abandoned].
 
     [dedup] (default [true]) guards each replica's execution stream
     with {!Service.Dedup}, so retried ops apply at most once to the

@@ -179,8 +179,8 @@ let smoke_journal ~seed ?faults ?timeline () =
    but protocol-parametric, so migration scenarios (migrate during a
    partition, source leader crash mid-migration) cross Domino with the
    other protocols. Mirrors [Exp_common.run]'s fault posture: Domino
-   arms its in-protocol client retry; everyone else gets the fabric's
-   harness-side [Retry] wrapper. *)
+   arms the in-protocol resend rule of the shared [Retry] loop;
+   everyone else gets the fabric's generic resend. *)
 let chaos_journal ~seed ~faults ?(proto = Exp_common.domino_default)
     ?(duration = Time_ns.sec 6) ?timeline () =
   let j = Journal.create () in

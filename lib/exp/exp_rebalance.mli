@@ -40,8 +40,8 @@ val chaos_journal :
 (** The chaos suite's 2-group runner: the experiment's layout (range
     slots, hot slot 0 on g0) under an arbitrary fault plan and
     protocol (default Domino), at 100 req/s per client. Domino arms
-    its in-protocol retry; other protocols rely on the fabric's
-    harness-side retry. *)
+    its in-protocol resend rule; other protocols rely on the fabric's
+    generic resend. Both run the one {!Domino_smr.Retry} loop. *)
 
 val sweep_journal :
   ?runs:int ->

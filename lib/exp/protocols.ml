@@ -67,18 +67,19 @@ let params = function
     }
   | Mencius | Epaxos | Multi_paxos | Fast_paxos -> Protocol_intf.default_params
 
-(* Domino's in-protocol client retry, armed under faults with the same
-   patience as the harness-side [Retry.default_policy]; the fabric
-   gives every group whose params leave it unarmed the harness-side
-   [Retry] wrapper instead. *)
+(* Under faults every group runs the shared [Retry] loop at
+   [Retry.default_policy]. Domino arms it in-protocol through its
+   params, so its clients resend through DM with leader failover; the
+   fabric wraps every group whose params leave [retry_timeout = 0] in
+   the generic resend (the protocol's own submit) instead. *)
 let params_under_faults proto =
   let p = params proto in
   match proto with
   | Domino _ ->
     {
       p with
-      Protocol_intf.retry_timeout = Time_ns.ms 800;
-      retry_max_attempts = 6;
+      Protocol_intf.retry_timeout = Retry.default_policy.Retry.timeout;
+      retry_max_attempts = Retry.default_policy.Retry.max_attempts;
       retry_failover_after = 1;
     }
   | Mencius | Epaxos | Multi_paxos | Fast_paxos -> p

@@ -42,10 +42,13 @@ val params : t -> Protocol_intf.params
     {!Protocol_intf.default_params} value. *)
 
 val params_under_faults : t -> Protocol_intf.params
-(** {!params} for a run with faults injected: Domino arms its
-    in-protocol client retry (800 ms timeout, 6 attempts, failover to
-    another coordinator after 1); the other protocols' params are
-    unchanged, and the fabric wraps them in the harness-side retry. *)
+(** {!params} for a run with faults injected. Every protocol then runs
+    the one client-retry loop, {!Domino_smr.Retry} at its
+    [default_policy] (800 ms, doubling, 6 attempts); only the resend
+    rule differs. Domino's params arm it in-protocol — resends go
+    through DM, failing over to another coordinator after 1 retry;
+    the other protocols' params are unchanged, and the fabric wraps
+    them in the generic resend through their own submit. *)
 
 val of_api_name : string -> t option
 (** Inverse of {!api_name}, with Domino at its default settings. *)

@@ -327,11 +327,12 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
     let exec_at = Array.map Option.some closest in
     let exec_replica_for (op : Op.t) = exec_at.(op.Op.client) in
     (* Per-group retry/failover sits between the router and the
-       protocol. A protocol whose params arm an in-protocol client
-       retry (Domino under faults) handles timeouts and coordinator
-       failover itself; every other group gets the harness-side
-       [Retry] wrapper. Only armed under fault injection: fault-free
-       runs measure the protocols' native latency undisturbed. *)
+       protocol: one [Retry] loop, two resend rules. A protocol whose
+       params arm the in-protocol retry (Domino under faults) runs it
+       in its clients with its own resend rule; every other group gets
+       the generic resend through [P.submit] here. Only armed under
+       fault injection: fault-free runs measure the protocols' native
+       latency undisturbed. *)
     let retry =
       match faults with
       | Some _ when spec.params.Protocol_intf.retry_timeout = 0 ->
@@ -403,7 +404,9 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
     in
     let (module P : Protocol_intf.S) = spec.protocol in
     let p = P.create env in
-    (match retry with Some r -> Retry.set_submit r (P.submit p) | None -> ());
+    (match retry with
+    | Some r -> Retry.set_resend r (fun op ~attempt:_ -> P.submit p op)
+    | None -> ());
     let submit =
       match retry with Some r -> Retry.submit r | None -> P.submit p
     in

@@ -92,10 +92,12 @@ val run :
     group — including across mid-run slot migrations; call
     [Timeline.finish] on it after [run] returns.
 
-    Per-group retry/failover: under [?faults], a group whose params arm
-    an in-protocol client retry ([retry_timeout > 0]) relies on it;
-    every other group's submit is wrapped in the harness
-    {!Domino_smr.Retry}. Without faults neither is armed.
+    Per-group retry/failover: under [?faults] every group runs the one
+    {!Domino_smr.Retry} loop, with one of two resend rules. A group
+    whose params arm the in-protocol retry ([retry_timeout > 0]:
+    Domino) resends from its clients through DM with leader failover;
+    every other group's submit is wrapped in the generic resend, the
+    protocol's own submit. Without faults neither is armed.
 
     Live slot migration ({!Migrate}) is armed when the fault plan
     contains [migrate] events or [auto_rebalance] is set (the

@@ -14,12 +14,12 @@ open Domino_smr
     the orchestrator can {!inflight_on}-poll a drain.
 
     Retry and failover are composed {e underneath} the router by the
-    fabric: each group's submit function is (under fault injection)
-    already wrapped in its per-group retry/failover policy — the
-    protocol's own client retry when it has one, the harness
-    {!Domino_smr.Retry} otherwise — so a crashed group leader stalls
-    only that group's slots and the router's other targets keep
-    committing. *)
+    fabric: under fault injection each group's submit already runs the
+    one {!Domino_smr.Retry} loop — with the protocol's in-protocol
+    resend rule when its params arm one (Domino's DM failover), the
+    generic resend through the protocol's submit otherwise — so a
+    crashed group leader stalls only that group's slots and the
+    router's other targets keep committing. *)
 
 type t
 

@@ -21,7 +21,7 @@ let default_params =
     adaptive = false;
     force_dfp = false;
     retry_timeout = 0;
-    retry_max_attempts = 6;
+    retry_max_attempts = Retry.default_policy.Retry.max_attempts;
     retry_failover_after = 1;
   }
 

@@ -35,7 +35,8 @@ type params = {
   adaptive : bool;  (** Domino: §5.4 feedback controller *)
   force_dfp : bool;  (** Domino: disable the DM fallback *)
   retry_timeout : Time_ns.span;
-      (** in-protocol client retry patience; [0] disables retry *)
+      (** in-protocol client retry: the {!Retry} policy's first timeout;
+          [0] (the default) leaves it unarmed *)
   retry_max_attempts : int;
   retry_failover_after : int;
       (** failed attempts before the client fails over away from its

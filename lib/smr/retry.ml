@@ -1,12 +1,8 @@
 open Domino_sim
 
-type policy = {
-  timeout : Time_ns.span;
-  factor : float;
-  max_attempts : int;
-}
+type policy = { timeout : Time_ns.span; max_attempts : int }
 
-let default_policy = { timeout = Time_ns.ms 800; factor = 2.; max_attempts = 6 }
+let default_policy = { timeout = Time_ns.ms 800; max_attempts = 6 }
 
 type entry = {
   op : Op.t;
@@ -18,8 +14,8 @@ type entry = {
 type t = {
   engine : Engine.t;
   policy : policy;
-  mutable submit_fn : (Op.t -> unit) option;
-  pending : (Op.id, entry) Hashtbl.t;
+  mutable resend : Op.t -> attempt:int -> unit;
+  pending : entry Op.Idtbl.t;
   mutable retries : int;
   mutable abandoned : int;
 }
@@ -28,18 +24,14 @@ let create ?(policy = default_policy) engine =
   {
     engine;
     policy;
-    submit_fn = None;
-    pending = Hashtbl.create 256;
+    resend =
+      (fun _ ~attempt:_ -> invalid_arg "Retry: resend function not set");
+    pending = Op.Idtbl.create 64;
     retries = 0;
     abandoned = 0;
   }
 
-let set_submit t f = t.submit_fn <- Some f
-
-let forward t op =
-  match t.submit_fn with
-  | Some f -> f op
-  | None -> invalid_arg "Retry: submit function not set"
+let set_resend t f = t.resend <- f
 
 let rec arm t e =
   e.timer <-
@@ -50,39 +42,42 @@ let rec arm t e =
 and on_timeout t e =
   e.timer <- None;
   let id = Op.id e.op in
-  if Hashtbl.mem t.pending id then begin
+  if Op.Idtbl.mem t.pending id then begin
     if e.attempts >= t.policy.max_attempts then begin
       t.abandoned <- t.abandoned + 1;
-      Hashtbl.remove t.pending id
+      Op.Idtbl.remove t.pending id
     end
     else begin
       e.attempts <- e.attempts + 1;
       t.retries <- t.retries + 1;
-      e.timeout <-
-        Time_ns.of_ms_f (Time_ns.to_ms_f e.timeout *. t.policy.factor);
-      forward t e.op;
+      e.timeout <- 2 * e.timeout;
+      t.resend e.op ~attempt:e.attempts;
       arm t e
     end
   end
 
-let submit t op =
+let track t op =
   let id = Op.id op in
-  forward t op;
-  if not (Hashtbl.mem t.pending id) then begin
+  if not (Op.Idtbl.mem t.pending id) then begin
     let e = { op; attempts = 1; timeout = t.policy.timeout; timer = None } in
-    Hashtbl.replace t.pending id e;
+    Op.Idtbl.replace t.pending id e;
     arm t e
   end
 
+let submit t op =
+  t.resend op ~attempt:1;
+  track t op
+
 let on_commit t op =
-  match Hashtbl.find_opt t.pending (Op.id op) with
+  let id = Op.id op in
+  match Op.Idtbl.find_opt t.pending id with
   | None -> ()
   | Some e ->
     (match e.timer with
-    | Some id -> Engine.cancel t.engine id
+    | Some timer -> Engine.cancel t.engine timer
     | None -> ());
     e.timer <- None;
-    Hashtbl.remove t.pending (Op.id op)
+    Op.Idtbl.remove t.pending id
 
 let observer t = { Observer.null with on_commit = (fun op ~now:_ -> on_commit t op) }
 
@@ -90,4 +85,4 @@ let retries t = t.retries
 
 let abandoned t = t.abandoned
 
-let inflight t = Hashtbl.length t.pending
+let inflight t = Op.Idtbl.length t.pending

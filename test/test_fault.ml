@@ -295,19 +295,19 @@ let op ~client ~seq = Op.make ~client ~seq ~key:1 ~value:42L
 let test_retry_backoff_schedule () =
   let engine = Engine.create ~seed:3L () in
   let policy =
-    { Retry.timeout = Time_ns.ms 100; factor = 2.; max_attempts = 4 }
+    { Retry.timeout = Time_ns.ms 100; max_attempts = 4 }
   in
   let r = Retry.create ~policy engine in
   let sent = ref [] in
-  Retry.set_submit r (fun _op -> sent := Engine.now engine :: !sent);
+  Retry.set_resend r (fun _op ~attempt ->
+      sent := (Engine.now engine, attempt) :: !sent);
   Retry.submit r (op ~client:9 ~seq:0);
   Engine.run ~until:(Time_ns.sec 2) engine;
-  (* Initial send at 0, then retries at +100, +300, +700 ms. *)
-  let times = List.rev !sent in
-  Alcotest.(check (list int))
-    "submit instants follow the exponential schedule"
-    [ 0; Time_ns.ms 100; Time_ns.ms 300; Time_ns.ms 700 ]
-    times;
+  (* Attempt 1 at 0, then retries 2, 3, 4 at +100, +300, +700 ms. *)
+  Alcotest.(check (list (pair int int)))
+    "send instants and attempt numbers follow the exponential schedule"
+    [ (0, 1); (Time_ns.ms 100, 2); (Time_ns.ms 300, 3); (Time_ns.ms 700, 4) ]
+    (List.rev !sent);
   check_int "retries counted" 3 (Retry.retries r);
   check_int "abandoned after max attempts" 1 (Retry.abandoned r);
   check_int "nothing left inflight" 0 (Retry.inflight r)
@@ -315,11 +315,11 @@ let test_retry_backoff_schedule () =
 let test_retry_commit_disarms () =
   let engine = Engine.create ~seed:3L () in
   let policy =
-    { Retry.timeout = Time_ns.ms 100; factor = 2.; max_attempts = 4 }
+    { Retry.timeout = Time_ns.ms 100; max_attempts = 4 }
   in
   let r = Retry.create ~policy engine in
   let sent = ref 0 in
-  Retry.set_submit r (fun _ -> incr sent);
+  Retry.set_resend r (fun _ ~attempt:_ -> incr sent);
   let o = op ~client:9 ~seq:1 in
   Retry.submit r o;
   Engine.schedule_at engine ~at:(Time_ns.ms 50) (fun () -> Retry.on_commit r o);
@@ -332,7 +332,7 @@ let test_retry_submit_idempotent () =
   let engine = Engine.create ~seed:3L () in
   let r = Retry.create engine in
   let sent = ref 0 in
-  Retry.set_submit r (fun _ -> incr sent);
+  Retry.set_resend r (fun _ ~attempt:_ -> incr sent);
   let o = op ~client:9 ~seq:2 in
   Retry.submit r o;
   Retry.submit r o;
@@ -508,6 +508,75 @@ let test_domino_retry_failover () =
   check_bool "checker passes under coordinator crash" true report.Checker.ok;
   check_bool "clients actually retried" true
     (List.assoc "client_retries" result.Exp_common.extra > 0)
+
+(* Per op, in order, the instant and destination of each Domino retry:
+   the send that follows the op's [client_retry] phase. *)
+let retry_sends journal =
+  let sends = Hashtbl.create 64 and awaiting = ref None in
+  Journal.iter journal (function
+    | Journal.Phase { name = "client_retry"; op = Some op; _ } ->
+      awaiting := Some op
+    | Journal.Msg_sent { op = Some op; dst; at; _ } when !awaiting = Some op ->
+      awaiting := None;
+      let prev = Option.value ~default:[] (Hashtbl.find_opt sends op) in
+      Hashtbl.replace sends op ((at, dst) :: prev)
+    | _ -> ());
+  Hashtbl.fold (fun op l acc -> (op, List.rev l) :: acc) sends []
+  |> List.sort compare
+
+let test_domino_failover_order () =
+  (* Domino resends a timed-out request through DM: to its closest
+     leader for the first [retry_failover_after] retries, then one
+     replica further per retry. The coordinator crash times out ops in
+     flight to replica 0; their first retries (~2.3 s) still go to it —
+     its probe data takes the 1 s window to go stale — and after it
+     recovers at 3 s it is the closest leader again when the second
+     retries fire, so those must rotate past it. *)
+  let failover_after =
+    (Protocols.params_under_faults Exp_common.domino_default)
+      .Protocol_intf.retry_failover_after
+  in
+  let n = Array.length Exp_common.fig7_double.Exp_common.replica_dcs in
+  let leader_crash = "at 1500ms crash node=0\nat 3s recover node=0\n" in
+  let _, journal, report =
+    run_checked ~duration:(Time_ns.sec 6) ~plan:leader_crash
+      Exp_common.domino_default
+  in
+  check_bool "checker passes under coordinator crash" true report.Checker.ok;
+  let sends = retry_sends journal in
+  check_bool "some op retried past its closest leader" true
+    (List.exists (fun (_, l) -> List.length l > failover_after) sends);
+  List.iter
+    (fun ((client, seq), l) ->
+      let closest = snd (List.hd l) in
+      List.iteri
+        (fun i (_, dst) ->
+          let retry = i + 1 in
+          check_int
+            (Printf.sprintf "op %d#%d retry %d destination" client seq retry)
+            ((closest + Stdlib.max 0 (retry - failover_after)) mod n)
+            dst)
+        l)
+    sends;
+  (* Once every client steers away from replica 0, no retry may land
+     there, although it is still the closest leader of the ops it lost. *)
+  let _, journal, _ =
+    run_checked ~duration:(Time_ns.sec 6)
+      ~plan:("at 2s transfer group=0 to=1\n" ^ leader_crash)
+      Exp_common.domino_default
+  in
+  let after_transfer =
+    List.concat_map
+      (fun (_, l) -> List.filter (fun (at, _) -> at >= Time_ns.sec 2) l)
+      (retry_sends journal)
+  in
+  check_bool "ops retried while steered" true (after_transfer <> []);
+  List.iter
+    (fun (at, dst) ->
+      check_bool
+        (Printf.sprintf "retry @%d avoids the steered-away replica" at)
+        true (dst <> 0))
+    after_transfer
 
 let test_harness_retry_under_partition () =
   (* The IA client is cut off from the Multi-Paxos leader for longer
@@ -888,6 +957,8 @@ let () =
         [
           Alcotest.test_case "domino retry + failover" `Quick
             test_domino_retry_failover;
+          Alcotest.test_case "domino failover order" `Quick
+            test_domino_failover_order;
           Alcotest.test_case "harness retry under partition" `Quick
             test_harness_retry_under_partition;
           Alcotest.test_case "dedup mutant caught" `Quick
