@@ -237,17 +237,8 @@ let run_cmd =
                      trading commit latency for fewer syncs (default: \
                      immediate).")
   in
-  let no_durability =
-    Arg.(value & flag
-           & info [ "no-durability" ]
-               ~doc:"Skip-fsync mutant: writes cost the same but a \
-                     crash-with-amnesia loses the whole log. Combine \
-                     with --faults (wipe events) and --check to watch \
-                     the safety checker catch the violation.")
-  in
   let action seed setting proto_name duration rate alpha additional
-      percentile metrics_out trace_op fsync_us batch_sync_us no_durability
-      journal_out perfetto_out timeline_out timeline_window faults_file check =
+      percentile metrics_out trace_op fsync_us batch_sync_us journal_out perfetto_out timeline_out timeline_window faults_file check =
     let proto = protocol_arg additional percentile proto_name in
     let faults = load_plan faults_file in
     let store =
@@ -258,15 +249,12 @@ let run_cmd =
         | Some us ->
           { p with Domino_store.Store.sync_latency = Time_ns.of_ms_f (us /. 1000.) }
       in
-      let p =
-        match batch_sync_us with
-        | None -> p
-        | Some us ->
-          { p with
-            Domino_store.Store.mode =
-              Domino_store.Store.Batched (Time_ns.of_ms_f (us /. 1000.)) }
-      in
-      if no_durability then { p with Domino_store.Store.durable = false } else p
+      match batch_sync_us with
+      | None -> p
+      | Some us ->
+        { p with
+          Domino_store.Store.mode =
+            Domino_store.Store.Batched (Time_ns.of_ms_f (us /. 1000.)) }
     in
     let journal =
       match (journal_out, perfetto_out, check) with
@@ -328,8 +316,7 @@ let run_cmd =
     | x :: rest when List.for_all (fun y -> y = x) rest ->
       Format.printf "  replicas converged ✓@."
     | _ -> Format.printf "  WARNING: replica state diverged@.");
-    Format.printf "  stable storage: %d records synced%s%s@." r.sync_writes
-      (if no_durability then " (durability OFF)" else "")
+    Format.printf "  stable storage: %d records synced%s@." r.sync_writes
       (match r.recovery_ms with
       | [] -> ""
       | spans ->
@@ -388,7 +375,7 @@ let run_cmd =
       const action $ seed_arg $ setting_arg
       $ protocol_name_arg $ duration $ rate $ alpha $ additional_delay
       $ percentile $ metrics_out $ trace_op $ fsync_us $ batch_sync_us
-      $ no_durability $ journal_out_arg $ perfetto_out_arg $ timeline_out_arg
+      $ journal_out_arg $ perfetto_out_arg $ timeline_out_arg
       $ timeline_window_arg $ faults_arg $ check_arg)
   in
   Cmd.v

@@ -94,7 +94,7 @@ let closest_replica setting ~client_dc =
    byte-identical (journal and metrics JSON) to the flat harness this
    module used to implement inline. *)
 let run ?seed ?rate ?alpha ?duration ?measure_from ?measure_until ?metrics
-    ?journal ?timeline ?faults ?dedup ?reconfig_mutant ?store setting proto =
+    ?journal ?timeline ?faults ?store setting proto =
   let params =
     match faults with
     | Some _ -> Protocols.params_under_faults proto
@@ -118,8 +118,7 @@ let run ?seed ?rate ?alpha ?duration ?measure_from ?measure_until ?metrics
   in
   let r =
     Domino_shard.Fabric.run ?seed ?rate ?alpha ?duration ?measure_from
-      ?measure_until ?metrics ?journal ?timeline ?faults ?dedup
-      ?reconfig_mutant ?store config
+      ?measure_until ?metrics ?journal ?timeline ?faults ?store config
   in
   let g = r.Domino_shard.Fabric.groups.(0) in
   {

@@ -103,8 +103,6 @@ val run :
   ?journal:Journal.t ->
   ?timeline:Timeline.agg ->
   ?faults:Domino_fault.Plan.t ->
-  ?dedup:bool ->
-  ?reconfig_mutant:bool ->
   ?store:Domino_store.Store.params ->
   setting ->
   protocol ->
@@ -136,21 +134,12 @@ val run :
     carries [harness_retries] / [harness_abandoned]; Domino's extra
     always carries its clients' [client_retries] / [client_abandoned].
 
-    [dedup] (default [true]) guards each replica's execution stream
-    with {!Service.Dedup}, so retried ops apply at most once to the
-    stores/journal; [~dedup:false] is the deliberately-unsafe mutant
-    used to prove the chaos checker catches double execution.
-
-    [reconfig_mutant] (default [false]) is the stale-config mutant:
-    replicas removed by a [reconfig] plan event keep their network
-    endpoints and go on executing — the deliberately-broken build used
-    to prove the checker's removed-node rule catches it.
+    Each replica's execution stream is guarded by {!Service.Dedup}, so
+    retried ops apply at most once to the stores/journal.
 
     [store] (default {!Domino_store.Store.default_params}) parameterizes
     each replica's simulated stable store: fsync/append/snapshot
-    latency, group-commit mode, and the [durable = false] skip-fsync
-    mutant the chaos tests use to prove the checker catches recovery
-    from acknowledged-but-lost writes. *)
+    latency and group-commit mode. *)
 
 val seed_for : int64 -> int -> int64
 (** [seed_for base i] is the i-th task's derived seed, the same

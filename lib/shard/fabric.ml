@@ -140,8 +140,7 @@ let obs_observer ~prefix metrics jsink ~exec_replica_for ~note_commit =
 
 let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
     ?(duration = Time_ns.sec 30) ?measure_from ?measure_until ?metrics
-    ?journal ?timeline ?faults ?(dedup = true) ?(auto_rebalance = false)
-    ?(migrate_mutant = false) ?(reconfig_mutant = false)
+    ?journal ?timeline ?faults ?(auto_rebalance = false)
     ?(store = Domino_store.Store.default_params)
     (config : config) =
   let n_groups = Array.length config.groups in
@@ -353,12 +352,8 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
     in
     (* At-most-once execution at the service layer: retries can drive
        the same op through consensus twice, so duplicates are filtered
-       here — before the stores, recorder, and journal see them.
-       [~dedup:false] is the deliberately-unsafe mutant the chaos tests
-       use to prove the checker catches double execution. *)
-    let dedups =
-      Array.init n_rep (fun _ -> Service.Dedup.create ~enabled:dedup ())
-    in
+       here — before the stores, recorder, and journal see them. *)
+    let dedups = Array.init n_rep (fun _ -> Service.Dedup.create ()) in
     let observer =
       let inner = observer in
       {
@@ -490,8 +485,7 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
            ~dstores_of_group:(fun g -> lives.(g).dstores)
            ~install_span:(fun ~records ->
              store.Domino_store.Store.snapshot_latency
-             + (records * store.Domino_store.Store.replay_per_record))
-           ~mutant:migrate_mutant ())
+             + (records * store.Domino_store.Store.replay_per_record)))
     else None
   in
   List.iter
@@ -536,8 +530,7 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
                 crash_node = live.crash_node;
                 recover_node = live.recover_node;
                 wipe = live.wipe_node;
-              }
-            ~mutant:reconfig_mutant ())
+              })
         lives
   in
   List.iter

@@ -75,10 +75,7 @@ val run :
   ?journal:Journal.t ->
   ?timeline:Timeline.agg ->
   ?faults:Domino_fault.Plan.t ->
-  ?dedup:bool ->
   ?auto_rebalance:bool ->
-  ?migrate_mutant:bool ->
-  ?reconfig_mutant:bool ->
   ?store:Domino_store.Store.params ->
   config ->
   result
@@ -108,8 +105,7 @@ val run :
     migration-armed run carries [epoch=0 assign=...] so offline replay
     seeds the starting map before applying journaled [migrate.epoch]
     bumps; runs without migration keep the short mark, byte-identical
-    to before. [migrate_mutant] arms the double-owner bug after each
-    cutover — test-only, for proving the checker catches it.
+    to before.
 
     The control verbs ([transfer group=… to=…], [reconfig group=… add=/
     remove=/replace=…], [roll group=… dwell=…]) arm one
@@ -118,10 +114,7 @@ val run :
     protocol's [control] hook, and rolling wipe-upgrades through
     {!Domino_smr.Reconfig.roll}). They work on any fabric,
     including single-group; runs without control verbs build none of
-    it and keep their exact event streams. [reconfig_mutant] is the
-    stale-config build: removed replicas stay on the network and keep
-    executing — test-only, for proving the checker's removed-node rule
-    catches it.
+    it and keep their exact event streams.
 
     @raise Invalid_argument on an empty group list, unequal replica
     counts across groups, fewer slots than groups, a [migrate] plan

@@ -21,7 +21,6 @@ type t = {
   kv_of_group : int -> Domino_kv.Store.t array;
   dstores_of_group : int -> Domino_store.Store.t array;
   install_span : records:int -> Time_ns.span;
-  mutant : bool;
   mutable active : bool;
   mutable next_allowed : Time_ns.t;
   mutable outcomes_r : outcome list;  (** newest first *)
@@ -35,7 +34,7 @@ let grace = Time_ns.ms 200
 let cooldown = Time_ns.ms 1500
 
 let create engine ~router ~journal ~spec ~kv_of_group ~dstores_of_group
-    ~install_span ?(mutant = false) () =
+    ~install_span =
   {
     engine;
     router;
@@ -44,7 +43,6 @@ let create engine ~router ~journal ~spec ~kv_of_group ~dstores_of_group
     kv_of_group;
     dstores_of_group;
     install_span;
-    mutant;
     active = false;
     next_allowed = Time_ns.zero;
     outcomes_r = [];
@@ -108,7 +106,6 @@ let start t ~slot ~from_g ~to_g =
        replayed attribution stay byte-identical. *)
     let epoch = Router.reassign t.router ~slot ~to_g in
     emit t ~stage:"epoch" ~slot ~from_g ~to_g ~epoch ~detail:"";
-    if t.mutant then Router.set_double_owner t.router ~slot ~old_g:from_g;
     let queued = Router.unfreeze t.router slot in
     emit t ~stage:"done" ~slot ~from_g ~to_g ~epoch
       ~detail:(Printf.sprintf "records=%d queued=%d" records queued);

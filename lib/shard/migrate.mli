@@ -55,13 +55,7 @@ val create :
   kv_of_group:(int -> Domino_kv.Store.t array) ->
   dstores_of_group:(int -> Domino_store.Store.t array) ->
   install_span:(records:int -> Time_ns.span) ->
-  ?mutant:bool ->
-  unit ->
   t
-(** [mutant] arms the double-owner bug
-    ({!Router.set_double_owner}) after each successful cutover — the
-    deliberately-broken build the migration-aware checker must catch.
-    Test-only. *)
 
 val request : t -> slot:int -> to_g:int -> bool
 (** Start migrating [slot] to [to_g]. Returns [false] (and does

@@ -9,9 +9,6 @@ type t = {
   frozen : (int, Op.t Queue.t) Hashtbl.t;
   pending : (Op.id, int) Hashtbl.t;  (** in-flight op -> slot *)
   mutable epoch : int;
-  mutable double_owner : (int * int) option;
-      (** mutant hook: (slot, stale owner) — duplicate the slot's
-          submits to the old group *)
 }
 
 let create ~spec ~assignment ~submits =
@@ -30,7 +27,6 @@ let create ~spec ~assignment ~submits =
     frozen = Hashtbl.create 4;
     pending = Hashtbl.create 1024;
     epoch = 0;
-    double_owner = None;
   }
 
 let slot_of t key = Slots.slot_of_key t.spec key
@@ -53,16 +49,7 @@ let submit t (op : Op.t) =
     t.slot_routed.(s) <- t.slot_routed.(s) + 1;
     if not (Hashtbl.mem t.pending (Op.id op)) then
       Hashtbl.replace t.pending (Op.id op) s;
-    t.submits.(g) op;
-    (match t.double_owner with
-    | Some (ds, old_g) when ds = s && old_g <> g ->
-      (* The deliberately-broken mutant: the old owner keeps serving the
-         migrated slot. Journal-level submits dedup (same op id), but
-         the stale group commits and executes the op in its own log —
-         exactly what the checker's exactly-once and epoch-split rules
-         must catch. *)
-      t.submits.(old_g) op
-    | _ -> ())
+    t.submits.(g) op
 
 let note_commit t id = Hashtbl.remove t.pending id
 
@@ -117,8 +104,6 @@ let inflight_on_group t ~group =
   Hashtbl.fold
     (fun _ s acc -> if t.assignment.(s) = group then acc + 1 else acc)
     t.pending 0
-
-let set_double_owner t ~slot ~old_g = t.double_owner <- Some (slot, old_g)
 
 let hottest_slot t ~group =
   let best = ref (-1) and hi = ref (-1) in

@@ -85,12 +85,6 @@ val inflight_on_group : t -> group:int -> int
 (** Routed-but-uncommitted ops across every slot the group owns — the
     drain gauge a reconfiguration polls toward zero. *)
 
-val set_double_owner : t -> slot:int -> old_g:int -> unit
-(** Arm the deliberately-broken mutant: after a migration, the slot's
-    submits are ALSO sent to [old_g], so the stale group keeps
-    committing and executing the migrated keys — the double-owner bug
-    the migration-aware checker must catch. Test-only. *)
-
 val hottest_slot : t -> group:int -> int
 (** The slot owned by [group] with the most routed ops so far (lowest
     slot id wins ties); [-1] if the group owns no slots. What the

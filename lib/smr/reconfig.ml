@@ -29,15 +29,13 @@ type t = {
   members : bool array;
   stores : Domino_store.Store.t array;
   hooks : hooks;
-  mutant : bool;
   mutable holder : int;
   mutable epoch : int;
   mutable active : bool;  (** a membership change is in progress *)
   mutable rolling : bool;  (** a rolling patch is in progress *)
 }
 
-let create engine ~journal ~group ~n ~leader ~stores ~hooks ?(mutant = false)
-    () =
+let create engine ~journal ~group ~n ~leader ~stores ~hooks =
   if n <= 0 then invalid_arg "Reconfig.create: empty group";
   if Array.length stores <> n then
     invalid_arg "Reconfig.create: one store per replica required";
@@ -50,7 +48,6 @@ let create engine ~journal ~group ~n ~leader ~stores ~hooks ?(mutant = false)
     members = Array.make n true;
     stores;
     hooks;
-    mutant;
     holder = leader;
     epoch = 0;
     active = false;
@@ -140,11 +137,7 @@ let hand_off t ~node ~k =
 
    Quorum arithmetic stays over the group's original size [n] — a
    removal narrows the fault budget rather than shrinking quorums, so
-   the group must keep a live majority of the original membership.
-   [mutant] is the deliberately-broken stale-config build: the removed
-   replica is never taken off the network, so it keeps executing ops
-   past its removal — exactly what the chaos checker's removed-node
-   rule must catch. *)
+   the group must keep a live majority of the original membership. *)
 
 let change_detail = function
   | Add node -> Printf.sprintf "node=%d add" node
@@ -201,10 +194,10 @@ let request t change ~k =
           restore t ~node
         | Remove node ->
           t.members.(node) <- false;
-          if not t.mutant then t.hooks.crash_node node
+          t.hooks.crash_node node
         | Replace { node; with_ } ->
           t.members.(node) <- false;
-          if not t.mutant then t.hooks.crash_node node;
+          t.hooks.crash_node node;
           t.members.(with_) <- true;
           t.hooks.recover_node with_;
           restore t ~node:with_);

@@ -63,16 +63,12 @@ val create :
   leader:int ->
   stores:Domino_store.Store.t array ->
   hooks:hooks ->
-  ?mutant:bool ->
-  unit ->
   t
 (** [n] is the group's original replica count; quorum arithmetic stays
     over [n], so removals narrow the fault budget instead of shrinking
     quorums (a removal that would leave fewer than a majority of the
     original membership is refused). [leader] seeds the tracked
-    coordination holder. [mutant] is the stale-config build: removed
-    replicas are never taken off the network — the bug the checker's
-    removed-node rule exists to catch. *)
+    coordination holder. *)
 
 val transfer : t -> to_:int -> k:(unit -> unit) -> bool
 (** Graceful handoff of the tracked holder's coordination duties to

@@ -46,26 +46,21 @@ let queue_depth t = t.depth
    carrying the same op id); the service layer must execute it once. *)
 module Dedup = struct
   type t = {
-    enabled : bool;
     seen : unit Op.Idtbl.t;
     mutable dups : int;
   }
 
-  let create ?(enabled = true) () =
-    { enabled; seen = Op.Idtbl.create 1; dups = 0 }
+  let create () = { seen = Op.Idtbl.create 1; dups = 0 }
 
   let fresh t op =
-    if not t.enabled then true
+    let id = Op.id op in
+    if Op.Idtbl.mem t.seen id then begin
+      t.dups <- t.dups + 1;
+      false
+    end
     else begin
-      let id = Op.id op in
-      if Op.Idtbl.mem t.seen id then begin
-        t.dups <- t.dups + 1;
-        false
-      end
-      else begin
-        Op.Idtbl.add t.seen id ();
-        true
-      end
+      Op.Idtbl.add t.seen id ();
+      true
     end
 
   let duplicates t = t.dups

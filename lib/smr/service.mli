@@ -40,10 +40,7 @@ val queue_depth : 'msg t -> int
 module Dedup : sig
   type t
 
-  val create : ?enabled:bool -> unit -> t
-  (** [enabled] defaults to [true]; [~enabled:false] makes {!fresh}
-      always answer [true] — the deliberately-unsafe mutant the chaos
-      tests use to prove the checker catches double execution. *)
+  val create : unit -> t
 
   val fresh : t -> Op.t -> bool
   (** First sighting of this op id? Callers execute iff [true]. *)

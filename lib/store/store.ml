@@ -9,7 +9,6 @@ type params = {
   snapshot_latency : Time_ns.span;
   replay_per_record : Time_ns.span;
   mode : sync_mode;
-  durable : bool;
 }
 
 (* The default disk is a capacitor-backed (power-loss-protected) NVMe
@@ -24,7 +23,6 @@ let default_params =
     snapshot_latency = Time_ns.ms 2;
     replay_per_record = Time_ns.ns 500;
     mode = Immediate;
-    durable = true;
   }
 
 type record = ..
@@ -236,16 +234,8 @@ let wipe t =
   t.barrier_open <- false;
   t.waiting <- [];
   t.n_wipes <- t.n_wipes + 1;
-  (* The unsynced tail is gone; the skip-fsync mutant's disk
-     acknowledged everything and kept nothing — the crash reveals the
-     lie. *)
-  let keep = if t.params.durable then t.durable_upto - t.base else 0 in
-  clear t ~from:keep ~upto:(t.appended - t.base);
-  if not t.params.durable then begin
-    t.base <- 0;
-    t.durable_upto <- 0;
-    t.snap <- None
-  end;
+  (* The unsynced tail is gone. *)
+  clear t ~from:(t.durable_upto - t.base) ~upto:(t.appended - t.base);
   let lost = t.appended - t.durable_upto in
   t.n_lost <- t.n_lost + lost;
   t.appended <- t.durable_upto;

@@ -24,12 +24,6 @@
     surviving records, oldest first, for the owner to replay;
     {!recovery_span} is the modeled wall time that reload takes.
 
-    With [durable = false] the store is a skip-fsync mutant: every
-    operation proceeds (and costs) exactly as usual, but a wipe loses
-    the snapshot and the entire log — the disk acknowledged writes it
-    never kept. The chaos checker must catch the resulting
-    re-execution / divergence; see [test_fault].
-
     All storage events (append, sync, truncate, snapshot) are journaled
     as [store.*] events, and wipe/replay as [recovery.*] events, so the
     flight recorder shows what reached disk and when. *)
@@ -49,12 +43,11 @@ type params = {
   snapshot_latency : Time_ns.span;
   replay_per_record : Time_ns.span;  (** recovery cost per log record *)
   mode : sync_mode;
-  durable : bool;  (** [false]: skip-fsync mutant, see above *)
 }
 
 val default_params : params
 (** 40 us fsync (power-loss-protected NVMe) + 0.5 us/record, 2 ms
-    snapshots, [Immediate], durable. *)
+    snapshots, [Immediate]. *)
 
 type record = ..
 (** A WAL record. Protocols extend this with their own constructors

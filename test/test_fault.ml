@@ -348,10 +348,7 @@ let test_dedup () =
   let o = op ~client:9 ~seq:3 in
   check_bool "first is fresh" true (Service.Dedup.fresh d o);
   check_bool "second is not" false (Service.Dedup.fresh d o);
-  check_int "duplicate counted" 1 (Service.Dedup.duplicates d);
-  let off = Service.Dedup.create ~enabled:false () in
-  check_bool "disabled: everything fresh" true
-    (Service.Dedup.fresh off o && Service.Dedup.fresh off o)
+  check_int "duplicate counted" 1 (Service.Dedup.duplicates d)
 
 (* --- Checker on synthetic journals --- *)
 
@@ -487,14 +484,13 @@ let test_checker_ring_overflow_unsound () =
 
 (* --- Integration: short faulted runs through the harness --- *)
 
-let run_checked ?(dedup = true) ?(duration = Time_ns.sec 4) ?store ~plan proto
-    =
+let run_checked ?(duration = Time_ns.sec 4) ~plan proto =
   let faults = parse_exn plan in
   let journal = Journal.create () in
   let result =
     Exp_common.run ~seed:5L ~rate:50. ~duration
       ~measure_from:(Time_ns.ms 500) ~measure_until:duration ~journal ~faults
-      ~dedup ?store Exp_common.fig7_double proto
+      Exp_common.fig7_double proto
   in
   (result, journal, Checker.check ~require_complete:true journal)
 
@@ -584,20 +580,10 @@ let test_harness_retry_under_partition () =
      dedup must keep execution exactly-once. *)
   let plan = "at 1s partition a=3 b=0 sym until=2200ms\n" in
   let result, _, report = run_checked ~plan Exp_common.Multi_paxos in
-  check_bool "checker passes with dedup on" true report.Checker.ok;
   check_bool "harness retried" true
     (List.assoc "harness_retries" result.Exp_common.extra > 0);
-  check_int "no duplicate executions" 0 report.Checker.duplicate_execs
-
-let test_dedup_mutant_caught () =
-  (* Same faulted run with server dedup disabled: the deliberate
-     duplicates from client retries now reach the state machines, and
-     the checker must catch them. *)
-  let plan = "at 1s partition a=3 b=0 sym until=2200ms\n" in
-  let _, _, report = run_checked ~dedup:false ~plan Exp_common.Multi_paxos in
-  check_bool "mutant fails the checker" false report.Checker.ok;
-  check_bool "double execution detected" true
-    (report.Checker.duplicate_execs > 0)
+  check_int "no duplicate executions" 0 report.Checker.duplicate_execs;
+  check_bool "checker passes" true report.Checker.ok
 
 (* --- Crash-with-amnesia through the harness --- *)
 
@@ -633,29 +619,28 @@ let test_wipe_recovery_clean () =
       Exp_common.Fast_paxos;
     ]
 
-let test_durability_mutant_caught () =
-  (* Same wipe with [durable = false] stores — the disk acknowledged
-     fsyncs it never kept, so the node restarts fully amnesiac (zero
-     records to replay). Run against node 0, whose amnesia is most
-     corrupting: the Multi-Paxos leader re-decides already-executed
-     slots and the DFP coordinator forgets its decided watermark, so
-     the checker must flag the run (mirroring PR 4's dedup mutant).
-     The other three protocols can evade this particular plan: the
-     blank node fast-forwards its execution cursor to the peers'
-     watermarks and resumes with only new ops, which the journal
-     checker cannot distinguish from a slow-but-correct replica — the
-     damage is confined to that replica's unobserved KV state. *)
-  let store =
-    { Domino_store.Store.default_params with Domino_store.Store.durable = false }
-  in
+let test_node0_wipe_clean () =
+  (* The wipe again, against node 0: the Multi-Paxos leader and the
+     DFP coordinator. A store that acknowledged fsyncs it never kept
+     (test/mutants/skip-fsync.patch) fails this case — the amnesiac
+     leader re-decides already-executed slots, the coordinator forgets
+     its decided watermark — but passes the node-2 wipe above: there,
+     and for Mencius, EPaxos and Fast Paxos here, the blank node
+     fast-forwards its execution cursor to its peers' watermarks and
+     resumes with only new ops, which the journal checker cannot tell
+     from a slow but correct replica. *)
   let plan = "at 1s crash node=0\nat 1800ms wipe node=0\n" in
-  List.iter
-    (fun proto ->
-      let _, _, report = run_checked ~store ~plan proto in
-      check_bool
-        (Exp_common.protocol_name proto ^ ": skip-fsync mutant caught")
-        false report.Checker.ok)
-    [ Exp_common.domino_default; Exp_common.Multi_paxos ]
+  let unclean =
+    List.filter_map
+      (fun proto ->
+        let _, _, report = run_checked ~plan proto in
+        if report.Checker.ok && report.Checker.recoveries > 0 then None
+        else Some (Exp_common.protocol_name proto))
+      [ Exp_common.domino_default; Exp_common.Multi_paxos ]
+  in
+  Alcotest.(check (list string))
+    "protocols failing the checker or not recovering across a node-0 wipe" []
+    unclean
 
 let test_probe_silence_steers_dm () =
   (* §5.8 regression: while replica 1 is crashed its probe replies stop,
@@ -801,26 +786,6 @@ let test_reconfig_drain_abort () =
     Alcotest.failf "aborted reconfig violates:@.%a" Checker.pp_report report;
   check_int "checker saw no epoch bump" 0 report.Checker.reconfigs
 
-let test_stale_config_mutant_caught () =
-  (* The deliberately-broken build: a removed replica keeps its network
-     endpoints and goes on executing. The checker's removed-node rule
-     must flag the run. *)
-  List.iter
-    (fun proto ->
-      let name = Exp_common.protocol_name proto in
-      let faults = parse_exn "at 1500ms reconfig group=0 remove=2\n" in
-      let journal = Journal.create () in
-      ignore
-        (Exp_common.run ~seed:5L ~rate:50. ~duration:(Time_ns.sec 5) ~journal
-           ~faults ~reconfig_mutant:true Exp_common.fig7_double proto);
-      let report = Checker.check journal in
-      check_bool (name ^ ": stale-config mutant caught") false report.Checker.ok;
-      check_bool (name ^ ": violation names the removed replica") true
-        (List.exists
-           (fun v -> contains v "removed replica 2")
-           report.Checker.violations))
-    [ Exp_common.domino_default; Exp_common.Multi_paxos ]
-
 let test_roll_sweep_deterministic () =
   (* The determinism contract extended to rolls: a parallel sweep whose
      every run performs a rolling patch must merge to byte-identical
@@ -961,8 +926,6 @@ let () =
             test_domino_failover_order;
           Alcotest.test_case "harness retry under partition" `Quick
             test_harness_retry_under_partition;
-          Alcotest.test_case "dedup mutant caught" `Quick
-            test_dedup_mutant_caught;
           q chaos_property;
         ] );
       ( "maintenance",
@@ -975,8 +938,6 @@ let () =
             test_reconfig_under_load;
           Alcotest.test_case "reconfig drain deadline aborts" `Quick
             test_reconfig_drain_abort;
-          Alcotest.test_case "stale-config mutant caught" `Quick
-            test_stale_config_mutant_caught;
           Alcotest.test_case "roll sweep deterministic across jobs" `Slow
             test_roll_sweep_deterministic;
         ] );
@@ -984,8 +945,8 @@ let () =
         [
           Alcotest.test_case "wipe recovery stays exactly-once" `Quick
             test_wipe_recovery_clean;
-          Alcotest.test_case "skip-fsync mutant caught" `Quick
-            test_durability_mutant_caught;
+          Alcotest.test_case "node-0 wipe stays clean" `Quick
+            test_node0_wipe_clean;
           Alcotest.test_case "probe silence steers DFP to DM" `Quick
             test_probe_silence_steers_dm;
         ] );

@@ -220,13 +220,6 @@ let test_dedup_ids_across_clients () =
     (Service.Dedup.fresh d (op ~client:2 ~seq:9));
   check_int "no duplicates" 0 (Service.Dedup.duplicates d)
 
-let test_dedup_disabled () =
-  let d = Service.Dedup.create ~enabled:false () in
-  let o = op ~client:1 ~seq:0 in
-  check_bool "first" true (Service.Dedup.fresh d o);
-  check_bool "repeat passes" true (Service.Dedup.fresh d o);
-  check_int "nothing counted" 0 (Service.Dedup.duplicates d)
-
 let test_service_wrap () =
   let engine = Engine.create () in
   let processed = ref [] in
@@ -348,7 +341,6 @@ let () =
             test_dedup_counts_repeats;
           Alcotest.test_case "dedup ids across clients" `Quick
             test_dedup_ids_across_clients;
-          Alcotest.test_case "dedup disabled" `Quick test_dedup_disabled;
         ] );
       ( "quiesce",
         [

@@ -2,9 +2,8 @@
    barriers cost simulated time, group commit coalesces concurrent
    requests, batched mode holds barriers open, snapshots truncate the
    log, and wipe implements crash-with-amnesia — including the epoch
-   guard that kills in-flight completions and the skip-fsync mutant
-   that loses everything. Records are the test's own constructor,
-   [R n]. *)
+   guard that kills in-flight completions. Records are the test's own
+   constructor, [R n]. *)
 
 open Domino_sim
 open Domino_obs
@@ -32,7 +31,6 @@ let params =
     snapshot_latency = Time_ns.ms 1;
     replay_per_record = Time_ns.us 1;
     mode = Store.Immediate;
-    durable = true;
   }
 
 let mk ?(params = params) () =
@@ -247,30 +245,6 @@ let test_recover_oldest_first () =
     (List.init 150 (fun i -> 150 + i))
     (snd (Store.recover store))
 
-let test_skip_fsync_mutant_loses_everything () =
-  let engine, store = mk ~params:{ params with Store.durable = false } () in
-  r store 1;
-  r store 2;
-  Store.sync store (fun () -> ());
-  Engine.run engine;
-  Store.snapshot store "blob" ~upto:1;
-  Engine.run engine;
-  r store 3;
-  check_int "mutant looks durable before the crash" 2
-    (Store.durable_upto store);
-  Store.wipe store;
-  check_int "every record ever appended is lost, snapshotted ones too" 3
-    (counter store "lost");
-  let snap, records = Store.recover store in
-  check_bool "snapshot gone" true (snap = None);
-  check_records "log gone" [] records;
-  check_int "frontier reset to zero" 0 (Store.durable_upto store);
-  r_sync store 4 (fun () -> ());
-  Engine.run engine;
-  Store.wipe store;
-  check_records "the next incarnation starts from an empty log" []
-    (snd (Store.recover store))
-
 let () =
   Alcotest.run "store"
     [
@@ -298,7 +272,5 @@ let () =
             test_wipe_after_snapshot_moved_base;
           Alcotest.test_case "recover returns records oldest first" `Quick
             test_recover_oldest_first;
-          Alcotest.test_case "skip-fsync mutant loses everything" `Quick
-            test_skip_fsync_mutant_loses_everything;
         ] );
     ]
