@@ -1,6 +1,7 @@
 (* Regenerates every golden this module owns — each journal golden in
-   Golden_runs.journals (md5 and head), the na3-domino metrics JSON, and
-   the analyze CSVs pinned by test_timeline — into a directory:
+   Golden_runs.journals (md5 and head), the na3-domino metrics JSON, the
+   metrics JSON and extra counters of Golden_runs.faulted_runs, and the
+   analyze CSVs pinned by test_timeline — into a directory:
 
      dune exec test/gen_golden.exe -- test/golden
 
@@ -21,6 +22,12 @@ let () =
       write (name ^ ".journal.head") (Golden_runs.head lines))
     Golden_runs.journals;
   write "na3-domino.metrics.json" (snd (Golden_runs.na3_domino ()));
+  List.iter
+    (fun (name, run) ->
+      let _, metrics, extra = run () in
+      write (name ^ ".metrics.json") metrics;
+      write (name ^ ".extra") extra)
+    Golden_runs.faulted_runs;
   let replay name j =
     Printf.eprintf "%s journal: %d events, %d dropped\n%!" name
       (Domino_obs.Journal.length j)

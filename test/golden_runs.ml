@@ -54,6 +54,40 @@ let rolling_wipe proto () =
        Exp_common.fig7_double proto);
   j
 
+(* Two faulted fig7-double runs at test_fault's [run_checked] settings,
+   pinned by journal md5, metrics JSON and the group's [extra] counters
+   ([<name>.extra], one "key value" line each): the Multi-Paxos
+   partition drives the harness retry and the at-most-once execution
+   filter ([harness_retries], [dedup_suppressed]); the Domino leader
+   crash (test/plans/leader_crash.plan) drives Domino's in-protocol
+   resends and [run.retries]. *)
+let faulted ~plan ~duration proto () =
+  let j = Journal.create () in
+  let r =
+    Exp_common.run ~seed:5L ~rate:50. ~duration ~measure_from:(Time_ns.ms 500)
+      ~measure_until:duration ~journal:j ~faults:(parse_exn plan)
+      Exp_common.fig7_double proto
+  in
+  let extra =
+    String.concat ""
+      (List.map (fun (k, v) -> Printf.sprintf "%s %d\n" k v) r.Exp_common.extra)
+  in
+  (j, Metrics.to_json_string r.Exp_common.metrics, extra)
+
+let faulted_runs =
+  [
+    ( "harness-retry-partition",
+      faulted ~plan:"at 1s partition a=3 b=0 sym until=2200ms\n"
+        ~duration:(Time_ns.sec 4) Exp_common.Multi_paxos );
+    ( "domino-leader-crash",
+      faulted ~plan:"at 1500ms crash node=0\nat 3s recover node=0\n"
+        ~duration:(Time_ns.sec 6) Exp_common.domino_default );
+  ]
+
+let faulted_journal name () =
+  let j, _, _ = (List.assoc name faulted_runs) () in
+  j
+
 (* Every journal golden: [<name>.journal.md5] holds the md5 of the
    rendered journal, [<name>.journal.head] its first five lines for a
    reader diagnosing a mismatch. *)
@@ -71,6 +105,8 @@ let journals =
     ("mencius-rolling-wipe", rolling_wipe Exp_common.Mencius);
     ("fastpaxos-rolling-wipe", rolling_wipe Exp_common.Fast_paxos);
     ("multipaxos-rolling-wipe", rolling_wipe Exp_common.Multi_paxos);
+    ("harness-retry-partition", faulted_journal "harness-retry-partition");
+    ("domino-leader-crash", faulted_journal "domino-leader-crash");
   ]
 
 let md5 lines = Digest.to_hex (Digest.string lines)

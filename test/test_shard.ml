@@ -627,6 +627,16 @@ let test_golden_na3_domino () =
     (read_file "golden/na3-domino.metrics.json")
     metrics
 
+let faulted_golden name () =
+  let j, metrics, extra = (List.assoc name Golden_runs.faulted_runs) () in
+  check_journal_golden name j;
+  check_string (name ^ " metrics JSON identical to its golden")
+    (read_file ("golden/" ^ name ^ ".metrics.json"))
+    metrics;
+  check_string (name ^ " extra identical to its golden")
+    (read_file ("golden/" ^ name ^ ".extra"))
+    extra
+
 (* The journal writer against the Printf renderer it replaced, on a
    real multi-group run whose faults reach every emitter: a migration,
    a wipe (store and recovery events) and a leader transfer. *)
@@ -712,6 +722,10 @@ let () =
             (journal_golden "fastpaxos-rolling-wipe");
           Alcotest.test_case "multipaxos rolling wipe journal" `Slow
             (journal_golden "multipaxos-rolling-wipe");
+          Alcotest.test_case "harness retry partition run" `Slow
+            (faulted_golden "harness-retry-partition");
+          Alcotest.test_case "domino leader crash run" `Slow
+            (faulted_golden "domino-leader-crash");
           Alcotest.test_case "writer = Printf reference" `Slow
             test_writer_matches_reference;
         ] );
