@@ -115,7 +115,7 @@ let extra_delay t =
 (* Domino's resend rule for the shared {!Retry} loop: a timed-out
    request goes again through DM — the robust path — to the closest
    leader for the first [failover_after] retries, then rotating through
-   the other replicas. Server-side dedup (the service layer) keeps
+   the other replicas. Server-side dedup (the fabric's op ledger) keeps
    duplicate deliveries harmless. *)
 let resend t ~failover_after (op : Op.t) ~attempt =
   let retries = attempt - 1 in
@@ -270,6 +270,3 @@ let abandoned t = Option.fold ~none:0 ~some:Retry.abandoned t.retry
 let last_choice t = t.last_choice
 
 let current_extra_delay = extra_delay
-
-let fast_path_rate t =
-  match t.feedback with Some f -> Feedback.fast_rate f | None -> 1.

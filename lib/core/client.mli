@@ -86,7 +86,3 @@ val current_extra_delay : t -> Domino_sim.Time_ns.span
 (** The additional delay currently applied to DFP timestamps — the
     configured constant, or the {!Feedback} controller's value when
     [adaptive] is on. *)
-
-val fast_path_rate : t -> float
-(** Observed DFP fast-path rate over the feedback window (1.0 without
-    the adaptive controller or before any DFP commits). *)

@@ -66,7 +66,6 @@ type protocol = Protocols.t =
 
 let domino_default = Protocols.domino_default
 let domino_exec = Protocols.domino_exec
-let domino_adaptive = Protocols.domino_adaptive
 let protocol_name = Protocols.name
 
 type result = {

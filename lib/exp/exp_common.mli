@@ -59,10 +59,6 @@ val domino_default : protocol
 val domino_exec : protocol
 (** Domino with the paper's +8 ms execution-latency setting (§7.2.3). *)
 
-val domino_adaptive : protocol
-(** Domino with the §5.4 feedback controller instead of a static
-    additional delay. *)
-
 val protocol_name : protocol -> string
 
 type result = {
@@ -134,8 +130,9 @@ val run :
     carries [harness_retries] / [harness_abandoned]; Domino's extra
     always carries its clients' [client_retries] / [client_abandoned].
 
-    Each replica's execution stream is guarded by {!Service.Dedup}, so
-    retried ops apply at most once to the stores/journal.
+    Each replica's execution stream is guarded by the group's op ledger
+    ({!Observer.Recorder.execute}), so retried ops apply at most once to
+    the stores/journal.
 
     [store] (default {!Domino_store.Store.default_params}) parameterizes
     each replica's simulated stable store: fsync/append/snapshot

@@ -76,13 +76,3 @@ let smoke_journal ~seed ?faults ?timeline variant =
        ?timeline ?faults
        (List.map (fun proto -> (setting variant, proto)) protocols));
   j
-
-let domino_client_mix ?(quick = true) ?(seed = 42L) variant () =
-  let r =
-    Exp_common.run ~seed ~duration:(duration quick) (setting variant)
-      Exp_common.domino_default
-  in
-  let stat k =
-    match List.assoc_opt k r.Exp_common.extra with Some v -> v | None -> 0
-  in
-  (stat "dfp_submissions", stat "dm_submissions")

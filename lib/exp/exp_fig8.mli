@@ -29,8 +29,3 @@ val smoke_journal :
     is byte-identical for every [--jobs]. [faults] injects the same
     fault plan into every cell of the sweep; [timeline] is fed online
     during the run. *)
-
-val domino_client_mix :
-  ?quick:bool -> ?seed:int64 -> variant -> unit -> int * int
-(** (requests sent via DFP, via DM) — the paper reports 5 of 9 NA
-    clients choosing DFP with 3 replicas, and 3 of 6 Globe clients. *)

@@ -303,7 +303,4 @@ let is_orchestrated = function
   | { action = Migrate _ | Transfer _ | Reconfig _ | Roll _; _ } -> true
   | _ -> false
 
-let partition_migrations t =
-  List.partition (function { action = Migrate _; _ } -> true | _ -> false) t
-
 let partition_control t = List.partition is_orchestrated t

@@ -38,7 +38,7 @@
     - [migrate]: live slot migration — move ownership of [slot] from
       group [from] to group [to]. Not a network fault: {!Inject}
       ignores it; the shard fabric splits these events out of the plan
-      (see [Plan.partition_migrations]) and hands them to its
+      (see [Plan.partition_control]) and hands them to its
       [Shard.Migrate] orchestrator. [from]/[to] are group indices.
     - [transfer]: graceful leader transfer — hand leadership (or the
       coordinator lease / DM steering, per protocol) of group [group]
@@ -93,11 +93,6 @@ val validate : n:int -> t -> (unit, string) result
     start, loss in [\[0, 1\]]. [migrate] events carry group indices
     (checked non-negative and distinct here; range-checked against the
     group count by the fabric). *)
-
-val partition_migrations : t -> t * t
-(** Split a plan into its [migrate] events and everything else. The
-    fabric drives the first list through its migration orchestrator
-    and installs only the second as network faults. *)
 
 val partition_control : t -> t * t
 (** Split a plan into its orchestrated events ([migrate], [transfer],

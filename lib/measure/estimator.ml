@@ -41,8 +41,6 @@ let create ?(window = Time_ns.sec 1) ?(percentile = 95.)
 
 let n_replicas t = Array.length t.peers
 
-let percentile_used t = t.percentile
-
 let set_percentile t p = t.percentile <- p
 
 let record_reply t ~replica ~now_local (reply : Probe.reply) =

@@ -37,7 +37,6 @@ val create :
     the replicas (its delay to itself is zero). *)
 
 val n_replicas : t -> int
-val percentile_used : t -> float
 val set_percentile : t -> float -> unit
 
 val record_reply : t -> replica:int -> now_local:Time_ns.t -> Probe.reply -> unit

@@ -35,8 +35,6 @@ let create ~window =
     sorted = Array.make initial_capacity 0;
   }
 
-let window_span t = t.window
-
 let capacity t = Array.length t.times
 
 (* Leftmost index in [sorted.(0 .. size-1)] holding a value >= [v]

@@ -13,8 +13,6 @@ type t
 val create : window:Time_ns.span -> t
 (** [create ~window] keeps samples whose age is <= [window]. *)
 
-val window_span : t -> Time_ns.span
-
 val add : t -> now:Time_ns.t -> Time_ns.span -> unit
 (** Record a sample observed at [now]. [now] values must be
     non-decreasing across calls. *)

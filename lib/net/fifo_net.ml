@@ -217,11 +217,6 @@ let set_message_hooks t ~sent ~delivered ~dropped =
   t.on_delivered <- Some delivered;
   t.on_dropped <- Some dropped
 
-let clear_message_hooks t =
-  t.on_sent <- None;
-  t.on_delivered <- None;
-  t.on_dropped <- None
-
 let engine t = t.engine
 
 let size t = Array.length t.nodes
@@ -349,8 +344,6 @@ let set_partition t ~src ~dst blocked =
 let partitioned t ~src ~dst = t.blocked.(src).(dst)
 
 let set_drop_hook t f = t.on_drop <- Some f
-
-let clear_drop_hook t = t.on_drop <- None
 
 let messages_sent t = t.sent
 

@@ -153,7 +153,6 @@ val set_message_hooks :
     variant: tracing allocates nothing, and an unset hook costs a
     single [option] match. *)
 
-val clear_message_hooks : 'msg t -> unit
 
 val set_drop_hook :
   'msg t ->
@@ -169,4 +168,3 @@ val set_drop_hook :
     layer uses this to journal [fault.drop] events without knowing the
     network's message type. *)
 
-val clear_drop_hook : 'msg t -> unit

@@ -39,4 +39,3 @@ let sample t ~now =
   in
   Stdlib.max 1 (t.base_owd + jitter + penalty)
 
-let mean_owd t = t.base_owd + Time_ns.of_ms_f (Jitter.mean_ms t.jitter_params)

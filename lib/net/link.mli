@@ -36,6 +36,3 @@ val set_loss : t -> float -> unit
 val sample : t -> now:Time_ns.t -> Time_ns.span
 (** Draw the one-way delay for a message sent at [now]: base + jitter,
     plus an RTO penalty with probability [loss]. Always > 0. *)
-
-val mean_owd : t -> Time_ns.span
-(** Expected delay excluding loss penalties (for planning in tests). *)

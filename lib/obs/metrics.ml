@@ -208,43 +208,3 @@ let to_json t =
       ])
 
 let to_json_string t = Domino_stats.Json.to_string_pretty (to_json t) ^ "\n"
-
-let to_tables t =
-  let scalars =
-    Domino_stats.Tablefmt.create ~title:"Metrics: counters and gauges"
-      ~header:[ "name"; "value" ]
-  in
-  let hists =
-    Domino_stats.Tablefmt.create ~title:"Metrics: histograms"
-      ~header:[ "name"; "count"; "mean"; "p50"; "p95"; "p99"; "max" ]
-  in
-  let have_scalar = ref false and have_hist = ref false in
-  List.iter
-    (fun (name, instr) ->
-      match instr with
-      | C c ->
-        have_scalar := true;
-        Domino_stats.Tablefmt.add_row scalars [ name; string_of_int c.c ]
-      | G g ->
-        have_scalar := true;
-        Domino_stats.Tablefmt.add_row scalars
-          [ name; Domino_stats.Tablefmt.cell_f g.g ]
-      | H h ->
-        have_hist := true;
-        let cell = Domino_stats.Tablefmt.cell_f in
-        Domino_stats.Tablefmt.add_row hists
-          [
-            name;
-            string_of_int h.count;
-            cell (if h.count = 0 then nan else h.sum /. float_of_int h.count);
-            cell (histogram_quantile h 50.);
-            cell (histogram_quantile h 95.);
-            cell (histogram_quantile h 99.);
-            cell h.mx;
-          ])
-    (sorted_bindings t);
-  List.concat
-    [
-      (if !have_scalar then [ scalars ] else []);
-      (if !have_hist then [ hists ] else []);
-    ]

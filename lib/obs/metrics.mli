@@ -92,7 +92,3 @@ val to_json : t -> Domino_stats.Json.t
 
 val to_json_string : t -> string
 (** [Json.to_string_pretty] of {!to_json}: deterministic bytes. *)
-
-val to_tables : t -> Domino_stats.Tablefmt.t list
-(** Human-readable rendering: one table for counters+gauges, one for
-    histogram summaries (count/mean/p50/p95/p99/max). *)

@@ -50,7 +50,6 @@ type live = {
   kv_stores : Store.t array;
   dstores : Domino_store.Store.t array;
   retry : Retry.t option;
-  dedups : Service.Dedup.t array;
   committed_c : Metrics.counter;
   submit : Op.t -> unit;
   gauges : (string * (unit -> float)) list;
@@ -64,13 +63,20 @@ type live = {
   recover_node : int -> unit;
 }
 
-(* The harness-side observability observer: run-level counters, the
-   commit/execution latency histograms, and the journal's
-   submit/commit/execute/phase events. Counter names carry the
-   group prefix, so each group of a fabric owns its own [run.*]
-   instruments; the single-group prefix is empty and keeps the
-   historical names. *)
-let obs_observer ~prefix metrics jsink ~exec_replica_for ~note_commit =
+(* One group's observer, built on its ledger (the group's
+   [Observer.Recorder]): run-level counters, the commit/execution
+   latency histograms, the journal's submit/commit/execute/phase
+   events, the KV apply, and the router's and the retry loop's commit
+   hooks. Counter names carry the group prefix, so each group of a
+   fabric owns its own [run.*] instruments; the single-group prefix is
+   empty and keeps the historical names.
+
+   The ledger's replica set is the at-most-once execution filter:
+   retries can drive the same op through consensus twice, so an op a
+   replica already executed is dropped here, before the store,
+   counters and journal see it. *)
+let group_observer ~prefix metrics jsink ledger ~n_rep ~exec_at ~kv_stores
+    ~retry ~note_commit =
   let counter n = Metrics.counter metrics (prefix ^ n) in
   let submitted_c = counter "run.submitted" in
   let retries_c = counter "run.retries" in
@@ -78,23 +84,16 @@ let obs_observer ~prefix metrics jsink ~exec_replica_for ~note_commit =
   let executed_c = counter "run.executed" in
   let commit_h = Metrics.histogram metrics (prefix ^ "run.commit_latency_ms") in
   let exec_h = Metrics.histogram metrics (prefix ^ "run.exec_latency_ms") in
-  let submit_times : Time_ns.t Op.Idtbl.t = Op.Idtbl.create 1 in
-  let latency_ms op ~now =
-    match Op.Idtbl.find_opt submit_times (Op.id op) with
-    | Some at -> Some (Time_ns.to_ms_f (Time_ns.diff now at))
-    | None -> None
+  let executed ~replica (op : Op.t) ~now =
+    Metrics.inc executed_c;
+    if Journal.enabled jsink then
+      Journal.emit jsink (Journal.Execute { op = Op.id op; replica; at = now })
   in
   {
     Observer.on_submit =
       (fun op ~now ->
-        if Op.Idtbl.mem submit_times (Op.id op) then
-          (* A protocol-level re-submission of a timed-out request:
-             latency stays anchored at the first submit, and the
-             journal keeps a single Submit per op. *)
-          Metrics.inc retries_c
-        else begin
+        if Observer.Recorder.submit ledger op ~now then begin
           Metrics.inc submitted_c;
-          Op.Idtbl.add submit_times (Op.id op) now;
           if Journal.enabled jsink then
             Journal.emit jsink
               (Journal.Submit
@@ -104,32 +103,42 @@ let obs_observer ~prefix metrics jsink ~exec_replica_for ~note_commit =
                    key = op.Op.key;
                    at = now;
                  })
-        end);
+        end
+        else
+          (* A protocol-level re-submission of a timed-out request:
+             latency stays anchored at the first submit, and the
+             journal keeps a single Submit per op. *)
+          Metrics.inc retries_c);
     on_commit =
       (fun op ~now ->
+        (match retry with Some r -> Retry.on_commit r op | None -> ());
+        let lat = Observer.Recorder.commit ledger op ~now in
         Metrics.inc committed_c;
+        let id = Op.id op in
         (* Retire the op from the router's in-flight tracking — the
            drain gauge a live slot migration polls. The ref is filled
            in after the router exists. *)
-        !note_commit (Op.id op);
-        (match latency_ms op ~now with
-        | Some l -> Metrics.observe commit_h l
-        | None -> ());
+        !note_commit id;
+        (match lat with Some l -> Metrics.observe commit_h l | None -> ());
         if Journal.enabled jsink then
           Journal.emit jsink
-            (Journal.Commit { op = Op.id op; node = op.Op.client; at = now }));
+            (Journal.Commit { op = id; node = op.Op.client; at = now }));
     on_execute =
       (fun ~replica op ~now ->
-        Metrics.inc executed_c;
-        (match exec_replica_for op with
-        | Some r when Nodeid.equal r replica -> (
-          match latency_ms op ~now with
-          | Some l -> Metrics.observe exec_h l
-          | None -> ())
-        | _ -> ());
-        if Journal.enabled jsink then
-          Journal.emit jsink
-            (Journal.Execute { op = Op.id op; replica; at = now }));
+        if replica >= n_rep then executed ~replica op ~now
+        else
+          match
+            Observer.Recorder.execute ledger ~replica
+              ?exec_at:exec_at.(op.Op.client) op ~now
+          with
+          | Observer.Recorder.Repeat -> ()
+          | Fresh ->
+            Store.apply kv_stores.(replica) op;
+            executed ~replica op ~now
+          | Sample l ->
+            Store.apply kv_stores.(replica) op;
+            Metrics.observe exec_h l;
+            executed ~replica op ~now);
     on_phase =
       (fun ~node ~op ~name ~dur ~now ->
         if Journal.enabled jsink then
@@ -306,16 +315,6 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
           Domino_store.Store.create engine ~node:replicas.(i) ~params:store
             ~journal:jsink)
     in
-    let store_observer =
-      {
-        Observer.on_submit = (fun _ ~now:_ -> ());
-        on_commit = (fun _ ~now:_ -> ());
-        on_execute =
-          (fun ~replica op ~now:_ ->
-            if replica < n_rep then Store.apply kv_stores.(replica) op);
-        on_phase = (fun ~node:_ ~op:_ ~name:_ ~dur:_ ~now:_ -> ());
-      }
-    in
     (* Each node's closest replica, resolved once: it coordinates the
        node's requests, and the execution-latency sample comes from
        there. *)
@@ -324,7 +323,6 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
         ~client_dcs:placement
     in
     let exec_at = Array.map Option.some closest in
-    let exec_replica_for (op : Op.t) = exec_at.(op.Op.client) in
     (* Per-group retry/failover sits between the router and the
        protocol: one [Retry] loop, two resend rules. A protocol whose
        params arm the in-protocol retry (Domino under faults) runs it
@@ -339,30 +337,8 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
       | _ -> None
     in
     let observer =
-      Observer.both
-        (Observer.both
-           (Observer.Recorder.observer recorder ~exec_replica_for ())
-           store_observer)
-        (obs_observer ~prefix metrics jsink ~exec_replica_for ~note_commit)
-    in
-    let observer =
-      match retry with
-      | Some r -> Observer.both (Retry.observer r) observer
-      | None -> observer
-    in
-    (* At-most-once execution at the service layer: retries can drive
-       the same op through consensus twice, so duplicates are filtered
-       here — before the stores, recorder, and journal see them. *)
-    let dedups = Array.init n_rep (fun _ -> Service.Dedup.create ()) in
-    let observer =
-      let inner = observer in
-      {
-        inner with
-        Observer.on_execute =
-          (fun ~replica op ~now ->
-            if replica >= n_rep || Service.Dedup.fresh dedups.(replica) op
-            then inner.Observer.on_execute ~replica op ~now);
-      }
+      group_observer ~prefix metrics jsink recorder ~n_rep ~exec_at ~kv_stores
+        ~retry ~note_commit
     in
     let coordinator_of client = replicas.(closest.(client)) in
     let delivered = ref (fun () -> 0) in
@@ -412,7 +388,6 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
       kv_stores;
       dstores;
       retry;
-      dedups;
       committed_c = Metrics.counter metrics (prefix ^ "run.committed");
       submit;
       gauges = P.gauges p;
@@ -685,11 +660,7 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
                 ]
               | None -> [])
             @
-            let dups =
-              Array.fold_left
-                (fun acc d -> acc + Service.Dedup.duplicates d)
-                0 live.dedups
-            in
+            let dups = Observer.Recorder.repeats live.g_recorder in
             if dups > 0 then [ ("dedup_suppressed", dups) ] else []);
           store_fingerprints =
             Array.to_list (Array.map Store.fingerprint live.kv_stores);

@@ -46,8 +46,6 @@ let clear_event_hook t = t.event_hook <- None
 
 let set_timer_hook t f = t.timer_hook <- Some f
 
-let clear_timer_hook t = t.timer_hook <- None
-
 let rng t = t.root_rng
 
 (* Fire-once insertion without a cancellation token: on the wheel this

@@ -87,4 +87,3 @@ val set_timer_hook : t -> (Time_ns.t -> unit) -> unit
     the hot path and stay hook-free. Costs one [option] match per
     periodic fire when unset. *)
 
-val clear_timer_hook : t -> unit

@@ -133,10 +133,3 @@ let exponential t ~mean =
   -.mean *. log (nonzero ())
 
 let lognormal t ~mu ~sigma = exp (normal t ~mean:mu ~std:sigma)
-
-let pareto t ~scale ~shape =
-  let rec nonzero () =
-    let u = float t in
-    if u > 0. then u else nonzero ()
-  in
-  scale /. (nonzero () ** (1. /. shape))

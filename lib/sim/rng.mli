@@ -39,5 +39,3 @@ val exponential : t -> mean:float -> float
 
 val lognormal : t -> mu:float -> sigma:float -> float
 (** [exp (normal mu sigma)]. *)
-
-val pareto : t -> scale:float -> shape:float -> float

@@ -9,7 +9,6 @@ let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000
 
 let of_ms_f x = int_of_float (Float.round (x *. 1e6))
-let of_sec_f x = int_of_float (Float.round (x *. 1e9))
 
 let to_ms_f x = float_of_int x /. 1e6
 let to_us_f x = float_of_int x /. 1e3

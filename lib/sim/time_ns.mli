@@ -22,8 +22,6 @@ val sec : int -> span
 val of_ms_f : float -> span
 (** [of_ms_f x] is [x] milliseconds as a span, rounded to nanoseconds. *)
 
-val of_sec_f : float -> span
-
 val to_ms_f : span -> float
 val to_us_f : span -> float
 val to_sec_f : span -> float

@@ -22,33 +22,20 @@ let null =
     on_phase = (fun ~node:_ ~op:_ ~name:_ ~dur:_ ~now:_ -> ());
   }
 
-let both a b =
-  {
-    on_submit =
-      (fun op ~now ->
-        a.on_submit op ~now;
-        b.on_submit op ~now);
-    on_commit =
-      (fun op ~now ->
-        a.on_commit op ~now;
-        b.on_commit op ~now);
-    on_execute =
-      (fun ~replica op ~now ->
-        a.on_execute ~replica op ~now;
-        b.on_execute ~replica op ~now);
-    on_phase =
-      (fun ~node ~op ~name ~dur ~now ->
-        a.on_phase ~node ~op ~name ~dur ~now;
-        b.on_phase ~node ~op ~name ~dur ~now);
-  }
-
 module Recorder = struct
   type observer = t
 
+  (* One op's ledger entry. *)
+  type entry = {
+    mutable sent : Time_ns.t;  (** first submit; [unsent] until then *)
+    mutable committed : bool;
+    mutable executed : int;  (** bit [r]: replica [r] executed the op *)
+  }
+
+  let unsent = min_int
+
   type t = {
-    submit_times : Time_ns.t Op.Idtbl.t;
-    committed_ids : unit Op.Idtbl.t;
-    executed_ids : unit Op.Idtbl.t;
+    ops : entry Op.Idtbl.t;
     commit_ms : Domino_stats.Summary.t;
     exec_ms : Domino_stats.Summary.t;
     mutable per_client : Domino_stats.Summary.t Nodeid.Map.t;
@@ -57,13 +44,13 @@ module Recorder = struct
     mutable measure_from : Time_ns.t;
     mutable measure_until : Time_ns.t;
     mutable submitted : int;
+    mutable committed : int;
+    mutable repeats : int;
   }
 
   let create () =
     {
-      submit_times = Op.Idtbl.create 1;
-      committed_ids = Op.Idtbl.create 1;
-      executed_ids = Op.Idtbl.create 1;
+      ops = Op.Idtbl.create 1;
       commit_ms = Domino_stats.Summary.create ();
       exec_ms = Domino_stats.Summary.create ();
       per_client = Nodeid.Map.empty;
@@ -72,22 +59,27 @@ module Recorder = struct
       measure_from = min_int;
       measure_until = max_int;
       submitted = 0;
+      committed = 0;
+      repeats = 0;
     }
 
-  let note_submit t op ~now =
-    (* Keep the first submission: a client retry re-announces the same
-       op id, and latency must be measured from the original send. *)
-    let id = Op.id op in
-    if not (Op.Idtbl.mem t.submit_times id) then begin
-      t.submitted <- t.submitted + 1;
-      Op.Idtbl.add t.submit_times id now
-    end
+  let entry t id =
+    match Op.Idtbl.find_opt t.ops id with
+    | Some e -> e
+    | None ->
+      let e = { sent = unsent; committed = false; executed = 0 } in
+      Op.Idtbl.add t.ops id e;
+      e
 
   let start_measuring t at = t.measure_from <- at
 
   let stop_measuring t at = t.measure_until <- at
 
   let in_window t sent = sent >= t.measure_from && sent <= t.measure_until
+
+  let since e now =
+    if e.sent = unsent then None
+    else Some (Time_ns.to_ms_f (Time_ns.diff now e.sent))
 
   let client_summary t client =
     match Nodeid.Map.find_opt client t.per_client with
@@ -97,46 +89,75 @@ module Recorder = struct
       t.per_client <- Nodeid.Map.add client s t.per_client;
       s
 
+  let submit t op ~now =
+    (* Keep the first submission: a client retry re-announces the same
+       op id, and latency must be measured from the original send. *)
+    let e = entry t (Op.id op) in
+    e.sent = unsent
+    && begin
+         e.sent <- now;
+         t.submitted <- t.submitted + 1;
+         true
+       end
+
+  let note_submit t op ~now = ignore (submit t op ~now)
+
+  let commit t (op : Op.t) ~now =
+    let id = Op.id op in
+    let e = entry t id in
+    let lat = since e now in
+    if not e.committed then begin
+      e.committed <- true;
+      t.committed <- t.committed + 1;
+      match lat with
+      | Some l when in_window t e.sent ->
+        Domino_stats.Summary.add t.commit_ms l;
+        Domino_stats.Summary.add (client_summary t op.client) l;
+        t.commits <- (id, now) :: t.commits;
+        t.series <- (e.sent, l) :: t.series
+      | _ -> ()
+    end;
+    lat
+
+  type execution = Repeat | Fresh | Sample of float
+
+  let replica_bit r =
+    if r < 0 || r >= Sys.int_size - 1 then
+      invalid_arg "Observer.Recorder.execute: replica id outside the ledger";
+    1 lsl r
+
+  let execute t ~replica ?exec_at op ~now =
+    let e = entry t (Op.id op) in
+    let bit = replica_bit replica in
+    let before = e.executed in
+    if before land bit <> 0 then begin
+      t.repeats <- t.repeats + 1;
+      Repeat
+    end
+    else begin
+      e.executed <- before lor bit;
+      (* The sample comes from the first execution among the replicas
+         it may come from: [exec_at] alone, or any of them. *)
+      let from = match exec_at with Some r -> replica_bit r | None -> -1 in
+      if bit land from = 0 || before land from <> 0 then Fresh
+      else
+        match since e now with
+        | None -> Fresh
+        | Some l ->
+          if in_window t e.sent then Domino_stats.Summary.add t.exec_ms l;
+          Sample l
+    end
+
   let observer t ?exec_replica_for () =
-    let on_commit (op : Op.t) ~now =
-      let id = Op.id op in
-      if not (Op.Idtbl.mem t.committed_ids id) then begin
-        Op.Idtbl.add t.committed_ids id ();
-        match Op.Idtbl.find_opt t.submit_times id with
-        | None -> ()
-        | Some sent ->
-          if in_window t sent then begin
-            let lat = Time_ns.to_ms_f (Time_ns.diff now sent) in
-            Domino_stats.Summary.add t.commit_ms lat;
-            Domino_stats.Summary.add (client_summary t op.client) lat;
-            t.commits <- (id, now) :: t.commits;
-            t.series <- (sent, lat) :: t.series
-          end
-      end
-    in
-    let on_execute ~replica (op : Op.t) ~now =
-      let id = Op.id op in
-      let wanted =
-        match exec_replica_for with
-        | None -> true
-        | Some f -> begin
-          match f op with None -> true | Some r -> Nodeid.equal r replica
-        end
-      in
-      if wanted && not (Op.Idtbl.mem t.executed_ids id) then begin
-        Op.Idtbl.add t.executed_ids id ();
-        match Op.Idtbl.find_opt t.submit_times id with
-        | None -> ()
-        | Some sent ->
-          if in_window t sent then
-            Domino_stats.Summary.add t.exec_ms
-              (Time_ns.to_ms_f (Time_ns.diff now sent))
-      end
+    let exec_at =
+      match exec_replica_for with Some f -> f | None -> fun _ -> None
     in
     {
       on_submit = (fun op ~now -> note_submit t op ~now);
-      on_commit;
-      on_execute;
+      on_commit = (fun op ~now -> ignore (commit t op ~now));
+      on_execute =
+        (fun ~replica op ~now ->
+          ignore (execute t ~replica ?exec_at:(exec_at op) op ~now));
       on_phase = (fun ~node:_ ~op:_ ~name:_ ~dur:_ ~now:_ -> ());
     }
 
@@ -146,9 +167,11 @@ module Recorder = struct
 
   let commit_latency_of_client_ms t client = client_summary t client
 
-  let committed t = Op.Idtbl.length t.committed_ids
+  let committed t = t.committed
 
   let submitted t = t.submitted
+
+  let repeats t = t.repeats
 
   let commit_times t = List.rev t.commits
 

@@ -40,8 +40,13 @@ type t = {
 val null : t
 (** Discards all events. *)
 
-val both : t -> t -> t
-
+(** The per-op ledger: one {!Op.Idtbl} whose entry per op holds its
+    first-submit instant, whether it committed, and the set of replicas
+    that executed it. Commit and execution latency samples are taken
+    from it, and the replica set doubles as the at-most-once execution
+    filter the shard fabric puts in front of its state machines: client
+    retries can drive one op through consensus twice, and a replica must
+    apply it once. *)
 module Recorder : sig
   type observer = t
 
@@ -53,12 +58,52 @@ module Recorder : sig
   (** The observer to hand to a protocol. [exec_replica_for] selects,
       per operation, the replica whose execution event should produce
       the execution-latency sample (default: record the {e first}
-      replica to execute it). *)
+      replica to execute it). It filters nothing: every event reaches
+      the ledger. *)
 
   val note_submit : t -> Op.t -> now:Time_ns.t -> unit
   (** Timestamp a submission. Normally unnecessary: the observer's
       [on_submit] (fired by every protocol's [submit]) calls this. Kept
       public for unit tests that drive a recorder without a protocol. *)
+
+  (** {2 Ledger entry points}
+
+      What the observer's callbacks do, returning what a caller that
+      wraps the ledger in its own observer needs. *)
+
+  val submit : t -> Op.t -> now:Time_ns.t -> bool
+  (** {!note_submit}; [true] on the op's first submission, [false] on a
+      re-submission (a retry), which leaves the first instant in
+      place. *)
+
+  val commit : t -> Op.t -> now:Time_ns.t -> float option
+  (** Record a commit notification. Only an op's first one is counted
+      ({!committed}) and, when the op was submitted inside the
+      measurement window, sampled. Every call returns the latency in ms
+      since the op's first submission, or [None] if it was never
+      submitted. *)
+
+  type execution =
+    | Repeat  (** the replica had executed the op already *)
+    | Fresh  (** the op's first execution at this replica *)
+    | Sample of float
+        (** the op's first execution at its sample replica, of a
+            submitted op: the latency in ms since its first submission
+            (recorded as a sample if that was inside the window) *)
+
+  val execute :
+    t -> replica:Nodeid.t -> ?exec_at:Nodeid.t -> Op.t -> now:Time_ns.t ->
+    execution
+  (** Record [op]'s execution at [replica]. [exec_at] is the op's
+      sample replica; without it, the first replica to execute the op
+      gives the sample. A [Repeat] is counted ({!repeats}) and changes
+      nothing else.
+      @raise Invalid_argument if [replica] or [exec_at] is negative or
+      not below [Sys.int_size - 1] (the replica set is a bitmask). *)
+
+  val repeats : t -> int
+  (** Executions reported for a replica that had already executed the
+      op. *)
 
   val start_measuring : t -> Time_ns.t -> unit
   (** Samples from operations submitted before this instant are

@@ -79,8 +79,6 @@ let on_commit t op =
     e.timer <- None;
     Op.Idtbl.remove t.pending id
 
-let observer t = { Observer.null with on_commit = (fun op ~now:_ -> on_commit t op) }
-
 let retries t = t.retries
 
 let abandoned t = t.abandoned

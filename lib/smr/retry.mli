@@ -4,8 +4,7 @@
     A [t] arms a timer per op; if no commit is observed within the
     timeout, the op is sent again and the timeout doubles, up to
     [policy.max_attempts] total attempts, after which the op is
-    abandoned. Commits disarm the timer ({!on_commit}, or {!observer}
-    composed into the run's observer chain).
+    abandoned. Commits disarm the timer ({!on_commit}).
 
     The loop is shared; only the resend rule differs per caller, and
     it is the function installed with {!set_resend}:
@@ -19,8 +18,9 @@
 
     Either way a retried op can land on a different replica than the
     original. Exactly-once execution under these deliberate duplicates
-    is the service layer's job ({!Service.Dedup}), which is precisely
-    what the chaos checker verifies. *)
+    is the job of the op ledger ({!Observer.Recorder}), whose per-op
+    replica set the fabric uses as its at-most-once filter; the chaos
+    checker verifies it. *)
 
 open Domino_sim
 
@@ -53,9 +53,8 @@ val submit : t -> Op.t -> unit
     deliberate re-offer); the timer does not stack. *)
 
 val on_commit : t -> Op.t -> unit
-
-val observer : t -> Observer.t
-(** Disarms an op's retry timer when its commit is observed. *)
+(** Disarms an op's retry timer: the caller's observer calls it on each
+    commit notification. *)
 
 val retries : t -> int
 (** Re-sends performed. *)

@@ -1,7 +1,5 @@
 type t = { sorted : float array }
 
-let of_summary s = { sorted = Summary.to_sorted_array s }
-
 let of_list xs =
   let sorted = Array.of_list xs in
   Array.sort compare sorted;
@@ -44,9 +42,3 @@ let standard_rows t =
     [ 0.01; 0.05; 0.10; 0.25; 0.50; 0.75; 0.90; 0.95; 0.99 ]
   in
   List.map (fun f -> (f, value_at t f)) fracs
-
-let pp_rows ?label fmt t =
-  let prefix = match label with None -> "" | Some l -> l ^ " " in
-  List.iter
-    (fun (f, v) -> Format.fprintf fmt "%sCDF %.2f: %.2f@." prefix f v)
-    (standard_rows t)

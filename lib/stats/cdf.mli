@@ -7,8 +7,6 @@
 
 type t
 
-val of_summary : Summary.t -> t
-
 val of_list : float list -> t
 
 val count : t -> int
@@ -22,6 +20,3 @@ val fraction_below : t -> float -> float
 val standard_rows : t -> (float * float) list
 (** The (fraction, value) rows benches print: 1..99% in 5% steps plus
     0.95 and 0.99 markers. *)
-
-val pp_rows : ?label:string -> Format.formatter -> t -> unit
-(** Print [standard_rows] one per line, optionally labelled. *)

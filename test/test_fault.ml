@@ -1,8 +1,8 @@
 (* Tests for the fault-injection subsystem (lib/fault): the plan DSL,
    plan compilation onto a network, the harness-side retry wrapper and
-   server-side dedup, and the post-run safety checker — including the
-   negative test proving the checker catches double execution when
-   dedup is deliberately disabled. *)
+   server-side dedup, and the post-run safety checker. That the checker
+   catches double execution with dedup broken is the mutant suite's
+   dedup-off patch (test/mutants). *)
 
 open Domino_sim
 open Domino_net
@@ -341,14 +341,17 @@ let test_retry_submit_idempotent () =
   check_int "both submits forwarded" 2 !sent;
   check_int "one inflight" 1 (Retry.inflight r)
 
-(* --- Service.Dedup --- *)
+(* --- The ledger's at-most-once filter --- *)
 
 let test_dedup () =
-  let d = Service.Dedup.create () in
+  let r = Observer.Recorder.create () in
   let o = op ~client:9 ~seq:3 in
-  check_bool "first is fresh" true (Service.Dedup.fresh d o);
-  check_bool "second is not" false (Service.Dedup.fresh d o);
-  check_int "duplicate counted" 1 (Service.Dedup.duplicates d)
+  let fresh () =
+    Observer.Recorder.execute r ~replica:0 o ~now:0 <> Observer.Recorder.Repeat
+  in
+  check_bool "first is fresh" true (fresh ());
+  check_bool "second is not" false (fresh ());
+  check_int "duplicate counted" 1 (Observer.Recorder.repeats r)
 
 (* --- Checker on synthetic journals --- *)
 

@@ -135,23 +135,6 @@ let test_recorder_per_client () =
   Alcotest.(check (float 1e-9)) "client 2" 30.
     (Domino_stats.Summary.mean (Observer.Recorder.commit_latency_of_client_ms r 2))
 
-let test_observer_both () =
-  let hits = ref 0 in
-  let mk () =
-    {
-      Observer.on_submit = (fun _ ~now:_ -> incr hits);
-      on_commit = (fun _ ~now:_ -> incr hits);
-      on_execute = (fun ~replica:_ _ ~now:_ -> incr hits);
-      on_phase = (fun ~node:_ ~op:_ ~name:_ ~dur:_ ~now:_ -> incr hits);
-    }
-  in
-  let o = Observer.both (mk ()) (mk ()) in
-  o.Observer.on_submit (op ~client:0 ~seq:0) ~now:0;
-  o.Observer.on_commit (op ~client:0 ~seq:0) ~now:0;
-  o.Observer.on_execute ~replica:0 (op ~client:0 ~seq:0) ~now:0;
-  o.Observer.on_phase ~node:0 ~op:None ~name:"x" ~dur:0 ~now:0;
-  check_int "fanout" 8 !hits
-
 let test_latency_series () =
   let r = Observer.Recorder.create () in
   let obs = Observer.Recorder.observer r () in
@@ -201,43 +184,61 @@ let test_recorder_ids_across_clients () =
   check_int "two exec samples" 2
     (Domino_stats.Summary.count (Observer.Recorder.exec_latency_ms r))
 
-(* --- Service --- *)
+(* --- The ledger's at-most-once filter --- *)
 
-let test_dedup_counts_repeats () =
-  let d = Service.Dedup.create () in
+let test_execute_counts_repeats () =
+  let r = Observer.Recorder.create () in
   let fresh =
-    List.map (fun (client, seq) -> Service.Dedup.fresh d (op ~client ~seq))
+    List.map (fun (client, seq) ->
+        Observer.Recorder.execute r ~replica:0 (op ~client ~seq) ~now:0
+        <> Observer.Recorder.Repeat)
   in
   Alcotest.(check (list bool)) "first sightings"
     [ true; true; false; true; false; false ]
     (fresh [ (1, 0); (1, 1); (1, 0); (2, 0); (2, 0); (1, 1) ]);
-  check_int "duplicates" 3 (Service.Dedup.duplicates d)
+  check_int "repeats" 3 (Observer.Recorder.repeats r)
 
-let test_dedup_ids_across_clients () =
-  let d = Service.Dedup.create () in
-  check_bool "client 1" true (Service.Dedup.fresh d (op ~client:1 ~seq:9));
-  check_bool "client 2, same seq" true
-    (Service.Dedup.fresh d (op ~client:2 ~seq:9));
-  check_int "no duplicates" 0 (Service.Dedup.duplicates d)
-
-let test_service_wrap () =
-  let engine = Engine.create () in
-  let processed = ref [] in
-  let svc =
-    Service.wrap engine ~service_time:(Time_ns.ms 5) (fun ~src:_ msg ->
-        processed := (msg, Engine.now engine) :: !processed)
+let test_execute_ids_across_clients () =
+  let r = Observer.Recorder.create () in
+  let fresh o =
+    Observer.Recorder.execute r ~replica:0 o ~now:0 <> Observer.Recorder.Repeat
   in
-  Service.handler svc ~src:0 "a";
-  Service.handler svc ~src:0 "b";
-  check_int "queued" 2 (Service.queue_depth svc);
-  Engine.run engine;
-  (match List.rev !processed with
-  | [ ("a", ta); ("b", tb) ] ->
-    check_int "a at 5ms" (Time_ns.ms 5) ta;
-    check_int "b at 10ms" (Time_ns.ms 10) tb
-  | _ -> Alcotest.fail "expected a then b");
-  check_int "count" 2 (Service.processed svc);
-  check_int "busy" (Time_ns.ms 10) (Service.busy_time svc)
+  check_bool "client 1" true (fresh (op ~client:1 ~seq:9));
+  check_bool "client 2, same seq" true (fresh (op ~client:2 ~seq:9));
+  check_int "no repeats" 0 (Observer.Recorder.repeats r)
+
+let test_execute_per_replica () =
+  (* The filter is per replica, and the sample replica's first
+     execution is the one sample, whichever replica ran first. *)
+  let r = Observer.Recorder.create () in
+  let o = op ~client:4 ~seq:0 in
+  let exec replica ms =
+    Observer.Recorder.execute r ~replica ~exec_at:1 o ~now:(Time_ns.ms ms)
+  in
+  Observer.Recorder.note_submit r o ~now:0;
+  check_bool "replica 0 first" true (exec 0 10 = Observer.Recorder.Fresh);
+  check_bool "replica 1 samples" true (exec 1 20 = Observer.Recorder.Sample 20.);
+  check_bool "replica 1 again" true (exec 1 30 = Observer.Recorder.Repeat);
+  check_bool "replica 2 first" true (exec 2 40 = Observer.Recorder.Fresh);
+  check_int "one repeat" 1 (Observer.Recorder.repeats r);
+  check_int "one exec sample" 1
+    (Domino_stats.Summary.count (Observer.Recorder.exec_latency_ms r))
+
+let test_commit_returns_every_latency () =
+  let r = Observer.Recorder.create () in
+  let o = op ~client:4 ~seq:0 in
+  check_bool "first submit" true (Observer.Recorder.submit r o ~now:0);
+  check_bool "resubmit" false
+    (Observer.Recorder.submit r o ~now:(Time_ns.ms 5));
+  Alcotest.(check (option (float 1e-9))) "first commit" (Some 10.)
+    (Observer.Recorder.commit r o ~now:(Time_ns.ms 10));
+  Alcotest.(check (option (float 1e-9))) "duplicate commit" (Some 30.)
+    (Observer.Recorder.commit r o ~now:(Time_ns.ms 30));
+  Alcotest.(check (option (float 1e-9))) "never submitted" None
+    (Observer.Recorder.commit r (op ~client:4 ~seq:1) ~now:(Time_ns.ms 30));
+  check_int "commits counted once per op" 2 (Observer.Recorder.committed r);
+  check_int "one sample" 1
+    (Domino_stats.Summary.count (Observer.Recorder.commit_latency_ms r))
 
 (* --- Quiesce --- *)
 
@@ -325,7 +326,6 @@ let () =
           Alcotest.test_case "exec specific replica" `Quick
             test_recorder_exec_specific_replica;
           Alcotest.test_case "per client" `Quick test_recorder_per_client;
-          Alcotest.test_case "observer fanout" `Quick test_observer_both;
           Alcotest.test_case "latency series" `Quick test_latency_series;
           Alcotest.test_case "retry keeps first submit" `Quick
             test_recorder_retry_keeps_first_submit;
@@ -334,13 +334,16 @@ let () =
           Alcotest.test_case "ids distinct across clients" `Quick
             test_recorder_ids_across_clients;
         ] );
-      ( "service",
+      ( "ledger",
         [
-          Alcotest.test_case "wrap" `Quick test_service_wrap;
-          Alcotest.test_case "dedup counts repeats" `Quick
-            test_dedup_counts_repeats;
-          Alcotest.test_case "dedup ids across clients" `Quick
-            test_dedup_ids_across_clients;
+          Alcotest.test_case "execute counts repeats" `Quick
+            test_execute_counts_repeats;
+          Alcotest.test_case "execute ids across clients" `Quick
+            test_execute_ids_across_clients;
+          Alcotest.test_case "execute filters per replica" `Quick
+            test_execute_per_replica;
+          Alcotest.test_case "commit returns every latency" `Quick
+            test_commit_returns_every_latency;
         ] );
       ( "quiesce",
         [
