@@ -456,18 +456,86 @@ let test_online_eq_offline =
             | Error e -> failwith e)
           plans.(pli)
       in
-      let j = Journal.create () in
-      let online = Timeline.create () in
-      let _ =
-        Exp_common.run ~seed:(Int64.of_int seed) ~rate:100.
-          ~duration:(Time_ns.sec 2) ~journal:j ~timeline:online ?faults
-          Exp_common.fig7_double protocols.(pi)
+      let online ?journal () =
+        let agg = Timeline.create () in
+        let _ =
+          Exp_common.run ~seed:(Int64.of_int seed) ~rate:100.
+            ~duration:(Time_ns.sec 2) ?journal ~timeline:agg ?faults
+            Exp_common.fig7_double protocols.(pi)
+        in
+        timeline_bytes (Timeline.finish agg)
       in
+      let j = Journal.create () in
+      let a = online ~journal:j () in
       if Journal.dropped j > 0 then QCheck.Test.fail_report "ring overflow";
-      let a = timeline_bytes (Timeline.finish online) in
       let b = timeline_bytes (Timeline.of_journal j) in
       if a <> b then QCheck.Test.fail_report "online and offline diverge";
+      (* Timeline-only runs: the fabric's own throwaway ring, and the
+         one-slot ring perfbench passes in. Neither keeps the journal,
+         yet each must see every event the timeline reads. *)
+      if online () <> a then
+        QCheck.Test.fail_report "timeline-only run diverges";
+      if online ~journal:(Journal.create ~capacity:1 ()) () <> a then
+        QCheck.Test.fail_report "one-slot ring diverges";
       true)
+
+(* The shape of the benchmark's faulted workload, shortened: two Domino
+   groups on NA range slots with Domino's client retry armed, a slot
+   migration and a wipe. A timeline-only run must give the CSV and dip
+   reports that offline replay of the same seed's full journal gives. *)
+let ops_faults_timeline ?journal () =
+  let faults =
+    match
+      Plan.parse "at 1500ms migrate slot=0 from=0 to=1\nat 3s wipe node=2\n"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let s = Exp_common.na3 and proto = Protocols.domino_default in
+  let leaders =
+    Domino_shard.Placement.spread_leaders s.Exp_common.topo
+      ~replica_dcs:s.Exp_common.replica_dcs ~client_dcs:s.Exp_common.client_dcs
+      ~groups:2
+  in
+  let config =
+    {
+      Domino_shard.Fabric.topo = s.Exp_common.topo;
+      client_dcs = s.Exp_common.client_dcs;
+      groups =
+        Array.map
+          (fun leader ->
+            {
+              Domino_shard.Fabric.replica_dcs = s.Exp_common.replica_dcs;
+              leader;
+              protocol = Protocols.resolve proto;
+              params = Protocols.params_under_faults proto;
+            })
+          leaders;
+      slots = Domino_shard.Slots.Range { slots = 16; keys = 1_000_000 };
+    }
+  in
+  let agg =
+    Timeline.create ~group_resolver:Domino_shard.Slots.resolver_of_mark ()
+  in
+  ignore
+    (Domino_shard.Fabric.run ~seed:42L ~duration:(Time_ns.sec 5) ?journal
+       ~timeline:agg ~faults config);
+  Timeline.finish agg
+
+let test_ops_faults_timeline_only () =
+  let j = Journal.create () in
+  ignore (ops_faults_timeline ~journal:j ());
+  check_int "full journal fits the ring" 0 (Journal.dropped j);
+  let offline =
+    Timeline.of_journal ~group_resolver:Domino_shard.Slots.resolver_of_mark j
+  in
+  let online = ops_faults_timeline () in
+  let csv tl = Timeline.to_csv ~per_node:true tl in
+  let dips tl = Dip.to_csv (Dip.analyze tl) in
+  check_bool "the run migrates and wipes" true
+    (List.length (Dip.analyze offline) >= 2);
+  check_str "timeline-only CSV = offline replay" (csv offline) (csv online);
+  check_str "timeline-only dips = offline replay" (dips offline) (dips online)
 
 (* --- dip arithmetic -------------------------------------------------- *)
 
@@ -707,7 +775,12 @@ let () =
             test_of_lines_real_journal;
           Alcotest.test_case "errors and blanks" `Quick test_of_lines_errors;
         ] );
-      ("online=offline", [ q test_online_eq_offline ]);
+      ( "online=offline",
+        [
+          q test_online_eq_offline;
+          Alcotest.test_case "timeline-only ops faults" `Slow
+            test_ops_faults_timeline_only;
+        ] );
       ( "dips",
         [
           Alcotest.test_case "crash and recover" `Quick test_dip_analysis;
