@@ -275,7 +275,7 @@ let run_cmd =
           | Some j -> j
           | None -> Domino_obs.Journal.create ~capacity:1 ()
         in
-        Domino_obs.Journal.add_tap j (Domino_obs.Provenance.observe f);
+        Domino_obs.Provenance.attach f j;
         Some j
     in
     let agg =

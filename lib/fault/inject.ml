@@ -97,10 +97,13 @@ let install plan ~net ~journal =
   | Ok () -> ()
   | Error e -> invalid_arg ("Fault.Inject.install: " ^ e));
   let engine = Fifo_net.engine net in
+  (* [fault.drop] repeats the regular [drop] line per message: detail
+     tier, built only when the journal keeps detail. *)
   if Journal.enabled journal then
     Fifo_net.set_drop_hook net (fun ~reason ~seq ~src ~dst ~at ->
         match reason with
         | Fifo_net.No_handler -> ()
+        | _ when not (Journal.detail journal) -> ()
         | _ ->
           Journal.emit journal
             (Journal.Fault

@@ -43,6 +43,13 @@ type event =
   | Mark of { label : string; at : Time_ns.t }
   | Fault of { name : string; detail : string; at : Time_ns.t }
   | Store_ev of { node : int; op : string; detail : string; at : Time_ns.t }
+  | Store_sync of {
+      node : int;
+      recs : int;
+      upto : int;
+      dur_us : int;
+      at : Time_ns.t;
+    }
   | Recovery of { node : int; stage : string; detail : string; at : Time_ns.t }
   | Migrate of {
       stage : string;
@@ -61,12 +68,35 @@ type event =
       at : Time_ns.t;
     }
 
+module Opid_tbl = Hashtbl.Make (struct
+  type t = opid
+
+  let equal (c1, s1) (c2, s2) = Int.equal c1 c2 && Int.equal s1 s2
+
+  (* Sequence numbers are dense per client, so consecutive ids land in
+     consecutive buckets; the odd multiplier keeps clients apart. *)
+  let hash (c, s) = (c * 0x9E3779B1) + s
+end)
+
+type tier = Outline | Detail
+
+let tier = function
+  | Msg_sent _ | Msg_delivered _ | Timer_fired _ | Phase _ | Store_ev _
+  | Fault { name = "drop"; _ } ->
+    Detail
+  | Submit _ | Commit _ | Execute _ | Msg_dropped _ | Store_sync _ | Sample _
+  | Mark _ | Fault _ | Recovery _ | Migrate _ | Reconfig _ ->
+    Outline
+
 type t = {
   mutable ring : event array;  (** grows by doubling up to [cap] *)
   cap : int;
   mutable next : int;  (** total events ever recorded *)
   mutable taps : (event -> unit) list;  (** installation order *)
   mutable tap : (event -> unit) option;  (** [taps] as one closure *)
+  mutable detail : bool;
+      (** detail-tier events are recorded: the ring keeps more than one
+          event, or a tap reads them *)
 }
 
 let filler = Mark { label = ""; at = Time_ns.zero }
@@ -83,13 +113,15 @@ let create ?(capacity = 1 lsl 20) () =
     next = 0;
     taps = [];
     tap = None;
+    detail = capacity > 1;
   }
 
 let capacity t = t.cap
 
 (* Taps compose into one closure, so [record] still pays a single
    option match however many are installed. *)
-let add_tap t f =
+let add_tap ?(reads = Detail) t f =
+  if reads = Detail then t.detail <- true;
   if not (List.memq f t.taps) then begin
     t.taps <- t.taps @ [ f ];
     t.tap <-
@@ -148,7 +180,12 @@ let sink t = Rec t
 
 let enabled = function Null -> false | Rec _ -> true
 
-let emit sink ev = match sink with Null -> () | Rec t -> record t ev
+let detail = function Null -> false | Rec t -> t.detail
+
+let emit sink ev =
+  match sink with
+  | Null -> ()
+  | Rec t -> if t.detail || tier ev = Outline then record t ev
 
 (* --- serialization --- *)
 
@@ -322,6 +359,15 @@ let render w ev =
     str w " node=";
     int w node;
     put_detail w detail
+  | Store_sync { node; recs; upto; dur_us; at } ->
+    put_head w at " store.sync node=";
+    int w node;
+    str w " recs=";
+    int w recs;
+    str w " upto=";
+    int w upto;
+    str w " dur_us=";
+    int w dur_us
   | Recovery { node; stage; detail; at } ->
     put_head w at " recovery.";
     str w stage;
@@ -396,6 +442,9 @@ let line_length ev =
   | Store_ev { node; op; detail; at } ->
     int at + str " store." + str op + str " node=" + int node
     + detail_length detail
+  | Store_sync { node; recs; upto; dur_us; at } ->
+    int at + str " store.sync node=" + int node + str " recs=" + int recs
+    + str " upto=" + int upto + str " dur_us=" + int dur_us
   | Recovery { node; stage; detail; at } ->
     int at + str " recovery." + str stage + str " node=" + int node
     + detail_length detail
@@ -565,7 +614,22 @@ let parse_line line =
               Some (node, String.concat " " detail)
             | [] -> None
           in
+          (* A sync line with any other fields stays a [Store_ev], so
+             every line still re-renders to its own bytes. *)
+          let sync =
+            match rest with
+            | [ n; r; u; d ] -> (
+              match
+                (ifield "node" n, ifield "recs" r, ifield "upto" u,
+                 ifield "dur_us" d)
+              with
+              | Some node, Some recs, Some upto, Some dur_us ->
+                Some (Store_sync { node; recs; upto; dur_us; at })
+              | _ -> None)
+            | _ -> None
+          in
           match strip_prefix ~prefix:"store." kw with
+          | Some "sync" when sync <> None -> sync
           | Some op ->
             let* node, detail = node_detail rest in
             Some (Store_ev { node; op; detail; at })

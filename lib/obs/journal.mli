@@ -12,6 +12,17 @@
     {!null}), so a run without a journal pays one [option]/variant
     match per hook, nothing more.
 
+    Events come in two {!tier}s, and a journal records an event only if
+    something reads it. The {e outline} is what the windowed timeline
+    reads: op lifecycle, message drops, store syncs, gauge samples,
+    marks, faults, recoveries, migrations and reconfigurations. The
+    {e detail} tier is the rest — every send, delivery, timer fire and
+    phase span, the WAL's appends, snapshots and truncations, and the
+    per-message [fault.drop] — which only the ring itself and the
+    [--trace-op] tap ({!Provenance.attach}) read. A timeline-only run
+    (a one-slot ring whose only tap is the timeline's) therefore never
+    builds a detail event: each emitter asks {!detail} first.
+
     Determinism: a journal records events in simulation order, which
     is a pure function of the seed. Parallel sweeps give each run its
     own journal and {!append} them in task-index order, so the merged
@@ -66,10 +77,20 @@ type event =
           journals — and Perfetto traces — show exactly when the network
           or a node misbehaved. Rendered as [fault.<name> <detail>]. *)
   | Store_ev of { node : int; op : string; detail : string; at : Time_ns.t }
-      (** A stable-storage operation at a node — [append], [sync],
-          [truncate], [snapshot] — recorded by [Store] so journals show
-          what reached disk and when. Rendered as
-          [store.<op> node=<n> <detail>]. *)
+      (** A stable-storage operation at a node — [append], [truncate],
+          [snapshot] — recorded by [Store] so journals show what reached
+          disk and when. Rendered as [store.<op> node=<n> <detail>]. *)
+  | Store_sync of {
+      node : int;
+      recs : int;  (** records the barrier makes durable *)
+      upto : int;  (** the log index it makes durable up to *)
+      dur_us : int;  (** its modeled duration *)
+      at : Time_ns.t;
+    }
+      (** An fsync barrier starting at a node, kept as integers so the
+          timeline reads [recs] without parsing. Rendered as
+          [store.sync node=<n> recs=<r> upto=<u> dur_us=<d>]; a
+          [store.sync] line with other fields parses as a [Store_ev]. *)
   | Recovery of { node : int; stage : string; detail : string; at : Time_ns.t }
       (** A node-recovery lifecycle event — [wipe] (volatile state and
           unsynced log tail lost), [replay] (durable state reloaded),
@@ -119,17 +140,40 @@ type event =
           checker/timeline segment. Rendered as
           [reconfig.<stage> group=<g> epoch=<e> <detail>]. *)
 
+module Opid_tbl : Hashtbl.S with type key = opid
+(** Op-id hash tables with an integer hash ([Op.Idtbl] is this one). *)
+
+(** {2 Tiers} *)
+
+type tier =
+  | Outline
+      (** [Submit], [Commit], [Execute], [Msg_dropped], [Store_sync],
+          [Sample], [Mark], [Recovery], [Migrate], [Reconfig], and every
+          [Fault] but [drop]: exactly what {!Timeline.feed} reads. *)
+  | Detail
+      (** [Msg_sent], [Msg_delivered], [Timer_fired], [Phase],
+          [Store_ev] (append, snapshot, truncate) and [fault.drop]. *)
+
+val tier : event -> tier
+
 type t
 
 val create : ?capacity:int -> unit -> t
 (** A fresh journal holding at most [capacity] events (default 2^20).
     When full, the oldest events are overwritten (ring buffer) and
     {!dropped} counts them. The ring is allocated on demand: it starts
-    at 1024 slots and doubles as events arrive, up to [capacity]. *)
+    at 1024 slots and doubles as events arrive, up to [capacity].
+
+    A journal whose ring keeps more than one event records both tiers.
+    A one-slot ring — the throwaway that exists only to feed taps —
+    records detail events only once a tap that reads them is installed
+    ({!add_tap}). *)
 
 val capacity : t -> int
 
 val record : t -> event -> unit
+(** Record an event, whatever its tier: the tier is applied by {!emit},
+    on the emitters' path. *)
 
 val length : t -> int
 (** Events currently held (≤ capacity). *)
@@ -150,7 +194,7 @@ val append : t -> t -> unit
     order. Used by the sweep runner to merge per-run journals
     deterministically. *)
 
-val add_tap : t -> (event -> unit) -> unit
+val add_tap : ?reads:tier -> t -> (event -> unit) -> unit
 (** Install a tap invoked on every event recorded from now on —
     including events copied in by {!append}. Taps run in installation
     order, each seeing the complete stream in record order. Installing
@@ -159,7 +203,12 @@ val add_tap : t -> (event -> unit) -> unit
     the ring, a tap sees every event even past overwrite, which is how
     online timeline aggregation and the [--trace-op] focus stay exact
     on long runs. Costs one option match per recorded event however
-    many taps are installed; a journal-less run is unaffected. *)
+    many taps are installed; a journal-less run is unaffected.
+
+    [reads] (default [Detail]) says what the tap needs: a [Detail]
+    reader makes the journal record detail events from now on; an
+    [Outline] reader (the timeline's) does not, so on a one-slot ring
+    it sees the outline only. *)
 
 (** {2 Emission sink} *)
 
@@ -171,7 +220,14 @@ val sink : t -> sink
 
 val enabled : sink -> bool
 
+val detail : sink -> bool
+(** Whether the sink records detail-tier events ([false] on {!null}).
+    Every emitter of a detail event tests it before building the event,
+    so a timeline-only run allocates none of them. *)
+
 val emit : sink -> event -> unit
+(** Record the event if the sink keeps its tier: a no-op on {!null},
+    and on a journal that records no detail, for a detail event. *)
 
 (** {2 Serialization} *)
 

@@ -112,7 +112,8 @@ let of_journal ?timeline j =
       | Journal.Msg_dropped { src; dst; _ } ->
         note src;
         note dst
-      | Journal.Store_ev { node; _ } | Journal.Recovery { node; _ } ->
+      | Journal.Store_ev { node; _ } | Journal.Store_sync { node; _ }
+      | Journal.Recovery { node; _ } ->
         note node
       | Journal.Timer_fired _ | Journal.Sample _ | Journal.Mark _
       | Journal.Fault _ | Journal.Migrate _ | Journal.Reconfig _ -> ());
@@ -198,6 +199,13 @@ let of_journal ?timeline j =
         push
           (instant
              ~name:(Printf.sprintf "store.%s %s" op detail)
+             ~scope:"t" ~tid:node ~ts:at [])
+      | Journal.Store_sync { node; recs; upto; dur_us; at } ->
+        push
+          (instant
+             ~name:
+               (Printf.sprintf "store.sync recs=%d upto=%d dur_us=%d" recs upto
+                  dur_us)
              ~scope:"t" ~tid:node ~ts:at [])
       | Journal.Recovery { node; stage; detail; at } ->
         push

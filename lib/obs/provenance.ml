@@ -359,6 +359,9 @@ let observe f ev =
       f.submits <- f.submits + 1
     | _ -> ())
 
+(* The tree is made of sends and deliveries: a detail reader. *)
+let attach f j = Journal.add_tap ~reads:Detail j (observe f)
+
 let focused f = List.rev f.kept
 
 let ms at = Printf.sprintf "%.3fms" (Time_ns.to_ms_f at)

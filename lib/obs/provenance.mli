@@ -90,6 +90,12 @@ val focus : int -> focus
 val observe : focus -> Journal.event -> unit
 (** Feed one event, in record order (the tap). *)
 
+val attach : focus -> Journal.t -> unit
+(** Install the focus as a tap on the journal. It reads the detail tier
+    (the op's sends and deliveries), so the journal records detail
+    events from then on, even a one-slot throwaway ring
+    ({!Journal.add_tap}). *)
+
 val focused : focus -> Journal.event list
 (** The kept events, in record order; empty until the [nth] submit. *)
 

@@ -12,10 +12,11 @@ let attach ?timeline journal engine =
   let sink = Journal.sink journal in
   (match timeline with
   | None -> ()
-  | Some agg -> Journal.add_tap journal (Timeline.tap agg));
+  | Some agg -> Journal.add_tap ~reads:Outline journal (Timeline.tap agg));
   let t = { journal; sink; probes = [] } in
   Engine.set_timer_hook engine (fun at ->
-      Journal.emit sink (Journal.Timer_fired { at }));
+      if Journal.detail sink then
+        Journal.emit sink (Journal.Timer_fired { at }));
   (* Clock.create schedules the same Engine.every the sampler always
      used, so journal bytes are unchanged. *)
   let clock = Timeline.Clock.create engine ~window:sample_every in

@@ -174,15 +174,23 @@ type opinfo = {
   mutable committed : bool;
 }
 
+(* Node and group ids are small ints: hash them as themselves. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash n = n land max_int
+end)
+
 type seg_state = {
   mutable slabel : string;
   cluster_s : series;
-  groups_t : (int, series) Hashtbl.t;
-  nodes_t : (int, series) Hashtbl.t;
+  groups_t : series Itbl.t;
+  nodes_t : series Itbl.t;
   gauges_t : (string, gseries) Hashtbl.t;
   mutable faults_r : (Time_ns.t * string * string) list;
   mutable recoveries_r : (Time_ns.t * int * string) list;
-  ops : (int * int, opinfo) Hashtbl.t;
+  ops : opinfo Journal.Opid_tbl.t;
   mutable gmap : group_map option;
   mutable max_idx : int;  (** last window touched by a counted event *)
   mutable counted : int;
@@ -201,12 +209,12 @@ let fresh_seg label =
   {
     slabel = label;
     cluster_s = series ();
-    groups_t = Hashtbl.create 8;
-    nodes_t = Hashtbl.create 16;
+    groups_t = Itbl.create 8;
+    nodes_t = Itbl.create 16;
     gauges_t = Hashtbl.create 16;
     faults_r = [];
     recoveries_r = [];
-    ops = Hashtbl.create 1024;
+    ops = Journal.Opid_tbl.create 1024;
     gmap = None;
     max_idx = -1;
     counted = 0;
@@ -231,16 +239,17 @@ let apply_map seg gm =
   if gm.groups > 1 then begin
     seg.gmap <- Some gm;
     for g = 0 to gm.groups - 1 do
-      if not (Hashtbl.mem seg.groups_t g) then
-        Hashtbl.replace seg.groups_t g (series ())
+      if not (Itbl.mem seg.groups_t g) then
+        Itbl.replace seg.groups_t g (series ())
     done
   end
 
 let set_group_map agg gm = apply_map agg.seg gm
 
-let sorted_bindings tbl cmp =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> cmp a b)
+let by_key cmp bindings = List.sort (fun (a, _) (b, _) -> cmp a b) bindings
+
+let int_bindings tbl =
+  by_key Int.compare (Itbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let build_segment win seg =
   let upto = Stdlib.max 0 seg.max_idx in
@@ -249,15 +258,16 @@ let build_segment win seg =
     window = win;
     cluster = collect seg.cluster_s ~upto;
     groups =
-      sorted_bindings seg.groups_t Int.compare
+      int_bindings seg.groups_t
       |> List.map (fun (g, sr) -> (g, collect sr ~upto))
       |> Array.of_list;
     nodes =
-      sorted_bindings seg.nodes_t Int.compare
+      int_bindings seg.nodes_t
       |> List.map (fun (n, sr) -> (n, collect sr ~upto))
       |> Array.of_list;
     gauges =
-      sorted_bindings seg.gauges_t String.compare
+      by_key String.compare
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) seg.gauges_t [])
       |> List.map (fun (name, gs) ->
              gadvance gs (upto + 1);
              (name, Array.of_list (List.rev gs.gpts)))
@@ -276,46 +286,52 @@ let flush agg ~next_label =
    composition/slots marks) describes ONE segment: the first label
    names it, later ones only carry metadata. *)
 
-let node_series seg n =
-  match Hashtbl.find_opt seg.nodes_t n with
-  | Some sr -> sr
-  | None ->
+let series_of tbl n =
+  match Itbl.find tbl n with
+  | sr -> sr
+  | exception Not_found ->
     let sr = series () in
-    Hashtbl.replace seg.nodes_t n sr;
+    Itbl.replace tbl n sr;
     sr
 
-let group_series seg g =
-  if g < 0 then None
-  else
-    match Hashtbl.find_opt seg.groups_t g with
-    | Some sr -> Some sr
-    | None ->
-      let sr = series () in
-      Hashtbl.replace seg.groups_t g sr;
-      Some sr
+(* The per-column updates, each opening the event's window [k] first.
+   They are plain functions, so [feed] builds no closure per event. *)
+let add_submit sr k =
+  advance sr k;
+  sr.s <- sr.s + 1;
+  sr.cum_s <- sr.cum_s + 1
 
-(* "recs=%d upto=%d dur_us=%d" (Store's sync detail) -> %d *)
-let sync_recs detail =
-  match String.split_on_char ' ' detail with
-  | tok :: _ -> (
-    match String.index_opt tok '=' with
-    | Some i when String.sub tok 0 i = "recs" ->
-      Option.value ~default:0
-        (int_of_string_opt
-           (String.sub tok (i + 1) (String.length tok - i - 1)))
-    | _ -> 0)
-  | [] -> 0
+let add_commit sr k =
+  advance sr k;
+  sr.c <- sr.c + 1;
+  sr.cum_c <- sr.cum_c + 1
+
+let add_latency sr k lat_ms =
+  add_commit sr k;
+  sr.lat <- lat_ms :: sr.lat
+
+let add_execute sr k =
+  advance sr k;
+  sr.e <- sr.e + 1
+
+let add_drop sr k =
+  advance sr k;
+  sr.d <- sr.d + 1
+
+let add_syncs sr k n =
+  advance sr k;
+  sr.sy <- sr.sy + n
+
+(* Count an event toward the segment; returns its window. *)
+let count agg seg at =
+  seg.counted <- seg.counted + 1;
+  let k = at / agg.win in
+  if k > seg.max_idx then seg.max_idx <- k;
+  k
 
 let feed agg ev =
   if agg.finished then invalid_arg "Timeline.feed: collector is finished";
   let seg = agg.seg in
-  let win_of at = at / agg.win in
-  let count at =
-    seg.counted <- seg.counted + 1;
-    let k = win_of at in
-    if k > seg.max_idx then seg.max_idx <- k;
-    k
-  in
   match ev with
   | Journal.Mark { label; at = _ } -> (
     flush agg ~next_label:label;
@@ -326,76 +342,52 @@ let feed agg ev =
       | None -> ())
     | None -> ())
   | Submit { op; node; key; at } ->
-    let k = count at in
+    let k = count agg seg at in
     let group =
       match seg.gmap with
       | Some gm -> gm.lookup key
       | None -> -1
     in
-    if not (Hashtbl.mem seg.ops op) then
-      Hashtbl.replace seg.ops op
+    if not (Journal.Opid_tbl.mem seg.ops op) then
+      Journal.Opid_tbl.replace seg.ops op
         { submitted_at = at; group; committed = false };
-    let bump sr =
-      advance sr k;
-      sr.s <- sr.s + 1;
-      sr.cum_s <- sr.cum_s + 1
-    in
-    bump seg.cluster_s;
-    bump (node_series seg node);
-    Option.iter bump (group_series seg group)
+    add_submit seg.cluster_s k;
+    add_submit (series_of seg.nodes_t node) k;
+    if group >= 0 then add_submit (series_of seg.groups_t group) k
   | Commit { op; node; at } -> (
-    let k = count at in
-    let bump ?lat_ms sr =
-      advance sr k;
-      sr.c <- sr.c + 1;
-      sr.cum_c <- sr.cum_c + 1;
-      match lat_ms with
-      | Some l -> sr.lat <- l :: sr.lat
-      | None -> ()
-    in
-    match Hashtbl.find_opt seg.ops op with
-    | Some info when info.committed -> ()  (* duplicate notification *)
-    | Some info ->
+    let k = count agg seg at in
+    match Journal.Opid_tbl.find seg.ops op with
+    | info when info.committed -> ()  (* duplicate notification *)
+    | info ->
       info.committed <- true;
       let lat_ms = Time_ns.to_ms_f (Time_ns.diff at info.submitted_at) in
-      bump ~lat_ms seg.cluster_s;
-      bump ~lat_ms (node_series seg node);
-      Option.iter (bump ~lat_ms) (group_series seg info.group)
-    | None ->
+      add_latency seg.cluster_s k lat_ms;
+      add_latency (series_of seg.nodes_t node) k lat_ms;
+      if info.group >= 0 then
+        add_latency (series_of seg.groups_t info.group) k lat_ms
+    | exception Not_found ->
       (* Submit predates the journal (ring overflow / truncation):
          count the commit, no latency or group attribution. *)
-      bump seg.cluster_s;
-      bump (node_series seg node))
-  | Execute { op; replica; at } ->
-    let k = count at in
-    let bump sr =
-      advance sr k;
-      sr.e <- sr.e + 1
-    in
-    bump seg.cluster_s;
-    bump (node_series seg replica);
-    (match Hashtbl.find_opt seg.ops op with
-    | Some info -> Option.iter bump (group_series seg info.group)
-    | None -> ())
+      add_commit seg.cluster_s k;
+      add_commit (series_of seg.nodes_t node) k)
+  | Execute { op; replica; at } -> (
+    let k = count agg seg at in
+    add_execute seg.cluster_s k;
+    add_execute (series_of seg.nodes_t replica) k;
+    match Journal.Opid_tbl.find seg.ops op with
+    | info when info.group >= 0 ->
+      add_execute (series_of seg.groups_t info.group) k
+    | _ | (exception Not_found) -> ())
   | Msg_dropped { dst; at; _ } ->
-    let k = count at in
-    let bump sr =
-      advance sr k;
-      sr.d <- sr.d + 1
-    in
-    bump seg.cluster_s;
-    bump (node_series seg dst)
-  | Store_ev { node; op = "sync"; detail; at } ->
-    let k = count at in
-    let n = sync_recs detail in
-    let bump sr =
-      advance sr k;
-      sr.sy <- sr.sy + n
-    in
-    bump seg.cluster_s;
-    bump (node_series seg node)
+    let k = count agg seg at in
+    add_drop seg.cluster_s k;
+    add_drop (series_of seg.nodes_t dst) k
+  | Store_sync { node; recs; at; _ } ->
+    let k = count agg seg at in
+    add_syncs seg.cluster_s k recs;
+    add_syncs (series_of seg.nodes_t node) k recs
   | Sample { name; value; at } ->
-    let k = count at in
+    let k = count agg seg at in
     let gs =
       match Hashtbl.find_opt seg.gauges_t name with
       | Some gs -> gs
@@ -417,13 +409,13 @@ let feed agg ev =
        events only. *)
     ()
   | Fault { name; detail; at } ->
-    ignore (count at);
+    ignore (count agg seg at);
     seg.faults_r <- (at, name, detail) :: seg.faults_r
   | Recovery { node; stage; at; _ } ->
-    ignore (count at);
+    ignore (count agg seg at);
     seg.recoveries_r <- (at, node, stage) :: seg.recoveries_r
   | Migrate { stage; slot; from_g; to_g; epoch; detail; at } -> (
-    ignore (count at);
+    ignore (count agg seg at);
     let d =
       Printf.sprintf "slot=%d from=g%d to=g%d epoch=%d%s" slot from_g to_g
         epoch
@@ -442,7 +434,7 @@ let feed agg ev =
       seg.faults_r <- (at, "migrate." ^ stage, d) :: seg.faults_r
     | _ -> ())
   | Reconfig { stage; group; epoch; detail; at } -> (
-    ignore (count at);
+    ignore (count agg seg at);
     (* Details lead with [node=<n>] (when a node is affected) so the dip
        analyzer can match heals per node; group/epoch ride along. *)
     let d =
@@ -453,7 +445,9 @@ let feed agg ev =
     | "epoch" -> ()  (* the externalization point, not an outage marker *)
     | "begin" -> seg.faults_r <- (at, "reconfig", d) :: seg.faults_r
     | _ -> seg.faults_r <- (at, "reconfig." ^ stage, d) :: seg.faults_r)
-  | Store_ev _ | Msg_sent _ | Msg_delivered _ | Timer_fired _ | Phase _ -> ()
+  | Store_ev _ | Msg_sent _ | Msg_delivered _ | Timer_fired _ | Phase _ ->
+    (* The detail tier: nothing here reads it. *)
+    ()
 
 let tap agg =
   match agg.tap with

@@ -141,7 +141,7 @@ let group_observer ~prefix metrics jsink ledger ~n_rep ~exec_at ~kv_stores
             executed ~replica op ~now);
     on_phase =
       (fun ~node ~op ~name ~dur ~now ->
-        if Journal.enabled jsink then
+        if Journal.detail jsink then
           Journal.emit jsink
             (Journal.Phase
                { node; op = Option.map Op.id op; name; dur; at = now }));

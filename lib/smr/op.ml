@@ -43,12 +43,4 @@ end
 module Idmap = Map.Make (Idord)
 module Idset = Set.Make (Idord)
 
-module Idtbl = Hashtbl.Make (struct
-  type t = id
-
-  let equal (c1, s1) (c2, s2) = Int.equal c1 c2 && Int.equal s1 s2
-
-  (* Sequence numbers are dense per client, so consecutive ids land in
-     consecutive buckets; the odd multiplier keeps clients apart. *)
-  let hash (c, s) = (c * 0x9E3779B1) + s
-end)
+module Idtbl = Domino_obs.Journal.Opid_tbl

@@ -145,13 +145,15 @@ let instrument (type msg) (env : Group.env) ~name
   let journal = Group.journal env in
   (* The journal sink is fixed at construction (Null vs Rec), so the
      enabled test hoists out of the per-message hooks entirely: a
-     sinkless run pays one counter bump per event and nothing else. *)
+     sinkless run pays one counter bump per event and nothing else.
+     Sends and deliveries are detail-tier events: a journal that keeps
+     only the outline (a timeline-only run) never has them built. *)
   let journal_on = Journal.enabled journal in
   Fifo_net.set_message_hooks net
     ~sent:(fun ~seq ~src ~dst msg ~at ->
       let cls = classify msg in
       Metrics.inc (sent cls);
-      if journal_on then
+      if Journal.detail journal then
         Journal.emit journal
           (Journal.Msg_sent
              { seq; src; dst; cls = Msg_class.to_string cls;
@@ -159,7 +161,7 @@ let instrument (type msg) (env : Group.env) ~name
     ~delivered:(fun ~seq ~src ~dst msg ~sent_at ~at ->
       let cls = classify msg in
       Metrics.inc (delivered cls);
-      if journal_on then
+      if Journal.detail journal then
         Journal.emit journal
           (Journal.Msg_delivered
              { seq; src; dst; cls = Msg_class.to_string cls;

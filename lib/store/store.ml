@@ -96,10 +96,15 @@ let durable_upto t = t.durable_upto
 
 let unsynced_count t = t.appended - t.durable_upto
 
-(* Journal details are built only under [recording]: [append] and
-   [sync] run on every write, and a run without a journal should not
-   format strings it throws away. *)
+(* Journal details are built only when the journal keeps them:
+   [append] and [sync] run on every write, and a run without a journal
+   should not format strings it throws away. [recording] guards the
+   outline events (syncs, recoveries); [detailed] the detail tier
+   (appends, snapshots, truncations, [sync_wait] spans), which a
+   timeline-only journal does not record. *)
 let recording t = Journal.enabled t.journal
+
+let detailed t = Journal.detail t.journal
 
 let store_ev t op detail =
   Journal.emit t.journal
@@ -136,7 +141,7 @@ let append t ~kind record =
   t.log.(slot) <- record;
   t.appended <- idx + 1;
   t.n_appends <- t.n_appends + 1;
-  if recording t then
+  if detailed t then
     store_ev t "append" (ints [ ("rec", idx) ] ^ " kind=" ^ kind);
   idx
 
@@ -158,15 +163,21 @@ let rec start_barrier t =
     t.n_syncs <- t.n_syncs + 1;
     t.n_sync_writes <- t.n_sync_writes + Stdlib.max 0 fresh;
     if recording t then
-      store_ev t "sync"
-        (ints
-           [ ("recs", fresh); ("upto", upto); ("dur_us", dur / Time_ns.us 1) ]);
+      Journal.emit t.journal
+        (Journal.Store_sync
+           {
+             node = t.node;
+             recs = fresh;
+             upto;
+             dur_us = dur / Time_ns.us 1;
+             at = started;
+           });
     let epoch = t.epoch in
     Engine.schedule t.engine ~delay:dur (fun () ->
         if t.epoch = epoch then begin
           t.inflight <- false;
           if upto > t.durable_upto then t.durable_upto <- upto;
-          if recording t && dur > 0 then
+          if detailed t && dur > 0 then
             Journal.emit t.journal
               (Journal.Phase
                  {
@@ -203,7 +214,7 @@ let append_sync t ~kind record k =
 let snapshot t blob ~upto =
   if upto > t.appended then invalid_arg "Store.snapshot: upto > appended";
   t.n_snapshots <- t.n_snapshots + 1;
-  if recording t then
+  if detailed t then
     store_ev t "snapshot"
       (ints [ ("upto", upto); ("bytes", String.length blob) ]);
   let epoch = t.epoch in
@@ -224,7 +235,7 @@ let snapshot t blob ~upto =
         end;
         t.durable_upto <- Stdlib.max t.durable_upto upto;
         t.n_truncated <- t.n_truncated + cut;
-        if cut > 0 && recording t then
+        if cut > 0 && detailed t then
           store_ev t "truncate" (ints [ ("recs", cut) ])
       end)
 

@@ -34,6 +34,9 @@ let pp_event buf ev =
   | Store_ev { node; op; detail; at } ->
     p "@%d store.%s node=%d%s" at op node
       (if detail = "" then "" else " " ^ detail)
+  | Store_sync { node; recs; upto; dur_us; at } ->
+    p "@%d store.sync node=%d recs=%d upto=%d dur_us=%d" at node recs upto
+      dur_us
   | Recovery { node; stage; detail; at } ->
     p "@%d recovery.%s node=%d%s" at stage node
       (if detail = "" then "" else " " ^ detail)

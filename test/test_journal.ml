@@ -147,6 +147,45 @@ let test_timeline_jobs_byte_identical () =
   check_bool "labeled by sweep cell" true (contains a "cell=1 run=1");
   Alcotest.(check string) "timeline CSV byte-identical" a b
 
+(* --- tiers ------------------------------------------------------------ *)
+
+(* A journal records a detail event only if something reads it. One
+   faulted run three ways: a full ring, a one-slot ring fed only to the
+   timeline, and a one-slot ring with the [--trace-op] tap. *)
+let tiered_run ?(trace = false) ~capacity () =
+  let plan =
+    match
+      Domino_fault.Plan.parse "at 500ms crash node=2\nat 1s recover node=2\n"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let j = Journal.create ~capacity () in
+  if trace then Provenance.attach (Provenance.focus 0) j;
+  let outline = ref 0 and detail = ref 0 in
+  Journal.add_tap ~reads:Outline j (fun ev ->
+      match Journal.tier ev with
+      | Outline -> incr outline
+      | Detail -> incr detail);
+  ignore
+    (Exp_common.run ~seed:5L ~duration:(Time_ns.sec 2) ~journal:j
+       ~timeline:(Timeline.create ()) ~faults:plan Exp_common.fig7_double
+       Exp_common.domino_default);
+  (Journal.recorded j, !outline, !detail)
+
+let test_tiers () =
+  let full, full_outline, full_detail = tiered_run ~capacity:(1 lsl 20) () in
+  check_bool "a full ring records detail events" true (full_detail > 0);
+  check_int "a full ring records every event" full
+    (full_outline + full_detail);
+  let thin, thin_outline, thin_detail = tiered_run ~capacity:1 () in
+  check_int "timeline-only ring: no detail event" 0 thin_detail;
+  check_int "timeline-only ring: the whole outline" full_outline thin_outline;
+  check_int "timeline-only ring: recorded = outline" full_outline thin;
+  let traced, _, traced_detail = tiered_run ~trace:true ~capacity:1 () in
+  check_int "trace tap: every event" full traced;
+  check_int "trace tap: every detail event" full_detail traced_detail
+
 (* --- recorder hooks end to end ------------------------------------- *)
 
 let journaled_run proto =
@@ -555,6 +594,7 @@ let () =
           Alcotest.test_case "taps compose" `Quick test_taps_compose;
           QCheck_alcotest.to_alcotest test_ring_grows;
         ] );
+      ("tiers", [ Alcotest.test_case "who reads what" `Slow test_tiers ]);
       ( "determinism",
         [
           Alcotest.test_case "jobs 1 = jobs 4" `Slow test_jobs_byte_identical;

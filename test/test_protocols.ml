@@ -179,7 +179,7 @@ let read_golden name =
 let traced ?(capacity = 1) ?rate ~seed ~duration ~nth setting =
   let j = Journal.create ~capacity () in
   let f = Provenance.focus nth in
-  Journal.add_tap j (Provenance.observe f);
+  Provenance.attach f j;
   ignore
     (Exp_common.run ~seed ?rate ~duration:(Time_ns.sec duration) ~journal:j
        setting Exp_common.domino_default);

@@ -122,8 +122,8 @@ let test_drops_syncs_faults () =
     [
       Journal.Msg_dropped
         { seq = 3; src = 0; dst = 2; cls = "m"; reason = "crash"; at = ms 10 };
-      Journal.Store_ev
-        { node = 2; op = "sync"; detail = "recs=3 upto=5 dur_us=80"; at = ms 20 };
+      Journal.Store_sync
+        { node = 2; recs = 3; upto = 5; dur_us = 80; at = ms 20 };
       Journal.Store_ev
         { node = 2; op = "append"; detail = "rec=6"; at = ms 25 } (* ignored *);
       Journal.Fault { name = "crash"; detail = "node=2"; at = ms 30 };
@@ -321,6 +321,10 @@ let event_gen : Journal.event QCheck.Gen.t =
         map3
           (fun (node, op) detail at -> Journal.Store_ev { node; op; detail; at })
           (pair node_gen tok_gen) opt_detail_gen time_gen;
+        map3
+          (fun (node, recs) (upto, dur_us) at ->
+            Journal.Store_sync { node; recs; upto; dur_us; at })
+          (pair node_gen int_gen) (pair int_gen int_gen) time_gen;
         map3
           (fun (node, stage) detail at ->
             Journal.Recovery { node; stage; detail; at })
