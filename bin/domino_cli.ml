@@ -522,7 +522,15 @@ let experiment_cmd =
                  ~window:(timeline_window_span timeline_window)
                  ~group_resolver:Domino_shard.Slots.resolver_of_mark ())
         in
-        let j = smoke ~seed ?faults ?timeline:agg () in
+        (* With nothing to write but the timeline, the run records
+           into a one-slot ring that keeps only what the timeline
+           reads. *)
+        let journal =
+          if journal_out = None && perfetto_out = None && not check then
+            Some (Domino_obs.Journal.create ~capacity:1 ())
+          else None
+        in
+        let j = smoke ~seed ?faults ?timeline:agg ?journal () in
         (match journal_out with
         | Some file ->
           write_file file (Domino_obs.Journal.to_lines j);

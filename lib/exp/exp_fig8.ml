@@ -69,10 +69,10 @@ let run ?(quick = true) ?(seed = 42L) variant () =
    [experiment --journal-out/--perfetto-out] smoke target and the CI
    determinism check. Two simulated seconds keep every event of all
    four runs inside one default-capacity ring. *)
-let smoke_journal ~seed ?faults ?timeline variant =
-  let j = Domino_obs.Journal.create () in
+let smoke_journal ~seed ?faults ?timeline
+    ?(journal = Domino_obs.Journal.create ()) variant =
   ignore
-    (Exp_common.run_sweep ~runs:1 ~seed ~duration:(Time_ns.sec 2) ~journal:j
+    (Exp_common.run_sweep ~runs:1 ~seed ~duration:(Time_ns.sec 2) ~journal
        ?timeline ?faults
        (List.map (fun proto -> (setting variant, proto)) protocols));
-  j
+  journal

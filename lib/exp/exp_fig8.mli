@@ -22,10 +22,12 @@ val smoke_journal :
   seed:int64 ->
   ?faults:Domino_fault.Plan.t ->
   ?timeline:Domino_obs.Timeline.agg ->
+  ?journal:Domino_obs.Journal.t ->
   variant ->
   Domino_obs.Journal.t
 (** A 2-second journaled run of the figure's sweep: the flight-recorder
     smoke target behind [experiment <fig8x> --journal-out]. The journal
     is byte-identical for every [--jobs]. [faults] injects the same
     fault plan into every cell of the sweep; [timeline] is fed online
-    during the run. *)
+    during the run. The run records into [journal]
+    (default: a fresh full ring) and returns it. *)

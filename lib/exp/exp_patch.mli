@@ -17,9 +17,11 @@ val smoke_journal :
   seed:int64 ->
   ?faults:Domino_fault.Plan.t ->
   ?timeline:Domino_obs.Timeline.agg ->
+  ?journal:Domino_obs.Journal.t ->
   unit ->
   Domino_obs.Journal.t
 (** A short journaled rolling patch of a 3-node Domino group under
     load (default plan: [roll group=0 dwell=500ms] at 2.5 s), for CLI
     smokes and the CI roll-smoke artifacts. [timeline] is fed online
-    during the run. *)
+    during the run. The run records into [journal]
+    (default: a fresh full ring) and returns it. *)

@@ -165,15 +165,14 @@ let run ?(quick = true) ?(seed = 42L) () =
 (* The CLI/CI smoke target: a 6-second 2-group run that migrates the
    hot slot at 3 s, journaled and optionally fed to an online
    timeline. *)
-let smoke_journal ~seed ?faults ?timeline () =
+let smoke_journal ~seed ?faults ?timeline ?(journal = Journal.create ()) () =
   let faults =
     match faults with Some f -> f | None -> plan_exn planned_plan
   in
-  let j = Journal.create () in
   ignore
-    (Fabric.run ~seed ~duration:(Time_ns.sec 6) ~journal:j ?timeline ~faults
+    (Fabric.run ~seed ~duration:(Time_ns.sec 6) ~journal ?timeline ~faults
        (config ()));
-  j
+  journal
 
 (* The chaos suite's 2-group runner: the same layout as the experiment
    but protocol-parametric, so migration scenarios (migrate during a

@@ -22,12 +22,14 @@ val smoke_journal :
   seed:int64 ->
   ?faults:Domino_fault.Plan.t ->
   ?timeline:Domino_obs.Timeline.agg ->
+  ?journal:Domino_obs.Journal.t ->
   unit ->
   Domino_obs.Journal.t
 (** A 6-second journaled 2-group run migrating the hot slot at 3 s; an
     explicit [faults] plan replaces the default.
     [timeline] is fed online during the run — byte-identical to
-    offline replay of the returned journal. *)
+    offline replay of the returned journal. The run records into
+    [journal] (default: a fresh full ring) and returns it. *)
 
 val chaos_journal :
   seed:int64 ->

@@ -57,14 +57,13 @@ let run ?(quick = true) ?(seed = 42L) () =
 
 (* The CLI/CI smoke target: a short journaled crash-and-heal run whose
    journal feeds `domino analyze` (the chaos-suite CSV artifacts). *)
-let smoke_journal ~seed ?faults ?timeline () =
+let smoke_journal ~seed ?faults ?timeline ?(journal = Journal.create ()) () =
   let faults =
     match faults with
     | Some f -> f
     | None -> plan_exn "leader-crash" (List.assoc "leader-crash" plans)
   in
-  let j = Journal.create () in
   ignore
-    (Exp_common.run ~seed ~duration:(Time_ns.sec 6) ~journal:j ?timeline
+    (Exp_common.run ~seed ~duration:(Time_ns.sec 6) ~journal ?timeline
        ~faults Exp_common.fig7_double Exp_common.domino_default);
-  j
+  journal

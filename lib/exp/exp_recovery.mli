@@ -15,8 +15,11 @@ val smoke_journal :
   seed:int64 ->
   ?faults:Domino_fault.Plan.t ->
   ?timeline:Domino_obs.Timeline.agg ->
+  ?journal:Domino_obs.Journal.t ->
   unit ->
   Domino_obs.Journal.t
 (** A short journaled crash-and-heal Domino run (default plan: leader
     crash at 2.5 s, recover at 4 s), for CLI smokes and the CI
-    [analyze] artifacts. [timeline] is fed online during the run. *)
+    [analyze] artifacts. [timeline] is fed online during the run.
+    The run records into [journal] (default: a fresh full ring) and
+    returns it. *)

@@ -10,6 +10,7 @@ type entry = {
     (seed:int64 ->
     ?faults:Domino_fault.Plan.t ->
     ?timeline:Domino_obs.Timeline.agg ->
+    ?journal:Domino_obs.Journal.t ->
     unit ->
     Domino_obs.Journal.t)
     option;
@@ -97,8 +98,9 @@ let all =
       run = (fun ~quick ~seed -> [ Exp_fig8.run ~quick ~seed Exp_fig8.Na3 () ]);
       smoke =
         Some
-          (fun ~seed ?faults ?timeline () ->
-            Exp_fig8.smoke_journal ~seed ?faults ?timeline Exp_fig8.Na3);
+          (fun ~seed ?faults ?timeline ?journal () ->
+            Exp_fig8.smoke_journal ~seed ?faults ?timeline ?journal
+              Exp_fig8.Na3);
     };
     {
       id = "fig8b";
@@ -107,8 +109,9 @@ let all =
       run = (fun ~quick ~seed -> [ Exp_fig8.run ~quick ~seed Exp_fig8.Na5 () ]);
       smoke =
         Some
-          (fun ~seed ?faults ?timeline () ->
-            Exp_fig8.smoke_journal ~seed ?faults ?timeline Exp_fig8.Na5);
+          (fun ~seed ?faults ?timeline ?journal () ->
+            Exp_fig8.smoke_journal ~seed ?faults ?timeline ?journal
+              Exp_fig8.Na5);
     };
     {
       id = "fig8c";
@@ -118,8 +121,9 @@ let all =
         (fun ~quick ~seed -> [ Exp_fig8.run ~quick ~seed Exp_fig8.Globe () ]);
       smoke =
         Some
-          (fun ~seed ?faults ?timeline () ->
-            Exp_fig8.smoke_journal ~seed ?faults ?timeline Exp_fig8.Globe);
+          (fun ~seed ?faults ?timeline ?journal () ->
+            Exp_fig8.smoke_journal ~seed ?faults ?timeline ?journal
+              Exp_fig8.Globe);
     };
     {
       id = "fig9";

@@ -15,14 +15,16 @@ type entry = {
     (seed:int64 ->
     ?faults:Domino_fault.Plan.t ->
     ?timeline:Domino_obs.Timeline.agg ->
+    ?journal:Domino_obs.Journal.t ->
     unit ->
     Domino_obs.Journal.t)
     option;
       (** a short flight-recorded run of the experiment, for
-          [--journal-out]/[--perfetto-out]/[--faults]/[--check]; [None]
-          where one would add nothing (input tables, trace analyses).
-          [timeline] is fed online during the run (byte-identical to
-          offline replay of the journal) *)
+          [--journal-out]/[--perfetto-out]/[--timeline-out]/[--faults]/
+          [--check]; [None] where one would add nothing (input tables,
+          trace analyses). [timeline] is fed online during the run
+          (byte-identical to offline replay of the journal); the run
+          records into [journal], by default a fresh full ring *)
 }
 
 val all : entry list

@@ -215,9 +215,9 @@ let run ?(quick = true) ?(seed = 42L) () =
 
 (* The CLI/CI smoke target: a short journaled 2-group fabric run, the
    multi-group counterpart of [Exp_fig8.smoke_journal]. *)
-let smoke_journal ~seed ?faults ?timeline () =
-  let j = Domino_obs.Journal.create () in
+let smoke_journal ~seed ?faults ?timeline
+    ?(journal = Domino_obs.Journal.create ()) () =
   ignore
-    (Fabric.run ~seed ~duration:(Time_ns.sec 2) ~journal:j ?timeline ?faults
+    (Fabric.run ~seed ~duration:(Time_ns.sec 2) ~journal ?timeline ?faults
        (config ~groups:2 ~pop:1 ~slots:(hash_slots 2)));
-  j
+  journal

@@ -19,9 +19,11 @@ val smoke_journal :
   seed:int64 ->
   ?faults:Domino_fault.Plan.t ->
   ?timeline:Domino_obs.Timeline.agg ->
+  ?journal:Domino_obs.Journal.t ->
   unit ->
   Domino_obs.Journal.t
 (** A short journaled 2-group fabric run — the CLI's
     [experiment shards --journal-out] smoke target and the CI
     multi-group determinism check. [timeline] is fed online during
-    the run. *)
+    the run. The run records into [journal]
+    (default: a fresh full ring) and returns it. *)

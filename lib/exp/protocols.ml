@@ -31,15 +31,6 @@ let domino_exec =
       adaptive = false;
     }
 
-let domino_adaptive =
-  Domino
-    {
-      additional_delay = 0;
-      percentile = 95.;
-      every_replica_learns = false;
-      adaptive = true;
-    }
-
 let name = function
   | Domino _ -> "Domino"
   | Mencius -> "Mencius"

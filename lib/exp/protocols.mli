@@ -27,10 +27,6 @@ val domino_default : t
 val domino_exec : t
 (** Domino with the paper's +8 ms execution-latency setting (§7.2.3). *)
 
-val domino_adaptive : t
-(** Domino with the §5.4 feedback controller instead of a static
-    additional delay. *)
-
 val name : t -> string
 (** Display name ("Multi-Paxos"). *)
 
