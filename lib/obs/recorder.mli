@@ -24,7 +24,13 @@ val attach :
     previously installed timer hook. With [timeline], every recorded
     journal event is also fed to the aggregator (a {!Journal.add_tap}),
     building the windowed timeline online as the run executes; without
-    it nothing timeline-related touches the hot path. *)
+    it nothing timeline-related touches the hot path.
+
+    The timeline's tap is an [Outline] reader: it does not make the
+    journal record detail events. Timer fires are detail, so on a
+    journal that keeps no detail (a one-slot ring with no detail tap)
+    the timer hook builds nothing; gauge samples are outline and are
+    always recorded. *)
 
 val add_probe : t -> string -> (unit -> float) -> unit
 (** Register a gauge to snapshot each sampling tick. Safe to call

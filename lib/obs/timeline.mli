@@ -17,7 +17,11 @@
     - {b online}: {!feed} consumes events as the journal records them
       (installed as a journal tap by {!Recorder.attach}), so the
       timeline stays exact even when the journal's bounded ring
-      overflows on a long run;
+      overflows on a long run. The timeline reads only the journal's
+      outline tier ({!Journal.tier}): it is installed as an [Outline]
+      reader, so a timeline-only run — a one-slot ring with no other
+      tap — never builds a send, delivery, timer, phase, WAL append or
+      [fault.drop] event;
     - {b offline}: {!of_journal} replays any existing journal — every
       chaos or golden journal in the repo is analyzable retroactively
       (see the [analyze] CLI subcommand).
@@ -148,6 +152,9 @@ val set_group_map : agg -> group_map -> unit
     passes its router's live map). Applies to the current segment. *)
 
 val feed : agg -> Journal.event -> unit
+(** Consume one event. Detail-tier events are ignored, so feeding the
+    outline alone gives the same timeline as feeding the whole
+    stream. *)
 
 val tap : agg -> Journal.event -> unit
 (** [feed agg] as one closure per collector, so installing it again on

@@ -232,9 +232,11 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let engine = Engine.create ~seed () in
   (* An online timeline is fed by the journal's tap, so it needs a
-     journal even when the caller only wants the timeline: a capacity-1
-     throwaway ring makes every event flow through the tap at minimal
-     memory cost. Journaling never changes simulated behavior, only
+     journal even when the caller only wants the timeline: a one-slot
+     throwaway ring. Such a ring records only the outline tier the
+     timeline reads (unless a detail tap such as --trace-op's is on
+     it), so the run builds no send, delivery, timer, phase or WAL
+     append event. Journaling never changes simulated behavior, only
      what is recorded. *)
   let journal =
     match (journal, timeline) with

@@ -96,6 +96,13 @@ val run :
     every other group's submit is wrapped in the generic resend, the
     protocol's own submit. Without faults neither is armed.
 
+    The [run.retries] counter counts submits re-announced through the
+    protocol's own submit ([P.submit] again for an op already
+    submitted: the generic resend). Domino's DM resends happen inside
+    its clients and never re-announce the op, so a Domino group under
+    faults reads [run.retries] 0; its resends show in the group's
+    [extra] as [client_retries].
+
     Live slot migration ({!Migrate}) is armed when the fault plan
     contains [migrate] events or [auto_rebalance] is set (the
     {!Hotspot} detector's flags then trigger moves of the hot group's
