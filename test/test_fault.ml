@@ -485,6 +485,93 @@ let test_checker_ring_overflow_unsound () =
   let r = Checker.check j in
   check_bool "overflowed journal is reported unsound" false r.Checker.ok
 
+(* --- QCheck: the checker against its reference --- *)
+
+(* A random journal, as integer quadruples (kind, a, b, ms) so the
+   built-in shrinkers apply. Six op ids over two clients, four keys and
+   four replicas make duplicate executions, divergent per-key orders,
+   real-time inversions and ops that never commit or execute common;
+   migrate and reconfig epoch bumps (removing, adding and replacing
+   replicas), recoveries and [Mark] segment splits ride along. *)
+let synthetic_event (kind, a, b, ms) =
+  let op = ((if a mod 2 = 0 then 7 else 9), a / 2 mod 3) in
+  let at = Time_ns.ms ms in
+  match kind mod 9 with
+  | 0 | 1 -> Journal.Submit { op; node = 9; key = b mod 4; at }
+  | 2 -> Journal.Commit { op; node = 9; at }
+  | 3 | 4 | 5 -> Journal.Execute { op; replica = b mod 4; at }
+  | 6 ->
+    Journal.Migrate
+      { stage = "epoch"; slot = b mod 2; from_g = 0; to_g = 1; epoch = 1;
+        detail = ""; at }
+  | 7 ->
+    let node = b mod 4 in
+    let detail =
+      match a mod 3 with
+      | 0 -> Printf.sprintf "node=%d remove" node
+      | 1 -> Printf.sprintf "node=%d add" node
+      | _ -> Printf.sprintf "node=%d replace with=%d" node ((node + 1) mod 4)
+    in
+    Journal.Reconfig { stage = "epoch"; group = 0; epoch = 1; detail; at }
+  | _ ->
+    if a mod 2 = 0 then Journal.Mark { label = Printf.sprintf "run%d" (b mod 3); at }
+    else Journal.Recovery { node = b mod 4; stage = "replay"; detail = ""; at }
+
+let synthetic_journal ~small_ring quads =
+  let j = Journal.create ~capacity:(if small_ring then 32 else 1 lsl 20) () in
+  List.iter (fun q -> Journal.record j (synthetic_event q)) quads;
+  j
+
+(* Rules 1, 4 and 5 report in journal order (first execution, commit,
+   submit) where the reference followed hash-table order; every other
+   rule must keep the reference's order exactly. *)
+let hash_ordered v =
+  contains v " times at replica "
+  || contains v " but never executed"
+  || contains v " but never committed"
+
+let same_report (r : Checker.report) (w : Reference_checker.report) =
+  let sorted = List.sort String.compare in
+  let ordered = List.filter (fun v -> not (hash_ordered v)) in
+  Bool.equal r.ok w.ok
+  && r.segments = w.segments
+  && r.submitted = w.submitted
+  && r.committed = w.committed
+  && r.executed = w.executed
+  && r.duplicate_execs = w.duplicate_execs
+  && r.recoveries = w.recoveries
+  && r.migrations = w.migrations
+  && r.reconfigs = w.reconfigs
+  && List.equal String.equal (sorted r.violations) (sorted w.violations)
+  && List.equal String.equal (ordered r.violations) (ordered w.violations)
+
+let checker_reference_property =
+  let print ((require_complete, with_slots, small_ring), quads) =
+    let j = synthetic_journal ~small_ring quads in
+    Printf.sprintf "require_complete=%b slot_resolver=%b capacity=%d\n%s"
+      require_complete with_slots (Journal.capacity j) (Journal.to_lines j)
+  in
+  let case =
+    QCheck.(
+      set_print print
+        (pair (triple bool bool bool)
+           (list_of_size
+              Gen.(0 -- 60)
+              (quad small_nat small_nat small_nat (int_bound 2000)))))
+  in
+  QCheck.Test.make ~name:"checker = reference" ~count:500 case
+    (fun ((require_complete, with_slots, small_ring), quads) ->
+      let j = synthetic_journal ~small_ring quads in
+      let slot_resolver =
+        if with_slots then Some (fun _ -> Some (fun key -> key mod 2))
+        else None
+      in
+      let got = Checker.check ~require_complete ?slot_resolver j in
+      let want = Reference_checker.check ~require_complete ?slot_resolver j in
+      same_report got want
+      || QCheck.Test.fail_reportf "checker:@.%a@.reference:@.%a"
+           Checker.pp_report got Reference_checker.pp_report want)
+
 (* --- Integration: short faulted runs through the harness --- *)
 
 let run_checked ?(duration = Time_ns.sec 4) ~plan proto =
@@ -920,6 +1007,7 @@ let () =
             test_checker_require_complete;
           Alcotest.test_case "ring overflow" `Quick
             test_checker_ring_overflow_unsound;
+          q checker_reference_property;
         ] );
       ( "faulted runs",
         [

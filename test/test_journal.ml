@@ -568,7 +568,25 @@ let test_provenance_matches_reference () =
   let j = Exp_shards.smoke_journal ~seed:11L () in
   check_bool "2-group journal has overlapping same-node sync_wait spans" true
     (overlapping_sync_spans j > 0);
-  ignore (check_matches_reference "2-group fabric" j)
+  ignore (check_matches_reference "2-group fabric" j);
+  (* A wrapped ring: the run's first submits and sends were overwritten,
+     so the surviving message seqs start far above zero and some
+     deliveries have lost their send. *)
+  let ring_run capacity =
+    let j = Journal.create ~capacity () in
+    ignore
+      (Exp_common.run ~seed:11L ~duration:(Time_ns.sec 3) ~journal:j
+         Exp_common.fig7_double Exp_common.domino_default);
+    j
+  in
+  let j = ring_run 60_000 in
+  check_bool "ring wrapped" true (Journal.dropped j > 0);
+  let bs = check_matches_reference "wrapped ring" j in
+  check_bool "wrapped ring: ops analyzed" true (bs <> []);
+  (* The one-slot throwaway ring a timeline-only run records into. *)
+  let j = ring_run 1 in
+  check_int "one-slot ring holds one event" 1 (Journal.length j);
+  ignore (check_matches_reference "one-slot ring" j)
 
 (* --- perfetto export ----------------------------------------------- *)
 
