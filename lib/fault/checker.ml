@@ -16,16 +16,43 @@ type report = {
 
 let opid_str (c, s) = Printf.sprintf "%d#%d" c s
 
+let same_op (c1, s1) (c2, s2) = Int.equal c1 c2 && Int.equal s1 s2
+
+module Itbl = Hashtbl.Make (Int)
+
+(* What a segment has seen of one op. *)
+type op_state = {
+  op : Journal.opid;
+  mutable submitted : bool;
+  mutable submit_at : Time_ns.t;
+      (** the first submit's: retries re-submit the same op id *)
+  mutable key : int;  (** the first submit's; -1 before one *)
+  mutable committed : bool;
+  mutable commit_at : Time_ns.t;  (** the first commit's *)
+  mutable executed : bool;  (** at some replica *)
+}
+
+type replica = {
+  first : int Journal.Opid_tbl.t;
+      (** op -> index, in the segment's executions, of its first
+          execution here *)
+  mutable order : op_state list;  (** executions here, newest first *)
+}
+
+(* An op executed more than once at one replica. *)
+type repeat = { r_replica : int; r_op : Journal.opid; mutable times : int }
+
 (* One run's worth of history. Merged sweep journals separate runs with
    [Mark] headers and reuse op ids across runs, so the checker splits at
    every [Mark] and checks each segment independently. *)
 type seg = {
   label : string;
-  submit : (Journal.opid, Time_ns.t) Hashtbl.t;
-  key_of : (Journal.opid, int) Hashtbl.t;
-  commit : (Journal.opid, Time_ns.t) Hashtbl.t;
-  exec_order : (int, Journal.opid list ref) Hashtbl.t;  (* replica, newest first *)
-  exec_count : (int * Journal.opid, int) Hashtbl.t;
+  ops : op_state Journal.Opid_tbl.t;
+  mutable submits : op_state list;  (** first submits, newest first *)
+  mutable commits : op_state list;  (** first commits, newest first *)
+  replicas : replica Itbl.t;
+  mutable execs : int;
+  repeats : repeat Itbl.t;  (** by the index of the first execution *)
   mutable max_at : Time_ns.t;
   mutable interesting : bool;
   mutable recoveries : int;
@@ -34,7 +61,7 @@ type seg = {
           newest first *)
   mutable rbumps : Time_ns.t list;
       (** journaled [reconfig.epoch] membership changes, newest first *)
-  removed : (int, Time_ns.t) Hashtbl.t;
+  removed : Time_ns.t Itbl.t;
       (** replica -> removal time, cleared by a later add/replace-in.
           Replica ids are group-local; reconfig plans drive one group
           per journal (the fabric's patch/chaos harnesses), so ids are
@@ -47,19 +74,46 @@ type seg = {
 let new_seg label =
   {
     label;
-    submit = Hashtbl.create 256;
-    key_of = Hashtbl.create 256;
-    commit = Hashtbl.create 256;
-    exec_order = Hashtbl.create 8;
-    exec_count = Hashtbl.create 256;
+    ops = Journal.Opid_tbl.create 256;
+    submits = [];
+    commits = [];
+    replicas = Itbl.create 8;
+    execs = 0;
+    repeats = Itbl.create 4;
     max_at = Time_ns.zero;
     interesting = false;
     recoveries = 0;
     bumps = [];
     rbumps = [];
-    removed = Hashtbl.create 4;
+    removed = Itbl.create 4;
     stale_execs = [];
   }
+
+let op_state seg op =
+  match Journal.Opid_tbl.find_opt seg.ops op with
+  | Some st -> st
+  | None ->
+    let st =
+      {
+        op;
+        submitted = false;
+        submit_at = Time_ns.zero;
+        key = -1;
+        committed = false;
+        commit_at = Time_ns.zero;
+        executed = false;
+      }
+    in
+    Journal.Opid_tbl.add seg.ops op st;
+    st
+
+let replica seg id =
+  match Itbl.find_opt seg.replicas id with
+  | Some r -> r
+  | None ->
+    let r = { first = Journal.Opid_tbl.create 256; order = [] } in
+    Itbl.add seg.replicas id r;
+    r
 
 let feed seg ev =
   (match ev with
@@ -71,29 +125,37 @@ let feed seg ev =
   match ev with
   | Journal.Submit { op; key; at; _ } ->
     seg.interesting <- true;
-    (* Keep the first submit: retries re-submit the same op id. *)
-    if not (Hashtbl.mem seg.submit op) then begin
-      Hashtbl.replace seg.submit op at;
-      Hashtbl.replace seg.key_of op key
+    let st = op_state seg op in
+    if not st.submitted then begin
+      st.submitted <- true;
+      st.submit_at <- at;
+      st.key <- key;
+      seg.submits <- st :: seg.submits
     end
   | Journal.Commit { op; at; _ } ->
-    if not (Hashtbl.mem seg.commit op) then Hashtbl.replace seg.commit op at
-  | Journal.Execute { op; replica; at; _ } ->
+    let st = op_state seg op in
+    if not st.committed then begin
+      st.committed <- true;
+      st.commit_at <- at;
+      seg.commits <- st :: seg.commits
+    end
+  | Journal.Execute { op; replica = id; at; _ } ->
     seg.interesting <- true;
-    (match Hashtbl.find_opt seg.removed replica with
-    | Some rat when at > rat -> seg.stale_execs <- (replica, op, at) :: seg.stale_execs
+    (match Itbl.find_opt seg.removed id with
+    | Some rat when at > rat -> seg.stale_execs <- (id, op, at) :: seg.stale_execs
     | _ -> ());
-    let order =
-      match Hashtbl.find_opt seg.exec_order replica with
-      | Some l -> l
+    let st = op_state seg op in
+    st.executed <- true;
+    let r = replica seg id in
+    r.order <- st :: r.order;
+    (match Journal.Opid_tbl.find_opt r.first op with
+    | None -> Journal.Opid_tbl.add r.first op seg.execs
+    | Some first -> (
+      match Itbl.find_opt seg.repeats first with
+      | Some rep -> rep.times <- rep.times + 1
       | None ->
-        let l = ref [] in
-        Hashtbl.replace seg.exec_order replica l;
-        l
-    in
-    order := op :: !order;
-    Hashtbl.replace seg.exec_count (replica, op)
-      (1 + Option.value ~default:0 (Hashtbl.find_opt seg.exec_count (replica, op)))
+        Itbl.add seg.repeats first { r_replica = id; r_op = op; times = 2 }));
+    seg.execs <- seg.execs + 1
   | Journal.Recovery { stage = "replay"; _ } ->
     (* Wipe-restarts in this segment: surfaced in the report so a run
        that was supposed to exercise recovery visibly did. *)
@@ -106,9 +168,9 @@ let feed seg ev =
        epoch-split rule and keep the removed-replica set current. *)
     seg.rbumps <- at :: seg.rbumps;
     let ifield key tok =
-      let p = key ^ "=" in
-      let pl = String.length p in
-      if String.length tok > pl && String.sub tok 0 pl = p then
+      let prefix = key ^ "=" in
+      let pl = String.length prefix in
+      if String.length tok > pl && String.starts_with ~prefix tok then
         int_of_string_opt (String.sub tok pl (String.length tok - pl))
       else None
     in
@@ -118,14 +180,14 @@ let feed seg ev =
       | None -> ()
       | Some node -> (
         match verb with
-        | "remove" -> Hashtbl.replace seg.removed node at
-        | "add" -> Hashtbl.remove seg.removed node
+        | "remove" -> Itbl.replace seg.removed node at
+        | "add" -> Itbl.remove seg.removed node
         | "replace" -> (
-          Hashtbl.replace seg.removed node at;
+          Itbl.replace seg.removed node at;
           match rest with
           | with_tok :: _ -> (
             match ifield "with" with_tok with
-            | Some w -> Hashtbl.remove seg.removed w
+            | Some w -> Itbl.remove seg.removed w
             | None -> ())
           | [] -> ())
         | _ -> ()))
@@ -136,12 +198,22 @@ let rec is_prefix short long =
   match (short, long) with
   | [], _ -> true
   | _, [] -> false
-  | a :: s, b :: l -> a = b && is_prefix s l
+  | a :: s, b :: l -> same_op a.op b.op && is_prefix s l
 
 (* Ops committed in the journal's last instants may legitimately not
    have reached every (or any) replica yet; give them slack before
    calling a missing execution a violation. *)
 let tail_slack = Time_ns.ms 500
+
+(* One replica's executions of one key, oldest first. *)
+type run = { rid : int; mutable seq : op_state list; mutable len : int }
+
+(* The number of [bumps] (sorted) at or before the op's first submit;
+   [None] for an op never submitted. *)
+let epoch_of bumps st =
+  if st.submitted then
+    Some (List.length (List.filter (fun b -> b <= st.submit_at) bumps))
+  else None
 
 let check_seg ~require_complete ~slot_of seg =
   let violations = ref [] in
@@ -149,18 +221,19 @@ let check_seg ~require_complete ~slot_of seg =
     Printf.ksprintf
       (fun s ->
         violations :=
-          (if seg.label = "" then s else seg.label ^ ": " ^ s) :: !violations)
+          (if String.equal seg.label "" then s else seg.label ^ ": " ^ s)
+          :: !violations)
       fmt
   in
-  (* 1. exactly-once execution per replica *)
+  let by_int f l = List.sort (fun a b -> Int.compare (f a) (f b)) l in
+  (* 1. exactly-once execution per replica, in order of first execution *)
   let dups = ref 0 in
-  Hashtbl.iter
-    (fun (replica, op) n ->
-      if n > 1 then begin
-        dups := !dups + (n - 1);
-        violate "op %s executed %d times at replica %d" (opid_str op) n replica
-      end)
-    seg.exec_count;
+  Itbl.fold (fun first rep acc -> (first, rep) :: acc) seg.repeats []
+  |> by_int fst
+  |> List.iter (fun (_, { r_replica; r_op; times }) ->
+         dups := !dups + (times - 1);
+         violate "op %s executed %d times at replica %d" (opid_str r_op) times
+           r_replica);
   (* 1b. removed replicas execute nothing past their removal — the
      stale-config failure mode: a replica dropped from the membership
      kept its network endpoints and went on applying ops. *)
@@ -169,62 +242,63 @@ let check_seg ~require_complete ~slot_of seg =
       violate "removed replica %d executed op %s @%d after its removal"
         replica (opid_str op) at)
     (List.rev seg.stale_execs);
-  (* Per-replica, per-key execution sequences (oldest first). *)
-  let by_key : (int, (int * Journal.opid list) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Hashtbl.iter
-    (fun replica order ->
-      let per_key = Hashtbl.create 64 in
-      List.iter
-        (fun op ->
-          let key =
-            match Hashtbl.find_opt seg.key_of op with Some k -> k | None -> -1
-          in
-          let l =
-            match Hashtbl.find_opt per_key key with
-            | Some l -> l
-            | None ->
-              let l = ref [] in
-              Hashtbl.replace per_key key l;
-              l
-          in
-          l := op :: !l)
-        (List.rev !order);
-      Hashtbl.iter
-        (fun key l ->
-          let entry =
-            match Hashtbl.find_opt by_key key with
-            | Some e -> e
-            | None ->
-              let e = ref [] in
-              Hashtbl.replace by_key key e;
-              e
-          in
-          entry := (replica, List.rev !l) :: !entry)
-        per_key)
-    seg.exec_order;
-  let keys =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) by_key [])
+  (* Per-key execution sequences, one run per replica that executed the
+     key. Replicas are visited highest id first and runs prepended, so
+     each key's runs come out by ascending replica id; each replica's
+     executions are walked newest first and prepended, so each run
+     comes out oldest first. *)
+  let by_key : run list Itbl.t = Itbl.create 64 in
+  Itbl.fold (fun id r acc -> (id, r) :: acc) seg.replicas []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare b a)
+  |> List.iter (fun (id, r) ->
+         List.iter
+           (fun st ->
+             let runs =
+               Option.value ~default:[] (Itbl.find_opt by_key st.key)
+             in
+             match runs with
+             | run :: _ when run.rid = id ->
+               run.seq <- st :: run.seq;
+               run.len <- run.len + 1
+             | _ -> Itbl.replace by_key st.key ({ rid = id; seq = [ st ]; len = 1 } :: runs))
+           r.order);
+  let keys = by_int Fun.id (Itbl.fold (fun k _ acc -> k :: acc) by_key []) in
+  let rbumps = by_int Fun.id seg.rbumps in
+  (* 2b/2c. epoch split: once [bumps] (sorted) happened, no op submitted
+     before one may execute after an op submitted after it in any
+     replica's sequence for the key. *)
+  let epoch_split bumps runs report =
+    List.iter
+      (fun run ->
+        let hi = ref 0 in
+        List.iter
+          (fun st ->
+            match epoch_of bumps st with
+            | None -> ()
+            | Some e -> if e < !hi then report run.rid st e !hi else hi := e)
+          run.seq)
+      runs
   in
   List.iter
     (fun key ->
-      let seqs = List.sort compare !(Hashtbl.find by_key key) in
+      let runs = Itbl.find by_key key in
       (* 2. log-prefix agreement: every replica's sequence for this key
          must be a prefix of the longest one. *)
       let longest =
         List.fold_left
-          (fun best (_, s) ->
-            if List.length s > List.length best then s else best)
-          [] seqs
+          (fun best run -> if run.len > best.len then run else best)
+          { rid = -1; seq = []; len = 0 } runs
       in
       List.iter
-        (fun (replica, s) ->
-          if not (is_prefix s longest) then
+        (fun run ->
+          if not (is_prefix run.seq longest.seq) then
             violate "key %d: replica %d execution order diverges (%s...)" key
-              replica
-              (String.concat " " (List.map opid_str (List.filteri (fun i _ -> i < 6) s))))
-        seqs;
+              run.rid
+              (String.concat " "
+                 (List.map
+                    (fun st -> opid_str st.op)
+                    (List.filteri (fun i _ -> i < 6) run.seq))))
+        runs;
       (* 2b. migration epoch split: once this key's slot has changed
          owner (a journaled [migrate.epoch] bump), no pre-bump op may
          execute after a post-bump op in any replica's sequence —
@@ -233,112 +307,69 @@ let check_seg ~require_complete ~slot_of seg =
          number of bumps of its slot before its first submit. *)
       (match slot_of with
       | None -> ()
-      | Some slot_of ->
+      | Some slot_of -> (
         let slot = slot_of key in
-        let bumps =
-          List.filter_map
-            (fun (at, s) -> if s = slot then Some at else None)
-            seg.bumps
-          |> List.sort compare
-        in
-        if bumps <> [] then
-          let epoch_of op =
-            match Hashtbl.find_opt seg.submit op with
-            | None -> None
-            | Some s ->
-              Some (List.length (List.filter (fun b -> b <= s) bumps))
-          in
-          List.iter
-            (fun (replica, sq) ->
-              let hi = ref 0 in
-              List.iter
-                (fun op ->
-                  match epoch_of op with
-                  | None -> ()
-                  | Some e ->
-                    if e < !hi then
-                      violate
-                        "key %d (slot %d): replica %d executed \
-                         pre-migration op %s after a post-migration op \
-                         (epoch %d after %d)"
-                        key slot replica (opid_str op) e !hi
-                    else hi := e)
-                sq)
-            seqs);
+        match
+          by_int Fun.id
+            (List.filter_map
+               (fun (at, s) -> if s = slot then Some at else None)
+               seg.bumps)
+        with
+        | [] -> ()
+        | bumps ->
+          epoch_split bumps runs (fun replica st e hi ->
+              violate
+                "key %d (slot %d): replica %d executed pre-migration op %s \
+                 after a post-migration op (epoch %d after %d)"
+                key slot replica (opid_str st.op) e hi)));
       (* 2c. reconfig epoch split: ops submitted under the old
          membership (before a journaled [reconfig.epoch] bump) must not
          execute after ops submitted under the new one in any replica's
          per-key sequence — the stop-the-world drain guarantees the
          boundary is clean. Per-key, like 2b: leaderless protocols
          legitimately reorder across keys. *)
-      (let rbumps = List.sort compare seg.rbumps in
-       if rbumps <> [] then
-         let epoch_of op =
-           match Hashtbl.find_opt seg.submit op with
-           | None -> None
-           | Some s ->
-             Some (List.length (List.filter (fun b -> b <= s) rbumps))
-         in
-         List.iter
-           (fun (replica, sq) ->
-             let hi = ref 0 in
-             List.iter
-               (fun op ->
-                 match epoch_of op with
-                 | None -> ()
-                 | Some e ->
-                   if e < !hi then
-                     violate
-                       "key %d: replica %d executed pre-reconfig op %s \
-                        after a post-reconfig op (membership epoch %d \
-                        after %d)"
-                       key replica (opid_str op) e !hi
-                   else hi := e)
-               sq)
-           seqs);
+      (match rbumps with
+      | [] -> ()
+      | _ ->
+        epoch_split rbumps runs (fun replica st e hi ->
+            violate
+              "key %d: replica %d executed pre-reconfig op %s after a \
+               post-reconfig op (membership epoch %d after %d)"
+              key replica (opid_str st.op) e hi));
       (* 3. write-only linearizability (WGL-style real-time check): an
          op that committed before another was submitted must be ordered
          before it in the witness order. *)
       let max_submit = ref Time_ns.zero in
       List.iter
-        (fun op ->
-          (match Hashtbl.find_opt seg.commit op with
-          | Some c when c < !max_submit ->
+        (fun st ->
+          if st.committed && st.commit_at < !max_submit then
             violate
               "key %d: op %s committed @%d but ordered after an op submitted @%d"
-              key (opid_str op) c !max_submit
-          | _ -> ());
-          match Hashtbl.find_opt seg.submit op with
-          | Some s -> max_submit := Time_ns.max !max_submit s
-          | None -> ())
-        longest)
+              key (opid_str st.op) st.commit_at !max_submit;
+          if st.submitted then max_submit := Time_ns.max !max_submit st.submit_at)
+        longest.seq)
     keys;
-  (* 4. committed ops must execute somewhere (modulo the drain tail).
-     One pass over [exec_count] builds the executed set, so the rule is
-     O(executions + commits), not a table scan per committed op. *)
-  let executed_ops = Hashtbl.create (Hashtbl.length seg.exec_count) in
-  Hashtbl.iter
-    (fun (_, op) n -> if n > 0 then Hashtbl.replace executed_ops op ())
-    seg.exec_count;
-  Hashtbl.iter
-    (fun op at ->
-      if
-        Time_ns.diff seg.max_at at > tail_slack
-        && not (Hashtbl.mem executed_ops op)
-      then violate "op %s committed @%d but never executed" (opid_str op) at)
-    seg.commit;
-  (* 5. completeness, for plans that must not lose ops *)
+  (* 4. committed ops must execute somewhere (modulo the drain tail),
+     in commit order. *)
+  List.iter
+    (fun st ->
+      if Time_ns.diff seg.max_at st.commit_at > tail_slack && not st.executed
+      then
+        violate "op %s committed @%d but never executed" (opid_str st.op)
+          st.commit_at)
+    (List.rev seg.commits);
+  (* 5. completeness, for plans that must not lose ops, in submit order *)
   if require_complete then
-    Hashtbl.iter
-      (fun op at ->
-        if not (Hashtbl.mem seg.commit op) then
-          violate "op %s submitted @%d but never committed" (opid_str op) at)
-      seg.submit;
-  let executed = Hashtbl.fold (fun _ n acc -> acc + n) seg.exec_count 0 in
+    List.iter
+      (fun st ->
+        if not st.committed then
+          violate "op %s submitted @%d but never committed" (opid_str st.op)
+            st.submit_at)
+      (List.rev seg.submits);
   ( List.rev !violations,
-    Hashtbl.length seg.submit,
-    Hashtbl.length seg.commit,
-    executed,
+    List.length seg.submits,
+    List.length seg.commits,
+    seg.execs,
     !dups,
     seg.recoveries )
 
@@ -382,7 +413,7 @@ let check ?(require_complete = false) ?slot_resolver j =
       (overflow, 0, 0, 0, 0, 0, 0, 0) segs
   in
   {
-    ok = violations = [];
+    ok = (match violations with [] -> true | _ :: _ -> false);
     violations;
     segments = List.length segs;
     submitted;

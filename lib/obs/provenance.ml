@@ -40,228 +40,317 @@ let latency b = Time_ns.diff b.committed_at b.submitted_at
 
 let total b = List.fold_left (fun acc (_, d) -> acc + d) 0 b.parts
 
+(* The analysis indexes the journal with arrays, not hash tables: node
+   ids are the network's array indices and message seqs its send
+   counter, so both are small dense ints. Per-node entries live in one
+   flat array, built by count-then-fill, node [v]'s slice running from
+   [off.(v - node_lo)] to [off.(v - node_lo + 1)]. *)
+
+let offsets counts =
+  let off = Array.make (Array.length counts + 1) 0 in
+  Array.iteri (fun k c -> off.(k + 1) <- off.(k) + c) counts;
+  off
+
 (* Phase spans of one kind ([sched_wait] or [sync_wait]), indexed so a
    residency interval's covered time costs O(log S + spans it meets)
    rather than a fold over every span at the node. Anonymous spans
    ([op = None]) apply to every op: per node, sorted by start, with
-   [reach.(i)] the largest end among spans [0..i], so a backward scan
-   stops once no earlier span reaches the interval. Node ids alias
-   across groups in multi-group journals, so spans at one node may
-   overlap; a running max, not the previous span's end, keeps the scan
-   exact then. Op-tagged spans apply only to their op and are looked up
-   by (node, op). *)
-type anon = {
+   [reach.(i)] the largest end among the node's spans up to [i], so a
+   backward scan stops once no earlier span reaches the interval. Node
+   ids alias across groups in multi-group journals, so spans at one node
+   may overlap; a running max, not the previous span's end, keeps the
+   scan exact then. Op-tagged spans apply only to their op and are
+   looked up by op; a journal without any leaves [tagged] empty. *)
+type span_index = {
+  off : int array;
   starts : Time_ns.t array;
   ends : Time_ns.t array;
   reach : Time_ns.t array;
-}
-
-type span_index = {
-  anon : (int, anon) Hashtbl.t;
-  tagged : (int * Journal.opid, (Time_ns.t * Time_ns.t) list) Hashtbl.t;
+  tagged : (int * Time_ns.t * Time_ns.t) list Journal.Opid_tbl.t option;
+      (** op -> (node, start, end) *)
 }
 
 let overlap lo hi s0 s1 =
   Stdlib.max 0 (Time_ns.diff (Stdlib.min hi s1) (Stdlib.max lo s0))
 
-let index_spans spans_by_node =
-  let anon = Hashtbl.create 64 and tagged = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun node spans ->
-      let untagged =
-        List.filter_map
-          (fun (op, s0, s1) ->
-            match op with
-            | None -> Some (s0, s1)
-            | Some o ->
-              let k = (node, o) in
-              let prev = Option.value ~default:[] (Hashtbl.find_opt tagged k) in
-              Hashtbl.replace tagged k ((s0, s1) :: prev);
-              None)
-          !spans
-        |> Array.of_list
-      in
-      if untagged <> [||] then begin
-        Array.stable_sort (fun (x, _) (y, _) -> Int.compare x y) untagged;
-        let starts = Array.map fst untagged and ends = Array.map snd untagged in
-        let reach = Array.copy ends in
-        for i = 1 to Array.length reach - 1 do
-          reach.(i) <- Stdlib.max reach.(i - 1) reach.(i)
-        done;
-        Hashtbl.add anon node { starts; ends; reach }
-      end)
-    spans_by_node;
-  { anon; tagged }
+(* Sort each node's slice by start (a slice arrives in record order,
+   already sorted unless node ids alias), then fill [reach]. *)
+let index_spans off starts ends tagged =
+  for k = 0 to Array.length off - 2 do
+    let a = off.(k) and b = off.(k + 1) in
+    let sorted = ref true in
+    for i = a + 1 to b - 1 do
+      if starts.(i) < starts.(i - 1) then sorted := false
+    done;
+    if not !sorted then begin
+      let perm = Array.init (b - a) (fun i -> a + i) in
+      Array.stable_sort (fun x y -> Int.compare starts.(x) starts.(y)) perm;
+      let s = Array.map (Array.get starts) perm
+      and e = Array.map (Array.get ends) perm in
+      Array.blit s 0 starts a (b - a);
+      Array.blit e 0 ends a (b - a)
+    end
+  done;
+  let reach = Array.copy ends in
+  for k = 0 to Array.length off - 2 do
+    for i = off.(k) + 1 to off.(k + 1) - 1 do
+      reach.(i) <- Stdlib.max reach.(i - 1) reach.(i)
+    done
+  done;
+  let tagged =
+    if Journal.Opid_tbl.length tagged = 0 then None else Some tagged
+  in
+  { off; starts; ends; reach; tagged }
 
-(* Sum over the spans at [node] that apply to [op] of each span's
-   overlap with [lo, hi). Overlapping spans each count in full; callers
-   clamp the sum to the interval. *)
-let covered idx node op lo hi =
+(* Sum over the spans at [node] (slice [k]) that apply to [op] of each
+   span's overlap with [lo, hi). Overlapping spans each count in full;
+   callers clamp the sum to the interval. *)
+let covered idx k node op lo hi =
   let from_anon =
-    match Hashtbl.find_opt idx.anon node with
-    | None -> 0
-    | Some { starts; ends; reach } ->
-      (* first index whose start is >= hi *)
-      let l = ref 0 and h = ref (Array.length starts) in
+    if k < 0 || k >= Array.length idx.off - 1 then 0
+    else begin
+      let first = idx.off.(k) in
+      (* first index in the slice whose start is >= hi *)
+      let l = ref first and h = ref idx.off.(k + 1) in
       while !l < !h do
         let mid = (!l + !h) / 2 in
-        if starts.(mid) < hi then l := mid + 1 else h := mid
+        if idx.starts.(mid) < hi then l := mid + 1 else h := mid
       done;
       let acc = ref 0 and i = ref (!l - 1) in
-      while !i >= 0 && reach.(!i) > lo do
-        acc := !acc + overlap lo hi starts.(!i) ends.(!i);
+      while !i >= first && idx.reach.(!i) > lo do
+        acc := !acc + overlap lo hi idx.starts.(!i) idx.ends.(!i);
         decr i
       done;
       !acc
+    end
   in
-  match Hashtbl.find_opt idx.tagged (node, op) with
+  match idx.tagged with
   | None -> from_anon
-  | Some spans ->
-    List.fold_left
-      (fun acc (s0, s1) -> acc + overlap lo hi s0 s1)
-      from_anon spans
+  | Some tagged -> (
+    match Journal.Opid_tbl.find_opt tagged op with
+    | None -> from_anon
+    | Some spans ->
+      List.fold_left
+        (fun acc (n, s0, s1) ->
+          if n = node then acc + overlap lo hi s0 s1 else acc)
+        from_anon spans)
 
 let analyze j =
   let evs = Journal.to_array j in
-  (* Indexes. Event order is simulation order, so indices are
-     time-ordered; "latest delivery at a node before index i" is a
-     binary search in that node's delivery-index array. *)
-  let submits : (Journal.opid, int) Hashtbl.t = Hashtbl.create 1024 in
-  let sent_of_seq : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let dels_acc : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let sched_acc = Hashtbl.create 64 and syncs_acc = Hashtbl.create 64 in
-  let add_span tbl node span =
-    match Hashtbl.find_opt tbl node with
-    | Some l -> l := span :: !l
-    | None -> Hashtbl.add tbl node (ref [ span ])
+  (* Pass 1: the ranges of node ids and message seqs. *)
+  let node_lo = ref max_int and node_hi = ref min_int in
+  let seq_lo = ref max_int and seq_hi = ref min_int in
+  let see_node v =
+    if v < !node_lo then node_lo := v;
+    if v > !node_hi then node_hi := v
+  in
+  Array.iter
+    (function
+      | Journal.Msg_sent { seq; _ } when seq >= 0 ->
+        if seq < !seq_lo then seq_lo := seq;
+        if seq > !seq_hi then seq_hi := seq
+      | Journal.Msg_delivered { dst; _ } -> see_node dst
+      | Journal.Phase { node; name = "sched_wait" | "sync_wait"; dur; _ }
+        when dur > 0 ->
+        see_node node
+      | _ -> ())
+    evs;
+  let width lo hi = if hi < lo then 0 else hi - lo + 1 in
+  let nodes = width !node_lo !node_hi in
+  let node_lo = !node_lo and seq_lo = !seq_lo in
+  (* Pass 2: the first submit of each op, the first send of each seq,
+     op-tagged spans, and per-node counts. Event order is simulation
+     order, so indices are time-ordered. *)
+  let submits = Journal.Opid_tbl.create 1024 in
+  let sent_of_seq = Array.make (width seq_lo !seq_hi) (-1) in
+  let n_dels = Array.make nodes 0
+  and n_sched = Array.make nodes 0
+  and n_sync = Array.make nodes 0 in
+  let sched_tagged = Journal.Opid_tbl.create 16
+  and sync_tagged = Journal.Opid_tbl.create 16 in
+  let span counts tagged node op at dur =
+    match op with
+    | None ->
+      let k = node - node_lo in
+      counts.(k) <- counts.(k) + 1
+    | Some o ->
+      let prev =
+        Option.value ~default:[] (Journal.Opid_tbl.find_opt tagged o)
+      in
+      Journal.Opid_tbl.replace tagged o ((node, at, Time_ns.add at dur) :: prev)
   in
   Array.iteri
     (fun i ev ->
       match ev with
       | Journal.Submit { op; _ } ->
-        if not (Hashtbl.mem submits op) then Hashtbl.add submits op i
-      | Journal.Msg_sent { seq; _ } ->
-        if seq >= 0 && not (Hashtbl.mem sent_of_seq seq) then
-          Hashtbl.add sent_of_seq seq i
-      | Journal.Msg_delivered { dst; _ } -> begin
-        match Hashtbl.find_opt dels_acc dst with
-        | Some l -> l := i :: !l
-        | None -> Hashtbl.add dels_acc dst (ref [ i ])
-      end
+        if not (Journal.Opid_tbl.mem submits op) then
+          Journal.Opid_tbl.add submits op i
+      | Journal.Msg_sent { seq; _ } when seq >= 0 ->
+        let k = seq - seq_lo in
+        if sent_of_seq.(k) < 0 then sent_of_seq.(k) <- i
+      | Journal.Msg_delivered { dst; _ } ->
+        let k = dst - node_lo in
+        n_dels.(k) <- n_dels.(k) + 1
       | Journal.Phase { node; op; name = "sched_wait"; dur; at } when dur > 0
-        -> add_span sched_acc node (op, at, Time_ns.add at dur)
+        ->
+        span n_sched sched_tagged node op at dur
       | Journal.Phase { node; op; name = "sync_wait"; dur; at } when dur > 0 ->
-        add_span syncs_acc node (op, at, Time_ns.add at dur)
+        span n_sync sync_tagged node op at dur
       | _ -> ())
     evs;
-  let sched = index_spans sched_acc and syncs = index_spans syncs_acc in
-  let dels : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun node l -> Hashtbl.add dels node (Array.of_list (List.rev !l)))
-    dels_acc;
-  (* Largest delivery index at [node] that is < before and > after. *)
-  let latest_delivery node ~before ~after =
-    match Hashtbl.find_opt dels node with
-    | None -> -1
-    | Some arr ->
-      let lo = ref 0 and hi = ref (Array.length arr) in
+  (* Pass 3: fill the per-node slices. *)
+  let dels_off = offsets n_dels
+  and sched_off = offsets n_sched
+  and sync_off = offsets n_sync in
+  let dels = Array.make dels_off.(nodes) 0 in
+  let sched_s = Array.make sched_off.(nodes) 0
+  and sched_e = Array.make sched_off.(nodes) 0
+  and sync_s = Array.make sync_off.(nodes) 0
+  and sync_e = Array.make sync_off.(nodes) 0 in
+  let dels_at = Array.sub dels_off 0 nodes
+  and sched_at = Array.sub sched_off 0 nodes
+  and sync_at = Array.sub sync_off 0 nodes in
+  let push cursor k = 
+    let p = cursor.(k) in
+    cursor.(k) <- p + 1;
+    p
+  in
+  Array.iteri
+    (fun i ev ->
+      match ev with
+      | Journal.Msg_delivered { dst; _ } -> dels.(push dels_at (dst - node_lo)) <- i
+      | Journal.Phase { node; op = None; name = "sched_wait"; dur; at }
+        when dur > 0 ->
+        let p = push sched_at (node - node_lo) in
+        sched_s.(p) <- at;
+        sched_e.(p) <- Time_ns.add at dur
+      | Journal.Phase { node; op = None; name = "sync_wait"; dur; at }
+        when dur > 0 ->
+        let p = push sync_at (node - node_lo) in
+        sync_s.(p) <- at;
+        sync_e.(p) <- Time_ns.add at dur
+      | _ -> ())
+    evs;
+  let sched = index_spans sched_off sched_s sched_e sched_tagged
+  and syncs = index_spans sync_off sync_s sync_e sync_tagged in
+  (* Largest delivery index at slice [k] that is < before and > after:
+     a binary search in the node's (time-ordered) deliveries. *)
+  let latest_delivery k ~before ~after =
+    if k < 0 || k >= nodes then -1
+    else begin
+      let first = dels_off.(k) in
+      let lo = ref first and hi = ref dels_off.(k + 1) in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if arr.(mid) < before then lo := mid + 1 else hi := mid
+        if dels.(mid) < before then lo := mid + 1 else hi := mid
       done;
-      if !lo = 0 then -1
+      if !lo = first then -1
       else
-        let k = arr.(!lo - 1) in
-        if k > after then k else -1
+        let d = dels.(!lo - 1) in
+        if d > after then d else -1
+    end
   in
-  let seen_commit : (Journal.opid, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let sent_before seq jd =
+    let k = seq - seq_lo in
+    if k >= 0 && k < Array.length sent_of_seq then begin
+      let s = sent_of_seq.(k) in
+      if s >= 0 && s < jd then s else jd
+    end
+    else jd
+  in
   let out = ref [] in
   Array.iteri
     (fun ci ev ->
       match ev with
-      | Journal.Commit { op; node = commit_node; at = commit_at }
-        when (not (Hashtbl.mem seen_commit op)) && Hashtbl.mem submits op ->
-        Hashtbl.add seen_commit op ();
-        let i_s = Hashtbl.find submits op in
-        let submit_node, at_s =
-          match evs.(i_s) with
-          | Journal.Submit { node; at; _ } -> (node, at)
-          | _ -> assert false
-        in
-        if ci > i_s && commit_at >= at_s then begin
-          let client_wait = ref 0
-          and node_wait = ref 0
-          and sched_wait = ref 0
-          and sync_wait = ref 0 in
-          (* Hops accumulate in reverse walk order, which (prepending)
-             leaves the list in causal order. *)
-          let hops = ref [] in
-          let add_resident node lo hi =
-            let d = Time_ns.diff hi lo in
-            if d > 0 then
-              if node = submit_node then client_wait := !client_wait + d
+      | Journal.Commit { op; node = commit_node; at = commit_at } -> (
+        match Journal.Opid_tbl.find_opt submits op with
+        | Some i_s when i_s >= 0 ->
+          (* Only an op's first commit is analyzed. *)
+          Journal.Opid_tbl.replace submits op (-1);
+          let submit_node, at_s =
+            match evs.(i_s) with
+            | Journal.Submit { node; at; _ } -> (node, at)
+            | _ -> assert false
+          in
+          if ci > i_s && commit_at >= at_s then begin
+            let client_wait = ref 0
+            and node_wait = ref 0
+            and sched_wait = ref 0
+            and sync_wait = ref 0 in
+            let add_resident node lo hi =
+              let d = Time_ns.diff hi lo in
+              if d > 0 then
+                if node = submit_node then client_wait := !client_wait + d
+                else begin
+                  let k = node - node_lo in
+                  let sched_overlap =
+                    Stdlib.min (covered sched k node op lo hi) d
+                  in
+                  (* fsync waits rank below intentional scheduling delay:
+                     whatever residency sched_wait already claims is not
+                     re-attributed to the disk. *)
+                  let sync_overlap =
+                    Stdlib.min (covered syncs k node op lo hi)
+                      (d - sched_overlap)
+                  in
+                  sched_wait := !sched_wait + sched_overlap;
+                  sync_wait := !sync_wait + sync_overlap;
+                  node_wait := !node_wait + (d - sched_overlap - sync_overlap)
+                end
+            in
+            (* The walk meets hops newest first: the first is the reply
+               to the committing node, the last the request if it left
+               the submitting node, and every hop between is quorum
+               traffic. The latest hop stays pending until the walk
+               shows whether an earlier one follows it. *)
+            let request_t = ref 0 and quorum_t = ref 0 and reply_t = ref 0 in
+            let hops = ref 0 and pending_src = ref 0 and pending = ref 0 in
+            let hop src d =
+              if !hops = 0 then reply_t := !reply_t + d
               else begin
-                let sched_overlap = Stdlib.min (covered sched node op lo hi) d in
-                (* fsync waits rank below intentional scheduling delay:
-                   whatever residency sched_wait already claims is not
-                   re-attributed to the disk. *)
-                let sync_overlap =
-                  Stdlib.min (covered syncs node op lo hi) (d - sched_overlap)
+                if !hops >= 2 then quorum_t := !quorum_t + !pending;
+                pending_src := src;
+                pending := d
+              end;
+              incr hops
+            in
+            let rec walk node time idx =
+              if time > at_s then begin
+                let jd =
+                  latest_delivery (node - node_lo) ~before:idx ~after:i_s
                 in
-                sched_wait := !sched_wait + sched_overlap;
-                sync_wait := !sync_wait + sync_overlap;
-                node_wait := !node_wait + (d - sched_overlap - sync_overlap)
+                if jd < 0 then add_resident node at_s time
+                else begin
+                  match evs.(jd) with
+                  | Journal.Msg_delivered { seq; src; sent_at; at = d_at; _ }
+                    ->
+                    add_resident node d_at time;
+                    hop src (Time_ns.diff d_at (Stdlib.max sent_at at_s));
+                    if sent_at > at_s then walk src sent_at (sent_before seq jd)
+                  | _ -> assert false
+                end
               end
-          in
-          let rec walk node time idx =
-            if time > at_s then begin
-              let jd = latest_delivery node ~before:idx ~after:i_s in
-              if jd < 0 then add_resident node at_s time
-              else begin
-                match evs.(jd) with
-                | Journal.Msg_delivered { seq; src; sent_at; at = d_at; _ }
-                  ->
-                  add_resident node d_at time;
-                  let wire_lo = Stdlib.max sent_at at_s in
-                  hops := (src, Time_ns.diff d_at wire_lo) :: !hops;
-                  if sent_at > at_s then begin
-                    let si =
-                      match Hashtbl.find_opt sent_of_seq seq with
-                      | Some s when s < jd -> s
-                      | _ -> jd
-                    in
-                    walk src sent_at si
-                  end
-                | _ -> assert false
-              end
-            end
-          in
-          walk commit_node commit_at ci;
-          let hops = !hops in
-          let k = List.length hops in
-          let request_t = ref 0 and quorum_t = ref 0 and reply_t = ref 0 in
-          List.iteri
-            (fun i (src, d) ->
-              if i = k - 1 then reply_t := !reply_t + d
-              else if i = 0 && src = submit_node then
-                request_t := !request_t + d
-              else quorum_t := !quorum_t + d)
-            hops;
-          let parts =
-            [
-              (Client_wait, !client_wait);
-              (Request_transit, !request_t);
-              (Node_wait, !node_wait);
-              (Sched_wait, !sched_wait);
-              (Sync_wait, !sync_wait);
-              (Quorum_transit, !quorum_t);
-              (Reply_transit, !reply_t);
-            ]
-          in
-          out :=
-            { op; submitted_at = at_s; committed_at = commit_at; parts }
-            :: !out
-        end
+            in
+            walk commit_node commit_at ci;
+            if !hops >= 2 then
+              if !pending_src = submit_node then request_t := !request_t + !pending
+              else quorum_t := !quorum_t + !pending;
+            let parts =
+              [
+                (Client_wait, !client_wait);
+                (Request_transit, !request_t);
+                (Node_wait, !node_wait);
+                (Sched_wait, !sched_wait);
+                (Sync_wait, !sync_wait);
+                (Quorum_transit, !quorum_t);
+                (Reply_transit, !reply_t);
+              ]
+            in
+            out :=
+              { op; submitted_at = at_s; committed_at = commit_at; parts }
+              :: !out
+          end
+        | _ -> ())
       | _ -> ())
     evs;
   List.rev !out
