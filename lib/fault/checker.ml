@@ -142,7 +142,8 @@ let feed seg ev =
   | Journal.Execute { op; replica = id; at; _ } ->
     seg.interesting <- true;
     (match Itbl.find_opt seg.removed id with
-    | Some rat when at > rat -> seg.stale_execs <- (id, op, at) :: seg.stale_execs
+    | Some rat when at > rat ->
+      seg.stale_execs <- (id, op, at) :: seg.stale_execs
     | _ -> ());
     let st = op_state seg op in
     st.executed <- true;
@@ -260,13 +261,14 @@ let check_seg ~require_complete ~slot_of seg =
              | run :: _ when run.rid = id ->
                run.seq <- st :: run.seq;
                run.len <- run.len + 1
-             | _ -> Itbl.replace by_key st.key ({ rid = id; seq = [ st ]; len = 1 } :: runs))
+             | _ ->
+               Itbl.replace by_key st.key
+                 ({ rid = id; seq = [ st ]; len = 1 } :: runs))
            r.order);
   let keys = by_int Fun.id (Itbl.fold (fun k _ acc -> k :: acc) by_key []) in
   let rbumps = by_int Fun.id seg.rbumps in
-  (* 2b/2c. epoch split: once [bumps] (sorted) happened, no op submitted
-     before one may execute after an op submitted after it in any
-     replica's sequence for the key. *)
+  (* Rules 2b and 2c: report each op in a run whose epoch under the
+     sorted [bumps] is below that of an op the run executed before it. *)
   let epoch_split bumps runs report =
     List.iter
       (fun run ->
@@ -346,7 +348,8 @@ let check_seg ~require_complete ~slot_of seg =
             violate
               "key %d: op %s committed @%d but ordered after an op submitted @%d"
               key (opid_str st.op) st.commit_at !max_submit;
-          if st.submitted then max_submit := Time_ns.max !max_submit st.submit_at)
+          if st.submitted then
+            max_submit := Time_ns.max !max_submit st.submit_at)
         longest.seq)
     keys;
   (* 4. committed ops must execute somewhere (modulo the drain tail),

@@ -40,6 +40,20 @@
       Replica ids are taken as group-local: reconfig plans drive one
       group per journal, so ids are unambiguous.
 
+    Violations are reported per segment, in journal order of segments:
+    exactly-once violations in order of the (replica, op)'s first
+    execution; removed-replica executions in journal order; then, key
+    by key in ascending order, prefix agreement, migration and reconfig
+    epoch splits (each replica by ascending id) and real-time order
+    (along the witness sequence); then committed-but-never-executed ops
+    in order of their first commit; then, with [require_complete],
+    never-committed ops in order of their first submit. The order is a
+    function of the journal alone.
+
+    Cost: one pass over the journal, hashing each op id into an integer
+    table (no polymorphic hashing or comparison), then a sort of each
+    segment's keys and replicas.
+
     Limits: the checker sees submit/commit times at journal
     granularity and checks writes only (the workload is blind writes),
     so it is a safety net for ordering and duplication bugs, not a

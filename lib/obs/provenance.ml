@@ -51,17 +51,27 @@ let offsets counts =
   Array.iteri (fun k c -> off.(k + 1) <- off.(k) + c) counts;
   off
 
-(* Phase spans of one kind ([sched_wait] or [sync_wait]), indexed so a
-   residency interval's covered time costs O(log S + spans it meets)
-   rather than a fold over every span at the node. Anonymous spans
-   ([op = None]) apply to every op: per node, sorted by start, with
-   [reach.(i)] the largest end among the node's spans up to [i], so a
-   backward scan stops once no earlier span reaches the interval. Node
-   ids alias across groups in multi-group journals, so spans at one node
-   may overlap; a running max, not the previous span's end, keeps the
-   scan exact then. Op-tagged spans apply only to their op and are
-   looked up by op; a journal without any leaves [tagged] empty. *)
+(* Take the next free index of slice [k]. *)
+let push cursor k =
+  let p = cursor.(k) in
+  cursor.(k) <- p + 1;
+  p
+
+(* The phase spans carved out of resident time, by kind. *)
+let span_kind = function "sched_wait" -> 0 | "sync_wait" -> 1 | _ -> -1
+
+(* Phase spans of one kind, indexed so a residency interval's covered
+   time costs O(log S + spans it meets) rather than a fold over every
+   span at the node. Anonymous spans ([op = None]) apply to every op:
+   per node, sorted by start, with [reach.(i)] the largest end among the
+   node's spans up to [i], so a backward scan stops once no earlier span
+   reaches the interval. Node ids alias across groups in multi-group
+   journals, so spans at one node may overlap; a running max, not the
+   previous span's end, keeps the scan exact then. Op-tagged spans
+   apply only to their op and are looked up by op; a journal without
+   any has no table to consult. *)
 type span_index = {
+  node_lo : int;
   off : int array;
   starts : Time_ns.t array;
   ends : Time_ns.t array;
@@ -75,7 +85,8 @@ let overlap lo hi s0 s1 =
 
 (* Sort each node's slice by start (a slice arrives in record order,
    already sorted unless node ids alias), then fill [reach]. *)
-let index_spans off starts ends tagged =
+let index_spans ~node_lo off starts ends tagged =
+  let reach = Array.copy ends in
   for k = 0 to Array.length off - 2 do
     let a = off.(k) and b = off.(k + 1) in
     let sorted = ref true in
@@ -88,24 +99,23 @@ let index_spans off starts ends tagged =
       let s = Array.map (Array.get starts) perm
       and e = Array.map (Array.get ends) perm in
       Array.blit s 0 starts a (b - a);
-      Array.blit e 0 ends a (b - a)
-    end
-  done;
-  let reach = Array.copy ends in
-  for k = 0 to Array.length off - 2 do
-    for i = off.(k) + 1 to off.(k + 1) - 1 do
+      Array.blit e 0 ends a (b - a);
+      Array.blit e 0 reach a (b - a)
+    end;
+    for i = a + 1 to b - 1 do
       reach.(i) <- Stdlib.max reach.(i - 1) reach.(i)
     done
   done;
   let tagged =
     if Journal.Opid_tbl.length tagged = 0 then None else Some tagged
   in
-  { off; starts; ends; reach; tagged }
+  { node_lo; off; starts; ends; reach; tagged }
 
-(* Sum over the spans at [node] (slice [k]) that apply to [op] of each
-   span's overlap with [lo, hi). Overlapping spans each count in full;
-   callers clamp the sum to the interval. *)
-let covered idx k node op lo hi =
+(* Sum over the spans at [node] that apply to [op] of each span's
+   overlap with [lo, hi). Overlapping spans each count in full; callers
+   clamp the sum to the interval. *)
+let covered idx node op lo hi =
+  let k = node - idx.node_lo in
   let from_anon =
     if k < 0 || k >= Array.length idx.off - 1 then 0
     else begin
@@ -150,8 +160,8 @@ let analyze j =
         if seq < !seq_lo then seq_lo := seq;
         if seq > !seq_hi then seq_hi := seq
       | Journal.Msg_delivered { dst; _ } -> see_node dst
-      | Journal.Phase { node; name = "sched_wait" | "sync_wait"; dur; _ }
-        when dur > 0 ->
+      | Journal.Phase { node; name; dur; _ } when dur > 0 && span_kind name >= 0
+        ->
         see_node node
       | _ -> ())
     evs;
@@ -163,22 +173,9 @@ let analyze j =
      order, so indices are time-ordered. *)
   let submits = Journal.Opid_tbl.create 1024 in
   let sent_of_seq = Array.make (width seq_lo !seq_hi) (-1) in
-  let n_dels = Array.make nodes 0
-  and n_sched = Array.make nodes 0
-  and n_sync = Array.make nodes 0 in
-  let sched_tagged = Journal.Opid_tbl.create 16
-  and sync_tagged = Journal.Opid_tbl.create 16 in
-  let span counts tagged node op at dur =
-    match op with
-    | None ->
-      let k = node - node_lo in
-      counts.(k) <- counts.(k) + 1
-    | Some o ->
-      let prev =
-        Option.value ~default:[] (Journal.Opid_tbl.find_opt tagged o)
-      in
-      Journal.Opid_tbl.replace tagged o ((node, at, Time_ns.add at dur) :: prev)
-  in
+  let n_dels = Array.make nodes 0 in
+  let n_spans = Array.init 2 (fun _ -> Array.make nodes 0) in
+  let tagged = Array.init 2 (fun _ -> Journal.Opid_tbl.create 16) in
   Array.iteri
     (fun i ev ->
       match ev with
@@ -188,54 +185,51 @@ let analyze j =
       | Journal.Msg_sent { seq; _ } when seq >= 0 ->
         let k = seq - seq_lo in
         if sent_of_seq.(k) < 0 then sent_of_seq.(k) <- i
-      | Journal.Msg_delivered { dst; _ } ->
-        let k = dst - node_lo in
-        n_dels.(k) <- n_dels.(k) + 1
-      | Journal.Phase { node; op; name = "sched_wait"; dur; at } when dur > 0
-        ->
-        span n_sched sched_tagged node op at dur
-      | Journal.Phase { node; op; name = "sync_wait"; dur; at } when dur > 0 ->
-        span n_sync sync_tagged node op at dur
+      | Journal.Msg_delivered { dst; _ } -> ignore (push n_dels (dst - node_lo))
+      | Journal.Phase { node; op; name; dur; at } when dur > 0 -> (
+        let kind = span_kind name in
+        if kind >= 0 then
+          match op with
+          | None -> ignore (push n_spans.(kind) (node - node_lo))
+          | Some o ->
+            let t = tagged.(kind) in
+            let span = (node, at, Time_ns.add at dur) in
+            let prev = Journal.Opid_tbl.find_opt t o in
+            Journal.Opid_tbl.replace t o
+              (span :: Option.value ~default:[] prev))
       | _ -> ())
     evs;
   (* Pass 3: fill the per-node slices. *)
-  let dels_off = offsets n_dels
-  and sched_off = offsets n_sched
-  and sync_off = offsets n_sync in
+  let dels_off = offsets n_dels in
   let dels = Array.make dels_off.(nodes) 0 in
-  let sched_s = Array.make sched_off.(nodes) 0
-  and sched_e = Array.make sched_off.(nodes) 0
-  and sync_s = Array.make sync_off.(nodes) 0
-  and sync_e = Array.make sync_off.(nodes) 0 in
-  let dels_at = Array.sub dels_off 0 nodes
-  and sched_at = Array.sub sched_off 0 nodes
-  and sync_at = Array.sub sync_off 0 nodes in
-  let push cursor k = 
-    let p = cursor.(k) in
-    cursor.(k) <- p + 1;
-    p
-  in
+  let dels_at = Array.sub dels_off 0 nodes in
+  let spans_off = Array.map offsets n_spans in
+  let starts = Array.map (fun off -> Array.make off.(nodes) 0) spans_off in
+  let ends = Array.map (fun off -> Array.make off.(nodes) 0) spans_off in
+  let spans_at = Array.map (fun off -> Array.sub off 0 nodes) spans_off in
   Array.iteri
     (fun i ev ->
       match ev with
-      | Journal.Msg_delivered { dst; _ } -> dels.(push dels_at (dst - node_lo)) <- i
-      | Journal.Phase { node; op = None; name = "sched_wait"; dur; at }
-        when dur > 0 ->
-        let p = push sched_at (node - node_lo) in
-        sched_s.(p) <- at;
-        sched_e.(p) <- Time_ns.add at dur
-      | Journal.Phase { node; op = None; name = "sync_wait"; dur; at }
-        when dur > 0 ->
-        let p = push sync_at (node - node_lo) in
-        sync_s.(p) <- at;
-        sync_e.(p) <- Time_ns.add at dur
+      | Journal.Msg_delivered { dst; _ } ->
+        dels.(push dels_at (dst - node_lo)) <- i
+      | Journal.Phase { node; op = None; name; dur; at } when dur > 0 ->
+        let kind = span_kind name in
+        if kind >= 0 then begin
+          let p = push spans_at.(kind) (node - node_lo) in
+          starts.(kind).(p) <- at;
+          ends.(kind).(p) <- Time_ns.add at dur
+        end
       | _ -> ())
     evs;
-  let sched = index_spans sched_off sched_s sched_e sched_tagged
-  and syncs = index_spans sync_off sync_s sync_e sync_tagged in
-  (* Largest delivery index at slice [k] that is < before and > after:
-     a binary search in the node's (time-ordered) deliveries. *)
-  let latest_delivery k ~before ~after =
+  let index kind =
+    index_spans ~node_lo spans_off.(kind) starts.(kind) ends.(kind)
+      tagged.(kind)
+  in
+  let sched = index 0 and syncs = index 1 in
+  (* Largest delivery index at [node] that is < before and > after: a
+     binary search in the node's (time-ordered) deliveries. *)
+  let latest_delivery node ~before ~after =
+    let k = node - node_lo in
     if k < 0 || k >= nodes then -1
     else begin
       let first = dels_off.(k) in
@@ -250,6 +244,7 @@ let analyze j =
         if d > after then d else -1
     end
   in
+  (* The first send of [seq] if it precedes delivery [jd], else [jd]. *)
   let sent_before seq jd =
     let k = seq - seq_lo in
     if k >= 0 && k < Array.length sent_of_seq then begin
@@ -282,15 +277,14 @@ let analyze j =
               if d > 0 then
                 if node = submit_node then client_wait := !client_wait + d
                 else begin
-                  let k = node - node_lo in
                   let sched_overlap =
-                    Stdlib.min (covered sched k node op lo hi) d
+                    Stdlib.min (covered sched node op lo hi) d
                   in
                   (* fsync waits rank below intentional scheduling delay:
                      whatever residency sched_wait already claims is not
                      re-attributed to the disk. *)
                   let sync_overlap =
-                    Stdlib.min (covered syncs k node op lo hi)
+                    Stdlib.min (covered syncs node op lo hi)
                       (d - sched_overlap)
                   in
                   sched_wait := !sched_wait + sched_overlap;
@@ -316,9 +310,7 @@ let analyze j =
             in
             let rec walk node time idx =
               if time > at_s then begin
-                let jd =
-                  latest_delivery (node - node_lo) ~before:idx ~after:i_s
-                in
+                let jd = latest_delivery node ~before:idx ~after:i_s in
                 if jd < 0 then add_resident node at_s time
                 else begin
                   match evs.(jd) with
@@ -333,7 +325,8 @@ let analyze j =
             in
             walk commit_node commit_at ci;
             if !hops >= 2 then
-              if !pending_src = submit_node then request_t := !request_t + !pending
+              if !pending_src = submit_node then
+                request_t := !request_t + !pending
               else quorum_t := !quorum_t + !pending;
             let parts =
               [

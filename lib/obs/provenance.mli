@@ -62,7 +62,11 @@ val analyze : Journal.t -> breakdown list
 (** One breakdown per op with both a [Submit] and a [Commit] event in
     the journal, in first-commit order. Costs O(E + R·log S) for E
     journal events, R resident intervals on the critical paths and S
-    phase spans per node. *)
+    phase spans per node: the indexes are arrays over node ids and
+    message seqs, filled in three passes over the events, and an op id
+    is hashed only to find its submit and its op-tagged spans (Domino's
+    [sched_wait]), which are not looked up at all in a journal without
+    any. *)
 
 val record : Metrics.t -> breakdown list -> unit
 (** Fill [prov.<component>_ms] histograms (and the [prov.ops] counter)

@@ -514,7 +514,8 @@ let synthetic_event (kind, a, b, ms) =
     in
     Journal.Reconfig { stage = "epoch"; group = 0; epoch = 1; detail; at }
   | _ ->
-    if a mod 2 = 0 then Journal.Mark { label = Printf.sprintf "run%d" (b mod 3); at }
+    if a mod 2 = 0 then
+      Journal.Mark { label = Printf.sprintf "run%d" (b mod 3); at }
     else Journal.Recovery { node = b mod 4; stage = "replay"; detail = ""; at }
 
 let synthetic_journal ~small_ring quads =
@@ -559,7 +560,7 @@ let checker_reference_property =
               Gen.(0 -- 60)
               (quad small_nat small_nat small_nat (int_bound 2000)))))
   in
-  QCheck.Test.make ~name:"checker = reference" ~count:500 case
+  QCheck.Test.make ~name:"checker = reference" ~count:1000 case
     (fun ((require_complete, with_slots, small_ring), quads) ->
       let j = synthetic_journal ~small_ring quads in
       let slot_resolver =
