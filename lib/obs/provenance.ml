@@ -185,12 +185,16 @@ let analyze j =
       | Journal.Msg_sent { seq; _ } when seq >= 0 ->
         let k = seq - seq_lo in
         if sent_of_seq.(k) < 0 then sent_of_seq.(k) <- i
-      | Journal.Msg_delivered { dst; _ } -> ignore (push n_dels (dst - node_lo))
+      | Journal.Msg_delivered { dst; _ } ->
+        let k = dst - node_lo in
+        n_dels.(k) <- n_dels.(k) + 1
       | Journal.Phase { node; op; name; dur; at } when dur > 0 -> (
         let kind = span_kind name in
         if kind >= 0 then
           match op with
-          | None -> ignore (push n_spans.(kind) (node - node_lo))
+          | None ->
+            let n = n_spans.(kind) and k = node - node_lo in
+            n.(k) <- n.(k) + 1
           | Some o ->
             let t = tagged.(kind) in
             let span = (node, at, Time_ns.add at dur) in
