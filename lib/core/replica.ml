@@ -60,10 +60,6 @@ type t = {
   observer : Observer.t;
   (* DFP acceptor: round-0 accepted proposals. *)
   mutable dfp_accepted : Op.t Tsmap.t;
-  mutable dfp_covered : Time_ns.t;
-      (** sound coverage frontier: every DFP decision at or below it has
-          been applied here. Advanced only by trusted watermarks — an
-          op-commit's timestamp says nothing about earlier positions. *)
   mutable dfp_dseq : int;
       (** last sequence number seen on the coordinator's decision
           stream *)
@@ -71,10 +67,6 @@ type t = {
       (** no gap since the last complete resync: ordinary broadcast
           watermarks may be applied (their implicit no-op blanket is
           only sound when no decision broadcast was dropped) *)
-  (* Storage for the decided DFP lane (§6): explicit ops plus
-     compressed no-op ranges, trimmed behind the decided watermark. *)
-  mutable dfp_log : Op.t Decided_log.t;
-  mutable dfp_log_wm : Time_ns.t;
   mutable dfp_wm_logged : Time_ns.t;
       (** highest decided watermark handed to the WAL; the sync barrier
           completes before the watermark takes effect *)
@@ -207,6 +199,12 @@ let dfp_on_p2a t ~ts ~value =
 
 let dfp_lane t = Config.dfp_lane t.cfg
 
+(* Sound coverage frontier: every DFP decision at or below it has been
+   applied here. It is the engine's raw DFP watermark, which only
+   trusted watermarks advance — an op-commit's timestamp says nothing
+   about earlier positions. *)
+let dfp_covered t = Exec_engine.watermark t.exec ~lane:(dfp_lane t)
+
 (* Fold a decision-stream message's sequence number in; returns whether
    THIS message revealed a gap. A gap means the coordinator sent
    decisions we never received (crash, lossy link), so the implicit
@@ -223,11 +221,8 @@ let dfp_commit_now t ~ts ~value =
      apply whether in-order, re-sent, or following a gap. *)
   (match value with
   | Some op ->
-    Exec_engine.decide_op t.exec { Position.ts; lane = dfp_lane t } op;
-    Decided_log.record_op t.dfp_log ts op
-  | None ->
-    Exec_engine.decide_noop t.exec { Position.ts; lane = dfp_lane t };
-    Decided_log.record_noop_range t.dfp_log ~lo:ts ~hi:ts);
+    Exec_engine.decide_op t.exec { Position.ts; lane = dfp_lane t } op
+  | None -> Exec_engine.decide_noop t.exec { Position.ts; lane = dfp_lane t });
   (* The position is settled; drop acceptor state. *)
   t.dfp_accepted <- Tsmap.remove ts t.dfp_accepted
 
@@ -236,20 +231,8 @@ let dfp_on_commit t ~ts ~value ~seq =
   Store.append_sync t.store ~kind:"dc" (Decided { ts; value }) (fun () ->
       dfp_commit_now t ~ts ~value)
 
-(* The §6 storage claim in numbers: a billion log positions per second
-   collapse into a handful of interval nodes. We blanket the newly
-   decided range with a no-op run (explicit ops shadow it in lookups)
-   and trim everything the state machine has long executed. *)
-let dfp_log_retention = Time_ns.sec 2
-
 let dfp_apply_watermark_now t ~upto =
-  Exec_engine.set_watermark t.exec ~lane:(dfp_lane t) upto;
-  t.dfp_covered <- Stdlib.max t.dfp_covered upto;
-  if upto > t.dfp_log_wm then begin
-    Decided_log.record_noop_range t.dfp_log ~lo:(t.dfp_log_wm + 1) ~hi:upto;
-    t.dfp_log_wm <- upto;
-    Decided_log.trim t.dfp_log ~upto:(upto - dfp_log_retention)
-  end
+  Exec_engine.set_watermark t.exec ~lane:(dfp_lane t) upto
 
 let dfp_apply_watermark t ~upto =
   (* The watermark's no-op blanket opens positions to execution, so it
@@ -433,7 +416,7 @@ let retransmit t =
      so successive pulls ask from higher ground). *)
   if not t.dfp_synced then
     send t ~dst:(coordinator t)
-      (Message.Dfp_pull { acceptor = t.index; from = t.dfp_covered });
+      (Message.Dfp_pull { acceptor = t.index; from = dfp_covered t });
   (* DFP accepts whose position long expired with no commit: the vote
      (or the whole coordinator) was lost; re-offer it. *)
   let sent = ref 0 in
@@ -518,13 +501,10 @@ let wipe_volatile t =
   t.exec <- make_exec t;
   t.executed <- 0;
   t.dfp_accepted <- Tsmap.empty;
-  t.dfp_covered <- -1;
   t.dfp_dseq <- 0;
   (* A rebooted acceptor missed an unknown stretch of the decision
      stream: distrust broadcast watermarks until a complete resync. *)
   t.dfp_synced <- false;
-  t.dfp_log <- Decided_log.create ();
-  t.dfp_log_wm <- -1;
   t.dfp_wm_logged <- -1;
   t.dm_cursor <- -1;
   t.dm_pending <- Tsmap.empty;
@@ -580,11 +560,8 @@ let create ~net ~cfg ~index ~observer ~store () =
       exec = Exec_engine.create ~n_lanes:(n + 1) ~on_exec:(fun _ _ -> ());
       observer;
       dfp_accepted = Tsmap.empty;
-      dfp_covered = -1;
       dfp_dseq = 0;
       dfp_synced = true;
-      dfp_log = Decided_log.create ();
-      dfp_log_wm = -1;
       dfp_wm_logged = -1;
       dm_cursor = -1;
       dm_pending = Tsmap.empty;
@@ -610,17 +587,13 @@ let create ~net ~cfg ~index ~observer ~store () =
     (Engine.every engine ~interval:(Time_ns.ms 300) (fun () -> retransmit t));
   t
 
-type storage_stats = {
-  log_ops : int;  (** explicit decided operations held *)
-  noop_positions : int;  (** no-op log positions represented *)
-  noop_ranges : int;  (** compressed nodes actually stored (§6) *)
-}
+type storage_stats = { decisions_held : int; dfp_positions_covered : int }
 
 let storage_stats t =
   {
-    log_ops = Decided_log.op_count t.dfp_log;
-    noop_positions = Decided_log.noop_positions t.dfp_log;
-    noop_ranges = Decided_log.noop_ranges t.dfp_log;
+    decisions_held =
+      Exec_engine.pending_ops t.exec + Exec_engine.executed_held t.exec;
+    dfp_positions_covered = dfp_covered t + 1;
   }
 
 let executed_ops t = t.executed

@@ -63,15 +63,19 @@ val dm_propose : t -> Op.t -> unit
     and for coordinator rescues). *)
 
 type storage_stats = {
-  log_ops : int;  (** explicit decided operations held *)
-  noop_positions : int;  (** no-op log positions represented *)
-  noop_ranges : int;  (** compressed nodes actually stored (§6) *)
+  decisions_held : int;
+      (** explicit decisions waiting for coverage plus executed
+          timestamps held for duplicate detection, over all lanes *)
+  dfp_positions_covered : int;
+      (** DFP log positions decided so far: the lane's watermark + 1 *)
 }
 
 val storage_stats : t -> storage_stats
-(** Storage accounting for the decided DFP lane: the §6 compression
-    keeps [noop_ranges] tiny while [noop_positions] grows by a billion
-    per simulated second. *)
+(** The decided log's storage (§6), read from the replica's execution
+    engine, the one copy of it: each lane's no-op run is one coverage
+    integer and executed operations leave the pending queue, so
+    [decisions_held] stays in the thousands while
+    [dfp_positions_covered] grows by a billion per simulated second. *)
 
 val executed_ops : t -> int
 val late_decisions : t -> int

@@ -159,29 +159,11 @@ let merge_pairs pairs =
     (Domino_stats.Summary.create (), Domino_stats.Summary.create ())
     pairs
 
-let run_many ?(runs = 3) ?(seed = 42L) ?rate ?alpha ?duration ?jobs setting
-    proto =
-  merge_pairs
-    (Domino_par.Par.mapi ?jobs
-       (fun i () ->
-         run_latencies ~seed:(seed_for seed i) ?rate ?alpha ?duration setting
-           proto)
-       (Array.make runs ()))
-
-let run_sweep ?(runs = 1) ?(seed = 42L) ?rate ?alpha ?duration ?jobs ?journal
-    ?timeline ?faults ?store cells =
-  let cells = Array.of_list cells in
-  let n_cells = Array.length cells in
-  let mark_label ci ri =
-    Printf.sprintf "cell=%d run=%d seed=%Ld" ci ri (seed_for seed ri)
-  in
-  (* Flatten to (cell, run) tasks so cores stay busy even when one
-     cell's protocol simulates slower than the others. *)
-  let tasks = Array.init (n_cells * runs) (fun t -> (t / runs, t mod runs)) in
+let fan_out ?jobs ?journal ?timeline ~label task n =
+  let mark i = Journal.Mark { label = label i; at = Time_ns.zero } in
   let results =
-    Domino_par.Par.map ?jobs
-      (fun (ci, ri) ->
-        let setting, proto = cells.(ci) in
+    Domino_par.Par.mapi ?jobs
+      (fun i () ->
         (* Each task journals into its own ring; merging happens below,
            sequentially and in task-index order, so the combined stream
            is byte-identical for every [jobs]. *)
@@ -194,8 +176,8 @@ let run_sweep ?(runs = 1) ?(seed = 42L) ?rate ?alpha ?duration ?jobs ?journal
            back as plain data ([finish]) and is absorbed into the
            caller's collector below, sequentially in task order — never
            one mutable aggregator shared across domains. Feeding the
-           cell mark first gives the task's segment the same label
-           offline replay of the merged journal would produce. *)
+           task's mark first gives its segment the same label offline
+           replay of the merged journal would produce. *)
         let tl =
           Option.map
             (fun parent ->
@@ -203,35 +185,47 @@ let run_sweep ?(runs = 1) ?(seed = 42L) ?rate ?alpha ?duration ?jobs ?journal
                 Timeline.create ~window:(Timeline.window parent)
                   ~group_resolver:Domino_shard.Slots.resolver_of_mark ()
               in
-              Timeline.feed agg
-                (Journal.Mark { label = mark_label ci ri; at = Time_ns.zero });
+              Timeline.feed agg (mark i);
               agg)
             timeline
         in
-        let pair =
-          run_latencies ~seed:(seed_for seed ri) ?rate ?alpha ?duration
-            ?journal:j ?timeline:tl ?faults ?store setting proto
-        in
-        (pair, j, Option.map Timeline.finish tl))
-      tasks
+        let r = task i ~journal:j ~timeline:tl in
+        (r, j, Option.map Timeline.finish tl))
+      (Array.make n ())
   in
-  (match journal with
-  | None -> ()
-  | Some parent ->
-    Array.iteri
-      (fun t (_, j, _) ->
-        let ci = t / runs and ri = t mod runs in
-        Journal.record parent
-          (Journal.Mark { label = mark_label ci ri; at = Time_ns.zero });
-        Option.iter (Journal.append parent) j)
-      results);
-  (match timeline with
-  | None -> ()
-  | Some parent ->
-    Array.iter
-      (fun (_, _, tl) ->
-        Option.iter (fun tl -> Timeline.absorb parent ~label:"" tl) tl)
-      results);
-  List.init n_cells (fun ci ->
-      merge_pairs
-        (Array.map (fun (p, _, _) -> p) (Array.sub results (ci * runs) runs)))
+  Option.iter
+    (fun parent ->
+      Array.iteri
+        (fun i (_, j, _) ->
+          Journal.record parent (mark i);
+          Option.iter (Journal.append parent) j)
+        results)
+    journal;
+  Option.iter
+    (fun parent ->
+      Array.iter
+        (fun (_, _, tl) ->
+          Option.iter (fun tl -> Timeline.absorb parent ~label:"" tl) tl)
+        results)
+    timeline;
+  Array.map (fun (r, _, _) -> r) results
+
+let run_sweep ?(runs = 1) ?(seed = 42L) ?rate ?alpha ?duration ?jobs ?journal
+    ?timeline ?faults ?store cells =
+  let cells = Array.of_list cells in
+  let n_cells = Array.length cells in
+  (* Flatten to (cell, run) tasks so cores stay busy even when one
+     cell's protocol simulates slower than the others. *)
+  let results =
+    fan_out ?jobs ?journal ?timeline
+      ~label:(fun t ->
+        let ri = t mod runs in
+        Printf.sprintf "cell=%d run=%d seed=%Ld" (t / runs) ri
+          (seed_for seed ri))
+      (fun t ~journal ~timeline ->
+        let setting, proto = cells.(t / runs) in
+        run_latencies ~seed:(seed_for seed (t mod runs)) ?rate ?alpha
+          ?duration ?journal ?timeline ?faults ?store setting proto)
+      (n_cells * runs)
+  in
+  List.init n_cells (fun ci -> merge_pairs (Array.sub results (ci * runs) runs))

@@ -12,7 +12,7 @@ open Domino_obs
     dispatching through the {!Protocol_intf} registry, so it contains
     no per-protocol wiring — and returns the recorder with its latency
     samples plus the run's metrics registry and (optional) operation
-    trace; {!run_many} repeats it with different seeds and merges
+    trace; {!run_sweep} repeats it with different seeds and merges
     results, the paper's 10-runs-combined methodology. *)
 
 type setting = {
@@ -144,21 +144,25 @@ val seed_for : int64 -> int -> int64
     sweeps (the rebalance determinism sweep) seed and label their runs
     identically. *)
 
-val run_many :
-  ?runs:int ->
-  ?seed:int64 ->
-  ?rate:float ->
-  ?alpha:float ->
-  ?duration:Time_ns.span ->
+val fan_out :
   ?jobs:int ->
-  setting ->
-  protocol ->
-  Domino_stats.Summary.t * Domino_stats.Summary.t
-(** [(commit_latency_ms, exec_latency_ms)] merged over [runs] (default
-    3) independent seeds. Runs execute on up to [jobs] (default:
-    {!Domino_par.Par.jobs}, i.e. the CLI's [--jobs]) domains; each run
-    is fully isolated and results merge in seed order, so the output
-    is byte-identical for every [jobs] value. *)
+  ?journal:Journal.t ->
+  ?timeline:Timeline.agg ->
+  label:(int -> string) ->
+  (int -> journal:Journal.t option -> timeline:Timeline.agg option -> 'a) ->
+  int ->
+  'a array
+(** [fan_out ~label task n] runs [task 0 .. task (n - 1)] on up to
+    [jobs] (default {!Domino_par.Par.jobs}) domains and returns their
+    results in task order. Each task must be an isolated simulation.
+
+    With [journal], task [i] records into its own ring of the same
+    capacity; afterwards, in task order, each ring is appended to
+    [journal] after a [Mark] labelled [label i]. With [timeline], task
+    [i] aggregates its own timeline (the caller's window), fed that
+    mark first, and the finished segments are absorbed into [timeline]
+    in task order. Both merged outputs are byte-identical for every
+    [jobs]. *)
 
 val run_sweep :
   ?runs:int ->
@@ -173,23 +177,16 @@ val run_sweep :
   ?store:Domino_store.Store.params ->
   (setting * protocol) list ->
   (Domino_stats.Summary.t * Domino_stats.Summary.t) list
-(** One {!run_many} per [(setting, protocol)] cell, with all
-    [cells x runs] (default [runs] 1) simulations flattened into a
-    single work queue across [jobs] domains — the unit every
-    [exp_fig*] sweep is built on. Results are returned in cell order,
-    each merged in seed order; byte-identical for every [jobs]. Cell
-    [i]'s run [r] uses the same seed as [run_many] run [r], so a sweep
-    row equals the corresponding standalone [run_many].
+(** [(commit_latency_ms, exec_latency_ms)] per [(setting, protocol)]
+    cell, each merged over [runs] (default 1) independent seeds — the
+    paper's runs-combined methodology and the unit every [exp_fig*]
+    sweep is built on. All [cells x runs] simulations form one
+    {!fan_out} work queue across [jobs] domains; run [r] of every cell
+    uses seed [seed_for seed r]. Results are returned in cell order,
+    each merged in seed order; byte-identical for every [jobs].
 
-    [journal] records every task's run into a per-task ring (same
-    capacity as the parent) and merges them into [journal] in task
-    order, each preceded by a [Mark] naming the (cell, run, seed) —
-    the merged stream is byte-identical for every [jobs].
-
-    [timeline] likewise: every task aggregates its own windowed
-    timeline online (window taken from the caller's collector), and the
-    finished per-task segments are absorbed into [timeline] in task
-    order with the same (cell, run, seed) labels — so
+    [journal] and [timeline] are merged as {!fan_out} describes, each
+    task labelled [cell=<i> run=<r> seed=<seed>] — so
     [Timeline.finish timeline] after the sweep is byte-identical (CSV,
     JSON) for every [jobs], and element-for-element equal to offline
     replay of the merged [journal]. *)

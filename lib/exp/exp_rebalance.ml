@@ -188,51 +188,22 @@ let chaos_journal ~seed ~faults ?(proto = Exp_common.domino_default)
        (config_for ~proto ~params:(Protocols.params_under_faults proto) ()));
   j
 
-(* A migration-heavy multi-run sweep for the determinism check: each
-   task runs its own engine, journal ring, and timeline aggregator;
-   merging happens sequentially in task-index order, so journal and
-   timeline are byte-identical for every [jobs] (the same contract as
-   [Exp_common.run_sweep], now covering mid-run epoch bumps). *)
+(* A migration-heavy multi-run sweep for the determinism check, on the
+   same [Exp_common.fan_out] as [Exp_common.run_sweep]: journal and
+   timeline are byte-identical for every [jobs], now covering mid-run
+   epoch bumps. *)
 let sweep_journal ?(runs = 2) ?(seed = 42L) ?jobs ?timeline () =
-  let parent = Journal.create () in
-  let mark_label ri =
-    Printf.sprintf "run=%d seed=%Ld" ri (Exp_common.seed_for seed ri)
-  in
-  let results =
-    Domino_par.Par.mapi ?jobs
-      (fun ri () ->
-        let j = Journal.create () in
-        let tl =
-          Option.map
-            (fun parent ->
-              let agg =
-                Timeline.create ~window:(Timeline.window parent)
-                  ~group_resolver:Slots.resolver_of_mark ()
-              in
-              Timeline.feed agg
-                (Journal.Mark { label = mark_label ri; at = Time_ns.zero });
-              agg)
-            timeline
-        in
-        ignore
-          (Fabric.run ~seed:(Exp_common.seed_for seed ri)
-             ~duration:(Time_ns.sec 4) ~journal:j ?timeline:tl
-             ~faults:(plan_exn "at 1500ms migrate slot=0 from=0 to=1\n")
-             (config ()));
-        (j, Option.map Timeline.finish tl))
-      (Array.make runs ())
-  in
-  Array.iteri
-    (fun ri (j, _) ->
-      Journal.record parent
-        (Journal.Mark { label = mark_label ri; at = Time_ns.zero });
-      Journal.append parent j)
-    results;
-  (match timeline with
-  | None -> ()
-  | Some parent ->
-    Array.iter
-      (fun (_, tl) ->
-        Option.iter (fun tl -> Timeline.absorb parent ~label:"" tl) tl)
-      results);
-  parent
+  let journal = Journal.create () in
+  ignore
+    (Exp_common.fan_out ?jobs ~journal ?timeline
+       ~label:(fun ri ->
+         Printf.sprintf "run=%d seed=%Ld" ri (Exp_common.seed_for seed ri))
+       (fun ri ~journal ~timeline ->
+         ignore
+           (Fabric.run ~seed:(Exp_common.seed_for seed ri)
+              ~duration:(Time_ns.sec 4) ?journal ?timeline
+              ~faults:(plan_exn "at 1500ms migrate slot=0 from=0 to=1\n")
+              (config ())))
+       runs
+      : unit array);
+  journal

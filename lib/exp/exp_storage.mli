@@ -1,8 +1,8 @@
-(** §6 storage compression of the no-op log: after 10 s of Domino at
-    200 req/s on Globe, how many explicit ops, no-op positions and
-    stored no-op nodes each replica's decided DFP lane holds. The lane
-    advances a billion positions per simulated second, so the point is
-    that the stored node count stays tiny. One fixed-seed run, the same
-    at either scale. *)
+(** §6 storage compression of the decided log: after 12 s of Domino on
+    Globe, 10 s of them at 200 req/s, how many decisions each replica's execution
+    engine holds and how many DFP positions it has covered. The DFP
+    lane advances a billion positions per simulated second, yet its
+    no-op runs are one coverage integer, so the decisions held stay in
+    the thousands. One fixed-seed run, the same at either scale. *)
 
 val run : unit -> Domino_stats.Tablefmt.t

@@ -86,8 +86,6 @@ val to_string : t -> string
 (** One event per line, newline-terminated; round-trips through
     {!parse}. *)
 
-val event_str : event -> string
-
 val validate : n:int -> t -> (unit, string) result
 (** Static sanity: node indices in [\[0, n)], heal times after their
     start, loss in [\[0, 1\]]. [migrate] events carry group indices

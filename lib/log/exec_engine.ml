@@ -252,6 +252,8 @@ let frontier t =
 
 let executed_ops t = t.executed
 
+let executed_held t = t.seen_size
+
 let pending_ops t =
   Array.fold_left (fun acc st -> acc + st.pending.Kq.len) 0 t.lanes
 

@@ -50,6 +50,11 @@ val executed_ops : 'op t -> int
 val pending_ops : 'op t -> int
 (** Explicit decisions waiting for coverage. *)
 
+val executed_held : 'op t -> int
+(** Executed timestamps still held, over all lanes, to tell a duplicate
+    decision from a late one. Once more than 4096 are held, a watermark
+    raise drops those at or below every lane's watermark. *)
+
 val late_decisions : 'op t -> int
 (** Decisions that arrived for positions already passed — must stay 0
     in a correct protocol run. *)

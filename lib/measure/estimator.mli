@@ -54,11 +54,6 @@ val arrival_offset :
   t -> replica:int -> now_local:Time_ns.t -> Time_ns.span option
 (** Current arrival-offset estimate at the configured percentile. *)
 
-val predict_arrival :
-  t -> replica:int -> now_local:Time_ns.t -> Time_ns.t option
-(** [now_local + arrival_offset] — when a request sent now should reach
-    the replica, in the replica's clock frame (§5.4). *)
-
 val request_timestamp :
   t -> now_local:Time_ns.t -> q:int -> extra:Time_ns.span -> Time_ns.t option
 (** The DFP request timestamp: the q-th smallest predicted arrival time

@@ -39,9 +39,6 @@
 
 open Domino_sim
 
-val default_window : Time_ns.span
-(** 100 ms of sim time. *)
-
 (** {2 Windowed cadence driver} *)
 
 module Clock : sig

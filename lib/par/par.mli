@@ -13,15 +13,12 @@
     Tasks must not share mutable state with each other or the caller;
     everything else about determinism follows from per-run isolation. *)
 
-val recommended : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val physical_cores : unit -> int
 (** Physical (non-SMT) cores, from [/proc/cpuinfo]'s distinct
     (physical id, core id) pairs; falls back to the logical count and
-    then to {!recommended} when the topology is unreadable. Simulation
-    runs are compute-bound, so running more jobs than this only adds
-    scheduling noise. *)
+    then to [Domain.recommended_domain_count ()] when the topology is
+    unreadable. Simulation runs are compute-bound, so running more jobs
+    than this only adds scheduling noise. *)
 
 val set_jobs : int -> unit
 (** Set the process-wide default parallelism used when [?jobs] is not
@@ -29,7 +26,8 @@ val set_jobs : int -> unit
     [Invalid_argument] for values < 1. *)
 
 val jobs : unit -> int
-(** Current default: the last {!set_jobs} value, else {!recommended}. *)
+(** Current default: the last {!set_jobs} value, else
+    [Domain.recommended_domain_count ()]. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ?jobs f input] applies [f] to every element, running up to

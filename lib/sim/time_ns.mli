@@ -23,7 +23,6 @@ val of_ms_f : float -> span
 (** [of_ms_f x] is [x] milliseconds as a span, rounded to nanoseconds. *)
 
 val to_ms_f : span -> float
-val to_us_f : span -> float
 val to_sec_f : span -> float
 
 val add : t -> span -> t

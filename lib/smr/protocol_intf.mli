@@ -84,10 +84,6 @@ module Group : sig
 
   val metrics : env -> Metrics.t
   val journal : env -> Journal.sink
-
-  val qualify : env -> string -> string
-  (** [qualify g name] is [g.prefix ^ name] — the group-namespaced
-      instrument name. *)
 end
 
 type env = Group.env

@@ -95,10 +95,6 @@ let percentile t p =
 
 let median t = percentile t 50.
 
-let to_sorted_array t =
-  ensure_sorted t;
-  Array.sub t.data 0 t.size
-
 let confidence95 t =
   if t.size < 2 then 0.
   else 1.96 *. stddev t /. sqrt (float_of_int t.size)

@@ -35,9 +35,6 @@ val percentile : t -> float -> float
 
 val median : t -> float
 
-val to_sorted_array : t -> float array
-(** A fresh sorted copy of the samples. *)
-
 val confidence95 : t -> float
 (** Half-width of the 95% confidence interval of the mean (normal
     approximation, 1.96 * stderr); 0 for n < 2. *)

@@ -33,10 +33,6 @@ type probe = {
 
 type node_clock = { base_offset_ms : float; drift_ppm : float }
 
-val well_disciplined : string -> node_clock
-(** Deterministic per-name clock with offset within ±2 ms and drift
-    within ±0.05 ppm — an NTP-disciplined VM. *)
-
 val drifting : drift_ppm:float -> node_clock
 
 type pair_spec = {

@@ -473,11 +473,11 @@ let test_e2e_storage_compression () =
   in
   Engine.run ~until:(Time_ns.sec 8) engine;
   let stats = Replica.storage_stats (Domino.replica d 0) in
-  (* Billions of no-op positions, a handful of compressed nodes. *)
-  check_bool "many noop positions" true
-    (stats.Replica.noop_positions > 1_000_000_000);
-  check_bool "few stored ranges" true (stats.Replica.noop_ranges < 5_000);
-  check_bool "ops retained bounded" true (stats.Replica.log_ops < 5_000)
+  (* Billions of DFP positions, a bounded number of decisions held. *)
+  check_bool "many positions covered" true
+    (stats.Replica.dfp_positions_covered > 1_000_000_000);
+  check_bool "decisions held bounded" true
+    (stats.Replica.decisions_held < 5_000)
 
 let () =
   Alcotest.run "domino"

@@ -35,10 +35,15 @@ let test_closest_replica () =
   check_int "WA -> WA" 0 (Exp_common.closest_replica Exp_common.na3 ~client_dc:"WA");
   check_int "VA -> VA" 1 (Exp_common.closest_replica Exp_common.na3 ~client_dc:"VA")
 
-let test_run_many_merges () =
+(* A one-cell sweep merges its runs' samples. *)
+let test_runs_merge () =
   let commit, exec =
-    Exp_common.run_many ~runs:2 ~duration:(Time_ns.sec 6)
-      Exp_common.fig7_single Exp_common.Multi_paxos
+    match
+      Exp_common.run_sweep ~runs:2 ~duration:(Time_ns.sec 6)
+        [ (Exp_common.fig7_single, Exp_common.Multi_paxos) ]
+    with
+    | [ cell ] -> cell
+    | _ -> Alcotest.fail "one cell in, one result out"
   in
   check_bool "merged commit samples" true (Domino_stats.Summary.count commit > 100);
   check_bool "exec recorded" true (Domino_stats.Summary.count exec > 100)
@@ -96,7 +101,7 @@ let () =
         ] );
       ( "runner",
         [
-          Alcotest.test_case "run_many merges" `Slow test_run_many_merges;
+          Alcotest.test_case "run_many merges" `Slow test_runs_merge;
           Alcotest.test_case "deterministic" `Slow test_run_deterministic;
         ] );
       ( "fig12",

@@ -1,5 +1,5 @@
 (* Tests for the replicated-log structures: positions, compressed
-   interval sets, the decided-log storage, and the execution engine. *)
+   interval sets and the execution engine. *)
 
 open Domino_log
 
@@ -110,39 +110,6 @@ let prop_interval_ranges_are_maximal =
       in
       ok (Interval_set.to_ranges s))
 
-(* --- Decided_log --- *)
-
-let test_decided_log_basic () =
-  let log = Decided_log.create () in
-  Decided_log.record_op log 100 "a";
-  Decided_log.record_noop_range log ~lo:0 ~hi:99;
-  check_bool "op found" true (Decided_log.find log 100 = Some (Decided_log.Op "a"));
-  check_bool "noop found" true (Decided_log.find log 50 = Some Decided_log.Noop);
-  check_bool "unknown" true (Decided_log.find log 101 = None);
-  check_int "compressed" 1 (Decided_log.noop_ranges log);
-  check_int "positions" 100 (Decided_log.noop_positions log)
-
-let test_decided_log_first_write_wins () =
-  let log = Decided_log.create () in
-  Decided_log.record_op log 5 "first";
-  Decided_log.record_op log 5 "second";
-  check_bool "keeps first" true (Decided_log.find log 5 = Some (Decided_log.Op "first"))
-
-let test_decided_log_trim () =
-  let log = Decided_log.create () in
-  Decided_log.record_op log 10 "a";
-  Decided_log.record_op log 20 "b";
-  Decided_log.record_noop_range log ~lo:0 ~hi:15;
-  Decided_log.trim log ~upto:12;
-  check_bool "trimmed op gone" true (Decided_log.find log 10 = None);
-  check_bool "later op kept" true (Decided_log.find log 20 = Some (Decided_log.Op "b"));
-  check_bool "noop above frontier kept" true
-    (Decided_log.find log 14 = Some Decided_log.Noop);
-  check_int "frontier" 12 (Decided_log.trimmed_below log);
-  (* Writes at or below the frontier are ignored. *)
-  Decided_log.record_op log 11 "zombie";
-  check_bool "no zombie" true (Decided_log.find log 11 = None)
-
 (* --- Exec_engine --- *)
 
 let mk_engine ?(n_lanes = 2) () =
@@ -206,10 +173,37 @@ let test_exec_duplicate_decisions () =
   let eng, log = mk_engine () in
   Exec_engine.set_watermark eng ~lane:1 100;
   Exec_engine.decide_op eng { Position.ts = 5; lane = 0 } "x";
+  Exec_engine.decide_op eng { Position.ts = 5; lane = 0 } "x";
+  Alcotest.(check int) "one pending" 1 (Exec_engine.pending_ops eng);
   Exec_engine.set_watermark eng ~lane:0 4;
   Exec_engine.decide_op eng { Position.ts = 5; lane = 0 } "x";
   Alcotest.(check int) "executed once" 1 (List.length !log);
   Alcotest.(check int) "no late decisions" 0 (Exec_engine.late_decisions eng)
+
+(* The executed timestamps are pruned against the lowest watermark over
+   all lanes once more than 4096 are held; a duplicate of a pruned
+   position then counts as late, one of a held position does not. *)
+let test_exec_seen_prune () =
+  let eng, log = mk_engine () in
+  Exec_engine.decide_op eng { Position.ts = 3000; lane = 1 } "dfp";
+  Exec_engine.set_watermark eng ~lane:1 10_000;
+  for ts = 0 to 4999 do
+    Exec_engine.decide_op eng { Position.ts; lane = 0 } "dm"
+  done;
+  Alcotest.(check int) "all executed" 5001 (List.length !log);
+  Alcotest.(check int) "all held" 5001 (Exec_engine.executed_held eng);
+  (* Lane 0's watermark is the lowest: everything at or below 2000 goes,
+     on every lane. *)
+  Exec_engine.set_watermark eng ~lane:0 2000;
+  Alcotest.(check int) "held after prune" 3000 (Exec_engine.executed_held eng);
+  Exec_engine.decide_op eng { Position.ts = 3000; lane = 1 } "dfp";
+  Exec_engine.decide_op eng { Position.ts = 2001; lane = 0 } "dm";
+  Alcotest.(check int) "held duplicates are not late" 0
+    (Exec_engine.late_decisions eng);
+  Exec_engine.decide_op eng { Position.ts = 2000; lane = 0 } "dm";
+  Alcotest.(check int) "a pruned duplicate is late" 1
+    (Exec_engine.late_decisions eng);
+  Alcotest.(check int) "nothing re-executed" 5001 (List.length !log)
 
 let test_exec_late_decision_detected () =
   let eng, _log = mk_engine () in
@@ -435,12 +429,6 @@ let () =
           q prop_interval_matches_naive;
           q prop_interval_ranges_are_maximal;
         ] );
-      ( "decided_log",
-        [
-          Alcotest.test_case "basic" `Quick test_decided_log_basic;
-          Alcotest.test_case "first write wins" `Quick test_decided_log_first_write_wins;
-          Alcotest.test_case "trim" `Quick test_decided_log_trim;
-        ] );
       ( "exec_engine",
         [
           Alcotest.test_case "waits for watermarks" `Quick test_exec_waits_for_watermarks;
@@ -449,6 +437,7 @@ let () =
           Alcotest.test_case "interleaves lanes" `Quick test_exec_interleaves_lanes;
           Alcotest.test_case "noop decisions" `Quick test_exec_noop_decision_unblocks;
           Alcotest.test_case "duplicates" `Quick test_exec_duplicate_decisions;
+          Alcotest.test_case "seen prune" `Quick test_exec_seen_prune;
           Alcotest.test_case "late decisions detected" `Quick
             test_exec_late_decision_detected;
           Alcotest.test_case "watermark monotone" `Quick test_exec_watermark_monotone;

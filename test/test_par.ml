@@ -64,22 +64,6 @@ let summary_fingerprint s =
     (Domino_stats.Summary.percentile s 95.)
     (Domino_stats.Summary.mean s)
 
-let test_run_many_jobs_invariant () =
-  let run jobs =
-    let c, e =
-      Domino_exp.Exp_common.run_many ~runs:4 ~seed:7L
-        ~duration:(Domino_sim.Time_ns.sec 3) ~jobs Domino_exp.Exp_common.na3
-        Domino_exp.Exp_common.domino_default
-    in
-    (summary_fingerprint c, summary_fingerprint e)
-  in
-  let c1, e1 = run 1 in
-  let c4, e4 = run 4 in
-  Alcotest.(check string) "commit summary identical" c1 c4;
-  Alcotest.(check string) "exec summary identical" e1 e4;
-  Alcotest.(check bool) "summaries non-trivial" true
-    (String.length c1 > 0 && c1 <> "0 0.000000000 0.000000000 0.000000000")
-
 let test_run_sweep_jobs_invariant () =
   (* A fig8-style sweep rendered to a table must be byte-identical at
      jobs=1 and jobs=4 — the PR's acceptance criterion. *)
@@ -115,36 +99,6 @@ let test_run_sweep_jobs_invariant () =
   let t4 = render 4 in
   Alcotest.(check string) "table byte-identical" t1 t4
 
-let test_run_sweep_matches_run_many () =
-  (* Cell i of a sweep uses the same seed schedule as a standalone
-     run_many, so the merged summaries must coincide. *)
-  let cells =
-    [
-      (Domino_exp.Exp_common.na3, Domino_exp.Exp_common.Mencius);
-      (Domino_exp.Exp_common.globe3, Domino_exp.Exp_common.domino_default);
-    ]
-  in
-  let sweep =
-    Domino_exp.Exp_common.run_sweep ~runs:2 ~seed:5L
-      ~duration:(Domino_sim.Time_ns.sec 3) ~jobs:2 cells
-  in
-  List.iteri
-    (fun i (setting, proto) ->
-      let c_sweep, e_sweep = List.nth sweep i in
-      let c_solo, e_solo =
-        Domino_exp.Exp_common.run_many ~runs:2 ~seed:5L
-          ~duration:(Domino_sim.Time_ns.sec 3) ~jobs:1 setting proto
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "cell %d commit" i)
-        (summary_fingerprint c_solo)
-        (summary_fingerprint c_sweep);
-      Alcotest.(check string)
-        (Printf.sprintf "cell %d exec" i)
-        (summary_fingerprint e_solo)
-        (summary_fingerprint e_sweep))
-    cells
-
 let () =
   Alcotest.run "par"
     [
@@ -161,11 +115,7 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "run_many jobs=1 = jobs=4" `Slow
-            test_run_many_jobs_invariant;
           Alcotest.test_case "run_sweep jobs=1 = jobs=4" `Slow
             test_run_sweep_jobs_invariant;
-          Alcotest.test_case "sweep cell = run_many" `Slow
-            test_run_sweep_matches_run_many;
         ] );
     ]
