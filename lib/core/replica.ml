@@ -82,7 +82,6 @@ type t = {
      counts from broadcast votes. *)
   learner_counts : (Time_ns.t * Op.id, int ref) Hashtbl.t;
   mutable probe_seq : int;
-  mutable executed : int;
   store : Store.t;  (** the node's WAL; see the record type above *)
   mutable replaying : bool;
 }
@@ -488,7 +487,6 @@ let handle t ~src msg =
 
 let make_exec t =
   Exec_engine.create ~n_lanes:(Config.n t.cfg + 1) ~on_exec:(fun _pos op ->
-      t.executed <- t.executed + 1;
       if not t.replaying then
         t.observer.Observer.on_execute ~replica:t.self op ~now:(now_engine t))
 
@@ -499,7 +497,6 @@ let make_estimator cfg ~index =
 let wipe_volatile t =
   t.estimator <- make_estimator t.cfg ~index:t.index;
   t.exec <- make_exec t;
-  t.executed <- 0;
   t.dfp_accepted <- Tsmap.empty;
   t.dfp_dseq <- 0;
   (* A rebooted acceptor missed an unknown stretch of the decision
@@ -570,7 +567,6 @@ let create ~net ~cfg ~index ~observer ~store () =
       dm_wm_logged = Array.make n (-1);
       learner_counts = Hashtbl.create 256;
       probe_seq = 0;
-      executed = 0;
       store;
       replaying = false;
     }
@@ -595,8 +591,6 @@ let storage_stats t =
       Exec_engine.pending_ops t.exec + Exec_engine.executed_held t.exec;
     dfp_positions_covered = dfp_covered t + 1;
   }
-
-let executed_ops t = t.executed
 
 let late_decisions t = Exec_engine.late_decisions t.exec
 

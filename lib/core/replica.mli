@@ -77,7 +77,6 @@ val storage_stats : t -> storage_stats
     [decisions_held] stays in the thousands while
     [dfp_positions_covered] grows by a billion per simulated second. *)
 
-val executed_ops : t -> int
 val late_decisions : t -> int
 (** Safety telemetry from the execution engine; must be 0. *)
 

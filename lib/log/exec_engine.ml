@@ -142,6 +142,10 @@ let create ~n_lanes ~on_exec =
 
 let watermark t ~lane = t.lanes.(lane).watermark
 
+let covered t ~lane = t.lanes.(lane).covered
+
+let is_pending t (pos : Position.t) = Kq.mem t.lanes.(pos.lane).pending pos.ts
+
 (* Lane of the smallest pending decision in position order, or -1.
    At equal timestamps the lower lane wins. *)
 let candidate t =

@@ -1,9 +1,13 @@
-(** In-order execution of Domino's interleaved log (§5.7).
+(** In-order execution of a decided log (§5.7).
 
     Domino executes a committed request only once every earlier log
-    position is decided and executed. Positions form lanes (n DM lanes
-    + the DFP lane, see {!Position}); each lane feeds this engine two
-    kinds of progress:
+    position is decided and executed, and so do the slot-ordered
+    baselines: Multi-Paxos, Mencius and Fast Paxos run one engine per
+    replica as well (one lane of dense slots for Multi-Paxos and Fast
+    Paxos, one lane per slot owner for Mencius), so the engine is each
+    replica's one execution book. Positions form lanes (Domino's are
+    its n DM lanes and the DFP lane, see {!Position}); each lane feeds
+    this engine two kinds of progress:
 
     - {b explicit decisions}: a committed operation (or an explicit
       no-op from recovery) at one position;
@@ -39,6 +43,16 @@ val set_watermark : 'op t -> lane:int -> Time_ns.t -> unit
 (** Raise a lane's no-op watermark (monotone: lower values ignored). *)
 
 val watermark : 'op t -> lane:int -> Time_ns.t
+
+val covered : 'op t -> lane:int -> Time_ns.t
+(** The lane's coverage: its watermark extended by the contiguous run
+    of executed positions right above it. Every position of the lane up
+    to it is decided; with one lane of dense slots it is the last
+    executed slot, and [covered + 1] the next one to run. *)
+
+val is_pending : 'op t -> Position.t -> bool
+(** Decided but not yet executed (parked behind an undecided
+    position). *)
 
 val frontier : 'op t -> Position.t option
 (** The last globally executed-or-covered position, if any explicit

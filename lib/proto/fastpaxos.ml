@@ -75,11 +75,8 @@ type t = {
   mutable reproposed : Op.Idset.t;
   (* Acceptors, indexed by replica position. *)
   acceptors : acceptor_state array;
-  (* Execution: decided slots per replica. *)
-  mutable decided_sets : Interval_set.t array;
-  max_decided : int array;
-      (** highest slot each replica saw decided; evidence of a gap when
-          it runs ahead of the contiguous frontier *)
+  (* Execution in slot order per replica, one lane of dense slots; its
+     pending decisions are evidence of a gap below them. *)
   execs : Op.t Exec_engine.t array;
   (* Client-side fast learning: (client view) slot -> votes for its op. *)
   mutable client_votes : Nodeid.Set.t Imap.t Op.Idmap.t;
@@ -116,25 +113,28 @@ let tally t slot =
 
 (* --- Execution (slot order at every replica) --- *)
 
+(* A slot replica [idx] holds decided: executed, or parked behind a
+   gap. *)
+let decided t idx slot =
+  let exec = t.execs.(idx) in
+  slot <= Exec_engine.covered exec ~lane:0
+  || Exec_engine.is_pending exec { Position.ts = slot; lane = 0 }
+
 let deliver_commit_now t idx slot value =
   let st = t.acceptors.(idx) in
   st.voted <- Imap.remove slot st.voted;
-  let decided = Interval_set.add slot t.decided_sets.(idx) in
-  t.decided_sets.(idx) <- decided;
-  t.max_decided.(idx) <- Stdlib.max t.max_decided.(idx) slot;
   let exec = t.execs.(idx) in
   (match value with
   | Some op -> Exec_engine.decide_op exec { Position.ts = slot; lane = 0 } op
   | None -> Exec_engine.decide_noop exec { Position.ts = slot; lane = 0 });
-  (* Watermark = the contiguous decided prefix. *)
-  (match Interval_set.covered_from decided 0 with
-  | Some hi -> Exec_engine.set_watermark exec ~lane:0 hi
-  | None -> ())
+  (* Watermark = the contiguous decided prefix, so the engine can prune
+     the executed slots it holds. *)
+  Exec_engine.set_watermark exec ~lane:0 (Exec_engine.covered exec ~lane:0)
 
 let deliver_commit t idx slot value =
   (* Commits may be re-delivered through pulls and late broadcasts;
      only the first one is persisted and applied. *)
-  if not (Interval_set.mem slot t.decided_sets.(idx)) then
+  if not (decided t idx slot) then
     if t.replaying.(idx) then deliver_commit_now t idx slot value
     else
       Store.append_sync t.stores.(idx) ~kind:"cmt" (Committed { slot; value })
@@ -153,9 +153,10 @@ let send_recovery t slot (tl : slot_tally) value =
       tl.reco_durable <- true;
       broadcast t ~src:t.coordinator (P2a { slot; value }))
 
-(* A vote that arrives after its slot was decided may reveal a lost
-   operation (its other slots may all be settled). *)
-let maybe_rescue_late t (op : Op.t) =
+(* Re-propose [op] in a fresh classic-round slot once it has lost every
+   slot it was voted into — without this a losing client would hang
+   forever. *)
+let rescue_if_lost t (op : Op.t) =
   let id = Op.id op in
   let slots =
     match Op.Idmap.find_opt id t.op_slots with Some s -> s | None -> []
@@ -215,7 +216,7 @@ let commit_slot t slot value ~fast_path =
                | None -> true)
                && not (Op.Idset.mem (Op.id op') t.committed_ops) ->
           t.reproposed <- Op.Idset.remove (Op.id op') t.reproposed;
-          maybe_rescue_late t op'
+          rescue_if_lost t op'
         | _ -> ())
   end
 
@@ -255,37 +256,11 @@ let start_recovery t slot =
   if (not tl.decided) && tl.recovering = None then
     send_recovery t slot tl (recovery_pick t tl)
 
-(* Re-propose operations that lost every slot they were voted into —
-   without this a losing client would hang forever. Only operations
-   that participated in the just-decided slot can newly become lost, so
-   the check is local to that slot's voters. *)
+(* Only operations that participated in the just-decided slot can
+   newly become lost, so the check is local to that slot's voters. *)
 let rescue_lost_ops t (tl : slot_tally) =
-  let candidates =
-    List.sort_uniq Op.compare_id (List.map (fun (_, op) -> Op.id op) tl.votes)
-  in
-  List.iter
-    (fun id ->
-      let slots =
-        match Op.Idmap.find_opt id t.op_slots with Some s -> s | None -> []
-      in
-      if
-        (not (Op.Idset.mem id t.committed_ops))
-        && (not (Op.Idset.mem id t.reproposed))
-        && List.for_all
-             (fun s ->
-               match Imap.find_opt s t.tallies with
-               | Some stl -> stl.decided
-               | None -> false)
-             slots
-      then begin
-        t.reproposed <- Op.Idset.add id t.reproposed;
-        let op = Op.Idmap.find id t.ops_seen in
-        t.max_slot <- t.max_slot + 1;
-        let slot = t.max_slot in
-        let fresh = tally t slot in
-        send_recovery t slot fresh (Some op)
-      end)
-    candidates
+  List.sort_uniq Op.compare_id (List.map (fun (_, op) -> Op.id op) tl.votes)
+  |> List.iter (fun id -> rescue_if_lost t (Op.Idmap.find id t.ops_seen))
 
 let coordinator_on_vote t ~slot ~(op : Op.t) ~acceptor =
   t.max_slot <- Stdlib.max t.max_slot slot;
@@ -298,7 +273,9 @@ let coordinator_on_vote t ~slot ~(op : Op.t) ~acceptor =
   if not (List.mem slot slots) then
     t.op_slots <- Op.Idmap.add id (slot :: slots) t.op_slots;
   let tl = tally t slot in
-  if tl.decided then maybe_rescue_late t op
+  (* A vote that arrives after its slot was decided may reveal a lost
+     operation (its other slots may all be settled). *)
+  if tl.decided then rescue_if_lost t op
   else begin
     if not (List.exists (fun (a, _) -> Nodeid.equal a acceptor) tl.votes) then
       tl.votes <- (acceptor, op) :: tl.votes;
@@ -393,17 +370,17 @@ let client_on_vote t ~slot ~(op : Op.t) ~acceptor =
 
 (* --- wipe-restart recovery --- *)
 
+let fresh_exec t i =
+  let r = t.replicas.(i) in
+  Exec_engine.create ~n_lanes:1 ~on_exec:(fun _pos op ->
+      if not t.replaying.(i) then
+        t.observer.Observer.on_execute ~replica:r op ~now:(now t))
+
 let wipe t i =
   let st = t.acceptors.(i) in
   st.next_free <- 0;
   st.voted <- Imap.empty;
-  t.decided_sets.(i) <- Interval_set.empty;
-  t.max_decided.(i) <- -1;
-  let r = t.replicas.(i) in
-  t.execs.(i) <-
-    Exec_engine.create ~n_lanes:1 ~on_exec:(fun _pos op ->
-        if not t.replaying.(i) then
-          t.observer.Observer.on_execute ~replica:r op ~now:(now t));
+  t.execs.(i) <- fresh_exec t i;
   if i = t.coord_idx then begin
     t.tallies <- Imap.empty;
     t.undecided_slots <- Islot.empty;
@@ -426,8 +403,7 @@ let replay_record t i record =
     st.voted <- Imap.add slot (1, op, now t) st.voted;
     st.next_free <- Stdlib.max st.next_free (slot + 1)
   | Committed { slot; value } ->
-    if not (Interval_set.mem slot t.decided_sets.(i)) then
-      deliver_commit_now t i slot value
+    if not (decided t i slot) then deliver_commit_now t i slot value
   | Decided { slot; value; fast } when i = t.coord_idx ->
     let tl = tally t slot in
     if not tl.decided then begin
@@ -489,8 +465,6 @@ let create ~net ~replicas ~coordinator ~observer ?stores () =
         Array.mapi
           (fun idx r -> { self = r; idx; next_free = 0; voted = Imap.empty })
           replicas;
-      decided_sets = Array.make n Interval_set.empty;
-      max_decided = Array.make n (-1);
       execs = [||];
       client_votes = Op.Idmap.empty;
       fast = 0;
@@ -499,15 +473,7 @@ let create ~net ~replicas ~coordinator ~observer ?stores () =
       replaying = Array.make n false;
     }
   in
-  let execs =
-    Array.mapi
-      (fun i r ->
-        Exec_engine.create ~n_lanes:1 ~on_exec:(fun _pos op ->
-            if not t.replaying.(i) then
-              observer.Observer.on_execute ~replica:r op ~now:(now t)))
-      replicas
-  in
-  let t = { t with execs } in
+  let t = { t with execs = Array.init n (fresh_exec t) } in
   Durable.install net ~replicas ~stores ~wipe:(wipe t) ~replay:(replay t);
   (* Quiescence recovery: a slot some acceptors voted but that can no
      longer fill up naturally (e.g. the workload stopped) is recovered
@@ -561,8 +527,8 @@ let create ~net ~replicas ~coordinator ~observer ?stores () =
     replicas;
   (* Robustness timers. Acceptor role: re-send round-0 votes whose slot
      never decided (a crashed coordinator ate the original). Learner
-     role: pull missing commits whenever decided slots run ahead of the
-     contiguous execution frontier. *)
+     role: pull missing commits whenever decided slots are parked behind
+     a gap in the execution frontier. *)
   let engine = Fifo_net.engine net in
   Array.iteri
     (fun idx r ->
@@ -582,14 +548,10 @@ let create ~net ~replicas ~coordinator ~observer ?stores () =
                    Fifo_net.send net ~src:st.self ~dst:op.Op.client vote
                  end)
                st.voted;
-             let frontier =
-               match Interval_set.covered_from t.decided_sets.(idx) 0 with
-               | Some hi -> hi
-               | None -> -1
-             in
-             if frontier < t.max_decided.(idx) then
+             let exec = t.execs.(idx) in
+             if Exec_engine.pending_ops exec > 0 then
                Fifo_net.send net ~src:r ~dst:t.coordinator
-                 (Pull { from = frontier + 1 }))))
+                 (Pull { from = Exec_engine.covered exec ~lane:0 + 1 }))))
     replicas;
   for node = 0 to Fifo_net.size net - 1 do
     if not (Array.exists (Nodeid.equal node) replicas) then

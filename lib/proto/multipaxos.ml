@@ -60,11 +60,8 @@ type t = {
   (* Leader's record of every committed slot, kept for catch-up pulls
      from replicas that missed the original commit notice. *)
   committed_log : (int, Op.t) Hashtbl.t;
-  (* Per-replica execution in slot order: the next slot each replica
-     will apply, plus out-of-order commits parked until the gap fills. *)
-  applied : (Nodeid.t, int ref) Hashtbl.t;
-  parked : (Nodeid.t, (int, Op.t) Hashtbl.t) Hashtbl.t;
-  execs : (Nodeid.t, Op.t Exec_engine.t) Hashtbl.t;
+  (* Per-replica execution in slot order, one lane of dense slots. *)
+  execs : Op.t Exec_engine.t array;
   stores : Store.t array;  (** the replicas' WALs; see the record type *)
   acc_seen : (int, unit) Hashtbl.t array;  (** follower slots already synced *)
   replaying : bool array;
@@ -75,39 +72,30 @@ let now t = Engine.now (Fifo_net.engine t.net)
 
 let index_of t node = Durable.index_of t.replicas node
 
-let exec_engine t node = Hashtbl.find t.execs node
+(* The next slot replica [i] will execute. *)
+let next_to_apply t i = Exec_engine.covered t.execs.(i) ~lane:0 + 1
 
 (* Commits normally arrive on the FIFO channel from the leader in slot
    order, but a replica that was crashed (or a slot that committed late
-   after a retransmitted Accept) sees gaps and stragglers; executing
-   strictly contiguously — parking out-of-order commits until the gap
-   fills via {!Pull} — keeps every replica's history a prefix of the
-   leader's. *)
-let apply_commit_now t node slot op =
-  let applied = Hashtbl.find t.applied node in
-  let parked = Hashtbl.find t.parked node in
-  if slot >= !applied then Hashtbl.replace parked slot op;
-  let exec = exec_engine t node in
-  let rec drain () =
-    match Hashtbl.find_opt parked !applied with
-    | None -> ()
-    | Some op ->
-      Hashtbl.remove parked !applied;
-      Exec_engine.set_watermark exec ~lane:0 (!applied - 1);
-      Exec_engine.decide_op exec { Position.ts = !applied; lane = 0 } op;
-      incr applied;
-      drain ()
-  in
-  drain ()
+   after a retransmitted Accept) sees gaps and stragglers; the engine
+   executes strictly contiguously — parking out-of-order commits until
+   the gap fills via {!Pull} — which keeps every replica's history a
+   prefix of the leader's. Raising the watermark to the executed prefix
+   lets the engine prune the executed slots it holds. *)
+let apply_commit_now t i slot op =
+  if slot >= next_to_apply t i then begin
+    let exec = t.execs.(i) in
+    Exec_engine.decide_op exec { Position.ts = slot; lane = 0 } op;
+    Exec_engine.set_watermark exec ~lane:0 (Exec_engine.covered exec ~lane:0)
+  end
 
 let apply_commit t node slot op =
-  let applied = Hashtbl.find t.applied node in
-  if slot >= !applied then
-    let idx = index_of t node in
-    if t.replaying.(idx) then apply_commit_now t node slot op
+  let idx = index_of t node in
+  if slot >= next_to_apply t idx then
+    if t.replaying.(idx) then apply_commit_now t idx slot op
     else
       Store.append_sync t.stores.(idx) ~kind:"cmt" (Committed { slot; op })
-        (fun () -> apply_commit_now t node slot op)
+        (fun () -> apply_commit_now t idx slot op)
 
 let handle_leader t ~src msg =
   match msg with
@@ -201,10 +189,10 @@ let handle_client t ~src:_ msg =
 
 (* --- wipe-restart recovery --- *)
 
-let fresh_exec t r =
-  let idx = index_of t r in
+let fresh_exec t i =
+  let r = t.replicas.(i) in
   Exec_engine.create ~n_lanes:1 ~on_exec:(fun _pos op ->
-      if not t.replaying.(idx) then
+      if not t.replaying.(i) then
         t.observer.Observer.on_execute ~replica:r op ~now:(now t))
 
 (* The snapshot codec, the one place a WAL record is text: an
@@ -219,8 +207,7 @@ let encode t i =
     Buffer.add_char buf '\n';
     Buffer.add_string buf (Printf.sprintf "%s %d %s" kind slot (Op.to_wire op))
   in
-  Buffer.add_string buf
-    (Printf.sprintf "applied %d" !(Hashtbl.find t.applied node));
+  Buffer.add_string buf (Printf.sprintf "applied %d" (next_to_apply t i));
   if Nodeid.equal node t.leader then begin
     Hashtbl.iter (fun slot op -> line "dec" slot op) t.committed_log;
     Hashtbl.iter
@@ -250,17 +237,13 @@ let wipe t i =
     t.next_slot <- 0;
     t.committed_count <- 0
   end;
-  Hashtbl.find t.applied node := 0;
-  Hashtbl.reset (Hashtbl.find t.parked node);
   Hashtbl.reset t.acc_seen.(i);
-  Hashtbl.replace t.execs node (fresh_exec t node)
+  t.execs.(i) <- fresh_exec t i
 
-let replay_record t node record =
-  let is_leader = Nodeid.equal node t.leader in
+let replay_record t i record =
+  let is_leader = Nodeid.equal t.replicas.(i) t.leader in
   match record with
-  | Applied n ->
-    Hashtbl.find t.applied node := n;
-    Exec_engine.set_watermark (exec_engine t node) ~lane:0 (n - 1)
+  | Applied n -> Exec_engine.set_watermark t.execs.(i) ~lane:0 (n - 1)
   | Opened { slot; op } when is_leader ->
     t.next_slot <- Stdlib.max t.next_slot (slot + 1);
     if not (Hashtbl.mem t.committed_log slot) then
@@ -278,15 +261,14 @@ let replay_record t node record =
       Hashtbl.replace t.committed_log slot op;
       t.committed_count <- t.committed_count + 1
     end
-  | Acked { slot; _ } -> Hashtbl.replace t.acc_seen.(index_of t node) slot ()
-  | Committed { slot; op } -> apply_commit_now t node slot op
+  | Acked { slot; _ } -> Hashtbl.replace t.acc_seen.(i) slot ()
+  | Committed { slot; op } -> apply_commit_now t i slot op
   | _ -> ()
 
 let replay t i snap records =
-  let node = t.replicas.(i) in
   t.replaying.(i) <- true;
-  Option.iter (fun blob -> List.iter (replay_record t node) (decode blob)) snap;
-  List.iter (replay_record t node) records;
+  Option.iter (fun blob -> List.iter (replay_record t i) (decode blob)) snap;
+  List.iter (replay_record t i) records;
   t.replaying.(i) <- false
 
 (* Arm r's catch-up Pull timer, at most once per replica. The guard
@@ -295,15 +277,15 @@ let replay t i snap records =
 let ensure_pull_timer t r =
   if not (Hashtbl.mem t.pull_timers r) then begin
     Hashtbl.replace t.pull_timers r ();
-    let engine = Fifo_net.engine t.net in
+    let i = index_of t r and engine = Fifo_net.engine t.net in
     ignore
       (Engine.every engine ~interval:(Time_ns.ms 250) (fun () ->
            if
              (not (Nodeid.equal r t.leader))
-             && Hashtbl.length (Hashtbl.find t.parked r) > 0
+             && Exec_engine.pending_ops t.execs.(i) > 0
            then
              Fifo_net.send t.net ~src:r ~dst:t.leader
-               (Pull { from = !(Hashtbl.find t.applied r) })))
+               (Pull { from = next_to_apply t i })))
   end
 
 let create ~net ~replicas ~leader ~observer ?stores () =
@@ -324,20 +306,16 @@ let create ~net ~replicas ~leader ~observer ?stores () =
       next_slot = 0;
       slots = Hashtbl.create 1024;
       committed_log = Hashtbl.create 1024;
-      applied = Hashtbl.create 8;
-      parked = Hashtbl.create 8;
-      execs = Hashtbl.create 8;
+      execs = [||];
       stores;
       acc_seen = Array.init n (fun _ -> Hashtbl.create 64);
       replaying = Array.make n false;
       committed_count = 0;
     }
   in
+  let t = { t with execs = Array.init n (fresh_exec t) } in
   Array.iter
     (fun r ->
-      Hashtbl.replace t.execs r (fresh_exec t r);
-      Hashtbl.replace t.applied r (ref 0);
-      Hashtbl.replace t.parked r (Hashtbl.create 64);
       if Nodeid.equal r leader then
         Fifo_net.set_handler net r (handle_leader t)
       else Fifo_net.set_handler net r (handle_follower t r))

@@ -7,7 +7,8 @@
    [Time_ns.t] (10 + 5*11 = 65 bits) — no separate overflow structure
    is needed.
 
-   Ordering contract (must match [Pheap] exactly): entries pop in
+   Ordering contract (must match test/pheap.ml's reference heap
+   exactly): entries pop in
    (time, seq) order, where [seq] is the global insertion sequence —
    equal-time entries pop in insertion order. Wheel slots alone cannot
    provide that (a slot holds a 1 us band, unsorted), so entries whose
@@ -30,7 +31,7 @@
    free list and are recycled by later [add]s, making the fire-once
    path allocation-free in steady state. [push] entries return their
    handle for [cancel] and are never recycled (a stale handle must not
-   alias a reused entry). Cancellation is lazy, as in [Pheap]: the
+   alias a reused entry). Cancellation is lazy, as in that heap: the
    entry is marked and dropped when its slot drains or it reaches the
    top of [near]; [cancel] clears the stored value immediately so the
    closure is not retained for the remaining horizon. *)

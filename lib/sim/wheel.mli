@@ -7,7 +7,8 @@
     [Time_ns.t] range (a level-0 slot is 1.024 us, each level 32x
     coarser), so arbitrarily long timers need no overflow structure.
 
-    The pop order is {e exactly} {!Pheap}'s: ascending [(time, seq)]
+    The pop order is {e exactly} that of the binary heap kept as its
+    test oracle (test/pheap.ml): ascending [(time, seq)]
     where [seq] is the global insertion sequence — equal-time entries
     pop in insertion order. Imminent entries are promoted into a small
     binary heap that enforces this total order; wheel slots only ever
@@ -17,7 +18,7 @@
     recycled through an internal free list once popped, so steady-state
     insertion allocates nothing. {!push} returns a {!handle} for
     {!cancel} and is never recycled (a stale handle must not alias a
-    reused entry). Cancellation is lazy, as in [Pheap]: cancelled
+    reused entry). Cancellation is lazy, as in that heap: cancelled
     entries are skipped at extraction, and their stored value is
     released eagerly. *)
 

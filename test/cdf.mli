@@ -1,9 +1,10 @@
 (** Empirical CDFs, rendered the way the paper's figures are read.
 
     The paper's latency figures (7, 8, 10) are CDFs with dashed lines
-    at 0.5 and 0.95; our benches print a CDF as a fixed set of
-    (fraction, value) rows so two protocols can be compared at the same
-    quantiles. *)
+    at 0.5 and 0.95; a CDF prints as a fixed set of (fraction, value)
+    rows so two protocols can be compared at the same quantiles. No
+    experiment table prints one today, so the module lives with the
+    tests. *)
 
 type t
 

@@ -3,9 +3,10 @@
     Domino's timestamp-indexed log is almost entirely no-ops: one
     billion positions per second, of which a workload touches tens of
     thousands. The paper compresses runs of no-op entries into single
-    nodes (§6); this structure is that compression. It is used for
-    replica no-op coverage, the coordinator's decided-range tracking,
-    and committed-prefix bookkeeping.
+    nodes (§6); this structure is that compression. The library now
+    keeps that coverage as one integer per lane ({!Domino_log.Exec_engine});
+    this set remains as the building block of the test-only reference
+    engine ([Reference_exec_engine]).
 
     Ranges merge automatically: adding [5,9] to a set containing [1,4]
     yields the single range [1,9]. All operations are O(log k) in the

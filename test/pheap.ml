@@ -1,3 +1,5 @@
+open Domino_sim
+
 type 'a entry = {
   time : Time_ns.t;
   seq : int;

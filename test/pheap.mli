@@ -9,6 +9,8 @@
     outnumber live ones, so cancellation-heavy workloads stay bounded
     by the live event count. *)
 
+open Domino_sim
+
 type 'a t
 
 val create : unit -> 'a t

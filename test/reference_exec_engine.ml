@@ -1,6 +1,7 @@
 (* The execution engine's original Map/Set/[Interval_set] implementation,
    kept as a test-only oracle: [Exec_engine] must produce exactly the
-   same executions, frontier and counters for every interleaving of
+   same executions, frontier, coverage, pending decisions and counters
+   for every interleaving of
    decisions and watermark raises. *)
 
 open Domino_sim
@@ -191,6 +192,11 @@ let set_watermark t ~lane ts =
   end
 
 let frontier t = t.cursor
+
+let covered t ~lane = effective_watermark t.lanes.(lane)
+
+let is_pending t (pos : Position.t) =
+  Tsmap.mem pos.ts t.lanes.(pos.lane).pending
 
 let executed_ops t = t.executed
 

@@ -226,6 +226,36 @@ let test_exec_pending_count () =
   Exec_engine.decide_op eng { Position.ts = 9; lane = 1 } "y";
   Alcotest.(check int) "pending" 2 (Exec_engine.pending_ops eng)
 
+(* One lane of dense slots, as Multi-Paxos and Fast Paxos drive it:
+   slots that arrive out of order execute in slot order, coverage is
+   the contiguous decided prefix, and a slot parked behind a gap reads
+   as pending. *)
+let test_exec_single_lane_slots () =
+  let eng, log = mk_engine ~n_lanes:1 () in
+  let slot ts = { Position.ts; lane = 0 } in
+  let covered () = Exec_engine.covered eng ~lane:0 in
+  check_int "nothing covered" (-1) (covered ());
+  Exec_engine.decide_op eng (slot 2) "c";
+  Exec_engine.decide_op eng (slot 1) "b";
+  check_bool "slot 2 parked" true (Exec_engine.is_pending eng (slot 2));
+  check_bool "slot 0 undecided" false (Exec_engine.is_pending eng (slot 0));
+  check_int "gap at slot 0" (-1) (covered ());
+  check_int "both wait" 2 (Exec_engine.pending_ops eng);
+  Exec_engine.decide_op eng (slot 0) "a";
+  Alcotest.(check (list (triple int int string))) "slot order"
+    [ (0, 0, "a"); (1, 0, "b"); (2, 0, "c") ]
+    (List.rev !log);
+  check_int "contiguous prefix" 2 (covered ());
+  check_bool "executed is not pending" false (Exec_engine.is_pending eng (slot 2));
+  Exec_engine.set_watermark eng ~lane:0 (covered ());
+  Exec_engine.decide_op eng (slot 4) "e";
+  check_int "stops at the gap" 2 (covered ());
+  check_bool "slot 4 parked" true (Exec_engine.is_pending eng (slot 4));
+  Exec_engine.decide_noop eng (slot 3);
+  check_int "no-op fills the gap" 4 (covered ());
+  check_int "nothing waits" 0 (Exec_engine.pending_ops eng);
+  check_int "four ops ran" 4 (List.length !log)
+
 let prop_exec_runs_in_position_order =
   (* Feed random decisions + watermarks; whatever executes must come
      out in strictly increasing position order. *)
@@ -344,7 +374,17 @@ let prop_exec_matches_reference ~long =
         Queue.clear q;
         l
       in
-      let step = ref 0 in
+      let step = ref 0 and last = ref { Position.ts = 0; lane = 0 } in
+      (* Pending is probed at the last decided position and just above
+         each lane's coverage, where parked decisions sit. *)
+      let probes () =
+        !last
+        :: List.concat_map
+             (fun lane ->
+               let c = Exec_engine.covered a ~lane in
+               List.init 3 (fun k -> { Position.ts = c + 1 + k; lane }))
+             (List.init n_lanes Fun.id)
+      in
       let agree what =
         incr step;
         let ea = take ran_a and eb = take ran_b in
@@ -358,8 +398,15 @@ let prop_exec_matches_reference ~long =
           && List.for_all
                (fun lane ->
                  Exec_engine.watermark a ~lane
-                 = Reference_exec_engine.watermark b ~lane)
+                 = Reference_exec_engine.watermark b ~lane
+                 && Exec_engine.covered a ~lane
+                    = Reference_exec_engine.covered b ~lane)
                (List.init n_lanes Fun.id)
+          && List.for_all
+               (fun pos ->
+                 Exec_engine.is_pending a pos
+                 = Reference_exec_engine.is_pending b pos)
+               (probes ())
         in
         if not same then
           QCheck.Test.fail_reportf "diverged at call %d (%s)" !step (what ())
@@ -367,6 +414,7 @@ let prop_exec_matches_reference ~long =
       let next_op = ref 0 in
       let decide ts lane op =
         let pos = { Position.ts; lane } in
+        last := pos;
         if op then begin
           incr next_op;
           Exec_engine.decide_op a pos !next_op;
@@ -442,6 +490,8 @@ let () =
             test_exec_late_decision_detected;
           Alcotest.test_case "watermark monotone" `Quick test_exec_watermark_monotone;
           Alcotest.test_case "pending count" `Quick test_exec_pending_count;
+          Alcotest.test_case "single lane of slots" `Quick
+            test_exec_single_lane_slots;
           q prop_exec_runs_in_position_order;
           q (prop_exec_matches_reference ~long:false);
           q (prop_exec_matches_reference ~long:true);
