@@ -46,22 +46,20 @@ let check_arg =
            linearizability) and exit non-zero on violations. Implies \
            flight recording.")
 
+(* Read an input file whole; an unreadable one is a usage error. *)
+let read_file file =
+  match In_channel.with_open_bin file In_channel.input_all with
+  | contents -> contents
+  | exception Sys_error msg ->
+    Format.eprintf "domino-sim: %s@." msg;
+    exit 2
+
 (* Read and parse a --faults plan file; any error is fatal before the
    simulation starts. *)
 let load_plan = function
   | None -> None
-  | Some file ->
-    let contents =
-      match open_in_bin file with
-      | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      | exception Sys_error msg ->
-        Format.eprintf "domino-sim: %s@." msg;
-        exit 2
-    in
-    (match Domino_fault.Plan.parse contents with
+  | Some file -> (
+    match Domino_fault.Plan.parse (read_file file) with
     | Ok plan -> Some plan
     | Error msg ->
       Format.eprintf "domino-sim: %s: %s@." file msg;
@@ -143,37 +141,14 @@ let setting_arg =
     & opt (enum settings) Exp_common.globe3
     & info [ "setting" ] ~docv:"SETTING" ~doc)
 
-let protocol_arg additional_delay percentile =
-  let mk = function
-    | "domino" ->
-      Exp_common.Domino
-        {
-          additional_delay = Time_ns.of_ms_f additional_delay;
-          percentile;
-          every_replica_learns = false;
-          adaptive = false;
-        }
-    | "mencius" -> Exp_common.Mencius
-    | "epaxos" -> Exp_common.Epaxos
-    | "multipaxos" -> Exp_common.Multi_paxos
-    | "fastpaxos" -> Exp_common.Fast_paxos
-    | _ -> assert false
+let protocol_arg =
+  let protocols = List.map (fun p -> (Protocols.api_name p, p)) Protocols.all in
+  let doc =
+    "Protocol: one of " ^ String.concat ", " (List.map fst protocols) ^ "."
   in
-  mk
-
-let protocol_name_arg =
-  let doc = "Protocol: domino, mencius, epaxos, multipaxos or fastpaxos." in
   Arg.(
     value
-    & opt (enum
-             [
-               ("domino", "domino");
-               ("mencius", "mencius");
-               ("epaxos", "epaxos");
-               ("multipaxos", "multipaxos");
-               ("fastpaxos", "fastpaxos");
-             ])
-        "domino"
+    & opt (enum protocols) Protocols.domino_default
     & info [ "protocol"; "p" ] ~docv:"PROTO" ~doc)
 
 (* --- run --- *)
@@ -237,9 +212,16 @@ let run_cmd =
                      trading commit latency for fewer syncs (default: \
                      immediate).")
   in
-  let action seed setting proto_name duration rate alpha additional
-      percentile metrics_out trace_op fsync_us batch_sync_us journal_out perfetto_out timeline_out timeline_window faults_file check =
-    let proto = protocol_arg additional percentile proto_name in
+  let action seed setting proto duration rate alpha additional percentile
+      metrics_out trace_op fsync_us batch_sync_us journal_out perfetto_out
+      timeline_out timeline_window faults_file check =
+    let proto =
+      match proto with
+      | Protocols.Domino d ->
+        Protocols.Domino
+          { d with additional_delay = Time_ns.of_ms_f additional; percentile }
+      | p -> p
+    in
     let faults = load_plan faults_file in
     let store =
       let p = Domino_store.Store.default_params in
@@ -291,33 +273,34 @@ let run_cmd =
       Exp_common.run ~seed ~rate ~alpha ~duration:(Time_ns.sec duration)
         ?journal:recording ?timeline:agg ?faults ~store setting proto
     in
+    let g = r.Domino_shard.Fabric.groups.(0) in
     let timeline = Option.map Domino_obs.Timeline.finish agg in
-    let commit = Observer.Recorder.commit_latency_ms r.recorder in
-    let exec = Observer.Recorder.exec_latency_ms r.recorder in
+    let commit = Observer.Recorder.commit_latency_ms g.recorder in
+    let exec = Observer.Recorder.exec_latency_ms g.recorder in
     Format.printf "%s on %d replicas, %d clients, %.0f req/s each:@."
-      (Exp_common.protocol_name proto)
+      (Protocols.name proto)
       (Array.length setting.Exp_common.replica_dcs)
       (Array.length setting.Exp_common.client_dcs)
       rate;
     Format.printf "  submitted %d, committed %d@."
-      (Observer.Recorder.submitted r.recorder)
-      (Observer.Recorder.committed r.recorder);
+      (Observer.Recorder.submitted g.recorder)
+      (Observer.Recorder.committed g.recorder);
     Format.printf "  commit latency: %a@." Domino_stats.Summary.pp_brief commit;
     Format.printf "  exec   latency: %a@." Domino_stats.Summary.pp_brief exec;
-    (match r.extra with
+    (match g.extra with
     | [] ->
-      if r.fast_commits + r.slow_commits > 0 then
-        Format.printf "  fast commits: %d, slow: %d@." r.fast_commits
-          r.slow_commits
+      if g.fast_commits + g.slow_commits > 0 then
+        Format.printf "  fast commits: %d, slow: %d@." g.fast_commits
+          g.slow_commits
     | extra ->
-      Format.printf "  %s:@." (Exp_common.protocol_name proto);
+      Format.printf "  %s:@." (Protocols.name proto);
       List.iter (fun (k, v) -> Format.printf "    %s = %d@." k v) extra);
-    (match r.store_fingerprints with
+    (match g.store_fingerprints with
     | x :: rest when List.for_all (fun y -> y = x) rest ->
       Format.printf "  replicas converged ✓@."
     | _ -> Format.printf "  WARNING: replica state diverged@.");
-    Format.printf "  stable storage: %d records synced%s@." r.sync_writes
-      (match r.recovery_ms with
+    Format.printf "  stable storage: %d records synced%s@." g.sync_writes
+      (match g.recovery_ms with
       | [] -> ""
       | spans ->
         Printf.sprintf ", %d recoveries (max replay %.2f ms)"
@@ -373,7 +356,7 @@ let run_cmd =
   let term =
     Term.(
       const action $ seed_arg $ setting_arg
-      $ protocol_name_arg $ duration $ rate $ alpha $ additional_delay
+      $ protocol_arg $ duration $ rate $ alpha $ additional_delay
       $ percentile $ metrics_out $ trace_op $ fsync_us $ batch_sync_us
       $ journal_out_arg $ perfetto_out_arg $ timeline_out_arg
       $ timeline_window_arg $ faults_arg $ check_arg)
@@ -638,18 +621,8 @@ let analyze_cmd =
   in
   let action journal_file window_ms csv_out gauges_csv_out dips_csv_out
       json_out per_node =
-    let contents =
-      match open_in_bin journal_file with
-      | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      | exception Sys_error msg ->
-        Format.eprintf "domino-sim: %s@." msg;
-        exit 2
-    in
     let j =
-      match Domino_obs.Journal.of_lines contents with
+      match Domino_obs.Journal.of_lines (read_file journal_file) with
       | Ok j -> j
       | Error msg ->
         Format.eprintf "domino-sim: %s: %s@." journal_file msg;

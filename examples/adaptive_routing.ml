@@ -39,7 +39,7 @@ let () =
       set_rtt 3 0 70.));
 
   let recorder = Observer.Recorder.create () in
-  let observer = Observer.Recorder.observer recorder () in
+  let observer = Observer.Recorder.observer recorder in
   let cfg = Config.make ~replicas:[| 0; 1; 2 |] () in
   let domino = Domino.create ~net ~cfg ~observer () in
 

@@ -19,12 +19,12 @@ let () =
   let replica_dcs = [ "WA"; "PR"; "NSW" ] in
   let client_dcs = [ "VA"; "WA"; "PR"; "NSW"; "SG"; "HK" ] in
   let placement = Array.of_list (replica_dcs @ client_dcs) in
-  let net = Topology.make_net engine Topology.globe ~placement () in
+  let net = Topology.make_net engine Topology.globe ~placement in
 
   let recorder = Observer.Recorder.create () in
   (* Measure after a 2s warm-up, like the paper discards run edges. *)
   Observer.Recorder.start_measuring recorder (Time_ns.sec 2);
-  let observer = Observer.Recorder.observer recorder () in
+  let observer = Observer.Recorder.observer recorder in
   let cfg = Config.make ~replicas:[| 0; 1; 2 |] () in
   let domino = Domino.create ~net ~cfg ~observer () in
 

@@ -20,7 +20,7 @@ let () =
   (* 2. A WAN: nodes 0-2 are replicas in WA/PR/NSW, node 3 is a client
      in VA. Link delays come from the paper's measured RTT matrix. *)
   let placement = [| "WA"; "PR"; "NSW"; "VA" |] in
-  let net = Topology.make_net engine Topology.globe ~placement () in
+  let net = Topology.make_net engine Topology.globe ~placement in
 
   (* 3. Domino with default paper settings (10ms probes, p95 estimates,
      1s window). The observer reports commits and executions. *)

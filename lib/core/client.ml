@@ -141,8 +141,8 @@ let create ~net ~cfg ~self ~observer ?retry () =
       cfg;
       self;
       estimator =
-        Estimator.create ~window:cfg.Config.window
-          ~percentile:cfg.Config.percentile ~n_replicas:(Config.n cfg) ();
+        Estimator.create ~percentile:cfg.Config.percentile
+          ~n_replicas:(Config.n cfg) ();
       observer;
       pending = Op.Idtbl.create 64;
       retry =
@@ -150,7 +150,7 @@ let create ~net ~cfg ~self ~observer ?retry () =
       done_ids = Op.Idtbl.create 256;
       feedback =
         (if cfg.Config.adaptive then
-           Some (Feedback.create ~baseline:cfg.Config.additional_delay ())
+           Some (Feedback.create ~baseline:cfg.Config.additional_delay)
          else None);
       ts_cursor = -1;
       probe_seq = 0;
@@ -168,7 +168,7 @@ let create ~net ~cfg ~self ~observer ?retry () =
   | _ -> ());
   ignore
     (Engine.every engine ~jitter:(Time_ns.us 500)
-       ~interval:cfg.Config.probe_interval (fun () -> send_probes t));
+       ~interval:Config.probe_interval (fun () -> send_probes t));
   t
 
 let submit t (op : Op.t) =

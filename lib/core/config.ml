@@ -5,9 +5,6 @@ open Domino_smr
 type t = {
   replicas : Nodeid.t array;
   coordinator : Nodeid.t;
-  probe_interval : Time_ns.span;
-  heartbeat_interval : Time_ns.span;
-  window : Time_ns.span;
   percentile : float;
   additional_delay : Time_ns.span;
   every_replica_learns : bool;
@@ -15,8 +12,10 @@ type t = {
   adaptive : bool;
 }
 
-let make ?(probe_interval = Time_ns.ms 10) ?(heartbeat_interval = Time_ns.ms 10)
-    ?(window = Time_ns.sec 1) ?(percentile = 95.) ?(additional_delay = 0)
+let probe_interval = Time_ns.ms 10
+let heartbeat_interval = Time_ns.ms 10
+
+let make ?(percentile = 95.) ?(additional_delay = 0)
     ?(every_replica_learns = false) ?(force_dfp = false) ?(adaptive = false)
     ?coordinator ~replicas () =
   if Array.length replicas = 0 then invalid_arg "Config.make: no replicas";
@@ -28,9 +27,6 @@ let make ?(probe_interval = Time_ns.ms 10) ?(heartbeat_interval = Time_ns.ms 10)
   {
     replicas;
     coordinator;
-    probe_interval;
-    heartbeat_interval;
-    window;
     percentile;
     additional_delay;
     every_replica_learns;

@@ -3,9 +3,10 @@ open Domino_net
 
 (** Domino deployment configuration.
 
-    Defaults mirror the paper's experimental settings (§7.1): 10 ms
-    probing and heartbeat intervals, a 1 s measurement window, the 95th
-    percentile delay estimate, and no additional delay on DFP request
+    The paper's experimental settings (§7.1) fix 10 ms probing and
+    heartbeat intervals (constants here) and a 1 s measurement window
+    ({!Domino_measure.Estimator}); {!make}'s defaults add the 95th
+    percentile delay estimate and no additional delay on DFP request
     timestamps.
 
     Client request retry is not part of the deployment config: it is
@@ -16,9 +17,6 @@ open Domino_net
 type t = {
   replicas : Nodeid.t array;
   coordinator : Nodeid.t;  (** the DFP coordinator (one of [replicas]) *)
-  probe_interval : Time_ns.span;
-  heartbeat_interval : Time_ns.span;
-  window : Time_ns.span;
   percentile : float;
   additional_delay : Time_ns.span;
       (** added to DFP request timestamps to absorb mispredictions
@@ -38,10 +36,15 @@ type t = {
           cluster, and fall back to DM while the fast path is broken *)
 }
 
+val probe_interval : Time_ns.span
+(** 10 ms: how often clients and replicas probe every replica. *)
+
+val heartbeat_interval : Time_ns.span
+(** 10 ms: how often each replica reports its watermarks (its DFP
+    acceptor watermark to the coordinator, its DM lane's to every
+    replica), and how often the coordinator ticks. *)
+
 val make :
-  ?probe_interval:Time_ns.span ->
-  ?heartbeat_interval:Time_ns.span ->
-  ?window:Time_ns.span ->
   ?percentile:float ->
   ?additional_delay:Time_ns.span ->
   ?every_replica_learns:bool ->

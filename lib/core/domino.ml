@@ -165,7 +165,7 @@ let create ~net ~cfg ~observer ?stores ?retry () =
   done;
   ignore
     (Engine.every (Fifo_net.engine net)
-       ~interval:cfg.Config.heartbeat_interval (fun () ->
+       ~interval:Config.heartbeat_interval (fun () ->
          Dfp_coordinator.tick coordinator;
          Dfp_coordinator.check_stuck coordinator
            ~now:(Engine.now (Fifo_net.engine net))));
@@ -247,7 +247,7 @@ module Api = struct
     let cfg =
       Config.make ~additional_delay:p.additional_delay
         ~percentile:p.percentile ~every_replica_learns:p.every_replica_learns
-        ~adaptive:p.adaptive ~force_dfp:p.force_dfp
+        ~adaptive:p.adaptive
         ~coordinator:env.Group.leader ~replicas:env.Group.replicas ()
     in
     let retry =

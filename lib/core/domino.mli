@@ -32,8 +32,8 @@ val create :
     node's durable state; the coordinator shares the co-located
     replica's store. Fresh default stores when omitted. Installs the
     wipe-restart hooks ({!Fifo_net.set_wipe_hook}) for every replica.
-    [retry] arms every client's request retry ({!Client.retry}); the
-    registry entry builds it from [env.params] when [retry_timeout > 0]. *)
+    [retry] arms every client's request retry ({!Client.retry}); {!Api}
+    builds it from [env.params] when [retry_timeout > 0]. *)
 
 val submit : t -> Op.t -> unit
 (** Submit from [op.client]'s client library. *)
@@ -49,6 +49,7 @@ val committed_count : t -> int
 (** Operations some client has learned committed (DFP or DM). *)
 
 module Api : Protocol_intf.S with type t = t
-(** The registry entry ("domino"). Config knobs travel in [env.params]:
-    [additional_delay_ms], [percentile], [every_replica_learns],
-    [adaptive], [force_dfp] (booleans as 0/1). *)
+(** The unified-API module, named "domino" ([Protocols.Domino]). Its
+    config knobs travel in [env.params]: [additional_delay],
+    [percentile], [every_replica_learns] and [adaptive], plus the
+    [retry_*] fields. *)

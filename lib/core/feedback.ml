@@ -2,12 +2,13 @@ open Domino_sim
 
 type outcome = Fast | Slow
 
+let window = 50
+let target = 0.95
+let giveup = 0.5
+let step = Time_ns.ms 2
+let max_extra = Time_ns.ms 32
+
 type t = {
-  window : int;
-  target : float;
-  giveup : float;
-  step : Time_ns.span;
-  max_extra : Time_ns.span;
   baseline : Time_ns.span;
   outcomes : bool array;  (** ring buffer: true = fast *)
   mutable size : int;
@@ -16,15 +17,8 @@ type t = {
   mutable extra : Time_ns.span;
 }
 
-let create ?(window = 50) ?(target = 0.95) ?(giveup = 0.5)
-    ?(step = Time_ns.ms 2) ?(max_extra = Time_ns.ms 32) ~baseline () =
-  if window <= 0 then invalid_arg "Feedback.create: window";
+let create ~baseline =
   {
-    window;
-    target;
-    giveup;
-    step;
-    max_extra;
     baseline;
     outcomes = Array.make window false;
     size = 0;
@@ -38,26 +32,25 @@ let fast_rate t =
 
 let adjust t =
   let rate = fast_rate t in
-  if t.size >= t.window / 2 then begin
-    if rate < t.target then
-      t.extra <- Stdlib.min t.max_extra (t.extra + t.step)
-    else if rate >= 1. -. ((1. -. t.target) /. 2.) then
+  if t.size >= window / 2 then begin
+    if rate < target then t.extra <- Stdlib.min max_extra (t.extra + step)
+    else if rate >= 1. -. ((1. -. target) /. 2.) then
       (* Comfortably above target: decay toward the baseline. *)
-      t.extra <- Stdlib.max t.baseline (t.extra - (t.step / 4))
+      t.extra <- Stdlib.max t.baseline (t.extra - (step / 4))
   end
 
 let record t outcome =
   let fast = outcome = Fast in
-  if t.size = t.window then begin
+  if t.size = window then begin
     (* Overwriting the oldest entry. *)
     if t.outcomes.(t.next) then t.fast <- t.fast - 1
   end
   else t.size <- t.size + 1;
   t.outcomes.(t.next) <- fast;
   if fast then t.fast <- t.fast + 1;
-  t.next <- (t.next + 1) mod t.window;
+  t.next <- (t.next + 1) mod window;
   adjust t
 
 let extra_delay t = t.extra
 
-let should_avoid_dfp t = t.size >= t.window / 2 && fast_rate t < t.giveup
+let should_avoid_dfp t = t.size >= window / 2 && fast_rate t < giveup

@@ -28,18 +28,11 @@ type t
 
 type outcome = Fast | Slow
 
-val create :
-  ?window:int ->
-  ?target:float ->
-  ?giveup:float ->
-  ?step:Time_ns.span ->
-  ?max_extra:Time_ns.span ->
-  baseline:Time_ns.span ->
-  unit ->
-  t
-(** Defaults: [window] 50 outcomes, [target] 0.95, [giveup] 0.5,
-    [step] 2 ms, [max_extra] 32 ms. [baseline] is the configured
-    additional delay the controller never goes below. *)
+val create : baseline:Time_ns.span -> t
+(** A controller over a [window] of 50 outcomes, with [target] 0.95,
+    [giveup] 0.5, [step] 2 ms and [max_extra] 32 ms. [baseline] is the
+    configured additional delay the controller starts at and never
+    goes below. *)
 
 val record : t -> outcome -> unit
 

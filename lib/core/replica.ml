@@ -491,8 +491,8 @@ let make_exec t =
         t.observer.Observer.on_execute ~replica:t.self op ~now:(now_engine t))
 
 let make_estimator cfg ~index =
-  Estimator.create ~window:cfg.Config.window ~percentile:cfg.Config.percentile
-    ~self:index ~n_replicas:(Config.n cfg) ()
+  Estimator.create ~percentile:cfg.Config.percentile ~self:index
+    ~n_replicas:(Config.n cfg) ()
 
 let wipe_volatile t =
   t.estimator <- make_estimator t.cfg ~index:t.index;
@@ -575,10 +575,10 @@ let create ~net ~cfg ~index ~observer ~store () =
   let engine = Fifo_net.engine net in
   ignore
     (Engine.every engine ~jitter:(Time_ns.us 500)
-       ~interval:cfg.Config.probe_interval (fun () -> send_probes t));
+       ~interval:Config.probe_interval (fun () -> send_probes t));
   ignore
     (Engine.every engine ~jitter:(Time_ns.us 500)
-       ~interval:cfg.Config.heartbeat_interval (fun () -> send_heartbeat t));
+       ~interval:Config.heartbeat_interval (fun () -> send_heartbeat t));
   ignore
     (Engine.every engine ~interval:(Time_ns.ms 300) (fun () -> retransmit t));
   t

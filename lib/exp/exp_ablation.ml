@@ -4,7 +4,7 @@ open Domino_stats
 
 let variants =
   let mk ?(delay = 0) ?(pct = 95.) ?(learn = false) ?(adaptive = false) () =
-    Exp_common.Domino
+    Protocols.Domino
       {
         additional_delay = Time_ns.ms delay;
         percentile = pct;
@@ -36,11 +36,13 @@ let run ?(quick = true) ?(seed = 42L) () =
   in
   let results =
     Domino_par.Par.map_list
-      (fun (_, proto) -> Exp_common.run ~seed ~duration Exp_common.globe3 proto)
+      (fun (_, proto) ->
+        (Exp_common.run ~seed ~duration Exp_common.globe3 proto)
+          .Domino_shard.Fabric.groups.(0))
       variants
   in
   List.iter2
-    (fun (name, _) (r : Exp_common.result) ->
+    (fun (name, _) (r : Domino_shard.Fabric.group_result) ->
       let commit = Observer.Recorder.commit_latency_ms r.recorder in
       let exec = Observer.Recorder.exec_latency_ms r.recorder in
       let total = r.fast_commits + r.slow_commits in

@@ -52,38 +52,6 @@ let fig7_double =
     leader = 0;
   }
 
-type protocol = Protocols.t =
-  | Domino of {
-      additional_delay : Time_ns.span;
-      percentile : float;
-      every_replica_learns : bool;
-      adaptive : bool;
-    }
-  | Mencius
-  | Epaxos
-  | Multi_paxos
-  | Fast_paxos
-
-let domino_default = Protocols.domino_default
-let domino_exec = Protocols.domino_exec
-let protocol_name = Protocols.name
-
-type result = {
-  recorder : Observer.Recorder.t;
-  metrics : Metrics.t;
-  fast_commits : int;
-  slow_commits : int;
-  extra : (string * int) list;
-  store_fingerprints : int list;
-  wall_events : int;
-  provenance : Provenance.breakdown list;
-  sync_writes : int;
-      (** WAL records made durable by fsync barriers, summed over the
-          replicas' stable stores *)
-  recovery_ms : float list;
-      (** modeled wipe-restart replay spans, oldest first *)
-}
-
 let closest_replica setting ~client_dc =
   Domino_shard.Placement.closest_replica setting.topo
     ~replica_dcs:setting.replica_dcs ~client_dc
@@ -115,23 +83,8 @@ let run ?seed ?rate ?alpha ?duration ?measure_from ?measure_until ?metrics
       slots = Domino_shard.Slots.Hash { slots = 1 };
     }
   in
-  let r =
-    Domino_shard.Fabric.run ?seed ?rate ?alpha ?duration ?measure_from
-      ?measure_until ?metrics ?journal ?timeline ?faults ?store config
-  in
-  let g = r.Domino_shard.Fabric.groups.(0) in
-  {
-    recorder = g.Domino_shard.Fabric.recorder;
-    metrics = r.Domino_shard.Fabric.metrics;
-    fast_commits = g.Domino_shard.Fabric.fast_commits;
-    slow_commits = g.Domino_shard.Fabric.slow_commits;
-    extra = g.Domino_shard.Fabric.extra;
-    store_fingerprints = g.Domino_shard.Fabric.store_fingerprints;
-    wall_events = g.Domino_shard.Fabric.wall_events;
-    provenance = r.Domino_shard.Fabric.provenance;
-    sync_writes = g.Domino_shard.Fabric.sync_writes;
-    recovery_ms = g.Domino_shard.Fabric.recovery_ms;
-  }
+  Domino_shard.Fabric.run ?seed ?rate ?alpha ?duration ?measure_from
+    ?measure_until ?metrics ?journal ?timeline ?faults ?store config
 
 (* --- parallel sweep machinery ---
 
@@ -144,13 +97,15 @@ let run ?seed ?rate ?alpha ?duration ?measure_from ?measure_until ?metrics
 let seed_for base i = Int64.add base (Int64.of_int (i * 1_000_003))
 
 let run_latencies ~seed ?rate ?alpha ?duration ?journal ?timeline ?faults
-    ?store setting proto =
+    setting proto =
   let r =
-    run ~seed ?rate ?alpha ?duration ?journal ?timeline ?faults ?store setting
-      proto
+    run ~seed ?rate ?alpha ?duration ?journal ?timeline ?faults setting proto
   in
-  ( Observer.Recorder.commit_latency_ms r.recorder,
-    Observer.Recorder.exec_latency_ms r.recorder )
+  let recorder =
+    r.Domino_shard.Fabric.groups.(0).Domino_shard.Fabric.recorder
+  in
+  ( Observer.Recorder.commit_latency_ms recorder,
+    Observer.Recorder.exec_latency_ms recorder )
 
 let merge_pairs pairs =
   Array.fold_left
@@ -211,7 +166,7 @@ let fan_out ?jobs ?journal ?timeline ~label task n =
   Array.map (fun (r, _, _) -> r) results
 
 let run_sweep ?(runs = 1) ?(seed = 42L) ?rate ?alpha ?duration ?jobs ?journal
-    ?timeline ?faults ?store cells =
+    ?timeline ?faults cells =
   let cells = Array.of_list cells in
   let n_cells = Array.length cells in
   (* Flatten to (cell, run) tasks so cores stay busy even when one
@@ -225,7 +180,7 @@ let run_sweep ?(runs = 1) ?(seed = 42L) ?rate ?alpha ?duration ?jobs ?journal
       (fun t ~journal ~timeline ->
         let setting, proto = cells.(t / runs) in
         run_latencies ~seed:(seed_for seed (t mod runs)) ?rate ?alpha
-          ?duration ?journal ?timeline ?faults ?store setting proto)
+          ?duration ?journal ?timeline ?faults setting proto)
       (n_cells * runs)
   in
   List.init n_cells (fun ci -> merge_pairs (Array.sub results (ci * runs) runs))

@@ -1,6 +1,5 @@
 open Domino_sim
 open Domino_net
-open Domino_smr
 open Domino_obs
 
 (** Shared machinery for reproducing the paper's experiments (§7.1).
@@ -8,12 +7,14 @@ open Domino_obs
     A {!setting} is a cluster layout: the topology, which datacenters
     host replicas, which host clients, and where the Multi-Paxos
     leader / Fast Paxos & DFP coordinator live. {!run} executes one
-    simulated experiment of a given protocol over a setting —
-    dispatching through the {!Protocol_intf} registry, so it contains
-    no per-protocol wiring — and returns the recorder with its latency
-    samples plus the run's metrics registry and (optional) operation
-    trace; {!run_sweep} repeats it with different seeds and merges
-    results, the paper's 10-runs-combined methodology. *)
+    simulated experiment of a given protocol over a setting — as the
+    one-group case of the shard fabric, dispatching through the
+    protocol's {!Protocols.resolve}d module, so it contains no
+    per-protocol wiring — and returns the fabric's result: the group's
+    recorder with its latency samples, plus the run's metrics registry
+    and (optional) latency provenance; {!run_sweep} repeats it with
+    different seeds and merges results, the paper's 10-runs-combined
+    methodology. *)
 
 type setting = {
   topo : Topology.t;
@@ -40,54 +41,6 @@ val fig7_single : setting
 val fig7_double : setting
 (** Figure 7: same replicas, clients in IA and WA. *)
 
-type protocol = Protocols.t =
-  | Domino of {
-      additional_delay : Time_ns.span;
-      percentile : float;
-      every_replica_learns : bool;
-      adaptive : bool;  (** §5.4 feedback controller *)
-    }
-  | Mencius
-  | Epaxos
-  | Multi_paxos
-  | Fast_paxos
-(** Re-export of {!Protocols.t}, the experiment-facing selector. *)
-
-val domino_default : protocol
-(** Domino with no additional delay, p95 estimates. *)
-
-val domino_exec : protocol
-(** Domino with the paper's +8 ms execution-latency setting (§7.2.3). *)
-
-val protocol_name : protocol -> string
-
-type result = {
-  recorder : Observer.Recorder.t;
-  metrics : Metrics.t;
-      (** the run's registry: [run.*] counters and latency histograms,
-          per-class [<protocol>.msg.*] counters, [sim.events] *)
-  fast_commits : int;  (** protocol-reported fast-path commits, if any *)
-  slow_commits : int;
-  extra : (string * int) list;
-      (** protocol-specific counters with stable keys — Domino reports
-          [dfp_fast_decisions], [dfp_slow_decisions], [dfp_conflicts],
-          [dfp_submissions], [dm_submissions], [late_decisions] *)
-  store_fingerprints : int list;
-      (** per-replica state-machine digests after the run; all equal
-          iff replicas executed identically *)
-  wall_events : int;  (** messages delivered, for cost reporting *)
-  provenance : Provenance.breakdown list;
-      (** per-committed-op critical-path latency decomposition; empty
-          unless the run was journaled *)
-  sync_writes : int;
-      (** WAL records made durable by fsync barriers, summed over the
-          replicas' stable stores (also [store.sync_writes] in
-          metrics) *)
-  recovery_ms : float list;
-      (** modeled wipe-restart replay spans, oldest first (also the
-          [store.recovery_ms] histogram) *)
-}
-
 val run :
   ?seed:int64 ->
   ?rate:float ->
@@ -101,11 +54,12 @@ val run :
   ?faults:Domino_fault.Plan.t ->
   ?store:Domino_store.Store.params ->
   setting ->
-  protocol ->
-  result
-(** Defaults: 200 req/s per client, alpha 0.75, 30 s runs measured over
-    \[5 s, 28 s\] — a scaled-down version of the paper's 90 s runs
-    measured over the middle 60 s.
+  Protocols.t ->
+  Domino_shard.Fabric.result
+(** The shard fabric's result for a one-group run: the group's recorder
+    and counters are [groups.(0)]. Defaults: 200 req/s per client,
+    alpha 0.75, 30 s runs measured over \[5 s, 28 s\] — a scaled-down
+    version of the paper's 90 s runs measured over the middle 60 s.
 
     [metrics] shares a caller's registry (default: a fresh one, in
     [result.metrics]).
@@ -123,16 +77,17 @@ val run :
 
     [faults] arms a {!Domino_fault.Plan} on the run's network
     ({!Domino_fault.Inject.install}) and switches on client retry: the
-    one {!Retry} loop, resending through the protocol's own submit for
-    Mencius/EPaxos/Multi-Paxos/Fast Paxos and by Domino's DM failover
-    rule for Domino, whose params {!Protocols.params_under_faults}
-    arms. Under the generic resend the result's [extra] then also
-    carries [harness_retries] / [harness_abandoned]; Domino's extra
-    always carries its clients' [client_retries] / [client_abandoned].
+    one {!Domino_smr.Retry} loop, resending through the protocol's own
+    submit for Mencius/EPaxos/Multi-Paxos/Fast Paxos and by Domino's DM
+    failover rule for Domino, whose params
+    {!Protocols.params_under_faults} arms. Under the generic resend the
+    group's [extra] then also carries [harness_retries] /
+    [harness_abandoned]; Domino's extra always carries its clients'
+    [client_retries] / [client_abandoned].
 
     Each replica's execution stream is guarded by the group's op ledger
-    ({!Observer.Recorder.execute}), so retried ops apply at most once to
-    the stores/journal.
+    ({!Domino_smr.Observer.Recorder.execute}), so retried ops apply at
+    most once to the stores/journal.
 
     [store] (default {!Domino_store.Store.default_params}) parameterizes
     each replica's simulated stable store: fsync/append/snapshot
@@ -174,8 +129,7 @@ val run_sweep :
   ?journal:Journal.t ->
   ?timeline:Timeline.agg ->
   ?faults:Domino_fault.Plan.t ->
-  ?store:Domino_store.Store.params ->
-  (setting * protocol) list ->
+  (setting * Protocols.t) list ->
   (Domino_stats.Summary.t * Domino_stats.Summary.t) list
 (** [(commit_latency_ms, exec_latency_ms)] per [(setting, protocol)]
     cell, each merged over [runs] (default 1) independent seeds — the

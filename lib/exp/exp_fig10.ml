@@ -7,10 +7,10 @@ let runs quick = if quick then 1 else 3
 
 let protocols =
   [
-    ("Domino-8ms", Exp_common.domino_exec);
-    ("EPaxos", Exp_common.Epaxos);
-    ("Mencius", Exp_common.Mencius);
-    ("Multi-Paxos", Exp_common.Multi_paxos);
+    ("Domino-8ms", Protocols.domino_exec);
+    ("EPaxos", Protocols.Epaxos);
+    ("Mencius", Protocols.Mencius);
+    ("Multi-Paxos", Protocols.Multi_paxos);
   ]
 
 let run ?(quick = true) ?(seed = 42L) ~alpha () =

@@ -18,7 +18,7 @@ let run ?(quick = true) ?(seed = 42L) () =
     List.map
       (fun delay_ms ->
         ( Exp_common.globe3,
-          Exp_common.Domino
+          Protocols.Domino
             {
               additional_delay = Time_ns.ms delay_ms;
               percentile = 95.;

@@ -40,7 +40,7 @@ let run_proto ~seed ~duration ~rate ~initial_rtt ~changes proto =
   let recorder = Observer.Recorder.create () in
   (* skip the probing warm-up second *)
   Observer.Recorder.start_measuring recorder (Time_ns.sec 2);
-  let observer = Observer.Recorder.observer recorder () in
+  let observer = Observer.Recorder.observer recorder in
   let replicas = [| 0; 1; 2 |] in
   let client = 3 in
   let submit =

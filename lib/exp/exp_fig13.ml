@@ -61,7 +61,7 @@ let run_load (type msg) ~seed ~(make : msg Fifo_net.t -> Observer.t -> Op.t -> u
   let net : msg Fifo_net.t = lan_net engine in
   let recorder = Observer.Recorder.create () in
   let from_, until = measure_window in
-  let observer = Observer.Recorder.observer recorder () in
+  let observer = Observer.Recorder.observer recorder in
   let submit = make net observer in
   Array.iter
     (fun r ->

@@ -8,14 +8,15 @@ let measure quick = (Time_ns.sec 3, duration quick - Time_ns.sec 2)
 
 let run_case ~quick ~seed setting proto =
   let mfrom, muntil = measure quick in
-  Exp_common.run ~seed ~duration:(duration quick) ~measure_from:mfrom
-    ~measure_until:muntil setting proto
+  (Exp_common.run ~seed ~duration:(duration quick) ~measure_from:mfrom
+     ~measure_until:muntil setting proto)
+    .Domino_shard.Fabric.groups.(0)
 
 let fast_paxos_slow_fraction ?(seed = 42L) ~clients () =
   let setting =
     if clients <= 1 then Exp_common.fig7_single else Exp_common.fig7_double
   in
-  let r = run_case ~quick:true ~seed setting Exp_common.Fast_paxos in
+  let r = run_case ~quick:true ~seed setting Protocols.Fast_paxos in
   let total = r.fast_commits + r.slow_commits in
   if total = 0 then 0. else float_of_int r.slow_commits /. float_of_int total
 
@@ -30,13 +31,13 @@ let run ?(quick = true) ?(seed = 42L) () =
   let cases =
     [
       ("Fast Paxos, 1 client", "~38ms", Exp_common.fig7_single,
-       Exp_common.Fast_paxos);
+       Protocols.Fast_paxos);
       ("Multi-Paxos, 1 client", "~103ms", Exp_common.fig7_single,
-       Exp_common.Multi_paxos);
+       Protocols.Multi_paxos);
       ("Fast Paxos, 2 clients", "> Multi-Paxos", Exp_common.fig7_double,
-       Exp_common.Fast_paxos);
+       Protocols.Fast_paxos);
       ("Multi-Paxos, 2 clients", "~65/~100ms", Exp_common.fig7_double,
-       Exp_common.Multi_paxos);
+       Protocols.Multi_paxos);
     ]
   in
   let results =
@@ -45,7 +46,7 @@ let run ?(quick = true) ?(seed = 42L) () =
       cases
   in
   List.iter2
-    (fun (name, paper, _, _) (r : Exp_common.result) ->
+    (fun (name, paper, _, _) (r : Domino_shard.Fabric.group_result) ->
       let c = Observer.Recorder.commit_latency_ms r.recorder in
       Tablefmt.add_row t
         [

@@ -30,10 +30,10 @@ let runs quick = if quick then 1 else 3
 
 let protocols =
   [
-    Exp_common.domino_default;
-    Exp_common.Epaxos;
-    Exp_common.Mencius;
-    Exp_common.Multi_paxos;
+    Protocols.domino_default;
+    Protocols.Epaxos;
+    Protocols.Mencius;
+    Protocols.Multi_paxos;
   ]
 
 let run ?(quick = true) ?(seed = 42L) variant () =
@@ -53,7 +53,7 @@ let run ?(quick = true) ?(seed = 42L) variant () =
   in
   List.iter2
     (fun proto (commit, _) ->
-      let pname = Exp_common.protocol_name proto in
+      let pname = Protocols.name proto in
       Tablefmt.add_row t
         [
           pname;

@@ -10,7 +10,7 @@
 
 type variant = Na3 | Na5 | Globe
 
-val protocols : Exp_common.protocol list
+val protocols : Protocols.t list
 (** The figure's four contenders, in presentation order: Domino
     (default knobs), EPaxos, Mencius, Multi-Paxos. Exposed so the
     benchmark harness can time the same sweep it prints. *)

@@ -7,7 +7,7 @@ let delays_ms quick = if quick then [ 0; 2; 8; 16 ] else [ 0; 1; 2; 4; 8; 12; 16
 
 let duration quick = if quick then Time_ns.sec 12 else Time_ns.sec 30
 
-let references = [ Exp_common.Mencius; Exp_common.Epaxos; Exp_common.Multi_paxos ]
+let references = [ Protocols.Mencius; Protocols.Epaxos; Protocols.Multi_paxos ]
 
 let run ?(quick = true) ?(seed = 42L) () =
   let d = duration quick in
@@ -28,7 +28,7 @@ let run ?(quick = true) ?(seed = 42L) () =
       (fun pct ->
         List.map
           (fun delay_ms ->
-            Exp_common.Domino
+            Protocols.Domino
               {
                 additional_delay = Time_ns.ms delay_ms;
                 percentile = pct;
@@ -56,7 +56,7 @@ let run ?(quick = true) ?(seed = 42L) () =
     (fun i proto ->
       Tablefmt.add_row t
         [
-          Exp_common.protocol_name proto ^ " (reference)";
+          Protocols.name proto ^ " (reference)";
           Tablefmt.cell_ms (List.nth p99s (n_grid + i));
         ])
     references;

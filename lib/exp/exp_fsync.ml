@@ -28,7 +28,7 @@ let disks =
       } );
   ]
 
-let protocols = [ Exp_common.domino_default; Exp_common.Multi_paxos ]
+let protocols = [ Protocols.domino_default; Protocols.Multi_paxos ]
 
 let run ?(quick = true) ?(seed = 42L) () =
   let duration = Time_ns.sec (if quick then 8 else 20) in
@@ -45,13 +45,14 @@ let run ?(quick = true) ?(seed = 42L) () =
       List.iter
         (fun (disk, store) ->
           let metrics = Domino_obs.Metrics.create () in
-          let r =
-            Exp_common.run ~seed ~duration ~metrics ~store Exp_common.na3
-              proto
+          let g =
+            (Exp_common.run ~seed ~duration ~metrics ~store Exp_common.na3
+               proto)
+              .Domino_shard.Fabric.groups.(0)
           in
           let commit =
             Domino_smr.Observer.Recorder.commit_latency_ms
-              r.Exp_common.recorder
+              g.Domino_shard.Fabric.recorder
           in
           let syncs =
             match Domino_obs.Metrics.find_counter metrics "store.syncs" with
@@ -60,7 +61,7 @@ let run ?(quick = true) ?(seed = 42L) () =
           in
           Tablefmt.add_row t
             [
-              Exp_common.protocol_name proto;
+              Protocols.name proto;
               disk;
               Tablefmt.cell_ms (Summary.percentile commit 50.);
               Tablefmt.cell_ms (Summary.percentile commit 95.);
@@ -69,7 +70,7 @@ let run ?(quick = true) ?(seed = 42L) () =
               (if syncs = 0 then "-"
                else
                  Printf.sprintf "%.1f"
-                   (float_of_int r.Exp_common.sync_writes
+                   (float_of_int g.Domino_shard.Fabric.sync_writes
                    /. float_of_int syncs));
             ])
         disks)

@@ -25,11 +25,11 @@ let plans =
 
 let protocols =
   [
-    Exp_common.domino_default;
-    Exp_common.Mencius;
-    Exp_common.Epaxos;
-    Exp_common.Multi_paxos;
-    Exp_common.Fast_paxos;
+    Protocols.domino_default;
+    Protocols.Mencius;
+    Protocols.Epaxos;
+    Protocols.Multi_paxos;
+    Protocols.Fast_paxos;
   ]
 
 let plan_exn name text =
@@ -60,7 +60,7 @@ let run ?(quick = true) ?(seed = 42L) () =
           List.iter
             (fun (r : Dip.report) ->
               Tablefmt.add_row t
-                (Exp_common.protocol_name proto :: plan_name :: r.Dip.fault
+                (Protocols.name proto :: plan_name :: r.Dip.fault
                 :: r.Dip.detail :: Dip.cells r))
             reports)
         plans)
@@ -78,5 +78,5 @@ let smoke_journal ~seed ?faults ?timeline ?(journal = Journal.create ()) () =
   in
   ignore
     (Exp_common.run ~seed ~duration:(Time_ns.sec 6) ~journal ?timeline
-       ~faults Exp_common.fig7_double Exp_common.domino_default);
+       ~faults Exp_common.fig7_double Protocols.domino_default);
   journal

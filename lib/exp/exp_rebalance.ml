@@ -180,7 +180,7 @@ let smoke_journal ~seed ?faults ?timeline ?(journal = Journal.create ()) () =
    other protocols. Mirrors [Exp_common.run]'s fault posture: Domino
    arms the in-protocol resend rule of the shared [Retry] loop;
    everyone else gets the fabric's generic resend. *)
-let chaos_journal ~seed ~faults ?(proto = Exp_common.domino_default)
+let chaos_journal ~seed ~faults ?(proto = Protocols.domino_default)
     ?(duration = Time_ns.sec 6) ?timeline () =
   let j = Journal.create () in
   ignore

@@ -34,7 +34,7 @@ val smoke_journal :
 val chaos_journal :
   seed:int64 ->
   faults:Domino_fault.Plan.t ->
-  ?proto:Exp_common.protocol ->
+  ?proto:Protocols.t ->
   ?duration:Domino_sim.Time_ns.span ->
   ?timeline:Domino_obs.Timeline.agg ->
   unit ->

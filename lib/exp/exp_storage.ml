@@ -6,7 +6,7 @@ open Domino_stats
 let run () =
   let engine = Engine.create ~seed:31L () in
   let placement = [| "WA"; "PR"; "NSW"; "VA" |] in
-  let net = Topology.make_net engine Topology.globe ~placement () in
+  let net = Topology.make_net engine Topology.globe ~placement in
   let cfg = Config.make ~replicas:[| 0; 1; 2 |] () in
   let d = Domino.create ~net ~cfg ~observer:Domino_smr.Observer.null () in
   let _w =

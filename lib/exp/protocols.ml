@@ -31,6 +31,8 @@ let domino_exec =
       adaptive = false;
     }
 
+let all = [ domino_default; Mencius; Epaxos; Multi_paxos; Fast_paxos ]
+
 let name = function
   | Domino _ -> "Domino"
   | Mencius -> "Mencius"
@@ -38,12 +40,21 @@ let name = function
   | Multi_paxos -> "Multi-Paxos"
   | Fast_paxos -> "Fast Paxos"
 
-let api_name = function
-  | Domino _ -> "domino"
-  | Mencius -> "mencius"
-  | Epaxos -> "epaxos"
-  | Multi_paxos -> "multipaxos"
-  | Fast_paxos -> "fastpaxos"
+(* Nothing here is lazy: OCaml 5 raises [CamlinternalLazy.Undefined]
+   when two domains force one [lazy] at once, and a sweep's domains
+   resolve at once. *)
+let resolve : t -> Protocol_intf.protocol = function
+  | Domino _ -> (module Domino_core.Domino.Api)
+  | Mencius -> (module Domino_proto.Mencius.Api)
+  | Epaxos -> (module Domino_proto.Epaxos.Api)
+  | Multi_paxos -> (module Domino_proto.Multipaxos.Api)
+  | Fast_paxos -> (module Domino_proto.Fastpaxos.Api)
+
+let api_name proto =
+  let (module P : Protocol_intf.S) = resolve proto in
+  P.name
+
+let of_api_name s = List.find_opt (fun p -> api_name p = s) all
 
 (* One decode site: the selector's knobs land in the typed params
    record with exhaustive defaults for everything it doesn't set. *)
@@ -74,32 +85,3 @@ let params_under_faults proto =
       retry_failover_after = 1;
     }
   | Mencius | Epaxos | Multi_paxos | Fast_paxos -> p
-
-let of_api_name = function
-  | "domino" -> Some domino_default
-  | "mencius" -> Some Mencius
-  | "epaxos" -> Some Epaxos
-  | "multipaxos" -> Some Multi_paxos
-  | "fastpaxos" -> Some Fast_paxos
-  | _ -> None
-
-(* [Protocol_intf.register] hands back the module it registered, so
-   resolution binds each instance once — no name lookup, no
-   re-registration per run. Registration runs while this module
-   initialises, before any sweep fans runs out across domains: OCaml 5
-   raises [CamlinternalLazy.Undefined] when two domains force one
-   [lazy] at once, so nothing here is lazy. *)
-let domino, mencius, epaxos, multipaxos, fastpaxos =
-  let r p = Protocol_intf.register p in
-  ( r (module Domino_core.Domino.Api : Protocol_intf.S),
-    r (module Domino_proto.Mencius.Api : Protocol_intf.S),
-    r (module Domino_proto.Epaxos.Api : Protocol_intf.S),
-    r (module Domino_proto.Multipaxos.Api : Protocol_intf.S),
-    r (module Domino_proto.Fastpaxos.Api : Protocol_intf.S) )
-
-let resolve = function
-  | Domino _ -> domino
-  | Mencius -> mencius
-  | Epaxos -> epaxos
-  | Multi_paxos -> multipaxos
-  | Fast_paxos -> fastpaxos

@@ -1,13 +1,14 @@
 open Domino_sim
 open Domino_smr
 
-(** The experiment-facing protocol selector.
+(** The experiment-facing protocol selector, and the one place that
+    names a protocol.
 
     Experiments and the CLI pick protocols with this plain variant
     (Domino's config knobs inline); {!resolve} maps a selection to its
-    {!Protocol_intf.S} registry entry and {!params} decodes the knobs
-    into the typed {!Protocol_intf.params} record the unified API
-    expects. *)
+    {!Protocol_intf.S} module, whose [P.name] is the selector's
+    {!api_name}, and {!params} decodes the knobs into the typed
+    {!Protocol_intf.params} record the unified API expects. *)
 
 type t =
   | Domino of {
@@ -27,11 +28,21 @@ val domino_default : t
 val domino_exec : t
 (** Domino with the paper's +8 ms execution-latency setting (§7.2.3). *)
 
+val all : t list
+(** Every protocol once, Domino at {!domino_default}: the table the
+    CLI's [--protocol] choices and the conformance tests range over. *)
+
 val name : t -> string
 (** Display name ("Multi-Paxos"). *)
 
 val api_name : t -> string
-(** Registry key ("multipaxos"). *)
+(** The resolved module's [P.name] ("multipaxos"). *)
+
+val of_api_name : string -> t option
+(** The member of {!all} with this {!api_name}. *)
+
+val resolve : t -> Protocol_intf.protocol
+(** The selector's module. *)
 
 val params : t -> Protocol_intf.params
 (** The selector's knobs as the typed record, every other field at its
@@ -45,12 +56,3 @@ val params_under_faults : t -> Protocol_intf.params
     through DM, failing over to another coordinator after 1 retry;
     the other protocols' params are unchanged, and the fabric wraps
     them in the generic resend through their own submit. *)
-
-val of_api_name : string -> t option
-(** Inverse of {!api_name}, with Domino at its default settings. *)
-
-val resolve : t -> Protocol_intf.protocol
-(** The selector's module. Every protocol is registered in
-    {!Protocol_intf}'s registry once, while this module initialises,
-    and resolution returns the bound module — no per-run name lookup,
-    and nothing left to force when a sweep's domains resolve at once. *)

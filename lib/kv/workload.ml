@@ -72,8 +72,9 @@ end
 
 type t = { mutable submitted : int }
 
-let create ?alpha ?(keys = 1_000_000) ?(rate = 200.) ~clients ~duration
-    ~submit engine =
+let keys = 1_000_000
+
+let create ?alpha ?(rate = 200.) ~clients ~duration ~submit engine =
   let t = { submitted = 0 } in
   let root = Engine.rng engine in
   List.iter

@@ -24,7 +24,6 @@ type t
 
 val create :
   ?alpha:float ->
-  ?keys:int ->
   ?rate:float ->
   clients:Nodeid.t list ->
   duration:Time_ns.span ->
@@ -32,8 +31,8 @@ val create :
   Engine.t ->
   t
 (** Schedules the full open-loop workload on the engine: each client
-    submits [rate] (default 200) ops/s for [duration]. Submission
-    bookkeeping is the protocol's job: every protocol [submit] fires
-    the observer's [on_submit]. *)
+    submits [rate] (default 200) ops/s for [duration], over the one
+    million keys. Submission bookkeeping is the protocol's job: every
+    protocol [submit] fires the observer's [on_submit]. *)
 
 val total_submitted : t -> int

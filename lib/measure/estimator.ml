@@ -10,7 +10,6 @@ type peer = {
 type t = {
   peers : peer array;
   mutable percentile : float;
-  probe_timeout : Time_ns.span;
   self : int option;
   (* Reusable sort buffer for the per-choice latency scans: these run
      for every client submission and every answered probe, so they must
@@ -20,8 +19,12 @@ type t = {
 
 type choice = Dfp | Dm of int
 
-let create ?(window = Time_ns.sec 1) ?(percentile = 95.)
-    ?(probe_timeout = Time_ns.sec 1) ?self ~n_replicas () =
+(* The paper's settings: estimates over the last second of probes, and
+   a replica silent for a second counts as infinitely far (§5.8). *)
+let window = Time_ns.sec 1
+let probe_timeout = Time_ns.sec 1
+
+let create ?(percentile = 95.) ?self ~n_replicas () =
   if n_replicas <= 0 then invalid_arg "Estimator.create: n_replicas";
   let mk _ =
     {
@@ -34,7 +37,6 @@ let create ?(window = Time_ns.sec 1) ?(percentile = 95.)
   {
     peers = Array.init n_replicas mk;
     percentile;
-    probe_timeout;
     self;
     scratch = Array.make n_replicas 0;
   }
@@ -56,16 +58,16 @@ let record_reply t ~replica ~now_local (reply : Probe.reply) =
 let is_self t replica =
   match t.self with Some s -> s = replica | None -> false
 
-let fresh t peer ~now_local =
+let fresh peer ~now_local =
   match peer.last_reply with
   | None -> false
-  | Some at -> Time_ns.diff now_local at <= t.probe_timeout
+  | Some at -> Time_ns.diff now_local at <= probe_timeout
 
 let rtt t ~replica ~now_local =
   if is_self t replica then Some 0
   else begin
     let peer = t.peers.(replica) in
-    if not (fresh t peer ~now_local) then None
+    if not (fresh peer ~now_local) then None
     else Window.percentile peer.rtt_window ~now:now_local t.percentile
   end
 
@@ -73,7 +75,7 @@ let arrival_offset t ~replica ~now_local =
   if is_self t replica then Some 0
   else begin
     let peer = t.peers.(replica) in
-    if not (fresh t peer ~now_local) then None
+    if not (fresh peer ~now_local) then None
     else Window.percentile peer.offset_window ~now:now_local t.percentile
   end
 

@@ -16,25 +16,19 @@
       computes their own [L_r] as the m-th smallest RTT percentile with
       the self-delay fixed at zero.
 
-    Replicas that have not answered a probe within [probe_timeout] are
-    treated as infinitely far (§5.8): they drop out of quorum-latency
-    estimates, steering clients from DFP to DM on failures. *)
+    Estimates are percentiles over the last 1 s of probe replies.
+    Replicas that have not answered a probe within 1 s are treated as
+    infinitely far (§5.8): they drop out of quorum-latency estimates,
+    steering clients from DFP to DM on failures. *)
 
 open Domino_sim
 
 type t
 
-val create :
-  ?window:Time_ns.span ->
-  ?percentile:float ->
-  ?probe_timeout:Time_ns.span ->
-  ?self:int ->
-  n_replicas:int ->
-  unit ->
-  t
-(** Defaults per the paper: [window] 1 s, [percentile] 95, and
-    [probe_timeout] 1 s. [self] marks the node itself when it is one of
-    the replicas (its delay to itself is zero). *)
+val create : ?percentile:float -> ?self:int -> n_replicas:int -> unit -> t
+(** [percentile] defaults to the paper's 95. [self] marks the node
+    itself when it is one of the replicas (its delay to itself is
+    zero). *)
 
 val n_replicas : t -> int
 val set_percentile : t -> float -> unit

@@ -5,19 +5,19 @@ type t = {
   jitter : Jitter.t;
   jitter_params : Jitter.params;
   mutable loss : float;
-  rto : Time_ns.span;
   rng : Rng.t;
 }
 
-let create ?(jitter = Jitter.default_wan) ?(loss = 1e-4)
-    ?(rto = Time_ns.ms 200) ~base_owd rng =
+(* TCP's minimum retransmission timeout: what one lost segment costs. *)
+let rto = Time_ns.ms 200
+
+let create ?(jitter = Jitter.default_wan) ?(loss = 1e-4) ~base_owd rng =
   let rng = Rng.split rng in
   {
     base_owd;
     jitter = Jitter.create ~params:jitter rng;
     jitter_params = jitter;
     loss;
-    rto;
     rng;
   }
 
@@ -35,7 +35,7 @@ let set_loss t loss = t.loss <- loss
 let sample t ~now =
   let jitter = Jitter.sample t.jitter ~now in
   let penalty =
-    if t.loss > 0. && Rng.float t.rng < t.loss then t.rto else 0
+    if t.loss > 0. && Rng.float t.rng < t.loss then rto else 0
   in
   Stdlib.max 1 (t.base_owd + jitter + penalty)
 

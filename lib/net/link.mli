@@ -14,12 +14,12 @@ type t
 val create :
   ?jitter:Jitter.params ->
   ?loss:float ->
-  ?rto:Time_ns.span ->
   base_owd:Time_ns.span ->
   Rng.t ->
   t
 (** [create ~base_owd rng] with defaults: jitter {!Jitter.default_wan},
-    [loss = 1e-4], [rto = 200ms]. The link owns a split of [rng]. *)
+    [loss = 1e-4]. A lost message costs a 200 ms retransmission
+    timeout. The link owns a split of [rng]. *)
 
 val local : Rng.t -> t
 (** Intra-datacenter link: ~0.25 ms OWD, calm jitter. *)
@@ -35,4 +35,4 @@ val set_loss : t -> float -> unit
 
 val sample : t -> now:Time_ns.t -> Time_ns.span
 (** Draw the one-way delay for a message sent at [now]: base + jitter,
-    plus an RTO penalty with probability [loss]. Always > 0. *)
+    plus the 200 ms RTO penalty with probability [loss]. Always > 0. *)

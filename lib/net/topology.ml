@@ -117,11 +117,10 @@ let owd_ms t i j = rtt_ms t i j *. forward_fraction t i j
    (paper Table 3). *)
 let wan_jitter = Jitter.default_wan
 
-let build net t ~placement ?(jitter = wan_jitter) ?(loss = 1e-4) () =
-  let n = Fifo_net.size net in
-  if Array.length placement <> n then
-    invalid_arg "Topology.build: placement size mismatch";
-  let rng = Engine.rng (Fifo_net.engine net) in
+let make_net engine t ~placement =
+  let n = Array.length placement in
+  let net = Fifo_net.create engine ~n in
+  let rng = Engine.rng engine in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if src <> dst then begin
@@ -130,15 +129,11 @@ let build net t ~placement ?(jitter = wan_jitter) ?(loss = 1e-4) () =
           if i = j then Link.local rng
           else begin
             let owd = Time_ns.of_ms_f (owd_ms t i j) in
-            Link.create ~jitter ~loss ~base_owd:owd rng
+            Link.create ~jitter:wan_jitter ~loss:1e-4 ~base_owd:owd rng
           end
         in
         Fifo_net.set_link net ~src ~dst link
       end
     done
-  done
-
-let make_net engine t ~placement ?jitter ?loss () =
-  let net = Fifo_net.create engine ~n:(Array.length placement) in
-  build net t ~placement ?jitter ?loss ();
+  done;
   net

@@ -4,7 +4,7 @@
     [na] is Table 4 (9 North-American datacenters). RTTs are the
     paper's measured averages in milliseconds.
 
-    [build] turns a topology plus a node→datacenter placement into a
+    {!make_net} turns a topology plus a node→datacenter placement into a
     {!Fifo_net} with one directed {!Link} per node pair. RTTs are split
     into asymmetric forward/reverse one-way delays (deterministically
     per datacenter pair), because the gap between half-RTT and true OWD
@@ -46,14 +46,8 @@ val wan_jitter : Jitter.params
     a small fraction of multi-ms congestion spikes, matching the delay
     stability measured in paper §3 (Figures 1-3). *)
 
-val build :
-  'msg Fifo_net.t -> t -> placement:string array ->
-  ?jitter:Jitter.params -> ?loss:float -> unit -> unit
-(** [build net topo ~placement ()] installs links for every ordered
-    node pair: [placement.(node)] is the datacenter name of each
-    network node. Defaults: [jitter = wan_jitter], [loss = 1e-4]. *)
-
-val make_net :
-  Engine.t -> t -> placement:string array ->
-  ?jitter:Jitter.params -> ?loss:float -> unit -> 'msg Fifo_net.t
-(** Convenience: create the network and [build] it. *)
+val make_net : Engine.t -> t -> placement:string array -> 'msg Fifo_net.t
+(** [make_net engine topo ~placement] creates a network of one node per
+    [placement] entry, [placement.(node)] being the node's datacenter
+    name, and installs a link for every ordered node pair: {!wan_jitter}
+    and loss [1e-4] across datacenters, {!Link.local} within one. *)

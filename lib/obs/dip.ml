@@ -85,7 +85,12 @@ let mean_opt = function
   | [] -> nan
   | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
-let analyze ?(baseline_windows = 10) ?(recover_within = 0.1) (t : Timeline.t) =
+(* The lookback a fault's throughput baseline is averaged over, and how
+   close to it a window must come back to count as recovered. *)
+let baseline_windows = 10
+let recover_within = 0.1
+
+let analyze (t : Timeline.t) =
   let reports = ref [] in
   List.iteri
     (fun seg_no (seg : Timeline.segment) ->

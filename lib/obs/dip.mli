@@ -7,13 +7,13 @@
     leader transfer, or rolling patch — in a {!Timeline.segment}, the
     report gives:
 
-    - the {b baseline} RPS: mean cluster throughput over the windows
+    - the {b baseline} RPS: mean cluster throughput over the 10 windows
       immediately preceding the fault;
     - the {b dip}: minimum windowed RPS between the fault and recovery
       (or segment end), and its depth as a percentage of baseline;
     - the {b time to recover}: sim time from fault injection until
-      throughput is back within [recover_within] (default 10%) of
-      baseline for two consecutive windows — [nan] when it never
+      throughput is back within 10% of baseline for two consecutive
+      windows — [nan] when it never
       recovers, the liveness signal [test_chaos] asserts deadlines on;
     - the {b p99 spike}: worst windowed commit p99 during the outage
       vs the baseline's mean p99.
@@ -37,15 +37,10 @@ type report = {
   p99_spike_ms : float;
 }
 
-val analyze :
-  ?baseline_windows:int ->
-  ?recover_within:float ->
-  Timeline.t ->
-  report list
+val analyze : Timeline.t -> report list
 (** One report per fault-start event, in journal order per segment.
-    [baseline_windows] (default 10) is the lookback; heal events
-    ([recover]/[heal]/[restore], [recovery.up] for wipes and rolled
-    nodes, [migrate.done]/[migrate.abort] for migrations,
+    Heal events ([recover]/[heal]/[restore], [recovery.up] for wipes
+    and rolled nodes, [migrate.done]/[migrate.abort] for migrations,
     [reconfig.done]/[reconfig.abort] for membership changes,
     [reconfig.transfer_done] for leader transfers, and
     [reconfig.roll_done] for rolls) are matched to their start by kind

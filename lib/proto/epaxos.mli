@@ -46,4 +46,4 @@ val op_of : msg -> Op.t option
 (** The operation a message carries, if any — per-op trace attribution. *)
 
 module Api : Protocol_intf.S with type t = t
-(** The registry entry ("epaxos"). *)
+(** The unified-API module, named "epaxos" ([Protocols.Epaxos]). *)

@@ -48,4 +48,4 @@ val op_of : msg -> Op.t option
 (** The operation a message carries, if any — per-op trace attribution. *)
 
 module Api : Protocol_intf.S with type t = t
-(** The registry entry ("fastpaxos"). *)
+(** The unified-API module, named "fastpaxos" ([Protocols.Fast_paxos]). *)

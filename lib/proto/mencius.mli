@@ -42,4 +42,4 @@ val op_of : msg -> Op.t option
 (** The operation a message carries, if any — per-op trace attribution. *)
 
 module Api : Protocol_intf.S with type t = t
-(** The registry entry ("mencius"). *)
+(** The unified-API module, named "mencius" ([Protocols.Mencius]). *)

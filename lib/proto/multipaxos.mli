@@ -45,4 +45,4 @@ val op_of : msg -> Op.t option
 (** The operation a message carries, if any — per-op trace attribution. *)
 
 module Api : Protocol_intf.S with type t = t
-(** The registry entry ("multipaxos"). *)
+(** The unified-API module, named "multipaxos" ([Protocols.Multi_paxos]). *)

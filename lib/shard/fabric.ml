@@ -355,7 +355,7 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
         make_net =
           (fun () ->
             let net =
-              Topology.make_net engine config.topo ~placement ()
+              Topology.make_net engine config.topo ~placement
             in
             (match faults with
             | Some plan ->

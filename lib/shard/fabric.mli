@@ -39,20 +39,32 @@ type group_result = {
   prefix : string;  (** ["g<k>."], or [""] for a single group *)
   protocol_name : string;
   recorder : Observer.Recorder.t;
-  fast_commits : int;
+  fast_commits : int;  (** protocol-reported fast-path commits, if any *)
   slow_commits : int;
   extra : (string * int) list;
+      (** protocol-specific counters with stable keys — Domino reports
+          [dfp_fast_decisions], [dfp_slow_decisions], [dfp_conflicts],
+          [dfp_submissions], [dm_submissions], [late_decisions] *)
   store_fingerprints : int list;
-  wall_events : int;
+      (** per-replica state-machine digests after the run; all equal
+          iff replicas executed identically *)
+  wall_events : int;  (** messages delivered, for cost reporting *)
   sync_writes : int;
+      (** WAL records made durable by fsync barriers, summed over the
+          group's stable stores *)
   recovery_ms : float list;
+      (** modeled wipe-restart replay spans, oldest first *)
   routed : int;  (** ops the router sent this group *)
 }
 
 type result = {
   metrics : Metrics.t;
+      (** the run's registry: [run.*] counters and latency histograms,
+          per-class [<protocol>.msg.*] counters, [sim.events] *)
   groups : group_result array;
   provenance : Provenance.breakdown list;
+      (** per-committed-op critical-path latency decomposition; empty
+          unless the run was journaled *)
   client_commit_ms : (string * Domino_stats.Summary.t) array;
       (** per physical client (dc name, commit latency merged across
           every group that client's keys routed to) — the bottleneck-

@@ -3,7 +3,6 @@ open Domino_obs
 type t = {
   groups : int;
   factor : float;
-  hysteresis : int;
   mutable last : float array;
   flags : int array;
   streaks : int array;
@@ -11,15 +10,15 @@ type t = {
   mutable checks : int;
 }
 
-let create clock ~groups ?(factor = 2.) ?(hysteresis = 2) ?on_hot ~loads
-    ~journal () =
+(* Consecutive hot windows before [on_hot] fires. *)
+let hysteresis = 2
+
+let create clock ~groups ?(factor = 2.) ?on_hot ~loads ~journal () =
   if groups <= 0 then invalid_arg "Hotspot.create: groups <= 0";
-  if hysteresis <= 0 then invalid_arg "Hotspot.create: hysteresis <= 0";
   let t =
     {
       groups;
       factor;
-      hysteresis;
       last = Array.make groups 0.;
       flags = Array.make groups 0;
       streaks = Array.make groups 0;
@@ -48,8 +47,8 @@ let create clock ~groups ?(factor = 2.) ?(hysteresis = 2) ?on_hot ~loads
       (* A shard is hot when its share of the window's load is [factor]
          times the even split — the same signal a slot rebalancer would
          act on. Every hot window is flagged and journaled; [on_hot]
-         only fires once the group has stayed hot for [hysteresis]
-         consecutive windows, so a single skewed window can't trigger a
+         only fires once the group has stayed hot for two consecutive
+         windows, so a single skewed window can't trigger a
          migration (the ping-pong damper). *)
       if groups > 1 && mean > 0. then
         Array.iteri
@@ -65,7 +64,7 @@ let create clock ~groups ?(factor = 2.) ?(hysteresis = 2) ?on_hot ~loads
                        value = d;
                        at = now;
                      });
-              if t.streaks.(g) >= t.hysteresis then
+              if t.streaks.(g) >= hysteresis then
                 match on_hot with Some f -> f ~g | None -> ()
             end
             else t.streaks.(g) <- 0)

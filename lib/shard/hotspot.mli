@@ -19,7 +19,6 @@ val create :
   Timeline.Clock.t ->
   groups:int ->
   ?factor:float ->
-  ?hysteresis:int ->
   ?on_hot:(g:int -> unit) ->
   loads:(unit -> float array) ->
   journal:Journal.sink ->
@@ -29,11 +28,11 @@ val create :
     cumulative per-group vector of length [groups]; [factor] defaults
     to 2 (a shard is hot at twice its fair share). Every hot window is
     counted in {!flags} and journaled, but [on_hot] only fires once
-    the group has stayed hot for [hysteresis] consecutive windows
-    (default 2) — the dwell that stops a single skewed window from
-    triggering a migration, after which it fires once per further hot
-    window. The hook is what the fabric's auto-rebalancer uses to turn
-    detection into a live slot migration. *)
+    the group has stayed hot for two consecutive windows — the dwell
+    that stops a single skewed window from triggering a migration,
+    after which it fires once per further hot window. The hook is what
+    the fabric's auto-rebalancer uses to turn detection into a live
+    slot migration. *)
 
 val flags : t -> int array
 (** Hot windows detected per group. *)

@@ -148,16 +148,13 @@ module Recorder = struct
           Sample l
     end
 
-  let observer t ?exec_replica_for () =
-    let exec_at =
-      match exec_replica_for with Some f -> f | None -> fun _ -> None
-    in
+  let observer t =
     {
       on_submit = (fun op ~now -> note_submit t op ~now);
       on_commit = (fun op ~now -> ignore (commit t op ~now));
       on_execute =
         (fun ~replica op ~now ->
-          ignore (execute t ~replica ?exec_at:(exec_at op) op ~now));
+          ignore (execute t ~replica op ~now));
       on_phase = (fun ~node:_ ~op:_ ~name:_ ~dur:_ ~now:_ -> ());
     }
 

@@ -54,12 +54,11 @@ module Recorder : sig
 
   val create : unit -> t
 
-  val observer : t -> ?exec_replica_for:(Op.t -> Nodeid.t option) -> unit -> observer
-  (** The observer to hand to a protocol. [exec_replica_for] selects,
-      per operation, the replica whose execution event should produce
-      the execution-latency sample (default: record the {e first}
-      replica to execute it). It filters nothing: every event reaches
-      the ledger. *)
+  val observer : t -> observer
+  (** The observer to hand to a protocol. The {e first} replica to
+      execute an op gives its execution-latency sample; a caller that
+      samples at a chosen replica wraps {!execute} ([~exec_at]) in its
+      own observer, as the shard fabric does. *)
 
   val note_submit : t -> Op.t -> now:Time_ns.t -> unit
   (** Timestamp a submission. Normally unnecessary: the observer's

@@ -7,7 +7,6 @@ type params = {
   percentile : float;
   every_replica_learns : bool;
   adaptive : bool;
-  force_dfp : bool;
   retry_timeout : Time_ns.span;
   retry_max_attempts : int;
   retry_failover_after : int;
@@ -19,7 +18,6 @@ let default_params =
     percentile = 95.;
     every_replica_learns = false;
     adaptive = false;
-    force_dfp = false;
     retry_timeout = 0;
     retry_max_attempts = Retry.default_policy.Retry.max_attempts;
     retry_failover_after = 1;
@@ -86,42 +84,20 @@ end
 
 type protocol = (module S)
 
-let registry : (string, protocol) Hashtbl.t = Hashtbl.create 8
-
-(* The registry is process-global while simulation runs may execute on
-   several domains at once (lib/par), and resolution re-registers
-   idempotently — so every access takes the lock. Resolution happens
-   once per run; the cost is noise. *)
-let registry_lock = Mutex.create ()
-
-let locked f =
-  Mutex.lock registry_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
-
-let register ((module P : S) as p) =
-  locked (fun () -> Hashtbl.replace registry P.name p);
-  p
-
-let find name = locked (fun () -> Hashtbl.find_opt registry name)
-
-let names () =
-  locked (fun () ->
-      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) registry []))
-
 let instrument (type msg) (env : Group.env) ~name
     ~(classify : msg -> Msg_class.t) ~(op_of : msg -> Op.t option)
     (net : msg Fifo_net.t) =
-  (* Metric names carry the group prefix, so two groups running the
+  (* Metric keys carry the group prefix, so two groups running the
      same protocol on one cluster count into distinct instruments
      ([g0.domino.msg.*] vs [g1.domino.msg.*]); a single-group run has
-     the empty prefix and keeps the historical [domino.msg.*] names. *)
+     the empty prefix and keeps the historical [domino.msg.*] keys. *)
   let name = Group.qualify env name in
   let metrics = Group.metrics env in
   let counter suffix cls =
     Metrics.counter metrics
       (Printf.sprintf "%s.msg.%s.%s" name (Msg_class.to_string cls) suffix)
   in
-  (* Pre-register one counter per (class, direction) so the hot path is
+  (* Create one counter per (class, direction) up front so the hot path is
      a constant-time variant dispatch, and so every class shows up in
      the emitted JSON even at count 0. *)
   let pick suffix =

@@ -5,13 +5,13 @@ open Domino_obs
 (** The unified protocol API.
 
     Every replication protocol in the repo — the four comparison
-    systems and Domino itself — implements {!S} and registers a
-    first-class module under a stable name. Harnesses (the experiment
-    runner, the shard fabric, the CLI, the conformance tests)
-    construct environments and dispatch through the registry instead
-    of pattern-matching on a protocol variant, so adding a protocol
-    means adding one module and one [register] call, not editing every
-    caller.
+    systems and Domino itself — implements {!S} as a first-class
+    module. Harnesses (the experiment runner, the shard fabric, the
+    conformance tests) construct environments and dispatch through the
+    module instead of pattern-matching on a protocol variant, so a
+    harness holds no per-protocol wiring. [Domino_exp.Protocols] is
+    the one table of these modules: a new protocol is one module here
+    and one row there.
 
     The environment is split in two layers so one simulation can host
     many consensus groups:
@@ -21,7 +21,7 @@ open Domino_obs
       sinks (metrics registry, flight-recorder journal).
     - {!Group.env} is one group's slice: its replicas and roles, its
       stable stores, its typed {!params}, its harness observer, and a
-      [prefix] that namespaces everything the group emits into the
+      [prefix] that qualifies everything the group emits into the
       shared metrics registry ([g0.domino.msg.*], [g1.run.committed],
       ...). A single-group run uses the empty prefix, which keeps its
       output byte-identical to the historical flat layout. *)
@@ -33,7 +33,6 @@ type params = {
       (** Domino: percentile used for delay estimates *)
   every_replica_learns : bool;  (** Domino: learner broadcast mode *)
   adaptive : bool;  (** Domino: §5.4 feedback controller *)
-  force_dfp : bool;  (** Domino: disable the DM fallback *)
   retry_timeout : Time_ns.span;
       (** in-protocol client retry: the {!Retry} policy's first timeout;
           [0] (the default) leaves it unarmed *)
@@ -64,7 +63,7 @@ module Group : sig
   type env = {
     cluster : Cluster.env;
     prefix : string;
-        (** metric namespace of this group instance, [""] for a
+        (** metric prefix of this group instance, [""] for a
             single-group run, ["g<k>."] within a shard fabric *)
     make_net : 'msg. unit -> 'msg Fifo_net.t;
         (** fresh network for the protocol's own message type, spanning
@@ -107,7 +106,8 @@ module type S = sig
   type t
 
   val name : string
-  (** Stable registry key (lowercase, no spaces). *)
+  (** Stable key (lowercase, no spaces): the CLI's [--protocol] value
+      and the prefix of the protocol's metric keys. *)
 
   val create : Group.env -> t
   (** Build the protocol instance: make the net, install handlers and
@@ -144,16 +144,6 @@ module type S = sig
 end
 
 type protocol = (module S)
-
-val register : protocol -> protocol
-(** Idempotent: re-registering a name replaces the entry. Returns the
-    module it registered so call sites can bind the instance directly
-    instead of re-resolving it through {!find}. *)
-
-val find : string -> protocol option
-
-val names : unit -> string list
-(** Sorted. *)
 
 val instrument :
   Group.env ->

@@ -38,7 +38,8 @@ let fig1_summary probes =
 
 type box = { t_sec : float; p5 : float; p50 : float; p95 : float }
 
-let fig2_boxes ?(box_width = Time_ns.sec 1) ?(span = Time_ns.sec 60) probes =
+let fig2_boxes probes =
+  let box_width = Time_ns.sec 1 and span = Time_ns.sec 60 in
   if Array.length probes = 0 then []
   else begin
     let t0 = probes.(0).Trace_gen.t_send in

@@ -18,9 +18,7 @@ val fig1_summary : Trace_gen.probe array -> delay_summary
 
 type box = { t_sec : float; p5 : float; p50 : float; p95 : float }
 
-val fig2_boxes :
-  ?box_width:Time_ns.span -> ?span:Time_ns.span -> Trace_gen.probe array ->
-  box list
+val fig2_boxes : Trace_gen.probe array -> box list
 (** Per-second RTT boxes over the first minute (Figure 2). *)
 
 val prediction_rate :

@@ -17,9 +17,9 @@ let na3_domino () =
   let j = Journal.create () in
   let r =
     Exp_common.run ~seed:42L ~duration:(Time_ns.sec 3) ~journal:j
-      Exp_common.na3 Exp_common.domino_default
+      Exp_common.na3 Protocols.domino_default
   in
-  (j, Metrics.to_json_string r.Exp_common.metrics)
+  (j, Metrics.to_json_string r.Domino_shard.Fabric.metrics)
 
 (* A membership change under load: retire replica 2 of a fig7-double
    Domino group, then readmit it (test_fault's reconfig-under-load plan
@@ -34,7 +34,7 @@ let fig7_double_reconfig () =
          (parse_exn
             "at 1500ms reconfig group=0 remove=2\n\
              at 3500ms reconfig group=0 add=2\n")
-       Exp_common.fig7_double Exp_common.domino_default);
+       Exp_common.fig7_double Protocols.domino_default);
   j
 
 (* A rolling crash-with-amnesia of a fig7-double group (the chaos
@@ -70,18 +70,20 @@ let faulted ~plan ~duration proto () =
   in
   let extra =
     String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf "%s %d\n" k v) r.Exp_common.extra)
+      (List.map
+         (fun (k, v) -> Printf.sprintf "%s %d\n" k v)
+         r.Domino_shard.Fabric.groups.(0).Domino_shard.Fabric.extra)
   in
-  (j, Metrics.to_json_string r.Exp_common.metrics, extra)
+  (j, Metrics.to_json_string r.Domino_shard.Fabric.metrics, extra)
 
 let faulted_runs =
   [
     ( "harness-retry-partition",
       faulted ~plan:"at 1s partition a=3 b=0 sym until=2200ms\n"
-        ~duration:(Time_ns.sec 4) Exp_common.Multi_paxos );
+        ~duration:(Time_ns.sec 4) Protocols.Multi_paxos );
     ( "domino-leader-crash",
       faulted ~plan:"at 1500ms crash node=0\nat 3s recover node=0\n"
-        ~duration:(Time_ns.sec 6) Exp_common.domino_default );
+        ~duration:(Time_ns.sec 6) Protocols.domino_default );
   ]
 
 let faulted_journal name () =
@@ -101,10 +103,10 @@ let journals =
     (* a planned slot migration on the 2-group rebalance layout *)
     ("rebalance-smoke", fun () -> Exp_rebalance.smoke_journal ~seed:42L ());
     ("fig7-double-reconfig", fig7_double_reconfig);
-    ("epaxos-rolling-wipe", rolling_wipe Exp_common.Epaxos);
-    ("mencius-rolling-wipe", rolling_wipe Exp_common.Mencius);
-    ("fastpaxos-rolling-wipe", rolling_wipe Exp_common.Fast_paxos);
-    ("multipaxos-rolling-wipe", rolling_wipe Exp_common.Multi_paxos);
+    ("epaxos-rolling-wipe", rolling_wipe Protocols.Epaxos);
+    ("mencius-rolling-wipe", rolling_wipe Protocols.Mencius);
+    ("fastpaxos-rolling-wipe", rolling_wipe Protocols.Fast_paxos);
+    ("multipaxos-rolling-wipe", rolling_wipe Protocols.Multi_paxos);
     ("harness-retry-partition", faulted_journal "harness-retry-partition");
     ("domino-leader-crash", faulted_journal "domino-leader-crash");
   ]

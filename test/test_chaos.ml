@@ -30,18 +30,18 @@ let plan_files =
 
 let protocols =
   [
-    Exp_common.domino_default;
-    Exp_common.Mencius;
-    Exp_common.Epaxos;
-    Exp_common.Multi_paxos;
-    Exp_common.Fast_paxos;
+    Protocols.domino_default;
+    Protocols.Mencius;
+    Protocols.Epaxos;
+    Protocols.Multi_paxos;
+    Protocols.Fast_paxos;
   ]
 
 let dump_journal ~plan_file ~proto journal =
   let out =
     Printf.sprintf "chaos-%s-%s.journal"
       (Filename.remove_extension plan_file)
-      (Exp_common.protocol_name proto)
+      (Protocols.name proto)
   in
   let oc = open_out_bin out in
   output_string oc (Journal.to_lines journal);
@@ -60,14 +60,14 @@ let check_cell plan_file proto () =
   if not report.Checker.ok then begin
     let saved = dump_journal ~plan_file ~proto journal in
     Alcotest.failf "%s x %s: %a@.journal saved to %s" plan_file
-      (Exp_common.protocol_name proto)
+      (Protocols.name proto)
       Checker.pp_report report saved
   end;
   (* A fault plan must not stop the workload cold: a healthy faulted
      run of this length lands hundreds of ops. *)
   if report.Checker.committed < 100 then
     Alcotest.failf "%s x %s: only %d ops committed" plan_file
-      (Exp_common.protocol_name proto)
+      (Protocols.name proto)
       report.Checker.committed
 
 let test_journal_determinism plan_file () =
@@ -110,17 +110,17 @@ let test_recovery_deadline plan_file ~bound_ms proto () =
   let reports = Dip.analyze (Timeline.of_journal journal) in
   if reports = [] then
     Alcotest.failf "%s x %s: no fault reports" plan_file
-      (Exp_common.protocol_name proto);
+      (Protocols.name proto);
   List.iter
     (fun r ->
       if Float.is_nan r.Dip.ttr_ms then
         Alcotest.failf "%s x %s: %s %s at %.0fms never recovered" plan_file
-          (Exp_common.protocol_name proto)
+          (Protocols.name proto)
           r.Dip.fault r.Dip.detail r.Dip.at_ms
       else if r.Dip.ttr_ms > bound_ms then
         Alcotest.failf "%s x %s: %s %s at %.0fms took %.0fms to recover (> %.0fms)"
           plan_file
-          (Exp_common.protocol_name proto)
+          (Protocols.name proto)
           r.Dip.fault r.Dip.detail r.Dip.at_ms r.Dip.ttr_ms bound_ms)
     reports
 
@@ -145,7 +145,7 @@ let migration_scenarios =
   ]
 
 let migration_protocols =
-  [ Exp_common.domino_default; Exp_common.Multi_paxos ]
+  [ Protocols.domino_default; Protocols.Multi_paxos ]
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -183,7 +183,7 @@ let check_migration_cell name plan_text proto () =
   if hard <> [] then begin
     let saved = dump_journal ~plan_file:name ~proto journal in
     Alcotest.failf "%s x %s: %s@.journal saved to %s" name
-      (Exp_common.protocol_name proto)
+      (Protocols.name proto)
       (String.concat "; " hard)
       saved
   end;
@@ -195,18 +195,18 @@ let check_migration_cell name plan_text proto () =
   let lines = Journal.to_lines journal in
   if not (contains lines "migrate.freeze") then
     Alcotest.failf "%s x %s: migration never started" name
-      (Exp_common.protocol_name proto);
+      (Protocols.name proto);
   if report.Checker.migrations < 1 && not (contains lines "migrate.abort")
   then begin
     let saved = dump_journal ~plan_file:name ~proto journal in
     Alcotest.failf
       "%s x %s: migration neither completed nor aborted (see %s)" name
-      (Exp_common.protocol_name proto)
+      (Protocols.name proto)
       saved
   end;
   if report.Checker.committed < 100 then
     Alcotest.failf "%s x %s: only %d ops committed" name
-      (Exp_common.protocol_name proto)
+      (Protocols.name proto)
       report.Checker.committed;
   (* every dip — the injected fault and the migration itself — must
      recover within 2.5 s of sim time *)
@@ -217,17 +217,17 @@ let check_migration_cell name plan_text proto () =
   in
   if reports = [] then
     Alcotest.failf "%s x %s: no fault reports" name
-      (Exp_common.protocol_name proto);
+      (Protocols.name proto);
   List.iter
     (fun r ->
       if Float.is_nan r.Dip.ttr_ms then
         Alcotest.failf "%s x %s: %s %s at %.0fms never recovered" name
-          (Exp_common.protocol_name proto)
+          (Protocols.name proto)
           r.Dip.fault r.Dip.detail r.Dip.at_ms
       else if r.Dip.ttr_ms > 2500. then
         Alcotest.failf "%s x %s: %s %s at %.0fms took %.0fms to recover"
           name
-          (Exp_common.protocol_name proto)
+          (Protocols.name proto)
           r.Dip.fault r.Dip.detail r.Dip.at_ms r.Dip.ttr_ms)
     reports
 
@@ -255,7 +255,7 @@ let maintenance_scenarios =
   ]
 
 let maintenance_protocols =
-  [ Exp_common.domino_default; Exp_common.Multi_paxos ]
+  [ Protocols.domino_default; Protocols.Multi_paxos ]
 
 let check_maintenance_cell name plan_text ~duration proto () =
   let faults =
@@ -273,28 +273,28 @@ let check_maintenance_cell name plan_text ~duration proto () =
   if not report.Checker.ok then begin
     let saved = dump_journal ~plan_file:name ~proto journal in
     Alcotest.failf "%s x %s: %a@.journal saved to %s" name
-      (Exp_common.protocol_name proto)
+      (Protocols.name proto)
       Checker.pp_report report saved
   end;
   if report.Checker.committed < 100 then
     Alcotest.failf "%s x %s: only %d ops committed" name
-      (Exp_common.protocol_name proto)
+      (Protocols.name proto)
       report.Checker.committed;
   (* Every dip row — the partition, the transfer, the roll, and each
      rolled node — must recover within 2.5 s of sim time. *)
   let reports = Dip.analyze (Timeline.of_journal journal) in
   if reports = [] then
     Alcotest.failf "%s x %s: no fault reports" name
-      (Exp_common.protocol_name proto);
+      (Protocols.name proto);
   List.iter
     (fun r ->
       if Float.is_nan r.Dip.ttr_ms then
         Alcotest.failf "%s x %s: %s %s at %.0fms never recovered" name
-          (Exp_common.protocol_name proto)
+          (Protocols.name proto)
           r.Dip.fault r.Dip.detail r.Dip.at_ms
       else if r.Dip.ttr_ms > 2500. then
         Alcotest.failf "%s x %s: %s %s at %.0fms took %.0fms to recover" name
-          (Exp_common.protocol_name proto)
+          (Protocols.name proto)
           r.Dip.fault r.Dip.detail r.Dip.at_ms r.Dip.ttr_ms)
     reports
 
@@ -306,7 +306,7 @@ let () =
           List.map
             (fun proto ->
               Alcotest.test_case
-                (Exp_common.protocol_name proto)
+                (Protocols.name proto)
                 `Slow
                 (check_cell plan_file proto))
             protocols ))
@@ -329,7 +329,7 @@ let () =
                 (fun proto ->
                   Alcotest.test_case
                     (Printf.sprintf "%s %s" name
-                       (Exp_common.protocol_name proto))
+                       (Protocols.name proto))
                     `Slow
                     (check_migration_cell name plan_text proto))
                 migration_protocols)
@@ -341,7 +341,7 @@ let () =
                 (fun proto ->
                   Alcotest.test_case
                     (Printf.sprintf "%s %s" name
-                       (Exp_common.protocol_name proto))
+                       (Protocols.name proto))
                     `Slow
                     (check_maintenance_cell name plan_text ~duration proto))
                 maintenance_protocols)
@@ -354,7 +354,7 @@ let () =
                   Alcotest.test_case
                     (Printf.sprintf "%s %s"
                        (Filename.remove_extension plan_file)
-                       (Exp_common.protocol_name proto))
+                       (Protocols.name proto))
                     `Slow
                     (test_recovery_deadline plan_file ~bound_ms proto))
                 protocols)

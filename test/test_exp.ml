@@ -40,7 +40,7 @@ let test_runs_merge () =
   let commit, exec =
     match
       Exp_common.run_sweep ~runs:2 ~duration:(Time_ns.sec 6)
-        [ (Exp_common.fig7_single, Exp_common.Multi_paxos) ]
+        [ (Exp_common.fig7_single, Protocols.Multi_paxos) ]
     with
     | [ cell ] -> cell
     | _ -> Alcotest.fail "one cell in, one result out"
@@ -52,10 +52,11 @@ let test_run_deterministic () =
   let go () =
     let r =
       Exp_common.run ~seed:123L ~duration:(Time_ns.sec 6) Exp_common.fig7_single
-        Exp_common.Multi_paxos
+        Protocols.Multi_paxos
     in
     Domino_stats.Summary.mean
-      (Domino_smr.Observer.Recorder.commit_latency_ms r.recorder)
+      (Domino_smr.Observer.Recorder.commit_latency_ms
+         r.Domino_shard.Fabric.groups.(0).Domino_shard.Fabric.recorder)
   in
   Alcotest.(check (float 1e-12)) "same seed, same result" (go ()) (go ())
 

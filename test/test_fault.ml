@@ -583,18 +583,20 @@ let run_checked ?(duration = Time_ns.sec 4) ~plan proto =
       ~measure_from:(Time_ns.ms 500) ~measure_until:duration ~journal ~faults
       Exp_common.fig7_double proto
   in
-  (result, journal, Checker.check ~require_complete:true journal)
+  ( result.Domino_shard.Fabric.groups.(0),
+    journal,
+    Checker.check ~require_complete:true journal )
 
 let test_domino_retry_failover () =
   (* Coordinator (replica 0) dies mid-run and comes back: Domino's
      in-protocol client retry must failover to DM and land every op. *)
   let result, _, report =
     run_checked ~plan:"at 1s crash node=0\nat 2s recover node=0\n"
-      Exp_common.domino_default
+      Protocols.domino_default
   in
   check_bool "checker passes under coordinator crash" true report.Checker.ok;
   check_bool "clients actually retried" true
-    (List.assoc "client_retries" result.Exp_common.extra > 0)
+    (List.assoc "client_retries" result.Domino_shard.Fabric.extra > 0)
 
 (* Per op, in order, the instant and destination of each Domino retry:
    the send that follows the op's [client_retry] phase. *)
@@ -620,14 +622,14 @@ let test_domino_failover_order () =
      recovers at 3 s it is the closest leader again when the second
      retries fire, so those must rotate past it. *)
   let failover_after =
-    (Protocols.params_under_faults Exp_common.domino_default)
+    (Protocols.params_under_faults Protocols.domino_default)
       .Protocol_intf.retry_failover_after
   in
   let n = Array.length Exp_common.fig7_double.Exp_common.replica_dcs in
   let leader_crash = "at 1500ms crash node=0\nat 3s recover node=0\n" in
   let _, journal, report =
     run_checked ~duration:(Time_ns.sec 6) ~plan:leader_crash
-      Exp_common.domino_default
+      Protocols.domino_default
   in
   check_bool "checker passes under coordinator crash" true report.Checker.ok;
   let sends = retry_sends journal in
@@ -646,33 +648,53 @@ let test_domino_failover_order () =
         l)
     sends;
   (* Once every client steers away from replica 0, no retry may land
-     there, although it is still the closest leader of the ops it lost. *)
+     there. The IA client (node 3) is then cut off from replicas 1 and 2
+     until 8 s, so its ops retry from the closest leader it may use (1)
+     around the rotation: retry 2 goes to 2, and retry 3's rotation
+     lands on the steered-away 0, which must be skipped. *)
   let _, journal, _ =
     run_checked ~duration:(Time_ns.sec 6)
-      ~plan:("at 2s transfer group=0 to=1\n" ^ leader_crash)
-      Exp_common.domino_default
+      ~plan:
+        "at 1s transfer group=0 to=1\n\
+         at 1500ms partition a=3 b=1,2 sym until=8s\n"
+      Protocols.domino_default
   in
-  let after_transfer =
-    List.concat_map
-      (fun (_, l) -> List.filter (fun (at, _) -> at >= Time_ns.sec 2) l)
+  let steered =
+    List.filter_map
+      (fun (_, l) ->
+        match List.filter (fun (at, _) -> at >= Time_ns.sec 1) l with
+        | [] -> None
+        | l -> Some l)
       (retry_sends journal)
   in
-  check_bool "ops retried while steered" true (after_transfer <> []);
+  check_bool "ops retried while steered" true (steered <> []);
+  let rotated_onto_avoided =
+    List.exists
+      (fun l ->
+        let closest = snd (List.hd l) in
+        List.exists
+          (fun retry ->
+            (closest + retry - failover_after) mod n = 0)
+          (List.init (List.length l) (fun i -> i + 1)))
+      steered
+  in
+  check_bool "a failover rotation lands on the steered-away replica" true
+    rotated_onto_avoided;
   List.iter
-    (fun (at, dst) ->
-      check_bool
-        (Printf.sprintf "retry @%d avoids the steered-away replica" at)
-        true (dst <> 0))
-    after_transfer
+    (List.iter (fun (at, dst) ->
+         check_bool
+           (Printf.sprintf "retry @%d avoids the steered-away replica" at)
+           true (dst <> 0)))
+    steered
 
 let test_harness_retry_under_partition () =
   (* The IA client is cut off from the Multi-Paxos leader for longer
      than the retry timeout: the harness wrapper must re-submit, and
      dedup must keep execution exactly-once. *)
   let plan = "at 1s partition a=3 b=0 sym until=2200ms\n" in
-  let result, _, report = run_checked ~plan Exp_common.Multi_paxos in
+  let result, _, report = run_checked ~plan Protocols.Multi_paxos in
   check_bool "harness retried" true
-    (List.assoc "harness_retries" result.Exp_common.extra > 0);
+    (List.assoc "harness_retries" result.Domino_shard.Fabric.extra > 0);
   check_int "no duplicate executions" 0 report.Checker.duplicate_execs;
   check_bool "checker passes" true report.Checker.ok
 
@@ -688,26 +710,26 @@ let test_wipe_recovery_clean () =
     (fun proto ->
       let result, _, report = run_checked ~plan:wipe_plan proto in
       check_bool
-        (Exp_common.protocol_name proto ^ " checker passes across a wipe")
+        (Protocols.name proto ^ " checker passes across a wipe")
         true report.Checker.ok;
       check_bool
-        (Exp_common.protocol_name proto ^ " recovery observed")
+        (Protocols.name proto ^ " recovery observed")
         true
         (report.Checker.recoveries > 0);
       check_bool
-        (Exp_common.protocol_name proto ^ " fsyncs happened")
+        (Protocols.name proto ^ " fsyncs happened")
         true
-        (result.Exp_common.sync_writes > 0);
+        (result.Domino_shard.Fabric.sync_writes > 0);
       check_bool
-        (Exp_common.protocol_name proto ^ " recovery span measured")
+        (Protocols.name proto ^ " recovery span measured")
         true
-        (result.Exp_common.recovery_ms <> []))
+        (result.Domino_shard.Fabric.recovery_ms <> []))
     [
-      Exp_common.domino_default;
-      Exp_common.Mencius;
-      Exp_common.Epaxos;
-      Exp_common.Multi_paxos;
-      Exp_common.Fast_paxos;
+      Protocols.domino_default;
+      Protocols.Mencius;
+      Protocols.Epaxos;
+      Protocols.Multi_paxos;
+      Protocols.Fast_paxos;
     ]
 
 let test_node0_wipe_clean () =
@@ -726,8 +748,8 @@ let test_node0_wipe_clean () =
       (fun proto ->
         let _, _, report = run_checked ~plan proto in
         if report.Checker.ok && report.Checker.recoveries > 0 then None
-        else Some (Exp_common.protocol_name proto))
-      [ Exp_common.domino_default; Exp_common.Multi_paxos ]
+        else Some (Protocols.name proto))
+      [ Protocols.domino_default; Protocols.Multi_paxos ]
   in
   Alcotest.(check (list string))
     "protocols failing the checker or not recovering across a node-0 wipe" []
@@ -742,7 +764,7 @@ let test_probe_silence_steers_dm () =
   let _, journal, report =
     run_checked ~duration:(Time_ns.sec 6)
       ~plan:"at 2s crash node=1\nat 4s recover node=1\n"
-      Exp_common.domino_default
+      Protocols.domino_default
   in
   check_bool "checker passes" true report.Checker.ok;
   let count name ~from ~upto =
@@ -782,7 +804,7 @@ let test_leader_transfer_under_load () =
      in-flight and parked op still commits and executes. *)
   List.iter
     (fun proto ->
-      let name = Exp_common.protocol_name proto in
+      let name = Protocols.name proto in
       let _, journal, report =
         run_checked ~duration:(Time_ns.sec 5)
           ~plan:"at 1500ms transfer group=0 to=1\n" proto
@@ -791,7 +813,7 @@ let test_leader_transfer_under_load () =
         Alcotest.failf "%s transfer violates:@.%a" name Checker.pp_report report;
       check_int (name ^ ": transfer completed") 1
         (count_reconfig journal ~stage:"transfer_done"))
-    [ Exp_common.domino_default; Exp_common.Multi_paxos; Exp_common.Mencius ]
+    [ Protocols.domino_default; Protocols.Multi_paxos; Protocols.Mencius ]
 
 let test_roll_under_load () =
   (* The tentpole end-to-end: a full rolling wipe-upgrade of the 3-node
@@ -800,7 +822,7 @@ let test_roll_under_load () =
      ([run_checked] passes [require_complete]). *)
   List.iter
     (fun proto ->
-      let name = Exp_common.protocol_name proto in
+      let name = Protocols.name proto in
       let _, journal, report =
         run_checked ~duration:(Time_ns.sec 7)
           ~plan:"at 1500ms roll group=0 dwell=300ms\n" proto
@@ -813,14 +835,14 @@ let test_roll_under_load () =
         (count_reconfig journal ~stage:"roll_done");
       check_bool (name ^ ": every wipe recovered") true
         (report.Checker.recoveries >= 3))
-    [ Exp_common.domino_default; Exp_common.Multi_paxos ]
+    [ Protocols.domino_default; Protocols.Multi_paxos ]
 
 let test_reconfig_under_load () =
   (* Retire replica 2, then readmit it: two epoch bumps, each a
      stop-the-world drain, with no op lost across either boundary. *)
   List.iter
     (fun proto ->
-      let name = Exp_common.protocol_name proto in
+      let name = Protocols.name proto in
       let _, journal, report =
         run_checked ~duration:(Time_ns.sec 6)
           ~plan:
@@ -834,7 +856,7 @@ let test_reconfig_under_load () =
       check_int (name ^ ": two epoch bumps") 2 report.Checker.reconfigs;
       check_int (name ^ ": both changes finished") 2
         (count_reconfig journal ~stage:"done"))
-    [ Exp_common.domino_default; Exp_common.Multi_paxos ]
+    [ Protocols.domino_default; Protocols.Multi_paxos ]
 
 let test_reconfig_drain_abort () =
   (* The drain deadline, deterministically: the Multi-Paxos leader
@@ -848,7 +870,7 @@ let test_reconfig_drain_abort () =
   let journal = Journal.create () in
   ignore
     (Exp_common.run ~seed:5L ~rate:50. ~duration:(Time_ns.sec 4) ~journal
-       ~faults Exp_common.fig7_double Exp_common.Multi_paxos);
+       ~faults Exp_common.fig7_double Protocols.Multi_paxos);
   let abort = ref None and epochs = ref 0 in
   Journal.iter journal (function
     | Journal.Reconfig { stage = "abort"; epoch; detail; at; _ } ->
@@ -887,7 +909,7 @@ let test_roll_sweep_deterministic () =
     let cells =
       List.map
         (fun p -> (Exp_common.fig7_double, p))
-        [ Exp_common.domino_default; Exp_common.Multi_paxos ]
+        [ Protocols.domino_default; Protocols.Multi_paxos ]
     in
     ignore
       (Exp_common.run_sweep ~seed:7L ~rate:100. ~duration:(Time_ns.sec 5)
@@ -952,15 +974,15 @@ let chaos_property =
           if not report.Checker.ok then
             QCheck.Test.fail_reportf
               "%s failed the checker under@.%s@.%a"
-              (Exp_common.protocol_name proto)
+              (Protocols.name proto)
               plan Checker.pp_report report
           else true)
         [
-          Exp_common.domino_default;
-          Exp_common.Mencius;
-          Exp_common.Epaxos;
-          Exp_common.Multi_paxos;
-          Exp_common.Fast_paxos;
+          Protocols.domino_default;
+          Protocols.Mencius;
+          Protocols.Epaxos;
+          Protocols.Multi_paxos;
+          Protocols.Fast_paxos;
         ])
 
 let () =

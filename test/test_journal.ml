@@ -109,8 +109,8 @@ let sweep_lines ~jobs =
     (Exp_common.run_sweep ~runs:2 ~seed:7L ~duration:(Time_ns.sec 2) ~jobs
        ~journal:j
        [
-         (Exp_common.fig7_double, Exp_common.domino_default);
-         (Exp_common.fig7_double, Exp_common.Multi_paxos);
+         (Exp_common.fig7_double, Protocols.domino_default);
+         (Exp_common.fig7_double, Protocols.Multi_paxos);
        ]);
   check_int "no ring overflow" 0 (Journal.dropped j);
   Journal.to_lines j
@@ -132,8 +132,8 @@ let sweep_timeline_csv ~jobs =
     (Exp_common.run_sweep ~runs:2 ~seed:7L ~duration:(Time_ns.sec 2) ~jobs
        ~timeline:tl
        [
-         (Exp_common.fig7_double, Exp_common.domino_default);
-         (Exp_common.fig7_double, Exp_common.Multi_paxos);
+         (Exp_common.fig7_double, Protocols.domino_default);
+         (Exp_common.fig7_double, Protocols.Multi_paxos);
        ]);
   let t = Timeline.finish tl in
   Timeline.to_csv ~per_node:true t ^ Timeline.gauges_to_csv t
@@ -170,7 +170,7 @@ let tiered_run ?(trace = false) ~capacity () =
   ignore
     (Exp_common.run ~seed:5L ~duration:(Time_ns.sec 2) ~journal:j
        ~timeline:(Timeline.create ()) ~faults:plan Exp_common.fig7_double
-       Exp_common.domino_default);
+       Protocols.domino_default);
   (Journal.recorded j, !outline, !detail)
 
 let test_tiers () =
@@ -202,7 +202,7 @@ let count j pred =
   !n
 
 let test_event_stream_complete () =
-  let j, _ = journaled_run Exp_common.domino_default in
+  let j, _ = journaled_run Protocols.domino_default in
   let is = function
     | Journal.Submit _ -> "submit"
     | Journal.Commit _ -> "commit"
@@ -222,7 +222,7 @@ let test_event_stream_complete () =
 let test_sampler_cadence () =
   (* 3 s at the default 100 ms cadence: each probe sampled ~30 times,
      and every registered probe appears. *)
-  let j, _ = journaled_run Exp_common.domino_default in
+  let j, _ = journaled_run Protocols.domino_default in
   let names = Hashtbl.create 8 in
   Journal.iter j (function
     | Journal.Sample { name; _ } ->
@@ -243,18 +243,18 @@ let test_sampler_cadence () =
 
 let protocols =
   [
-    ("domino", Exp_common.domino_default);
-    ("mencius", Exp_common.Mencius);
-    ("epaxos", Exp_common.Epaxos);
-    ("multipaxos", Exp_common.Multi_paxos);
-    ("fastpaxos", Exp_common.Fast_paxos);
+    ("domino", Protocols.domino_default);
+    ("mencius", Protocols.Mencius);
+    ("epaxos", Protocols.Epaxos);
+    ("multipaxos", Protocols.Multi_paxos);
+    ("fastpaxos", Protocols.Fast_paxos);
   ]
 
 let test_provenance_tiles_latency () =
   List.iter
     (fun (name, proto) ->
       let _, r = journaled_run proto in
-      let bs = r.Exp_common.provenance in
+      let bs = r.Domino_shard.Fabric.provenance in
       check_bool (name ^ ": some ops analyzed") true (List.length bs > 10);
       List.iter
         (fun b ->
@@ -282,12 +282,13 @@ let test_provenance_tiles_latency () =
     protocols
 
 let test_provenance_in_metrics () =
-  let _, r = journaled_run Exp_common.Multi_paxos in
-  let m = r.Exp_common.metrics in
+  let _, r = journaled_run Protocols.Multi_paxos in
+  let m = r.Domino_shard.Fabric.metrics in
   (match Metrics.find_counter m "prov.ops" with
   | None -> Alcotest.fail "prov.ops counter missing"
   | Some c ->
-    check_int "one breakdown per op" (List.length r.Exp_common.provenance)
+    check_int "one breakdown per op"
+      (List.length r.Domino_shard.Fabric.provenance)
       (Metrics.counter_value c));
   List.iter
     (fun comp ->
@@ -558,7 +559,7 @@ let test_provenance_matches_reference () =
   let j = Journal.create () in
   ignore
     (Exp_common.run ~seed:11L ~duration:(Time_ns.sec 3) ~journal:j
-       ~faults:wipe_plan Exp_common.fig7_double Exp_common.Multi_paxos);
+       ~faults:wipe_plan Exp_common.fig7_double Protocols.Multi_paxos);
   check_bool "wipe run recovered" true
     (count j (function Journal.Recovery _ -> true | _ -> false) > 0);
   let bs = check_matches_reference "wipe" j in
@@ -576,7 +577,7 @@ let test_provenance_matches_reference () =
     let j = Journal.create ~capacity () in
     ignore
       (Exp_common.run ~seed:11L ~duration:(Time_ns.sec 3) ~journal:j
-         Exp_common.fig7_double Exp_common.domino_default);
+         Exp_common.fig7_double Protocols.domino_default);
     j
   in
   let j = ring_run 60_000 in
@@ -591,7 +592,7 @@ let test_provenance_matches_reference () =
 (* --- perfetto export ----------------------------------------------- *)
 
 let test_perfetto_export () =
-  let j, _ = journaled_run Exp_common.domino_default in
+  let j, _ = journaled_run Protocols.domino_default in
   let s = Perfetto.to_string j in
   check_bool "has traceEvents" true (contains s "\"traceEvents\":");
   check_bool "names the process" true (contains s "domino-sim");

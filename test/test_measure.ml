@@ -119,7 +119,7 @@ let test_estimator_rtt () =
     (Estimator.rtt est ~replica:1 ~now_local:!now)
 
 let test_estimator_staleness () =
-  let est = Estimator.create ~probe_timeout:(Time_ns.ms 500) ~n_replicas:2 () in
+  let est = Estimator.create ~n_replicas:2 () in
   feed est ~replica:0 ~now:(ms 100) ~rtt:(ms 50) ~offset:(ms 25) ();
   Alcotest.(check bool) "fresh" true
     (Estimator.rtt est ~replica:0 ~now_local:(ms 200) <> None);

@@ -86,7 +86,7 @@ let test_link_route_change () =
 
 let test_link_loss_penalty () =
   let rng = Rng.create 17L in
-  let link = Link.create ~loss:1.0 ~rto:(Time_ns.ms 200) ~base_owd:(Time_ns.ms 1) rng in
+  let link = Link.create ~loss:1.0 ~base_owd:(Time_ns.ms 1) rng in
   check_bool "loss adds rto" true (Link.sample link ~now:0 >= Time_ns.ms 200)
 
 (* --- Fifo_net --- *)
@@ -258,7 +258,7 @@ let test_topology_asymmetry () =
 let test_topology_build_network () =
   let engine = Engine.create () in
   let net =
-    Topology.make_net engine Topology.globe ~placement:[| "VA"; "WA"; "VA" |] ()
+    Topology.make_net engine Topology.globe ~placement:[| "VA"; "WA"; "VA" |]
   in
   (* VA->WA link has ~the matrix OWD; VA->VA (co-located) is local. *)
   let wan = Fifo_net.link net ~src:0 ~dst:1 in
@@ -266,7 +266,8 @@ let test_topology_build_network () =
   check_bool "wan base near owd" true
     (abs (Link.base_owd wan - Time_ns.of_ms_f (Topology.owd_ms Topology.globe 0 1))
     < Time_ns.ms 1);
-  check_bool "local sub-ms" true (Link.base_owd local < Time_ns.ms 1)
+  check_bool "local sub-ms" true (Link.base_owd local < Time_ns.ms 1);
+  Alcotest.(check (float 0.)) "wan loss" 1e-4 (Link.loss wan)
 
 let () =
   Alcotest.run "net"

@@ -71,9 +71,9 @@ let test_run_sweep_jobs_invariant () =
     List.map
       (fun proto -> (Domino_exp.Exp_common.na3, proto))
       [
-        Domino_exp.Exp_common.domino_default;
-        Domino_exp.Exp_common.Mencius;
-        Domino_exp.Exp_common.Multi_paxos;
+        Domino_exp.Protocols.domino_default;
+        Domino_exp.Protocols.Mencius;
+        Domino_exp.Protocols.Multi_paxos;
       ]
   in
   let render jobs =

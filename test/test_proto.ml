@@ -10,29 +10,30 @@ open Domino_exp
 let check_bool = Alcotest.(check bool)
 
 let quick_run ?(setting = Exp_common.na3) ?(seed = 7L) ?alpha ?rate proto =
-  Exp_common.run ~seed ?alpha ?rate ~duration:(Time_ns.sec 8)
-    ~measure_from:(Time_ns.sec 2)
-    ~measure_until:(Time_ns.sec 7) setting proto
+  (Exp_common.run ~seed ?alpha ?rate ~duration:(Time_ns.sec 8)
+     ~measure_from:(Time_ns.sec 2)
+     ~measure_until:(Time_ns.sec 7) setting proto)
+    .Domino_shard.Fabric.groups.(0)
 
-let all_committed (r : Exp_common.result) =
+let all_committed (r : Domino_shard.Fabric.group_result) =
   Observer.Recorder.committed r.recorder = Observer.Recorder.submitted r.recorder
 
-let converged (r : Exp_common.result) =
+let converged (r : Domino_shard.Fabric.group_result) =
   match r.store_fingerprints with
   | [] -> false
   | x :: rest -> List.for_all (fun y -> y = x) rest
 
-let p50 (r : Exp_common.result) =
+let p50 (r : Domino_shard.Fabric.group_result) =
   Domino_stats.Summary.median (Observer.Recorder.commit_latency_ms r.recorder)
 
 (* --- invariants for every protocol --- *)
 
 let protocols =
   [
-    ("multi-paxos", Exp_common.Multi_paxos);
-    ("mencius", Exp_common.Mencius);
-    ("epaxos", Exp_common.Epaxos);
-    ("fast-paxos", Exp_common.Fast_paxos);
+    ("multi-paxos", Protocols.Multi_paxos);
+    ("mencius", Protocols.Mencius);
+    ("epaxos", Protocols.Epaxos);
+    ("fast-paxos", Protocols.Fast_paxos);
   ]
 
 let test_liveness_and_convergence name proto () =
@@ -47,12 +48,12 @@ let test_liveness_and_convergence name proto () =
 
 let test_multipaxos_remote_client_two_roundtrips () =
   (* IA client -> WA leader (36ms) + WA majority replication (67ms). *)
-  let r = quick_run ~setting:Exp_common.fig7_single Exp_common.Multi_paxos in
+  let r = quick_run ~setting:Exp_common.fig7_single Protocols.Multi_paxos in
   let v = p50 r in
   check_bool "≈103ms" true (Float.abs (v -. 103.) < 12.)
 
 let test_multipaxos_colocated_client_one_roundtrip () =
-  let r = quick_run ~setting:Exp_common.fig7_double Exp_common.Multi_paxos in
+  let r = quick_run ~setting:Exp_common.fig7_double Protocols.Multi_paxos in
   (* Client node 4 is in WA with the leader: only the replication RTT. *)
   let wa =
     Domino_stats.Summary.median
@@ -78,47 +79,47 @@ let test_fastpaxos_two_clients_collide () =
 
 let test_fastpaxos_single_client_latency () =
   (* One roundtrip to the supermajority: max IA RTT to WA/VA/QC = 36ms. *)
-  let r = quick_run ~setting:Exp_common.fig7_single Exp_common.Fast_paxos in
+  let r = quick_run ~setting:Exp_common.fig7_single Protocols.Fast_paxos in
   let v = p50 r in
   check_bool "≈36ms" true (Float.abs (v -. 36.) < 8.)
 
 let test_fastpaxos_beats_multipaxos_single_client () =
-  let fp = quick_run ~setting:Exp_common.fig7_single Exp_common.Fast_paxos in
-  let mp = quick_run ~setting:Exp_common.fig7_single Exp_common.Multi_paxos in
+  let fp = quick_run ~setting:Exp_common.fig7_single Protocols.Fast_paxos in
+  let mp = quick_run ~setting:Exp_common.fig7_single Protocols.Multi_paxos in
   (* Paper: ~65ms lower median. *)
   check_bool "fp far below mp" true (p50 mp -. p50 fp > 40.)
 
 let test_fastpaxos_loses_with_two_clients () =
-  let fp = quick_run ~setting:Exp_common.fig7_double Exp_common.Fast_paxos in
-  let mp = quick_run ~setting:Exp_common.fig7_double Exp_common.Multi_paxos in
+  let fp = quick_run ~setting:Exp_common.fig7_double Protocols.Fast_paxos in
+  let mp = quick_run ~setting:Exp_common.fig7_double Protocols.Multi_paxos in
   check_bool "fp above mp with conflicts" true (p50 fp > p50 mp)
 
 (* --- Mencius --- *)
 
 let test_mencius_below_multipaxos_na () =
-  let me = quick_run Exp_common.Mencius in
-  let mp = quick_run Exp_common.Multi_paxos in
+  let me = quick_run Protocols.Mencius in
+  let mp = quick_run Protocols.Multi_paxos in
   (* Fig 8a: Mencius ~75ms vs Multi-Paxos ~107ms at the median. *)
   check_bool "mencius beats mp at median (NA)" true (p50 me < p50 mp)
 
 let test_mencius_single_client_liveness () =
   (* With one client, two owners are idle; SKIPs must keep the log
      moving. *)
-  let r = quick_run ~setting:Exp_common.fig7_single Exp_common.Mencius in
+  let r = quick_run ~setting:Exp_common.fig7_single Protocols.Mencius in
   check_bool "commits" true (all_committed r);
   check_bool "converges" true (converged r)
 
 (* --- EPaxos --- *)
 
 let test_epaxos_fast_path_without_conflicts () =
-  let r = quick_run Exp_common.Epaxos in
+  let r = quick_run Protocols.Epaxos in
   let total = r.fast_commits + r.slow_commits in
   check_bool "mostly fast" true
     (total > 0 && float_of_int r.fast_commits /. float_of_int total > 0.9)
 
 let test_epaxos_conflicts_force_accept_round () =
   (* A single hot key forces divergent dependencies. *)
-  let r = quick_run ~alpha:0.99 ~rate:400. Exp_common.Epaxos in
+  let r = quick_run ~alpha:0.99 ~rate:400. Protocols.Epaxos in
   check_bool "some slow commits" true (r.slow_commits > 0);
   check_bool "still converges" true (converged r);
   check_bool "still commits everything" true (all_committed r)
@@ -127,7 +128,7 @@ let test_epaxos_latency_two_roundtrips () =
   (* IA client -> closest replica QC (32ms) + QC's nearest peer round
      (QC-TRT is not a replica; QC->VA 38... QC->WA 68, QC->VA 38):
      fast quorum of 2 needs 1 peer: 38ms. Total ≈ 32 + 38 = 70. *)
-  let r = quick_run ~setting:Exp_common.fig7_single Exp_common.Epaxos in
+  let r = quick_run ~setting:Exp_common.fig7_single Protocols.Epaxos in
   let v = p50 r in
   check_bool "≈70ms" true (Float.abs (v -. 70.) < 12.)
 

@@ -1,5 +1,5 @@
-(* Registry-driven conformance tests for the unified protocol API:
-   every registered protocol runs the same smoke scenario through
+(* Table-driven conformance tests for the unified protocol API: every
+   protocol in [Protocols.all] runs the same smoke scenario through
    Protocol_intf, commits work, and keeps replica state machines in
    agreement — plus determinism checks on the observability output. *)
 
@@ -13,15 +13,17 @@ open Domino_exp
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* [Protocols] registers every protocol while it initialises, so the
-   registry is full before any test runs. *)
-let all_names () = Protocol_intf.names ()
+(* [Protocols.all] is the one protocol table. *)
+let all_names () = List.map Protocols.api_name Protocols.all
 
 let test_registry_names () =
+  let names = all_names () in
   Alcotest.(check (list string))
-    "all five protocols registered, sorted"
+    "all five protocols in the table, sorted"
     [ "domino"; "epaxos"; "fastpaxos"; "mencius"; "multipaxos" ]
-    (all_names ())
+    (List.sort compare names);
+  check_int "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 let test_api_name_roundtrip () =
   List.iter
@@ -37,10 +39,10 @@ let test_api_name_roundtrip () =
   check_bool "unknown name rejected" true (Protocols.of_api_name "nope" = None)
 
 (* Conformance through the experiment harness: identical smoke scenario
-   for every protocol, dispatched purely by registry name. *)
+   for every protocol, dispatched purely by its api name. *)
 let smoke name =
   match Protocols.of_api_name name with
-  | None -> Alcotest.failf "unregistered protocol %s" name
+  | None -> Alcotest.failf "unknown protocol %s" name
   | Some proto ->
     Exp_common.run ~seed:11L ~rate:100. ~duration:(Time_ns.sec 8)
       Exp_common.fig7_double proto
@@ -49,17 +51,18 @@ let test_conformance_commits () =
   List.iter
     (fun name ->
       let r = smoke name in
+      let g = r.Domino_shard.Fabric.groups.(0) in
       check_bool
         (name ^ " commits operations")
         true
-        (Observer.Recorder.committed r.Exp_common.recorder > 0);
-      (match Metrics.find_counter r.Exp_common.metrics "run.committed" with
+        (Observer.Recorder.committed g.Domino_shard.Fabric.recorder > 0);
+      let metrics = r.Domino_shard.Fabric.metrics in
+      (match Metrics.find_counter metrics "run.committed" with
       | Some c -> check_bool (name ^ " run.committed > 0") true
                     (Metrics.counter_value c > 0)
       | None -> Alcotest.failf "%s: no run.committed counter" name);
       match
-        Metrics.find_counter r.Exp_common.metrics
-          (name ^ ".msg.proposal.sent")
+        Metrics.find_counter metrics (name ^ ".msg.proposal.sent")
       with
       | Some c ->
         check_bool (name ^ " sends proposals") true (Metrics.counter_value c > 0)
@@ -69,12 +72,15 @@ let test_conformance_commits () =
 let test_conformance_stores_agree () =
   List.iter
     (fun name ->
-      let r = smoke name in
-      match r.Exp_common.store_fingerprints with
+      let fps =
+        (smoke name).Domino_shard.Fabric.groups.(0)
+          .Domino_shard.Fabric.store_fingerprints
+      in
+      match fps with
       | [] -> Alcotest.failf "%s: no store fingerprints" name
       | fp :: rest ->
         check_int (name ^ " has one fingerprint per replica") 3
-          (List.length r.Exp_common.store_fingerprints);
+          (List.length fps);
         List.iter
           (fun fp' ->
             check_bool (name ^ " replicas executed identically") true
@@ -85,9 +91,10 @@ let test_conformance_stores_agree () =
 (* Conformance straight against Protocol_intf.S, no harness: a
    hand-built env, a short workload, and the module's own accessors. *)
 let direct_run name =
-  match Protocol_intf.find name with
-  | None -> Alcotest.failf "unregistered protocol %s" name
-  | Some (module P : Protocol_intf.S) ->
+  match Protocols.of_api_name name with
+  | None -> Alcotest.failf "unknown protocol %s" name
+  | Some proto ->
+    let (module P : Protocol_intf.S) = Protocols.resolve proto in
     let engine = Engine.create ~seed:5L () in
     let placement = [| "WA"; "VA"; "QC"; "IA"; "WA" |] in
     let replicas = [| 0; 1; 2 |] in
@@ -113,7 +120,7 @@ let direct_run name =
         Protocol_intf.Group.cluster;
         prefix = "";
         make_net =
-          (fun () -> Topology.make_net engine Topology.na ~placement ());
+          (fun () -> Topology.make_net engine Topology.na ~placement);
         replicas;
         leader = 0;
         coordinator_of = (fun c -> replicas.(c mod Array.length replicas));
@@ -159,9 +166,9 @@ let test_metrics_deterministic () =
   let json () =
     let r =
       Exp_common.run ~seed:21L ~rate:100. ~duration:(Time_ns.sec 6)
-        Exp_common.fig7_double Exp_common.Multi_paxos
+        Exp_common.fig7_double Protocols.Multi_paxos
     in
-    Metrics.to_json_string r.Exp_common.metrics
+    Metrics.to_json_string r.Domino_shard.Fabric.metrics
   in
   let a = json () and b = json () in
   Alcotest.(check string) "same seed, byte-identical metrics JSON" a b
@@ -182,7 +189,7 @@ let traced ?(capacity = 1) ?rate ~seed ~duration ~nth setting =
   Provenance.attach f j;
   ignore
     (Exp_common.run ~seed ?rate ~duration:(Time_ns.sec duration) ~journal:j
-       setting Exp_common.domino_default);
+       setting Protocols.domino_default);
   let evs = Provenance.focused f in
   (Provenance.span_tree evs, j, evs)
 

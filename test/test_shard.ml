@@ -558,8 +558,8 @@ let test_migration_chaos_prop =
              slot from_g to_g fault_text)
       in
       let proto =
-        if proto_i = 0 then Exp_common.domino_default
-        else Exp_common.Multi_paxos
+        if proto_i = 0 then Protocols.domino_default
+        else Protocols.Multi_paxos
       in
       let j =
         Exp_rebalance.chaos_journal ~seed:(Int64.of_int seed) ~faults:plan

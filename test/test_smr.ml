@@ -60,7 +60,7 @@ let op ~client ~seq = Op.make ~client ~seq ~key:0 ~value:0L
 
 let test_recorder_commit_latency () =
   let r = Observer.Recorder.create () in
-  let obs = Observer.Recorder.observer r () in
+  let obs = Observer.Recorder.observer r in
   let o = op ~client:7 ~seq:0 in
   Observer.Recorder.note_submit r o ~now:(Time_ns.ms 100);
   obs.Observer.on_commit o ~now:(Time_ns.ms 150);
@@ -70,7 +70,7 @@ let test_recorder_commit_latency () =
 
 let test_recorder_dedupes_commits () =
   let r = Observer.Recorder.create () in
-  let obs = Observer.Recorder.observer r () in
+  let obs = Observer.Recorder.observer r in
   let o = op ~client:7 ~seq:0 in
   Observer.Recorder.note_submit r o ~now:0;
   obs.Observer.on_commit o ~now:(Time_ns.ms 10);
@@ -84,7 +84,7 @@ let test_recorder_measure_window () =
   let r = Observer.Recorder.create () in
   Observer.Recorder.start_measuring r (Time_ns.ms 100);
   Observer.Recorder.stop_measuring r (Time_ns.ms 200);
-  let obs = Observer.Recorder.observer r () in
+  let obs = Observer.Recorder.observer r in
   let early = op ~client:1 ~seq:0 in
   let inside = op ~client:1 ~seq:1 in
   let late = op ~client:1 ~seq:2 in
@@ -99,7 +99,7 @@ let test_recorder_measure_window () =
 
 let test_recorder_exec_first_replica_by_default () =
   let r = Observer.Recorder.create () in
-  let obs = Observer.Recorder.observer r () in
+  let obs = Observer.Recorder.observer r in
   let o = op ~client:1 ~seq:0 in
   Observer.Recorder.note_submit r o ~now:0;
   obs.Observer.on_execute ~replica:2 o ~now:(Time_ns.ms 30);
@@ -108,23 +108,26 @@ let test_recorder_exec_first_replica_by_default () =
   check_int "one sample" 1 (Domino_stats.Summary.count s);
   Alcotest.(check (float 1e-9)) "first exec" 30. (Domino_stats.Summary.mean s)
 
+(* The sample replica as the shard fabric chooses it: [execute
+   ~exec_at]. *)
 let test_recorder_exec_specific_replica () =
   let r = Observer.Recorder.create () in
-  let obs =
-    Observer.Recorder.observer r ~exec_replica_for:(fun _ -> Some 1) ()
-  in
   let o = op ~client:1 ~seq:0 in
   Observer.Recorder.note_submit r o ~now:0;
-  obs.Observer.on_execute ~replica:0 o ~now:(Time_ns.ms 10);
+  check_bool "wrong replica executes fresh" true
+    (Observer.Recorder.execute r ~replica:0 ~exec_at:1 o ~now:(Time_ns.ms 10)
+    = Observer.Recorder.Fresh);
   check_int "ignored wrong replica" 0
     (Domino_stats.Summary.count (Observer.Recorder.exec_latency_ms r));
-  obs.Observer.on_execute ~replica:1 o ~now:(Time_ns.ms 25);
+  check_bool "selected replica samples" true
+    (Observer.Recorder.execute r ~replica:1 ~exec_at:1 o ~now:(Time_ns.ms 25)
+    = Observer.Recorder.Sample 25.);
   Alcotest.(check (float 1e-9)) "selected replica" 25.
     (Domino_stats.Summary.mean (Observer.Recorder.exec_latency_ms r))
 
 let test_recorder_per_client () =
   let r = Observer.Recorder.create () in
-  let obs = Observer.Recorder.observer r () in
+  let obs = Observer.Recorder.observer r in
   let a = op ~client:1 ~seq:0 and b = op ~client:2 ~seq:0 in
   Observer.Recorder.note_submit r a ~now:0;
   Observer.Recorder.note_submit r b ~now:0;
@@ -137,7 +140,7 @@ let test_recorder_per_client () =
 
 let test_latency_series () =
   let r = Observer.Recorder.create () in
-  let obs = Observer.Recorder.observer r () in
+  let obs = Observer.Recorder.observer r in
   let a = op ~client:1 ~seq:0 in
   Observer.Recorder.note_submit r a ~now:(Time_ns.ms 5);
   obs.Observer.on_commit a ~now:(Time_ns.ms 25);
@@ -149,7 +152,7 @@ let test_latency_series () =
 
 let test_recorder_retry_keeps_first_submit () =
   let r = Observer.Recorder.create () in
-  let obs = Observer.Recorder.observer r () in
+  let obs = Observer.Recorder.observer r in
   let o = op ~client:3 ~seq:4 in
   obs.Observer.on_submit o ~now:(Time_ns.ms 10);
   obs.Observer.on_submit o ~now:(Time_ns.ms 40);
@@ -160,7 +163,7 @@ let test_recorder_retry_keeps_first_submit () =
 
 let test_recorder_committed_distinct () =
   let r = Observer.Recorder.create () in
-  let obs = Observer.Recorder.observer r () in
+  let obs = Observer.Recorder.observer r in
   List.iter
     (fun (client, seq) -> obs.Observer.on_commit (op ~client ~seq) ~now:0)
     [ (1, 0); (1, 1); (1, 0); (2, 0); (1, 1) ];
@@ -169,7 +172,7 @@ let test_recorder_committed_distinct () =
 let test_recorder_ids_across_clients () =
   (* The same seq from two clients is two operations. *)
   let r = Observer.Recorder.create () in
-  let obs = Observer.Recorder.observer r () in
+  let obs = Observer.Recorder.observer r in
   let a = op ~client:1 ~seq:5 and b = op ~client:2 ~seq:5 in
   obs.Observer.on_submit a ~now:0;
   obs.Observer.on_submit b ~now:(Time_ns.ms 20);

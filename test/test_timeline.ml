@@ -399,7 +399,7 @@ let test_of_lines_real_journal () =
   let j = Journal.create () in
   let _ =
     Exp_common.run ~seed:3L ~rate:100. ~duration:(Time_ns.sec 3) ~journal:j
-      ~faults:plan Exp_common.fig7_double Exp_common.domino_default
+      ~faults:plan Exp_common.fig7_double Protocols.domino_default
   in
   let lines = Journal.to_lines j in
   match Journal.of_lines lines with
@@ -422,11 +422,11 @@ let test_of_lines_errors () =
 
 let protocols =
   [|
-    Exp_common.domino_default;
-    Exp_common.Mencius;
-    Exp_common.Epaxos;
-    Exp_common.Multi_paxos;
-    Exp_common.Fast_paxos;
+    Protocols.domino_default;
+    Protocols.Mencius;
+    Protocols.Epaxos;
+    Protocols.Multi_paxos;
+    Protocols.Fast_paxos;
   |]
 
 let plans =
@@ -652,8 +652,8 @@ let test_hotspot_synthetic () =
 
 (* Hysteresis: every hot window is still counted and journaled, but the
    [on_hot] hook — what turns detection into a migration — only fires
-   once a group has stayed hot for [hysteresis] consecutive windows,
-   and a cold window resets the streak. *)
+   once a group has stayed hot for two consecutive windows, and a cold
+   window resets the streak. *)
 let test_hotspot_hysteresis () =
   let engine = Engine.create ~seed:1L () in
   let clock = Timeline.Clock.create engine ~window:(ms 100) in
@@ -666,9 +666,8 @@ let test_hotspot_hysteresis () =
          check_int "only the hot group fires" 1 g;
          incr fired)
        ~journal:Journal.null ());
-  (* Window pattern for group 1: hot hot hot cold hot hot. With the
-     default hysteresis of 2, on_hot fires in windows 2, 3, and 6 —
-     never on the first window of a streak. *)
+  (* Window pattern for group 1: hot hot hot cold hot hot. on_hot fires
+     in windows 2, 3, and 6 — never on the first window of a streak. *)
   let burst ~at ~hot =
     Engine.schedule_at engine ~at (fun () ->
         loads.(0) <- loads.(0) +. 1.;
@@ -678,35 +677,7 @@ let test_hotspot_hysteresis () =
     (fun i hot -> burst ~at:(ms ((100 * i) + 50)) ~hot)
     [ true; true; true; false; true; true ];
   Engine.run ~until:(ms 610) engine;
-  check_int "hook fired only after consecutive hot windows" 3 !fired;
-  (* hysteresis 1 restores the old fire-on-first-window behavior *)
-  let engine = Engine.create ~seed:1L () in
-  let clock = Timeline.Clock.create engine ~window:(ms 100) in
-  let loads = [| 0.; 0. |] in
-  let fired = ref 0 in
-  ignore
-    (Domino_shard.Hotspot.create clock ~groups:2 ~factor:1.5 ~hysteresis:1
-       ~loads:(fun () -> Array.copy loads)
-       ~on_hot:(fun ~g:_ -> incr fired)
-       ~journal:Journal.null ());
-  let burst ~at ~hot =
-    Engine.schedule_at engine ~at (fun () ->
-        loads.(0) <- loads.(0) +. 1.;
-        loads.(1) <- loads.(1) +. (if hot then 8. else 1.))
-  in
-  List.iteri
-    (fun i hot -> burst ~at:(ms ((100 * i) + 50)) ~hot)
-    [ true; true; true; false; true; true ];
-  Engine.run ~until:(ms 610) engine;
-  check_int "hysteresis 1 fires on every hot window" 5 !fired;
-  check_bool "hysteresis must be positive" true
-    (try
-       ignore
-         (Domino_shard.Hotspot.create clock ~groups:2 ~hysteresis:0
-            ~loads:(fun () -> [| 0.; 0. |])
-            ~journal:Journal.null ());
-       false
-     with Invalid_argument _ -> true)
+  check_int "hook fired only after consecutive hot windows" 3 !fired
 
 (* --- golden analyze CSVs -------------------------------------------- *)
 
