@@ -17,31 +17,39 @@ open Domino_core
 let () =
   let engine = Engine.create ~seed:3L () in
   let n = 4 in
-  let net = Fifo_net.create engine ~n in
-  let rng = Engine.rng engine in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      if src <> dst then
-        Fifo_net.set_link net ~src ~dst
-          (Link.create ~jitter:Jitter.calm_lan ~loss:0.
-             ~base_owd:(Time_ns.ms 15) rng)
-    done
-  done;
-  let set_rtt a b ms =
-    Link.set_base_owd (Fifo_net.link net ~src:a ~dst:b) (Time_ns.of_ms_f (ms /. 2.));
-    Link.set_base_owd (Fifo_net.link net ~src:b ~dst:a) (Time_ns.of_ms_f (ms /. 2.))
+  (* The network Domino runs on: 15 ms one-way links, and the two
+     scheduled route changes on the client's path to R0. *)
+  let make_net ~classify:_ ~op_of:_ =
+    let net = Fifo_net.create engine ~n in
+    let rng = Engine.rng engine in
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        if src <> dst then
+          Fifo_net.set_link net ~src ~dst
+            (Link.create ~jitter:Jitter.calm_lan ~loss:0.
+               ~base_owd:(Time_ns.ms 15) rng)
+      done
+    done;
+    let set_rtt a b ms =
+      Link.set_base_owd (Fifo_net.link net ~src:a ~dst:b) (Time_ns.of_ms_f (ms /. 2.));
+      Link.set_base_owd (Fifo_net.link net ~src:b ~dst:a) (Time_ns.of_ms_f (ms /. 2.))
+    in
+    ignore (Engine.schedule_at engine ~at:(Time_ns.sec 10) (fun () ->
+        print_endline "-- route change: client<->R0 now 50ms --";
+        set_rtt 3 0 50.));
+    ignore (Engine.schedule_at engine ~at:(Time_ns.sec 20) (fun () ->
+        print_endline "-- route change: client<->R0 now 70ms --";
+        set_rtt 3 0 70.));
+    net
   in
-  ignore (Engine.schedule_at engine ~at:(Time_ns.sec 10) (fun () ->
-      print_endline "-- route change: client<->R0 now 50ms --";
-      set_rtt 3 0 50.));
-  ignore (Engine.schedule_at engine ~at:(Time_ns.sec 20) (fun () ->
-      print_endline "-- route change: client<->R0 now 70ms --";
-      set_rtt 3 0 70.));
 
   let recorder = Observer.Recorder.create () in
   let observer = Observer.Recorder.observer recorder in
-  let cfg = Config.make ~replicas:[| 0; 1; 2 |] () in
-  let domino = Domino.create ~net ~cfg ~observer () in
+  let replicas = [| 0; 1; 2 |] in
+  let env =
+    Durable.standalone engine ~replicas ~observer { Durable.make = make_net }
+  in
+  let domino = Domino.create env (Config.make ~replicas ()) in
 
   (* One request per second; record which subsystem each request
      actually went through (ground truth from the client's counters). *)

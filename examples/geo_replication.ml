@@ -19,14 +19,19 @@ let () =
   let replica_dcs = [ "WA"; "PR"; "NSW" ] in
   let client_dcs = [ "VA"; "WA"; "PR"; "NSW"; "SG"; "HK" ] in
   let placement = Array.of_list (replica_dcs @ client_dcs) in
-  let net = Topology.make_net engine Topology.globe ~placement in
+  let make_net ~classify:_ ~op_of:_ =
+    Topology.make_net engine Topology.globe ~placement
+  in
 
   let recorder = Observer.Recorder.create () in
   (* Measure after a 2s warm-up, like the paper discards run edges. *)
   Observer.Recorder.start_measuring recorder (Time_ns.sec 2);
   let observer = Observer.Recorder.observer recorder in
-  let cfg = Config.make ~replicas:[| 0; 1; 2 |] () in
-  let domino = Domino.create ~net ~cfg ~observer () in
+  let replicas = [| 0; 1; 2 |] in
+  let env =
+    Durable.standalone engine ~replicas ~observer { Durable.make = make_net }
+  in
+  let domino = Domino.create env (Config.make ~replicas ()) in
 
   (* Each region runs an application server sending 200 writes/s over
      a million-key space (the paper's workload). *)

@@ -17,10 +17,13 @@ let () =
      reproducible from this seed. *)
   let engine = Engine.create ~seed:7L () in
 
-  (* 2. A WAN: nodes 0-2 are replicas in WA/PR/NSW, node 3 is a client
-     in VA. Link delays come from the paper's measured RTT matrix. *)
+  (* 2. A WAN, built when the protocol asks for its network: nodes 0-2
+     are replicas in WA/PR/NSW, node 3 is a client in VA. Link delays
+     come from the paper's measured RTT matrix. *)
   let placement = [| "WA"; "PR"; "NSW"; "VA" |] in
-  let net = Topology.make_net engine Topology.globe ~placement in
+  let make_net ~classify:_ ~op_of:_ =
+    Topology.make_net engine Topology.globe ~placement
+  in
 
   (* 3. Domino with default paper settings (10ms probes, p95 estimates,
      1s window). The observer reports commits and executions. *)
@@ -42,8 +45,11 @@ let () =
       on_phase = (fun ~node:_ ~op:_ ~name:_ ~dur:_ ~now:_ -> ());
     }
   in
-  let cfg = Config.make ~replicas:[| 0; 1; 2 |] () in
-  let domino = Domino.create ~net ~cfg ~observer () in
+  let replicas = [| 0; 1; 2 |] in
+  let env =
+    Durable.standalone engine ~replicas ~observer { Durable.make = make_net }
+  in
+  let domino = Domino.create env (Config.make ~replicas ()) in
 
   (* 4. Let the measurement subsystem warm up (a second of probing),
      then submit ten writes, 100ms apart. *)

@@ -11,8 +11,8 @@ open Domino_net
 
     Client request retry is not part of the deployment config: it is
     the shared {!Domino_smr.Retry} loop with Domino's DM resend rule,
-    armed per client through {!Domino.create}'s [?retry]
-    ({!Client.retry}). *)
+    armed per client by {!Domino.create} from the group's [retry_*]
+    params ({!Client.retry}). *)
 
 type t = {
   replicas : Nodeid.t array;

@@ -24,13 +24,25 @@ type stats = {
   late_decisions : int;
 }
 
-let create ~net ~cfg ~observer ?stores ?retry () =
-  let n = Config.n cfg in
-  let stores =
-    match stores with
-    | Some stores -> stores
-    | None -> Durable.default_stores net ~replicas:cfg.Config.replicas
+let create (env : Protocol_intf.Group.env) cfg =
+  if cfg.Config.replicas <> env.replicas then
+    invalid_arg "Domino.create: cfg.replicas differs from env.replicas";
+  let net = env.make_net ~classify:Message.classify ~op_of:Message.op_of in
+  let { Protocol_intf.Group.observer; stores; params = p; _ } = env in
+  let retry =
+    if p.retry_timeout = 0 then None
+    else
+      Some
+        {
+          Client.policy =
+            {
+              Retry.timeout = p.retry_timeout;
+              max_attempts = p.retry_max_attempts;
+            };
+          failover_after = p.retry_failover_after;
+        }
   in
+  let n = Config.n cfg in
   let replicas =
     Array.init n (fun index ->
         Replica.create ~net ~cfg ~index ~observer ~store:stores.(index) ())
@@ -240,31 +252,12 @@ module Api = struct
   let name = "domino"
 
   let create (env : Protocol_intf.Group.env) =
-    let open Protocol_intf in
-    let net = env.Group.make_net () in
-    instrument env ~name ~classify:Message.classify ~op_of:Message.op_of net;
-    let p = env.Group.params in
-    let cfg =
-      Config.make ~additional_delay:p.additional_delay
-        ~percentile:p.percentile ~every_replica_learns:p.every_replica_learns
-        ~adaptive:p.adaptive
-        ~coordinator:env.Group.leader ~replicas:env.Group.replicas ()
-    in
-    let retry =
-      if p.retry_timeout = 0 then None
-      else
-        Some
-          {
-            Client.policy =
-              {
-                Retry.timeout = p.retry_timeout;
-                max_attempts = p.retry_max_attempts;
-              };
-            failover_after = p.retry_failover_after;
-          }
-    in
-    create ~net ~cfg ~observer:env.Group.observer ~stores:env.Group.stores
-      ?retry ()
+    let p = env.params in
+    create env
+      (Config.make ~additional_delay:p.additional_delay
+         ~percentile:p.percentile ~every_replica_learns:p.every_replica_learns
+         ~adaptive:p.adaptive ~coordinator:env.leader ~replicas:env.replicas
+         ())
 
   let submit = submit
   let committed_count = committed_count

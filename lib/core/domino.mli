@@ -20,20 +20,17 @@ type stats = {
   late_decisions : int;  (** execution-safety violations; must be 0 *)
 }
 
-val create :
-  net:Message.msg Fifo_net.t ->
-  cfg:Config.t ->
-  observer:Observer.t ->
-  ?stores:Domino_store.Store.t array ->
-  ?retry:Client.retry ->
-  unit ->
-  t
-(** [stores] (one per replica, indexed like [cfg.replicas]) hold each
-    node's durable state; the coordinator shares the co-located
-    replica's store. Fresh default stores when omitted. Installs the
-    wipe-restart hooks ({!Fifo_net.set_wipe_hook}) for every replica.
-    [retry] arms every client's request retry ({!Client.retry}); {!Api}
-    builds it from [env.params] when [retry_timeout > 0]. *)
+val create : Protocol_intf.Group.env -> Config.t -> t
+(** Build Domino on [env.make_net]'s network with [cfg]'s replicas and
+    coordinator; [env.leader] and [env.coordinator_of] are not read.
+    [env.stores] (one per replica, indexed like [cfg.replicas]) hold
+    each node's durable state; the coordinator shares the co-located
+    replica's store. Installs the wipe-restart hooks
+    ({!Fifo_net.set_wipe_hook}) for every replica. A positive
+    [env.params.retry_timeout] arms every client's request retry
+    ({!Client.retry}) from the [retry_*] params.
+    @raise Invalid_argument if [cfg.replicas] differs from
+    [env.replicas]. *)
 
 val submit : t -> Op.t -> unit
 (** Submit from [op.client]'s client library. *)
@@ -45,11 +42,8 @@ val replica : t -> int -> Replica.t
 
 val stats : t -> stats
 
-val committed_count : t -> int
-(** Operations some client has learned committed (DFP or DM). *)
-
 module Api : Protocol_intf.S with type t = t
-(** The unified-API module, named "domino" ([Protocols.Domino]). Its
-    config knobs travel in [env.params]: [additional_delay],
-    [percentile], [every_replica_learns] and [adaptive], plus the
-    [retry_*] fields. *)
+(** The unified-API module, named "domino" ([Protocols.Domino]). It
+    derives the {!Config.t} from [env]: [env.leader] is the coordinator,
+    and [env.params] carries [additional_delay], [percentile],
+    [every_replica_learns] and [adaptive]. *)

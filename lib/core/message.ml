@@ -48,50 +48,6 @@ type msg =
   | Dm_watermark of { leader : int; upto : Time_ns.t }
   | Dm_reply of { op : Op.t }
 
-let pp fmt = function
-  | Probe_req r -> Format.fprintf fmt "Probe_req(%a)" Probe.pp_request r
-  | Probe_rep r -> Format.fprintf fmt "Probe_rep(%a)" Probe.pp_reply r
-  | Dfp_propose { ts; op } ->
-    Format.fprintf fmt "Dfp_propose(%a, %a)" Time_ns.pp ts Op.pp op
-  | Dfp_vote { ts; report; acceptor; _ } ->
-    Format.fprintf fmt "Dfp_vote(%a, %s, a%d)" Time_ns.pp ts
-      (match report with Voted_op _ -> "op" | Voted_noop -> "noop")
-      acceptor
-  | Dfp_p2a { ts; value } ->
-    Format.fprintf fmt "Dfp_p2a(%a, %s)" Time_ns.pp ts
-      (match value with Some _ -> "op" | None -> "noop")
-  | Dfp_p2b { ts; acceptor } ->
-    Format.fprintf fmt "Dfp_p2b(%a, a%d)" Time_ns.pp ts acceptor
-  | Dfp_commit { ts; value; seq } ->
-    Format.fprintf fmt "Dfp_commit(%a, %s, #%d)" Time_ns.pp ts
-      (match value with Some _ -> "op" | None -> "noop")
-      seq
-  | Dfp_decided_watermark { upto; seq; resync; complete } ->
-    Format.fprintf fmt "Dfp_decided_watermark(%a, #%d%s%s)" Time_ns.pp upto
-      seq
-      (if resync then ", resync" else "")
-      (if complete then ", complete" else "")
-  | Dfp_pull { acceptor; from } ->
-    Format.fprintf fmt "Dfp_pull(a%d, from=%a)" acceptor Time_ns.pp from
-  | Replica_heartbeat { acceptor; watermark } ->
-    Format.fprintf fmt "Replica_heartbeat(a%d, %a)" acceptor Time_ns.pp
-      watermark
-  | Dfp_slow_reply { op } -> Format.fprintf fmt "Dfp_slow_reply(%a)" Op.pp op
-  | Dm_request op -> Format.fprintf fmt "Dm_request(%a)" Op.pp op
-  | Dm_accept { leader; ts; _ } ->
-    Format.fprintf fmt "Dm_accept(l%d, %a)" leader Time_ns.pp ts
-  | Dm_accepted { leader; ts; acceptor } ->
-    Format.fprintf fmt "Dm_accepted(l%d, %a, a%d)" leader Time_ns.pp ts
-      acceptor
-  | Dm_commit { leader; ts; _ } ->
-    Format.fprintf fmt "Dm_commit(l%d, %a)" leader Time_ns.pp ts
-  | Dm_commit_ack { leader; ts; acceptor } ->
-    Format.fprintf fmt "Dm_commit_ack(l%d, %a, a%d)" leader Time_ns.pp ts
-      acceptor
-  | Dm_watermark { leader; upto } ->
-    Format.fprintf fmt "Dm_watermark(l%d, %a)" leader Time_ns.pp upto
-  | Dm_reply { op } -> Format.fprintf fmt "Dm_reply(%a)" Op.pp op
-
 let op_of = function
   | Dfp_propose { op; _ }
   | Dfp_slow_reply { op }

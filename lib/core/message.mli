@@ -75,8 +75,6 @@ type msg =
       (** leader -> all: its lane's no-op fill time *)
   | Dm_reply of { op : Op.t }  (** leader -> client *)
 
-val pp : Format.formatter -> msg -> unit
-
 val classify : msg -> Domino_smr.Msg_class.t
 (** Cost class of a message, for the Figure 13 throughput model. *)
 

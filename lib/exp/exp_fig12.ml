@@ -43,29 +43,26 @@ let run_proto ~seed ~duration ~rate ~initial_rtt ~changes proto =
   let observer = Observer.Recorder.observer recorder in
   let replicas = [| 0; 1; 2 |] in
   let client = 3 in
+  let env =
+    Durable.standalone engine ~replicas ~observer
+      {
+        Durable.make =
+          (fun ~classify:_ ~op_of:_ ->
+            let net = build_net engine ~rtt_ms:initial_rtt in
+            List.iter
+              (fun (at, change) ->
+                Engine.schedule_at engine ~at (fun () -> change.apply net))
+              changes;
+            net);
+      }
+  in
   let submit =
     match proto with
     | P_domino ->
-      let net = build_net engine ~rtt_ms:initial_rtt in
-      List.iter
-        (fun (at, change) ->
-          Engine.schedule_at engine ~at (fun () -> change.apply net))
-        changes;
-      let cfg = Domino_core.Config.make ~replicas ~coordinator:0 () in
-      let d = Domino_core.Domino.create ~net ~cfg ~observer () in
-      Domino_core.Domino.submit d
-    | P_mencius ->
-      let net = build_net engine ~rtt_ms:initial_rtt in
-      List.iter
-        (fun (at, change) ->
-          Engine.schedule_at engine ~at (fun () -> change.apply net))
-        changes;
-      let p =
-        Domino_proto.Mencius.create ~net ~replicas
-          ~coordinator_of:(fun _ -> 0)
-          ~observer ()
-      in
-      Domino_proto.Mencius.submit p
+      Domino_core.Domino.submit
+        (Domino_core.Domino.create env
+           (Domino_core.Config.make ~replicas ~coordinator:0 ()))
+    | P_mencius -> Domino_proto.Mencius.submit (Domino_proto.Mencius.create env)
   in
   let _w =
     Domino_kv.Workload.create ~rate ~clients:[ client ] ~duration ~submit engine

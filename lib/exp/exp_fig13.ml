@@ -3,8 +3,6 @@ open Domino_net
 open Domino_smr
 open Domino_stats
 
-type result = { protocol : string; peak_rps : float; paper_rps : float }
-
 (* --- Cost model (microseconds of CPU per received message) ---
 
    Calibrated so Multi-Paxos lands near the paper's 36K req/s on its
@@ -55,18 +53,35 @@ let clients = [ 3; 4; 5 ]
 
 let measure_window = (Time_ns.ms 1000, Time_ns.ms 2500)
 
-let run_load (type msg) ~seed ~(make : msg Fifo_net.t -> Observer.t -> Op.t -> unit)
-    ~(cost : replica:int -> msg -> Time_ns.span) ~workers ~rate () =
+(* The LAN group every run builds its protocol on: each replica serves
+   its messages with [workers] service workers at [cost] of the
+   message's class, which the protocol's own classifier names. Clients
+   front at replica [client mod 3]. *)
+let lan_env engine ~cost ~workers observer =
+  {
+    (Durable.standalone engine ~replicas ~observer
+       {
+         Durable.make =
+           (fun ~classify ~op_of:_ ->
+             let net = lan_net engine in
+             Array.iter
+               (fun r ->
+                 Fifo_net.set_service net r ~workers ~cost:(fun m ->
+                     cost (classify m)))
+               replicas;
+             net);
+       })
+    with
+    coordinator_of = (fun c -> c mod 3);
+  }
+
+let run_load ~seed ~(make : Protocol_intf.env -> Op.t -> unit) ~cost ~workers
+    ~rate () =
   let engine = Engine.create ~seed () in
-  let net : msg Fifo_net.t = lan_net engine in
   let recorder = Observer.Recorder.create () in
   let from_, until = measure_window in
   let observer = Observer.Recorder.observer recorder in
-  let submit = make net observer in
-  Array.iter
-    (fun r ->
-      Fifo_net.set_service net r ~workers ~cost:(fun m -> cost ~replica:r m))
-    replicas;
+  let submit = make (lan_env engine ~cost ~workers observer) in
   let duration = Time_ns.ms 3000 in
   let _w =
     Domino_kv.Workload.create
@@ -99,42 +114,14 @@ let sweep ~quick ~seed ~make ~cost ~workers =
       Float.max best achieved)
     0. loads
 
-let multi_paxos_peak ~quick ~seed =
-  let make net observer =
-    let p =
-      Domino_proto.Multipaxos.create ~net ~replicas ~leader:0 ~observer ()
-    in
-    Domino_proto.Multipaxos.submit p
-  in
-  let cost ~replica:_ m = baseline_cost (Domino_proto.Multipaxos.classify m) in
-  sweep ~quick ~seed ~make ~cost ~workers:1
-
-let mencius_peak ~quick ~seed =
-  let make net observer =
-    let p =
-      Domino_proto.Mencius.create ~net ~replicas
-        ~coordinator_of:(fun c -> c mod 3)
-        ~observer ()
-    in
-    Domino_proto.Mencius.submit p
-  in
-  let cost ~replica:_ m = baseline_cost (Domino_proto.Mencius.classify m) in
-  sweep ~quick ~seed ~make ~cost ~workers:1
-
-let epaxos_peak ~quick ~seed =
-  let make net observer =
-    let p =
-      Domino_proto.Epaxos.create ~net ~replicas
-        ~coordinator_of:(fun c -> c mod 3)
-        ~observer ()
-    in
-    Domino_proto.Epaxos.submit p
-  in
-  let cost ~replica:_ m = baseline_cost (Domino_proto.Epaxos.classify m) in
-  sweep ~quick ~seed ~make ~cost ~workers:1
+(* A baseline at its defaults, built through its unified API: leader
+   (Multi-Paxos) replica 0, one service worker. *)
+let baseline_peak (module P : Protocol_intf.S) ~quick ~seed =
+  let make env = P.submit (P.create env) in
+  sweep ~quick ~seed ~make ~cost:baseline_cost ~workers:1
 
 let domino_peak ~quick ~seed =
-  let make net observer =
+  let make env =
     (* Pin clients to DFP: in the symmetric LAN DFP is the cheaper
        subsystem, and pinning keeps the saturation point well defined
        (otherwise queue-inflated estimates shift clients to DM). The
@@ -145,25 +132,11 @@ let domino_peak ~quick ~seed =
       Domino_core.Config.make ~force_dfp:true ~adaptive:true
         ~additional_delay:(Time_ns.ms 2) ~replicas ~coordinator:0 ()
     in
-    let d = Domino_core.Domino.create ~net ~cfg ~observer () in
-    Domino_core.Domino.submit d
+    Domino_core.Domino.submit (Domino_core.Domino.create env cfg)
   in
-  let cost ~replica:_ m = domino_cost (Domino_core.Message.classify m) in
   (* Two service workers: the implementation overlaps network I/O with
      log processing (the paper's stated reason Domino beats Mencius). *)
-  sweep ~quick ~seed ~make ~cost ~workers:2
-
-let run ?(quick = true) ?(seed = 42L) () =
-  (* The four load sweeps are independent simulations; fan them out. *)
-  Domino_par.Par.map_list
-    (fun (protocol, peak, paper_rps) ->
-      { protocol; peak_rps = peak ~quick ~seed; paper_rps })
-    [
-      ("Domino", domino_peak, 65_000.);
-      ("EPaxos", epaxos_peak, 57_000.);
-      ("Mencius", mencius_peak, 56_000.);
-      ("Multi-Paxos", multi_paxos_peak, 36_000.);
-    ]
+  sweep ~quick ~seed ~make ~cost:domino_cost ~workers:2
 
 let table ?(quick = true) ?(seed = 42L) () =
   let t =
@@ -173,13 +146,21 @@ let table ?(quick = true) ?(seed = 42L) () =
          (requests/second)"
       ~header:[ "protocol"; "paper"; "measured" ]
   in
-  List.iter
-    (fun r ->
-      Tablefmt.add_row t
-        [
-          r.protocol;
-          Printf.sprintf "%.0fK" (r.paper_rps /. 1000.);
-          Printf.sprintf "%.1fK" (r.peak_rps /. 1000.);
-        ])
-    (run ~quick ~seed ());
+  (* The four load sweeps are independent simulations; fan them out. *)
+  List.iter (Tablefmt.add_row t)
+    (Domino_par.Par.map_list
+       (fun (protocol, peak, paper_rps) ->
+         [
+           protocol;
+           Printf.sprintf "%.0fK" (paper_rps /. 1000.);
+           Printf.sprintf "%.1fK" (peak ~quick ~seed /. 1000.);
+         ])
+       [
+         ("Domino", domino_peak, 65_000.);
+         ("EPaxos", baseline_peak (module Domino_proto.Epaxos), 57_000.);
+         ("Mencius", baseline_peak (module Domino_proto.Mencius), 56_000.);
+         ( "Multi-Paxos",
+           baseline_peak (module Domino_proto.Multipaxos),
+           36_000. );
+       ]);
   t

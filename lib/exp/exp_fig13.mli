@@ -14,8 +14,4 @@
     calibration constants; the ordering and the leader-bottleneck gap
     are structural. *)
 
-type result = { protocol : string; peak_rps : float; paper_rps : float }
-
-val run : ?quick:bool -> ?seed:int64 -> unit -> result list
-
 val table : ?quick:bool -> ?seed:int64 -> unit -> Domino_stats.Tablefmt.t

@@ -10,11 +10,6 @@
 
 type variant = Na3 | Na5 | Globe
 
-val protocols : Protocols.t list
-(** The figure's four contenders, in presentation order: Domino
-    (default knobs), EPaxos, Mencius, Multi-Paxos. Exposed so the
-    benchmark harness can time the same sweep it prints. *)
-
 val run :
   ?quick:bool -> ?seed:int64 -> variant -> unit -> Domino_stats.Tablefmt.t
 

@@ -1,14 +1,22 @@
 open Domino_sim
 open Domino_net
+open Domino_smr
 open Domino_core
 open Domino_stats
 
 let run () =
   let engine = Engine.create ~seed:31L () in
   let placement = [| "WA"; "PR"; "NSW"; "VA" |] in
-  let net = Topology.make_net engine Topology.globe ~placement in
-  let cfg = Config.make ~replicas:[| 0; 1; 2 |] () in
-  let d = Domino.create ~net ~cfg ~observer:Domino_smr.Observer.null () in
+  let replicas = [| 0; 1; 2 |] in
+  let env =
+    Durable.standalone engine ~replicas ~observer:Observer.null
+      {
+        Durable.make =
+          (fun ~classify:_ ~op_of:_ ->
+            Topology.make_net engine Topology.globe ~placement);
+      }
+  in
+  let d = Domino.create env (Config.make ~replicas ()) in
   let _w =
     Domino_kv.Workload.create ~rate:200. ~clients:[ 3 ]
       ~duration:(Time_ns.sec 10) ~submit:(Domino.submit d) engine

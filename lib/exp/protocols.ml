@@ -45,16 +45,14 @@ let name = function
    resolve at once. *)
 let resolve : t -> Protocol_intf.protocol = function
   | Domino _ -> (module Domino_core.Domino.Api)
-  | Mencius -> (module Domino_proto.Mencius.Api)
-  | Epaxos -> (module Domino_proto.Epaxos.Api)
-  | Multi_paxos -> (module Domino_proto.Multipaxos.Api)
-  | Fast_paxos -> (module Domino_proto.Fastpaxos.Api)
+  | Mencius -> (module Domino_proto.Mencius)
+  | Epaxos -> (module Domino_proto.Epaxos)
+  | Multi_paxos -> (module Domino_proto.Multipaxos)
+  | Fast_paxos -> (module Domino_proto.Fastpaxos)
 
 let api_name proto =
   let (module P : Protocol_intf.S) = resolve proto in
   P.name
-
-let of_api_name s = List.find_opt (fun p -> api_name p = s) all
 
 (* One decode site: the selector's knobs land in the typed params
    record with exhaustive defaults for everything it doesn't set. *)

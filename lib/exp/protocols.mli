@@ -38,9 +38,6 @@ val name : t -> string
 val api_name : t -> string
 (** The resolved module's [P.name] ("multipaxos"). *)
 
-val of_api_name : string -> t option
-(** The member of {!all} with this {!api_name}. *)
-
 val resolve : t -> Protocol_intf.protocol
 (** The selector's module. *)
 

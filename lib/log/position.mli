@@ -11,9 +11,6 @@ open Domino_sim
 
 type t = { ts : Time_ns.t; lane : int }
 
-val dfp_lane : n_replicas:int -> int
-(** The DFP lane index for a given cluster size (= [n_replicas]). *)
-
 val dm : replica:int -> Time_ns.t -> t
 val dfp : n_replicas:int -> Time_ns.t -> t
 

@@ -30,7 +30,6 @@ val create : ?percentile:float -> ?self:int -> n_replicas:int -> unit -> t
     itself when it is one of the replicas (its delay to itself is
     zero). *)
 
-val n_replicas : t -> int
 val set_percentile : t -> float -> unit
 
 val record_reply : t -> replica:int -> now_local:Time_ns.t -> Probe.reply -> unit

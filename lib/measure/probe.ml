@@ -16,10 +16,3 @@ let reply_of_request (req : request) ~replica_local ~replication_latency =
     replica_local;
     replication_latency;
   }
-
-let pp_request fmt (r : request) =
-  Format.fprintf fmt "probe#%d@%a" r.seq Time_ns.pp r.sent_local
-
-let pp_reply fmt (r : reply) =
-  Format.fprintf fmt "reply#%d replica=%a L_r=%a" r.seq Time_ns.pp
-    r.replica_local Time_ns.pp r.replication_latency

@@ -31,6 +31,3 @@ type reply = {
 val reply_of_request :
   request -> replica_local:Time_ns.t ->
   replication_latency:Time_ns.span -> reply
-
-val pp_request : Format.formatter -> request -> unit
-val pp_reply : Format.formatter -> reply -> unit

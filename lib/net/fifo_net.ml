@@ -289,8 +289,6 @@ let send t ~src ~dst msg =
     Engine.schedule_at t.engine ~at pair.drain
   end
 
-let broadcast t ~src ~dsts f = List.iter (fun dst -> send t ~src ~dst (f dst)) dsts
-
 let set_service t node ~workers ~cost =
   if workers <= 0 then invalid_arg "Fifo_net.set_service: workers";
   t.nodes.(node).service <-
@@ -340,8 +338,6 @@ let set_partition t ~src ~dst blocked =
     done;
     pair.scheduled <- pair.scheduled + deficit
   end
-
-let partitioned t ~src ~dst = t.blocked.(src).(dst)
 
 let set_drop_hook t f = t.on_drop <- Some f
 

@@ -59,10 +59,6 @@ val send : 'msg t -> src:Nodeid.t -> dst:Nodeid.t -> 'msg -> unit
     crashed node are dropped. Sending without an installed link between
     distinct nodes raises. *)
 
-val broadcast :
-  'msg t -> src:Nodeid.t -> dsts:Nodeid.t list -> (Nodeid.t -> 'msg) -> unit
-(** [broadcast t ~src ~dsts f] sends [f dst] to each destination. *)
-
 val crash : 'msg t -> Nodeid.t -> unit
 (** Take a node down: future sends from it are refused, and every
     message addressed to it — including ones already in flight — is
@@ -101,8 +97,6 @@ val set_partition : 'msg t -> src:Nodeid.t -> dst:Nodeid.t -> bool -> unit
     (TCP keeps retransmitting — nothing is lost). [false] heals it:
     stalled deliveries flush immediately, in FIFO order. Asymmetric by
     construction; callers wanting a symmetric cut set both directions. *)
-
-val partitioned : 'msg t -> src:Nodeid.t -> dst:Nodeid.t -> bool
 
 val set_service :
   'msg t -> Nodeid.t -> workers:int -> cost:('msg -> Time_ns.span) -> unit
@@ -167,4 +161,3 @@ val set_drop_hook :
     previous): called for every drop, before the tracer. The fault
     layer uses this to journal [fault.drop] events without knowing the
     network's message type. *)
-

@@ -66,8 +66,3 @@ let sample_ms t ~now =
   Float.max 0. (t.level +. noise +. spike)
 
 let sample t ~now = Time_ns.of_ms_f (sample_ms t ~now)
-
-let mean_ms p =
-  (p.level_median_ms *. exp (p.level_sigma *. p.level_sigma /. 2.))
-  +. p.noise_mean_ms
-  +. (p.spike_prob *. Dist.mean_ms p.spike_ms)

@@ -47,6 +47,3 @@ val sample_ms : t -> now:Time_ns.t -> float
     Successive calls must use non-decreasing [now]. *)
 
 val sample : t -> now:Time_ns.t -> Time_ns.span
-
-val mean_ms : params -> float
-(** Approximate stationary mean, for planning. *)

@@ -80,8 +80,6 @@ let na =
       (7, 8, 11.);
     ]
 
-let name t i = t.dc_names.(i)
-
 let size t = Array.length t.dc_names
 
 let names t = Array.to_list t.dc_names

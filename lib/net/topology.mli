@@ -21,8 +21,6 @@ val globe : t
 val na : t
 (** Table 4: VA, TX, CA, IA, WA, WY, IL, QC, TRT. *)
 
-val name : t -> int -> string
-
 val size : t -> int
 
 val names : t -> string list

@@ -14,11 +14,5 @@
     trace format's microseconds. Output is deterministic: same
     journal, same bytes. *)
 
-val of_journal : ?timeline:Timeline.t -> Journal.t -> Domino_stats.Json.t
-(** With [timeline], windowed series are appended as extra counter
-    tracks ([timeline.cluster.rps], [timeline.g0.p99_ms], ...) stamped
-    at window starts, overlaying the per-event view. Without it, output
-    is byte-identical to before the timeline existed. *)
-
 val to_string : ?timeline:Timeline.t -> Journal.t -> string
 (** Compact rendering of {!of_journal} (these files get large). *)

@@ -28,7 +28,3 @@ let attach ?timeline journal engine =
   t
 
 let add_probe t name probe = t.probes <- t.probes @ [ (name, probe) ]
-
-let journal t = t.journal
-
-let sink t = t.sink

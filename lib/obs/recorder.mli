@@ -35,7 +35,3 @@ val attach :
 val add_probe : t -> string -> (unit -> float) -> unit
 (** Register a gauge to snapshot each sampling tick. Safe to call
     after {!attach} but before the first tick fires. *)
-
-val journal : t -> Journal.t
-
-val sink : t -> Journal.sink

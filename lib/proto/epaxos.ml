@@ -519,11 +519,29 @@ let replay t lane _snap records =
   List.iter (replay_record t lane) records;
   t.replaying.(lane) <- false
 
-let create ~net ~replicas ~coordinator_of ~observer ?stores () =
-  let n = Array.length replicas in
-  let stores =
-    match stores with Some s -> s | None -> Durable.default_stores net ~replicas
+let classify : msg -> Msg_class.t = function
+  | Request _ -> Msg_class.Proposal
+  | PreAccept _ | MAccept _ -> Msg_class.Replication
+  | PreAcceptOk _ | MAcceptOk _ -> Msg_class.Ack
+  | Commit _ -> Msg_class.Commit_notice
+  | Reply _ | CommitReq _ -> Msg_class.Control
+
+let op_of = function
+  | Request op
+  | PreAccept { op; _ }
+  | MAccept { op; _ }
+  | Commit { op; _ }
+  | Reply { op } -> Some op
+  | PreAcceptOk _ | MAcceptOk _ | CommitReq _ -> None
+
+let name = "epaxos"
+
+let create (env : Protocol_intf.Group.env) =
+  let net = env.make_net ~classify ~op_of in
+  let { Protocol_intf.Group.replicas; coordinator_of; observer; stores; _ } =
+    env
   in
+  let n = Array.length replicas in
   let t =
     {
       net;
@@ -612,46 +630,12 @@ let submit t (op : Op.t) =
   let dst = t.coordinator_of op.Op.client in
   Fifo_net.send t.net ~src:op.Op.client ~dst (Request op)
 
-let fast_commits t = t.fast
+let committed_count t = t.fast + t.slow
+let fast_slow_counts t = Some (t.fast, t.slow)
+let extra_stats _ = []
+let gauges _ = []
 
-let slow_commits t = t.slow
-
-let classify : msg -> Msg_class.t = function
-  | Request _ -> Msg_class.Proposal
-  | PreAccept _ | MAccept _ -> Msg_class.Replication
-  | PreAcceptOk _ | MAcceptOk _ -> Msg_class.Ack
-  | Commit _ -> Msg_class.Commit_notice
-  | Reply _ | CommitReq _ -> Msg_class.Control
-
-let op_of = function
-  | Request op
-  | PreAccept { op; _ }
-  | MAccept { op; _ }
-  | Commit { op; _ }
-  | Reply { op } -> Some op
-  | PreAcceptOk _ | MAcceptOk _ | CommitReq _ -> None
-
-module Api = struct
-  type nonrec t = t
-
-  let name = "epaxos"
-
-  let create (env : Protocol_intf.Group.env) =
-    let open Protocol_intf in
-    let net = env.Group.make_net () in
-    instrument env ~name ~classify ~op_of net;
-    create ~net ~replicas:env.Group.replicas
-      ~coordinator_of:env.Group.coordinator_of ~observer:env.Group.observer
-      ~stores:env.Group.stores ()
-
-  let submit = submit
-  let committed_count t = t.fast + t.slow
-  let fast_slow_counts t = Some (t.fast, t.slow)
-  let extra_stats _ = []
-  let gauges _ = []
-
-  (* Leaderless: every replica already fronts its own clients, and a
-     rolled replica's instances recover via the explicit-prepare path —
-     there is no lease to hand off. *)
-  let control _ _ ~k:_ = false
-end
+(* Leaderless: every replica already fronts its own clients, and a
+   rolled replica's instances recover via the explicit-prepare path —
+   there is no lease to hand off. *)
+let control _ _ ~k:_ = false

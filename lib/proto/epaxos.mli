@@ -1,4 +1,3 @@
-open Domino_net
 open Domino_smr
 
 (** EPaxos (Egalitarian Paxos), the simplified-quorum variant.
@@ -19,31 +18,8 @@ open Domino_smr
     Figure 10a label (2)) while contention stalls execution chains
     (Figure 10b label (4)). *)
 
-type msg
-
-type t
-
-val create :
-  net:msg Fifo_net.t ->
-  replicas:Nodeid.t array ->
-  coordinator_of:(Nodeid.t -> Nodeid.t) ->
-  observer:Observer.t ->
-  ?stores:Domino_store.Store.t array ->
-  unit ->
-  t
-(** [stores] (one per replica, indexed like [replicas]) hold each
-    replica's durable instance log; fresh default stores when omitted. *)
-
-val submit : t -> Op.t -> unit
-
-val fast_commits : t -> int
-val slow_commits : t -> int
-
-val classify : msg -> Msg_class.t
-(** Cost class of a message, for the Figure 13 throughput model. *)
-
-val op_of : msg -> Op.t option
-(** The operation a message carries, if any — per-op trace attribution. *)
-
-module Api : Protocol_intf.S with type t = t
-(** The unified-API module, named "epaxos" ([Protocols.Epaxos]). *)
+include Protocol_intf.S
+(** Named "epaxos" ([Protocols.Epaxos]). Its clients send to
+    [env.coordinator_of client]; [env.stores] (one per replica, indexed
+    like [env.replicas]) hold each replica's durable instance log.
+    Leaderless, so [control] refuses every operation. *)

@@ -439,11 +439,32 @@ let replay t i _snap records =
   List.iter (replay_record t i) records;
   t.replaying.(i) <- false
 
-let create ~net ~replicas ~coordinator ~observer ?stores () =
-  let n = Array.length replicas in
-  let stores =
-    match stores with Some s -> s | None -> Durable.default_stores net ~replicas
+let classify : msg -> Msg_class.t = function
+  | Propose _ -> Msg_class.Proposal
+  | Vote _ | P2b _ -> Msg_class.Ack
+  | P2a _ -> Msg_class.Replication
+  | Commit _ -> Msg_class.Commit_notice
+  | Reply _ | Pull _ -> Msg_class.Control
+
+let op_of = function
+  | Propose op | Vote { op; _ } | Reply { op } -> Some op
+  | P2a { value; _ } | Commit { value; _ } -> value
+  | P2b _ | Pull _ -> None
+
+let name = "fastpaxos"
+
+let create (env : Protocol_intf.Group.env) =
+  let net = env.make_net ~classify ~op_of in
+  let {
+    Protocol_intf.Group.replicas;
+    leader = coordinator;
+    observer;
+    stores;
+    _;
+  } =
+    env
   in
+  let n = Array.length replicas in
   let t =
     {
       net;
@@ -567,41 +588,11 @@ let submit t (op : Op.t) =
   t.observer.Observer.on_submit op ~now:(now t);
   broadcast t ~src:op.Op.client (Propose op)
 
-let fast_commits t = t.fast
+let committed_count t = t.fast + t.slow
+let fast_slow_counts t = Some (t.fast, t.slow)
+let extra_stats _ = []
+let gauges _ = []
 
-let slow_commits t = t.slow
-
-let classify : msg -> Msg_class.t = function
-  | Propose _ -> Msg_class.Proposal
-  | Vote _ | P2b _ -> Msg_class.Ack
-  | P2a _ -> Msg_class.Replication
-  | Commit _ -> Msg_class.Commit_notice
-  | Reply _ | Pull _ -> Msg_class.Control
-
-let op_of = function
-  | Propose op | Vote { op; _ } | Reply { op } -> Some op
-  | P2a { value; _ } | Commit { value; _ } -> value
-  | P2b _ | Pull _ -> None
-
-module Api = struct
-  type nonrec t = t
-
-  let name = "fastpaxos"
-
-  let create (env : Protocol_intf.Group.env) =
-    let open Protocol_intf in
-    let net = env.Group.make_net () in
-    instrument env ~name ~classify ~op_of net;
-    create ~net ~replicas:env.Group.replicas ~coordinator:env.Group.leader
-      ~observer:env.Group.observer ~stores:env.Group.stores ()
-
-  let submit = submit
-  let committed_count t = t.fast + t.slow
-  let fast_slow_counts t = Some (t.fast, t.slow)
-  let extra_stats _ = []
-  let gauges _ = []
-
-  (* The fast path broadcasts to every acceptor and the arbiter role is
-     woven through the vote/P2a machinery — no graceful handoff here. *)
-  let control _ _ ~k:_ = false
-end
+(* The fast path broadcasts to every acceptor and the arbiter role is
+   woven through the vote/P2a machinery — no graceful handoff here. *)
+let control _ _ ~k:_ = false

@@ -1,4 +1,3 @@
-open Domino_net
 open Domino_smr
 
 (** Classic Fast Paxos used for SMR (the paper's §6 comparison system).
@@ -20,32 +19,8 @@ open Domino_smr
     single client, collapse to slow-path latency with as few as two
     concurrent clients in different datacenters. *)
 
-type msg
-
-type t
-
-val create :
-  net:msg Fifo_net.t ->
-  replicas:Nodeid.t array ->
-  coordinator:Nodeid.t ->
-  observer:Observer.t ->
-  ?stores:Domino_store.Store.t array ->
-  unit ->
-  t
-(** [stores] (one per replica, indexed like [replicas]) hold each
-    acceptor's durable votes and the coordinator's decisions; fresh
-    default stores when omitted. *)
-
-val submit : t -> Op.t -> unit
-
-val fast_commits : t -> int
-val slow_commits : t -> int
-
-val classify : msg -> Msg_class.t
-(** Cost class of a message, for the Figure 13 throughput model. *)
-
-val op_of : msg -> Op.t option
-(** The operation a message carries, if any — per-op trace attribution. *)
-
-module Api : Protocol_intf.S with type t = t
-(** The unified-API module, named "fastpaxos" ([Protocols.Fast_paxos]). *)
+include Protocol_intf.S
+(** Named "fastpaxos" ([Protocols.Fast_paxos]). [env.leader] is the
+    coordinator; [env.stores] (one per replica, indexed like
+    [env.replicas]) hold each acceptor's durable votes and the
+    coordinator's decisions. [control] refuses every operation. *)

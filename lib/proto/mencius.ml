@@ -288,11 +288,24 @@ let replay t lane _snap records =
   (* The replayed cursor may be announceable now. *)
   maybe_broadcast_skip t t.states.(lane)
 
-let create ~net ~replicas ~coordinator_of ~observer ?stores () =
-  let n = Array.length replicas in
-  let stores =
-    match stores with Some s -> s | None -> Durable.default_stores net ~replicas
+let classify : msg -> Msg_class.t = function
+  | Request _ -> Msg_class.Proposal
+  | Accept _ -> Msg_class.Replication
+  | Accepted _ | Skip _ -> Msg_class.Ack
+  | Reply _ -> Msg_class.Control
+
+let op_of = function
+  | Request op | Accept { op; _ } | Reply { op } -> Some op
+  | Accepted _ | Skip _ -> None
+
+let name = "mencius"
+
+let create (env : Protocol_intf.Group.env) =
+  let net = env.make_net ~classify ~op_of in
+  let { Protocol_intf.Group.replicas; coordinator_of; observer; stores; _ } =
+    env
   in
+  let n = Array.length replicas in
   let t =
     {
       net;
@@ -365,49 +378,23 @@ let submit t (op : Op.t) =
 
 let committed_count t = t.committed_count
 
-let classify : msg -> Msg_class.t = function
-  | Request _ -> Msg_class.Proposal
-  | Accept _ -> Msg_class.Replication
-  | Accepted _ | Skip _ -> Msg_class.Ack
-  | Reply _ -> Msg_class.Control
+let fast_slow_counts _ = None
+let extra_stats _ = []
+let gauges _ = []
 
-let op_of = function
-  | Request op | Accept { op; _ } | Reply { op } -> Some op
-  | Accepted _ | Skip _ -> None
-
-module Api = struct
-  type nonrec t = t
-
-  let name = "mencius"
-
-  let create (env : Protocol_intf.Group.env) =
-    let open Protocol_intf in
-    let net = env.Group.make_net () in
-    instrument env ~name ~classify ~op_of net;
-    create ~net ~replicas:env.Group.replicas
-      ~coordinator_of:env.Group.coordinator_of ~observer:env.Group.observer
-      ~stores:env.Group.stores ()
-
-  let submit = submit
-  let committed_count = committed_count
-  let fast_slow_counts _ = None
-  let extra_stats _ = []
-  let gauges _ = []
-
-  let control t c ~k =
-    match c with
-    | Protocol_intf.Transfer { from_; to_ } ->
-      if
-        Array.exists (Nodeid.equal from_) t.replicas
-        && Array.exists (Nodeid.equal to_) t.replicas
-      then begin
-        Hashtbl.replace t.steer from_ to_;
-        k ();
-        true
-      end
-      else false
-    | Protocol_intf.Restore { node } ->
-      Hashtbl.remove t.steer node;
+let control t c ~k =
+  match c with
+  | Protocol_intf.Transfer { from_; to_ } ->
+    if
+      Array.exists (Nodeid.equal from_) t.replicas
+      && Array.exists (Nodeid.equal to_) t.replicas
+    then begin
+      Hashtbl.replace t.steer from_ to_;
       k ();
       true
-end
+    end
+    else false
+  | Protocol_intf.Restore { node } ->
+    Hashtbl.remove t.steer node;
+    k ();
+    true

@@ -1,4 +1,3 @@
-open Domino_net
 open Domino_smr
 
 (** Mencius: multi-leader SMR with pre-partitioned log slots.
@@ -15,31 +14,8 @@ open Domino_smr
     commit latency than EPaxos in Figure 8a. Execution is in slot
     order at every replica. *)
 
-type msg
-
-type t
-
-val create :
-  net:msg Fifo_net.t ->
-  replicas:Nodeid.t array ->
-  coordinator_of:(Nodeid.t -> Nodeid.t) ->
-  observer:Observer.t ->
-  ?stores:Domino_store.Store.t array ->
-  unit ->
-  t
-(** [coordinator_of client] is the replica the client sends to.
-    [stores] (one per replica, indexed like [replicas]) hold each
-    replica's durable lane state; fresh default stores when omitted. *)
-
-val submit : t -> Op.t -> unit
-
-val committed_count : t -> int
-
-val classify : msg -> Msg_class.t
-(** Cost class of a message, for the Figure 13 throughput model. *)
-
-val op_of : msg -> Op.t option
-(** The operation a message carries, if any — per-op trace attribution. *)
-
-module Api : Protocol_intf.S with type t = t
-(** The unified-API module, named "mencius" ([Protocols.Mencius]). *)
+include Protocol_intf.S
+(** Named "mencius" ([Protocols.Mencius]). Its clients send to
+    [env.coordinator_of client]; [env.stores] (one per replica, indexed
+    like [env.replicas]) hold each replica's durable lane state. A
+    [Transfer] steers the clients [from_] fronts to [to_]. *)

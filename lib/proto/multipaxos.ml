@@ -288,11 +288,23 @@ let ensure_pull_timer t r =
                (Pull { from = next_to_apply t i })))
   end
 
-let create ~net ~replicas ~leader ~observer ?stores () =
+let classify : msg -> Msg_class.t = function
+  | Request _ -> Msg_class.Proposal
+  | Accept _ -> Msg_class.Replication
+  | Accepted _ -> Msg_class.Ack
+  | Commit _ -> Msg_class.Commit_notice
+  | Reply _ | Pull _ -> Msg_class.Control
+
+let op_of = function
+  | Request op | Accept { op; _ } | Commit { op; _ } | Reply { op } -> Some op
+  | Accepted _ | Pull _ -> None
+
+let name = "multipaxos"
+
+let create (env : Protocol_intf.Group.env) =
+  let net = env.make_net ~classify ~op_of in
+  let { Protocol_intf.Group.replicas; leader; observer; stores; _ } = env in
   let n = Array.length replicas in
-  let stores =
-    match stores with Some s -> s | None -> Durable.default_stores net ~replicas
-  in
   let t =
     {
       net;
@@ -394,47 +406,21 @@ let transfer t ~to_ ~k =
 
 let committed_count t = t.committed_count
 
-let classify : msg -> Msg_class.t = function
-  | Request _ -> Msg_class.Proposal
-  | Accept _ -> Msg_class.Replication
-  | Accepted _ -> Msg_class.Ack
-  | Commit _ -> Msg_class.Commit_notice
-  | Reply _ | Pull _ -> Msg_class.Control
+let fast_slow_counts _ = None
+let extra_stats _ = []
+let gauges _ = []
 
-let op_of = function
-  | Request op | Accept { op; _ } | Commit { op; _ } | Reply { op } -> Some op
-  | Accepted _ | Pull _ -> None
-
-module Api = struct
-  type nonrec t = t
-
-  let name = "multipaxos"
-
-  let create (env : Protocol_intf.Group.env) =
-    let open Protocol_intf in
-    let net = env.Group.make_net () in
-    instrument env ~name ~classify ~op_of net;
-    create ~net ~replicas:env.Group.replicas ~leader:env.Group.leader
-      ~observer:env.Group.observer ~stores:env.Group.stores ()
-
-  let submit = submit
-  let committed_count = committed_count
-  let fast_slow_counts _ = None
-  let extra_stats _ = []
-  let gauges _ = []
-
-  let control t c ~k =
-    match c with
-    | Protocol_intf.Transfer { from_; to_ } ->
-      if Nodeid.equal t.leader from_ then transfer t ~to_ ~k
-      else begin
-        (* Nothing to move: the named node holds no leadership. *)
-        k ();
-        true
-      end
-    | Protocol_intf.Restore _ ->
-      (* Leadership stays where it was transferred; the restored node
-         rejoins as a follower. *)
+let control t c ~k =
+  match c with
+  | Protocol_intf.Transfer { from_; to_ } ->
+    if Nodeid.equal t.leader from_ then transfer t ~to_ ~k
+    else begin
+      (* Nothing to move: the named node holds no leadership. *)
       k ();
       true
-end
+    end
+  | Protocol_intf.Restore _ ->
+    (* Leadership stays where it was transferred; the restored node
+       rejoins as a follower. *)
+    k ();
+    true

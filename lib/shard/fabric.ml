@@ -63,6 +63,75 @@ type live = {
   recover_node : int -> unit;
 }
 
+(* The observability hook on one protocol network: every send,
+   delivery and drop counts into
+   [<prefix><name>.msg.<class>.{sent,delivered,dropped}] — the group's
+   prefix keeps two groups running the same protocol from colliding on
+   one instrument, and a single-group run's empty prefix keeps the
+   historical [domino.msg.*] keys. When the flight recorder is on, every
+   message event is journaled too, attributed to the operation [op_of]
+   finds in it (bare acks and probes are counted, not attributed). *)
+let instrument (type msg) ~prefix ~name metrics journal
+    ~(classify : msg -> Msg_class.t) ~(op_of : msg -> Op.t option)
+    (net : msg Fifo_net.t) =
+  let counter suffix cls =
+    Metrics.counter metrics
+      (Printf.sprintf "%s%s.msg.%s.%s" prefix name (Msg_class.to_string cls)
+         suffix)
+  in
+  (* One counter per (class, direction) up front, so the hot path is a
+     constant-time variant dispatch and every class shows up in the
+     emitted JSON even at count 0. *)
+  let pick suffix =
+    let get = counter suffix in
+    let p = get Msg_class.Proposal
+    and r = get Msg_class.Replication
+    and a = get Msg_class.Ack
+    and c = get Msg_class.Commit_notice
+    and k = get Msg_class.Control in
+    fun (cls : Msg_class.t) ->
+      match cls with
+      | Proposal -> p
+      | Replication -> r
+      | Ack -> a
+      | Commit_notice -> c
+      | Control -> k
+  in
+  let sent = pick "sent"
+  and delivered = pick "delivered"
+  and dropped = pick "dropped" in
+  (* The journal sink is fixed at construction (Null vs Rec), so the
+     enabled test hoists out of the per-message hooks entirely: a
+     sinkless run pays one counter bump per event and nothing else.
+     Sends and deliveries are detail-tier events: a journal that keeps
+     only the outline (a timeline-only run) never has them built. *)
+  let journal_on = Journal.enabled journal in
+  Fifo_net.set_message_hooks net
+    ~sent:(fun ~seq ~src ~dst msg ~at ->
+      let cls = classify msg in
+      Metrics.inc (sent cls);
+      if Journal.detail journal then
+        Journal.emit journal
+          (Journal.Msg_sent
+             { seq; src; dst; cls = Msg_class.to_string cls;
+               op = Option.map Op.id (op_of msg); at }))
+    ~delivered:(fun ~seq ~src ~dst msg ~sent_at ~at ->
+      let cls = classify msg in
+      Metrics.inc (delivered cls);
+      if Journal.detail journal then
+        Journal.emit journal
+          (Journal.Msg_delivered
+             { seq; src; dst; cls = Msg_class.to_string cls;
+               op = Option.map Op.id (op_of msg); sent_at; at }))
+    ~dropped:(fun ~seq ~src ~dst msg ~reason ~at ->
+      let cls = classify msg in
+      Metrics.inc (dropped cls);
+      if journal_on then
+        Journal.emit journal
+          (Journal.Msg_dropped
+             { seq; src; dst; cls = Msg_class.to_string cls;
+               reason = Fifo_net.drop_reason_string reason; at }))
+
 (* One group's observer, built on its ledger (the group's
    [Observer.Recorder]): run-level counters, the commit/execution
    latency histograms, the journal's submit/commit/execute/phase
@@ -288,14 +357,7 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
               else Slots.mark config.slots ~groups:n_groups);
            at = Time_ns.zero;
          });
-  let cluster =
-    {
-      Protocol_intf.Cluster.engine;
-      topo = config.topo;
-      metrics;
-      journal = jsink;
-    }
-  in
+  let cluster = { Protocol_intf.Cluster.engine } in
   let note_commit : (Op.id -> unit) ref = ref (fun _ -> ()) in
   let make_group k (spec : group_spec) : live =
     let prefix = if n_groups = 1 then "" else Printf.sprintf "g%d." k in
@@ -348,12 +410,12 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
     let wipe_node = ref (fun (_ : int) : Time_ns.span -> 0) in
     let crash_node = ref (fun (_ : int) -> ()) in
     let recover_node = ref (fun (_ : int) -> ()) in
+    let (module P : Protocol_intf.S) = spec.protocol in
     let env =
       {
         Protocol_intf.Group.cluster;
-        prefix;
         make_net =
-          (fun () ->
+          (fun ~classify ~op_of ->
             let net =
               Topology.make_net engine config.topo ~placement
             in
@@ -361,6 +423,8 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
             | Some plan ->
               Domino_fault.Inject.install plan ~net ~journal:jsink
             | None -> ());
+            instrument ~prefix ~name:P.name metrics jsink ~classify ~op_of
+              net;
             delivered := (fun () -> Fifo_net.messages_delivered net);
             sent := (fun () -> Fifo_net.messages_sent net);
             (wipe_node := fun node -> Fifo_net.wipe_restart net node);
@@ -375,7 +439,6 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
         params = spec.params;
       }
     in
-    let (module P : Protocol_intf.S) = spec.protocol in
     let p = P.create env in
     (match retry with
     | Some r -> Retry.set_resend r (fun op ~attempt:_ -> P.submit p op)

@@ -23,12 +23,6 @@ val closest_replicas :
 (** {!closest_replica} for each of [client_dcs], resolving the replica
     datacenters once. *)
 
-val rank :
-  Topology.t -> replica_dcs:string array -> client_dcs:string array ->
-  int array
-(** Replica indices sorted by total RTT to the client population,
-    cheapest first. *)
-
 val best_leader :
   Topology.t -> replica_dcs:string array -> client_dcs:string array -> int
 (** The cheapest entry of {!rank}. *)

@@ -37,8 +37,6 @@ let owner_of_slot t slot = t.assignment.(slot)
 
 let epoch t = t.epoch
 
-let assignment t = Array.copy t.assignment
-
 let submit t (op : Op.t) =
   let s = slot_of t op.Op.key in
   match Hashtbl.find_opt t.frozen s with

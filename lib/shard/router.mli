@@ -33,9 +33,6 @@ val create :
     @raise Invalid_argument on an empty group list, a slot-count
     mismatch, or an assignment naming an unknown group. *)
 
-val slot_of : t -> int -> int
-(** The slot a key maps to. Pure. *)
-
 val group_of : t -> int -> int
 (** The group that owns a key {e under the current epoch}. *)
 
@@ -43,9 +40,6 @@ val owner_of_slot : t -> int -> int
 
 val epoch : t -> int
 (** Ownership changes applied so far (starts at 0). *)
-
-val assignment : t -> int array
-(** A copy of the current slot→group map. *)
 
 val submit : t -> Op.t -> unit
 (** Route one op to its key's owner — or queue it if the slot is

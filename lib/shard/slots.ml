@@ -41,8 +41,6 @@ let assign ~slots ~groups =
     invalid_arg "Slots.assign: fewer slots than groups";
   Array.init slots (fun s -> s mod groups)
 
-let owner spec assignment key = assignment.(slot_of_key spec key)
-
 let spread assignment ~groups =
   let counts = Array.make groups 0 in
   Array.iter

@@ -29,19 +29,10 @@ val assign : slots:int -> groups:int -> int array
     groups], so every group owns within one slot of the same count.
     @raise Invalid_argument when [groups <= 0] or [slots < groups]. *)
 
-val owner : spec -> int array -> int -> int
-(** [owner spec assignment key]: the group owning [key]'s slot. *)
-
 val spread : int array -> groups:int -> int array
 (** Slots owned per group under an assignment; sanity surface for
     tests and rebalancing.
     @raise Invalid_argument if the assignment names an unknown group. *)
-
-val to_string : spec -> string
-(** ["hash:16"] / ["range:16:1000000"]. *)
-
-val of_string : string -> spec option
-(** Inverse of {!to_string}. *)
 
 val mark : spec -> groups:int -> string
 (** The fabric's journal metadata mark: [slots=<spec> groups=<n>]. *)

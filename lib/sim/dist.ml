@@ -31,8 +31,6 @@ and sample_mixture parts rng =
   in
   pick 0. parts
 
-let sample t rng = Time_ns.of_ms_f (sample_ms t rng)
-
 let rec mean_ms = function
   | Constant c -> c
   | Uniform (lo, hi) -> (lo +. hi) /. 2.
@@ -43,17 +41,3 @@ let rec mean_ms = function
   | Mixture parts ->
     let total = List.fold_left (fun acc (w, _) -> acc +. w) 0. parts in
     List.fold_left (fun acc (w, d) -> acc +. (w /. total *. mean_ms d)) 0. parts
-
-let rec pp fmt = function
-  | Constant c -> Format.fprintf fmt "const(%gms)" c
-  | Uniform (lo, hi) -> Format.fprintf fmt "uniform(%g-%gms)" lo hi
-  | Exponential m -> Format.fprintf fmt "exp(mean=%gms)" m
-  | Lognormal { median_ms; sigma } ->
-    Format.fprintf fmt "lognormal(median=%gms,sigma=%g)" median_ms sigma
-  | Shifted (c, d) -> Format.fprintf fmt "%gms+%a" c pp d
-  | Mixture parts ->
-    Format.fprintf fmt "mix(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-         (fun fmt (w, d) -> Format.fprintf fmt "%g:%a" w pp d))
-      parts

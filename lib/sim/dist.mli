@@ -19,10 +19,5 @@ type t =
 val sample_ms : t -> Rng.t -> float
 (** Draw a value in milliseconds; clamped to be >= 0. *)
 
-val sample : t -> Rng.t -> Time_ns.span
-(** Draw a value as a nanosecond span. *)
-
 val mean_ms : t -> float
 (** Analytic mean in ms (exact for all constructors). *)
-
-val pp : Format.formatter -> t -> unit

@@ -99,13 +99,6 @@ let exec t time f =
   (match t.event_hook with None -> () | Some hook -> hook t.clock);
   f ()
 
-let step t =
-  match Wheel.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-    exec t time f;
-    true
-
 let run ?until t =
   let q = t.queue in
   let continue = ref true in

@@ -63,9 +63,6 @@ val run : ?until:Time_ns.t -> t -> unit
     when virtual time would exceed [until] (the clock is then advanced
     to exactly [until]). *)
 
-val step : t -> bool
-(** Process a single event; [false] if the queue was empty. *)
-
 val pending : t -> int
 (** Number of scheduled (uncancelled) events. *)
 
@@ -86,4 +83,3 @@ val set_timer_hook : t -> (Time_ns.t -> unit) -> unit
     not on the fire-once path: {!schedule}/{!schedule_at} events are
     the hot path and stay hook-free. Costs one [option] match per
     periodic fire when unset. *)
-

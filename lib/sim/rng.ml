@@ -95,8 +95,6 @@ let int64 t =
 
 let split t = create (int64 t)
 
-let copy t = { hi = t.hi; lo = t.lo; zhi = 0; zlo = 0 }
-
 let float t =
   (* 53 random bits into the mantissa: bits 11..63 of the draw. *)
   next t;
@@ -109,10 +107,6 @@ let int t bound =
   next t;
   let v = ((t.zhi land 0x3FFFFFFF) lsl 32) lor t.zlo in
   v mod bound
-
-let bool t =
-  next t;
-  t.zlo land 1 = 1
 
 let uniform t lo hi = lo +. ((hi -. lo) *. float t)
 

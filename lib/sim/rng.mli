@@ -16,8 +16,6 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     independent of [t]'s subsequent outputs. *)
 
-val copy : t -> t
-
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -26,8 +24,6 @@ val float : t -> float
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be > 0. *)
-
-val bool : t -> bool
 
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] is uniform in [\[lo, hi)]. *)

@@ -17,7 +17,6 @@ let to_sec_f x = float_of_int x /. 1e9
 let add t s = t + s
 let diff a b = a - b
 
-let min (a : t) (b : t) = Stdlib.min a b
 let max (a : t) (b : t) = Stdlib.max a b
 
 let pp fmt t =

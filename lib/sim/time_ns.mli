@@ -28,7 +28,6 @@ val to_sec_f : span -> float
 val add : t -> span -> t
 val diff : t -> t -> span
 
-val min : t -> t -> t
 val max : t -> t -> t
 
 val pp : Format.formatter -> t -> unit

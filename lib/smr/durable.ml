@@ -2,12 +2,30 @@ open Domino_sim
 open Domino_net
 module Store = Domino_store.Store
 
-let default_stores net ~replicas =
-  Array.map
-    (fun r ->
-      Store.create (Fifo_net.engine net) ~node:r ~params:Store.default_params
-        ~journal:Domino_obs.Journal.null)
-    replicas
+type net_maker = {
+  make :
+    'msg.
+    classify:('msg -> Msg_class.t) ->
+    op_of:('msg -> Op.t option) ->
+    'msg Fifo_net.t;
+}
+
+let standalone engine ~replicas ~observer net =
+  {
+    Protocol_intf.Group.cluster = { Protocol_intf.Cluster.engine };
+    make_net = (fun ~classify ~op_of -> net.make ~classify ~op_of);
+    replicas;
+    leader = replicas.(0);
+    coordinator_of = (fun _ -> replicas.(0));
+    observer;
+    stores =
+      Array.map
+        (fun r ->
+          Store.create engine ~node:r ~params:Store.default_params
+            ~journal:Domino_obs.Journal.null)
+        replicas;
+    params = Protocol_intf.default_params;
+  }
 
 let index_of replicas node =
   let idx = ref (-1) in

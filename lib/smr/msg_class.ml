@@ -1,12 +1,8 @@
 type t = Proposal | Replication | Ack | Commit_notice | Control
 
-let all = [ Proposal; Replication; Ack; Commit_notice; Control ]
-
 let to_string = function
   | Proposal -> "proposal"
   | Replication -> "replication"
   | Ack -> "ack"
   | Commit_notice -> "commit"
   | Control -> "control"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

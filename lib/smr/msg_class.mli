@@ -11,10 +11,5 @@
 
 type t = Proposal | Replication | Ack | Commit_notice | Control
 
-val all : t list
-(** Every class, in declaration order. *)
-
 val to_string : t -> string
 (** Stable lowercase label, used in metric and trace names. *)
-
-val pp : Format.formatter -> t -> unit

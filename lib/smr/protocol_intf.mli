@@ -1,30 +1,35 @@
 open Domino_sim
 open Domino_net
-open Domino_obs
 
 (** The unified protocol API.
 
     Every replication protocol in the repo — the four comparison
     systems and Domino itself — implements {!S} as a first-class
-    module. Harnesses (the experiment runner, the shard fabric, the
-    conformance tests) construct environments and dispatch through the
-    module instead of pattern-matching on a protocol variant, so a
-    harness holds no per-protocol wiring. [Domino_exp.Protocols] is
-    the one table of these modules: a new protocol is one module here
-    and one row there.
+    module, and each is built one way: from its group's environment
+    ([S.create]; a standalone Domino run also passes its [Config.t] to
+    [Domino.create]). Harnesses (the shard fabric, the standalone
+    figure runs, the examples, the conformance tests) construct
+    environments and dispatch through the module instead of
+    pattern-matching on a protocol variant, so a harness holds no
+    per-protocol wiring. [Domino_exp.Protocols] is the one table of
+    these modules: a new protocol is one module here and one row there.
 
     The environment is split in two layers so one simulation can host
     many consensus groups:
 
     - {!Cluster.env} is shared by every group on an engine: the engine
-      itself, the WAN topology, and the cluster-wide observability
-      sinks (metrics registry, flight-recorder journal).
-    - {!Group.env} is one group's slice: its replicas and roles, its
-      stable stores, its typed {!params}, its harness observer, and a
-      [prefix] that qualifies everything the group emits into the
-      shared metrics registry ([g0.domino.msg.*], [g1.run.committed],
-      ...). A single-group run uses the empty prefix, which keeps its
-      output byte-identical to the historical flat layout. *)
+      itself.
+    - {!Group.env} is one group's slice: the builder of its network,
+      its replicas and roles, its stable stores, its typed {!params}
+      and its harness observer.
+
+    The protocol hands [env.make_net] its message classifier and
+    operation extractor; whoever builds the network decides what to do
+    with them. The shard fabric instruments every network it builds
+    (per-class message counters under the group's metric prefix,
+    journal message events, per-op trace attribution); a standalone
+    builder may ignore them, or use the classifier as Figure 13 does
+    for its per-message CPU cost. *)
 
 type params = {
   additional_delay : Time_ns.span;
@@ -49,25 +54,21 @@ type params = {
 val default_params : params
 
 module Cluster : sig
-  type env = {
-    engine : Engine.t;
-    topo : Topology.t;
-    metrics : Metrics.t;
-    journal : Journal.sink;
-        (** the flight recorder's event stream; {!Journal.null} when
-            recording is off *)
-  }
+  type env = { engine : Engine.t }
 end
 
 module Group : sig
   type env = {
     cluster : Cluster.env;
-    prefix : string;
-        (** metric prefix of this group instance, [""] for a
-            single-group run, ["g<k>."] within a shard fabric *)
-    make_net : 'msg. unit -> 'msg Fifo_net.t;
+    make_net :
+      'msg.
+      classify:('msg -> Msg_class.t) ->
+      op_of:('msg -> Op.t option) ->
+      'msg Fifo_net.t;
         (** fresh network for the protocol's own message type, spanning
-            this group's replicas and its clients *)
+            this group's replicas and its clients. [classify] gives a
+            message's cost class, [op_of] the operation it carries, if
+            any (bare acks and probes carry none). *)
     replicas : Nodeid.t array;
     leader : Nodeid.t;
         (** Multi-Paxos leader; Fast Paxos / DFP coordinator *)
@@ -80,9 +81,6 @@ module Group : sig
             externalizing) and rebuild from it after a wipe-restart *)
     params : params;
   }
-
-  val metrics : env -> Metrics.t
-  val journal : env -> Journal.sink
 end
 
 type env = Group.env
@@ -110,8 +108,8 @@ module type S = sig
       and the prefix of the protocol's metric keys. *)
 
   val create : Group.env -> t
-  (** Build the protocol instance: make the net, install handlers and
-      the observability instrumentation ({!instrument}). *)
+  (** Build the protocol instance: make its network through
+      [env.make_net] and install its handlers, stores and timers. *)
 
   val submit : t -> Op.t -> unit
   (** Submit from [op.client]'s node. Must fire the observer's
@@ -144,20 +142,3 @@ module type S = sig
 end
 
 type protocol = (module S)
-
-val instrument :
-  Group.env ->
-  name:string ->
-  classify:('msg -> Msg_class.t) ->
-  op_of:('msg -> Op.t option) ->
-  'msg Fifo_net.t ->
-  unit
-(** Install the observability hook on the protocol's network: counts
-    every send, delivery and drop into
-    [<prefix><name>.msg.<class>.{sent,delivered,dropped}] counters —
-    the group's prefix keeps two groups running the same protocol from
-    colliding on one instrument; when the flight recorder is on,
-    journals every message event; and — when tracing is enabled —
-    emits span events for messages whose operation [op_of] can
-    identify. Messages that do not carry the operation (bare acks,
-    probes) are counted but not attributed to a span. *)

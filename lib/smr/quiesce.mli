@@ -11,9 +11,6 @@ open Domino_sim
     built from both; Multi-Paxos's leader transfer waits with
     {!await}. *)
 
-val poll : Time_ns.span
-(** 10 ms: how often the in-flight count is read. *)
-
 val deadline : Time_ns.span
 (** 1.5 s: how long a drain may take before it gives up. *)
 

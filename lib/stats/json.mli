@@ -21,7 +21,3 @@ val to_string : t -> string
 
 val to_string_pretty : t -> string
 (** Two-space indented rendering, for files meant to be read. *)
-
-val escape : string -> string
-(** JSON string escaping of quotes, backslashes and control
-    characters. *)

@@ -88,8 +88,6 @@ let create engine ~node ~params ~journal =
     recovery_spans = [];
   }
 
-let node t = t.node
-
 let appended t = t.appended
 
 let durable_upto t = t.durable_upto

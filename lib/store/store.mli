@@ -57,8 +57,6 @@ type t
 
 val create : Engine.t -> node:int -> params:params -> journal:Journal.sink -> t
 
-val node : t -> int
-
 val append : t -> kind:string -> record -> int
 (** Buffer a record; returns its log index. Not durable until a
     subsequent {!sync} barrier (or covering {!snapshot}) completes.

@@ -33,8 +33,6 @@ type probe = {
 
 type node_clock = { base_offset_ms : float; drift_ppm : float }
 
-val drifting : drift_ppm:float -> node_clock
-
 type pair_spec = {
   rtt_ms : float;
   fwd_fraction : float;  (** share of the RTT on the forward path *)

@@ -332,16 +332,21 @@ let test_e2e_replica_crash_steers_to_dm () =
      (supermajority = 3 of 3) and clients must keep committing via DM. *)
   let engine = Engine.create ~seed:5L () in
   let placement = [| "WA"; "PR"; "NSW"; "VA"; "SG" |] in
-  let net =
-    Topology.make_net engine Topology.globe ~placement
+  let crash = ref ignore in
+  let make_net ~classify:_ ~op_of:_ =
+    let net = Topology.make_net engine Topology.globe ~placement in
+    crash := Fifo_net.crash net;
+    net
   in
   let recorder = Observer.Recorder.create () in
   let observer = Observer.Recorder.observer recorder in
-  let cfg = Config.make ~replicas:[| 0; 1; 2 |] ~coordinator:0 () in
-  let d = Domino.create ~net ~cfg ~observer () in
+  let replicas = [| 0; 1; 2 |] in
+  let env =
+    Durable.standalone engine ~replicas ~observer { Durable.make = make_net }
+  in
+  let d = Domino.create env (Config.make ~replicas ~coordinator:0 ()) in
   let crash_at = Time_ns.sec 4 in
-  ignore
-    (Engine.schedule_at engine ~at:crash_at (fun () -> Fifo_net.crash net 2));
+  ignore (Engine.schedule_at engine ~at:crash_at (fun () -> !crash 2));
   let _w =
     Domino_kv.Workload.create ~rate:100. ~clients:[ 3; 4 ]
       ~duration:(Time_ns.sec 10) ~submit:(Domino.submit d) engine
@@ -363,17 +368,23 @@ let test_e2e_clock_skew_tolerated () =
      must stay correct (skew folds into the OWD estimate, §5.4). *)
   let engine = Engine.create ~seed:9L () in
   let placement = [| "WA"; "PR"; "NSW"; "VA"; "HK" |] in
-  let net = Topology.make_net engine Topology.globe ~placement in
-  let rng = Engine.rng engine in
-  for node = 0 to 4 do
-    Fifo_net.set_clock net node
-      (Clock.random rng ~max_offset:(Time_ns.ms 50) ~max_drift_ppm:5.)
-  done;
+  let make_net ~classify:_ ~op_of:_ =
+    let net = Topology.make_net engine Topology.globe ~placement in
+    let rng = Engine.rng engine in
+    for node = 0 to 4 do
+      Fifo_net.set_clock net node
+        (Clock.random rng ~max_offset:(Time_ns.ms 50) ~max_drift_ppm:5.)
+    done;
+    net
+  in
   let recorder = Observer.Recorder.create () in
   Observer.Recorder.start_measuring recorder (Time_ns.sec 2);
   let observer = Observer.Recorder.observer recorder in
-  let cfg = Config.make ~replicas:[| 0; 1; 2 |] ~coordinator:0 () in
-  let d = Domino.create ~net ~cfg ~observer () in
+  let replicas = [| 0; 1; 2 |] in
+  let env =
+    Durable.standalone engine ~replicas ~observer { Durable.make = make_net }
+  in
+  let d = Domino.create env (Config.make ~replicas ~coordinator:0 ()) in
   let _w =
     Domino_kv.Workload.create ~rate:100. ~clients:[ 3; 4 ]
       ~duration:(Time_ns.sec 8) ~submit:(Domino.submit d) engine
@@ -429,11 +440,16 @@ let test_e2e_adaptive_run () =
      above the zero baseline and the run stays safe. *)
   let engine = Engine.create ~seed:21L () in
   let placement = [| "WA"; "PR"; "NSW"; "VA"; "SG"; "HK" |] in
-  let net = Topology.make_net engine Topology.globe ~placement in
+  let make_net ~classify:_ ~op_of:_ =
+    Topology.make_net engine Topology.globe ~placement
+  in
   let recorder = Observer.Recorder.create () in
   let observer = Observer.Recorder.observer recorder in
-  let cfg = Config.make ~adaptive:true ~replicas:[| 0; 1; 2 |] () in
-  let d = Domino.create ~net ~cfg ~observer () in
+  let replicas = [| 0; 1; 2 |] in
+  let env =
+    Durable.standalone engine ~replicas ~observer { Durable.make = make_net }
+  in
+  let d = Domino.create env (Config.make ~adaptive:true ~replicas ()) in
   let _w =
     Domino_kv.Workload.create ~rate:200. ~clients:[ 3; 4; 5 ]
       ~duration:(Time_ns.sec 10) ~submit:(Domino.submit d) engine
@@ -459,9 +475,15 @@ let test_e2e_storage_compression () =
   (* Re-run with direct access to the replica storage stats. *)
   let engine = Engine.create ~seed:31L () in
   let placement = [| "WA"; "PR"; "NSW"; "VA" |] in
-  let net = Topology.make_net engine Topology.globe ~placement in
-  let cfg = Config.make ~replicas:[| 0; 1; 2 |] () in
-  let d = Domino.create ~net ~cfg ~observer:Observer.null () in
+  let make_net ~classify:_ ~op_of:_ =
+    Topology.make_net engine Topology.globe ~placement
+  in
+  let replicas = [| 0; 1; 2 |] in
+  let env =
+    Durable.standalone engine ~replicas ~observer:Observer.null
+      { Durable.make = make_net }
+  in
+  let d = Domino.create env (Config.make ~replicas ()) in
   let _w =
     Domino_kv.Workload.create ~rate:200. ~clients:[ 3 ]
       ~duration:(Time_ns.sec 6) ~submit:(Domino.submit d)
@@ -474,6 +496,21 @@ let test_e2e_storage_compression () =
     (stats.Replica.dfp_positions_covered > 1_000_000_000);
   check_bool "decisions held bounded" true
     (stats.Replica.decisions_held < 5_000)
+
+(* The config and the group env must agree on the replica set: a
+   mismatch is refused before any network is built. *)
+let test_create_rejects_foreign_replicas () =
+  let engine = Engine.create ~seed:1L () in
+  let make_net ~classify:_ ~op_of:_ =
+    Topology.make_net engine Topology.globe ~placement:[| "WA"; "PR"; "NSW" |]
+  in
+  let env =
+    Durable.standalone engine ~replicas:[| 0; 1; 2 |] ~observer:Observer.null
+      { Durable.make = make_net }
+  in
+  Alcotest.check_raises "cfg.replicas differs from env.replicas"
+    (Invalid_argument "Domino.create: cfg.replicas differs from env.replicas")
+    (fun () -> ignore (Domino.create env (Config.make ~replicas:[| 0; 1 |] ())))
 
 let () =
   Alcotest.run "domino"
@@ -519,5 +556,7 @@ let () =
           Alcotest.test_case "static slow-path baseline" `Slow
             test_e2e_adaptive_controller_improves_tail;
           Alcotest.test_case "storage compression" `Slow test_e2e_storage_compression;
+          Alcotest.test_case "create rejects foreign replicas" `Quick
+            test_create_rejects_foreign_replicas;
         ] );
     ]

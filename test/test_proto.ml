@@ -140,53 +140,51 @@ let test_epaxos_latency_two_roundtrips () =
    addressed to it is lost. One more op follows, so replica 2 holds
    exactly one decision parked behind one gap; it must pull the missed
    commit and then execute both ops in slot order. *)
-let test_single_missed_commit ~make ~classify () =
+let test_single_missed_commit (module P : Protocol_intf.S) () =
   let n = 4 and victim = 2 in
   let engine = Engine.create ~seed:5L () in
-  let net = Fifo_net.create engine ~n in
-  let rng = Rng.create 5L in
-  for src = 0 to n - 1 do
-    for dst = 0 to n - 1 do
-      if src <> dst then
-        Fifo_net.set_link net ~src ~dst (Link.create ~base_owd:(Time_ns.ms 5) rng)
-    done
-  done;
+  let armed = ref true and dropped = ref [] in
+  let make_net ~classify ~op_of:_ =
+    let net = Fifo_net.create engine ~n in
+    let rng = Rng.create 5L in
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        if src <> dst then
+          Fifo_net.set_link net ~src ~dst (Link.create ~base_owd:(Time_ns.ms 5) rng)
+      done
+    done;
+    Fifo_net.set_message_hooks net
+      ~sent:(fun ~seq:_ ~src:_ ~dst msg ~at:_ ->
+        if !armed && dst = victim && classify msg = Msg_class.Commit_notice then begin
+          armed := false;
+          Fifo_net.crash net victim
+        end)
+      ~delivered:(fun ~seq:_ ~src:_ ~dst:_ _ ~sent_at:_ ~at:_ -> ())
+      ~dropped:(fun ~seq:_ ~src:_ ~dst msg ~reason:_ ~at:_ ->
+        dropped := (dst, classify msg) :: !dropped;
+        if dst = victim then Fifo_net.recover net victim);
+    net
+  in
   let executed = ref [] in
   let on_execute ~replica (op : Op.t) ~now:_ =
     if replica = victim then executed := op.seq :: !executed
   in
-  let submit = make net { Observer.null with on_execute } in
-  let armed = ref true and dropped = ref [] in
-  Fifo_net.set_message_hooks net
-    ~sent:(fun ~seq:_ ~src:_ ~dst msg ~at:_ ->
-      if !armed && dst = victim && classify msg = Msg_class.Commit_notice then begin
-        armed := false;
-        Fifo_net.crash net victim
-      end)
-    ~delivered:(fun ~seq:_ ~src:_ ~dst:_ _ ~sent_at:_ ~at:_ -> ())
-    ~dropped:(fun ~seq:_ ~src:_ ~dst msg ~reason:_ ~at:_ ->
-      dropped := (dst, classify msg) :: !dropped;
-      if dst = victim then Fifo_net.recover net victim);
+  let p =
+    P.create
+      (Durable.standalone engine ~replicas:[| 0; 1; 2 |]
+         ~observer:{ Observer.null with on_execute }
+         { Durable.make = make_net })
+  in
   List.iter
     (fun (seq, at) ->
       Engine.schedule_at engine ~at:(Time_ns.ms at) (fun () ->
-          submit (Op.make ~client:3 ~seq ~key:seq ~value:(Int64.of_int seq))))
+          P.submit p (Op.make ~client:3 ~seq ~key:seq ~value:(Int64.of_int seq))))
     [ (0, 10); (1, 110) ];
   Engine.run ~until:(Time_ns.sec 2) engine;
   check_bool "exactly one commit notice lost" true
     (!dropped = [ (victim, Msg_class.Commit_notice) ]);
   Alcotest.(check (list int)) "replica 2 executes every op in slot order"
     [ 0; 1 ] (List.rev !executed)
-
-let multipaxos net observer =
-  Domino_proto.Multipaxos.submit
-    (Domino_proto.Multipaxos.create ~net ~replicas:[| 0; 1; 2 |] ~leader:0
-       ~observer ())
-
-let fastpaxos net observer =
-  Domino_proto.Fastpaxos.submit
-    (Domino_proto.Fastpaxos.create ~net ~replicas:[| 0; 1; 2 |] ~coordinator:0
-       ~observer ())
 
 let () =
   Alcotest.run "proto"
@@ -230,10 +228,8 @@ let () =
       ( "catch-up",
         [
           Alcotest.test_case "multi-paxos single missed commit" `Quick
-            (test_single_missed_commit ~make:multipaxos
-               ~classify:Domino_proto.Multipaxos.classify);
+            (test_single_missed_commit (module Domino_proto.Multipaxos));
           Alcotest.test_case "fast-paxos single missed commit" `Quick
-            (test_single_missed_commit ~make:fastpaxos
-               ~classify:Domino_proto.Fastpaxos.classify);
+            (test_single_missed_commit (module Domino_proto.Fastpaxos));
         ] );
     ]

@@ -25,32 +25,31 @@ let test_registry_names () =
   check_int "names unique" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* name -> selector -> name through a name table built like the CLI's
+   [--protocol] enum; an unknown name is the enum's to reject (the
+   runtest rule on [run --protocol nope]). *)
 let test_api_name_roundtrip () =
+  let table = List.map (fun p -> (Protocols.api_name p, p)) Protocols.all in
   List.iter
-    (fun n ->
-      match Protocols.of_api_name n with
-      | None -> Alcotest.failf "of_api_name %s = None" n
-      | Some p ->
-        Alcotest.(check string) "roundtrip" n (Protocols.api_name p);
-        check_bool "resolvable" true
-          (let (module P : Protocol_intf.S) = Protocols.resolve p in
-           P.name = n))
-    (all_names ());
-  check_bool "unknown name rejected" true (Protocols.of_api_name "nope" = None)
+    (fun p ->
+      let n = Protocols.api_name p in
+      check_bool (n ^ " roundtrips") true (List.assoc n table = p);
+      check_bool (n ^ " resolvable") true
+        (let (module P : Protocol_intf.S) = Protocols.resolve p in
+         P.name = n))
+    Protocols.all
 
 (* Conformance through the experiment harness: identical smoke scenario
-   for every protocol, dispatched purely by its api name. *)
-let smoke name =
-  match Protocols.of_api_name name with
-  | None -> Alcotest.failf "unknown protocol %s" name
-  | Some proto ->
-    Exp_common.run ~seed:11L ~rate:100. ~duration:(Time_ns.sec 8)
-      Exp_common.fig7_double proto
+   for every protocol in the table. *)
+let smoke proto =
+  Exp_common.run ~seed:11L ~rate:100. ~duration:(Time_ns.sec 8)
+    Exp_common.fig7_double proto
 
 let test_conformance_commits () =
   List.iter
-    (fun name ->
-      let r = smoke name in
+    (fun proto ->
+      let name = Protocols.api_name proto in
+      let r = smoke proto in
       let g = r.Domino_shard.Fabric.groups.(0) in
       check_bool
         (name ^ " commits operations")
@@ -67,13 +66,14 @@ let test_conformance_commits () =
       | Some c ->
         check_bool (name ^ " sends proposals") true (Metrics.counter_value c > 0)
       | None -> Alcotest.failf "%s: no %s.msg.proposal.sent counter" name name)
-    (all_names ())
+    Protocols.all
 
 let test_conformance_stores_agree () =
   List.iter
-    (fun name ->
+    (fun proto ->
+      let name = Protocols.api_name proto in
       let fps =
-        (smoke name).Domino_shard.Fabric.groups.(0)
+        (smoke proto).Domino_shard.Fabric.groups.(0)
           .Domino_shard.Fabric.store_fingerprints
       in
       match fps with
@@ -86,67 +86,48 @@ let test_conformance_stores_agree () =
             check_bool (name ^ " replicas executed identically") true
               (fp = fp'))
           rest)
-    (all_names ())
+    Protocols.all
 
 (* Conformance straight against Protocol_intf.S, no harness: a
    hand-built env, a short workload, and the module's own accessors. *)
-let direct_run name =
-  match Protocols.of_api_name name with
-  | None -> Alcotest.failf "unknown protocol %s" name
-  | Some proto ->
-    let (module P : Protocol_intf.S) = Protocols.resolve proto in
-    let engine = Engine.create ~seed:5L () in
-    let placement = [| "WA"; "VA"; "QC"; "IA"; "WA" |] in
-    let replicas = [| 0; 1; 2 |] in
-    let clients = [ 3; 4 ] in
-    let observer =
-      {
-        Observer.on_submit = (fun _ ~now:_ -> ());
-        on_commit = (fun _ ~now:_ -> ());
-        on_execute = (fun ~replica:_ _ ~now:_ -> ());
-        on_phase = (fun ~node:_ ~op:_ ~name:_ ~dur:_ ~now:_ -> ());
-      }
-    in
-    let cluster =
-      {
-        Protocol_intf.Cluster.engine;
-        topo = Topology.na;
-        metrics = Metrics.create ();
-        journal = Journal.null;
-      }
-    in
-    let env =
-      {
-        Protocol_intf.Group.cluster;
-        prefix = "";
-        make_net =
-          (fun () -> Topology.make_net engine Topology.na ~placement);
-        replicas;
-        leader = 0;
-        coordinator_of = (fun c -> replicas.(c mod Array.length replicas));
-        observer;
-        stores =
-          Array.map
-            (fun node ->
-              Domino_store.Store.create engine ~node
-                ~params:Domino_store.Store.default_params
-                ~journal:Journal.null)
-            replicas;
-        params = Protocol_intf.default_params;
-      }
-    in
-    let p = P.create env in
-    let _w =
-      Workload.create ~alpha:0.75 ~rate:100. ~clients
-        ~duration:(Time_ns.sec 6) ~submit:(P.submit p) engine
-    in
-    Engine.run ~until:(Time_ns.sec 9) engine;
-    (P.committed_count p, P.fast_slow_counts p, P.extra_stats p)
+let direct_run proto =
+  let (module P : Protocol_intf.S) = Protocols.resolve proto in
+  let engine = Engine.create ~seed:5L () in
+  let placement = [| "WA"; "VA"; "QC"; "IA"; "WA" |] in
+  let replicas = [| 0; 1; 2 |] in
+  let clients = [ 3; 4 ] in
+  let observer =
+    {
+      Observer.on_submit = (fun _ ~now:_ -> ());
+      on_commit = (fun _ ~now:_ -> ());
+      on_execute = (fun ~replica:_ _ ~now:_ -> ());
+      on_phase = (fun ~node:_ ~op:_ ~name:_ ~dur:_ ~now:_ -> ());
+    }
+  in
+  let make_net ~classify:_ ~op_of:_ =
+    Topology.make_net engine Topology.na ~placement
+  in
+  let env =
+    {
+      (Durable.standalone engine ~replicas ~observer
+         { Durable.make = make_net })
+      with
+      coordinator_of = (fun c -> replicas.(c mod Array.length replicas));
+    }
+  in
+  let p = P.create env in
+  let _w =
+    Workload.create ~alpha:0.75 ~rate:100. ~clients
+      ~duration:(Time_ns.sec 6) ~submit:(P.submit p) engine
+  in
+  Engine.run ~until:(Time_ns.sec 9) engine;
+  (P.committed_count p, P.fast_slow_counts p, P.extra_stats p)
 
 let test_direct_committed_count () =
   List.iter
-    (fun name ->
-      let committed, fast_slow, extra = direct_run name in
+    (fun proto ->
+      let name = Protocols.api_name proto in
+      let committed, fast_slow, extra = direct_run proto in
       check_bool (name ^ " committed_count > 0") true (committed > 0);
       (match fast_slow with
       | None -> ()
@@ -158,7 +139,7 @@ let test_direct_committed_count () =
           check_bool (name ^ " extra stat key non-empty") true (k <> "");
           check_bool (name ^ " extra stat non-negative") true (v >= 0))
         extra)
-    (all_names ())
+    Protocols.all
 
 (* Determinism: the observability output is a pure function of the
    seed. *)
