@@ -15,7 +15,7 @@ type t = {
   observer : Observer.t;
   pending : pending Op.Idtbl.t;
   retry : Retry.t option;
-  done_ids : unit Op.Idtbl.t;
+  done_ids : Dense_ids.t;
   feedback : Feedback.t option;  (** §5.4 adaptive controller *)
   mutable ts_cursor : Time_ns.t;
   mutable probe_seq : int;
@@ -55,8 +55,8 @@ let commit t (op : Op.t) ~fast =
   let id = Op.id op in
   (* Retries (and replica-side resends) can deliver the commit signal
      more than once; the client reports each op committed exactly once. *)
-  if not (Op.Idtbl.mem t.done_ids id) then begin
-    Op.Idtbl.replace t.done_ids id ();
+  if not (Dense_ids.mem t.done_ids id) then begin
+    Dense_ids.add t.done_ids id;
     (match t.retry with Some r -> Retry.on_commit r op | None -> ());
     (match Op.Idtbl.find_opt t.pending id with
     | Some p ->
@@ -147,7 +147,7 @@ let create ~net ~cfg ~self ~observer ?retry () =
       pending = Op.Idtbl.create 64;
       retry =
         Option.map (fun r -> Retry.create ~policy:r.policy engine) retry;
-      done_ids = Op.Idtbl.create 256;
+      done_ids = Dense_ids.create ();
       feedback =
         (if cfg.Config.adaptive then
            Some (Feedback.create ~baseline:cfg.Config.additional_delay)
@@ -174,7 +174,7 @@ let create ~net ~cfg ~self ~observer ?retry () =
 let submit t (op : Op.t) =
   t.observer.Observer.on_submit op ~now:(Engine.now (Fifo_net.engine t.net));
   (match t.retry with
-  | Some r when not (Op.Idtbl.mem t.done_ids (Op.id op)) -> Retry.track r op
+  | Some r when not (Dense_ids.mem t.done_ids (Op.id op)) -> Retry.track r op
   | _ -> ());
   let local = now_local t in
   if t.steer_avoid <> None || t.steer_prefer <> None then begin

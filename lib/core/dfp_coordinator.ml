@@ -11,6 +11,12 @@ type Store.record +=
   | Decided_wm of Time_ns.t
         (** "cwm": the decided watermark's no-op blanket, synced before
             it is announced *)
+  | Committed_ids of { upto : int; chunks : int array list }
+        (** snapshot only: the operations decided in the "cdec" records
+            below log index [upto], one chunk per snapshot (newest
+            first), each a flat array of (client, seq) pairs *)
+  | Tallies of { fast : int; slow : int }
+        (** snapshot only, after its decisions: the decision counts *)
 
 type callbacks = {
   send_commit : Time_ns.t -> Op.t option -> unit;
@@ -60,7 +66,11 @@ type t = {
   mutable undecided : Iset.t;  (** timestamps of tracked undecided posts *)
   mutable w_dec : Time_ns.t;
   mutable w_sent : Time_ns.t;
-  committed_ops : unit Op.Idtbl.t;
+  mutable committed_ops : Dense_ids.t;
+  mutable chunks : int array list;
+      (** the last snapshot's committed ids, shared with it: a snapshot
+          adds one chunk and copies nothing *)
+  mutable chunks_upto : int;  (** the log index [chunks] covers *)
   rescued : unit Op.Idtbl.t;
   mutable fast : int;
   mutable slow : int;
@@ -85,7 +95,9 @@ let create ?store cfg cb =
     undecided = Iset.empty;
     w_dec = -1;
     w_sent = -1;
-    committed_ops = Op.Idtbl.create 1024;
+    committed_ops = Dense_ids.create ();
+    chunks = [];
+    chunks_upto = 0;
     rescued = Op.Idtbl.create 64;
     fast = 0;
     slow = 0;
@@ -131,7 +143,7 @@ let recompute_w_dec t =
 let rescue_op t (op : Op.t) =
   let id = Op.id op in
   if
-    (not (Op.Idtbl.mem t.committed_ops id))
+    (not (Dense_ids.mem t.committed_ops id))
     && not (Op.Idtbl.mem t.rescued id)
   then begin
     Op.Idtbl.replace t.rescued id ();
@@ -170,7 +182,7 @@ let decide t post value ~slow_path =
     post.decided <- Some value;
     if slow_path then t.slow <- t.slow + 1 else t.fast <- t.fast + 1;
     (match value with
-    | Some op -> Op.Idtbl.replace t.committed_ops (Op.id op) ()
+    | Some op -> Dense_ids.add t.committed_ops (Op.id op)
     | None -> ());
     persist t ~kind:"cdec"
       (Decided { ts = post.ts; value; slow = slow_path })
@@ -481,7 +493,9 @@ let wipe_volatile t =
   t.w_dec <- -1;
   t.w_sent <- -1;
   t.cwm_logged <- -1;
-  Op.Idtbl.reset t.committed_ops;
+  Dense_ids.clear t.committed_ops;
+  t.chunks <- [];
+  t.chunks_upto <- 0;
   (* [rescued] is volatile: a re-rescue after restart proposes the op at
      a fresh DM position, and the execution engines' seen-sets collapse
      the duplicate. [conflicts] stays — it is a cumulative statistic. *)
@@ -500,7 +514,7 @@ let replay_record t record =
       t.undecided <- Iset.remove ts t.undecided;
       if slow then t.slow <- t.slow + 1 else t.fast <- t.fast + 1;
       match value with
-      | Some op -> Op.Idtbl.replace t.committed_ops (Op.id op) ()
+      | Some op -> Dense_ids.add t.committed_ops (Op.id op)
       | None -> ()
     end
   | Decided_wm w ->
@@ -509,4 +523,89 @@ let replay_record t record =
        sequence number, which is what drives every replica to pull. *)
     if w > t.w_dec then t.w_dec <- w;
     if w > t.cwm_logged then t.cwm_logged <- w
+  | Committed_ids { upto; chunks } ->
+    List.iter
+      (fun chunk ->
+        for i = 0 to (Array.length chunk / 2) - 1 do
+          Dense_ids.add t.committed_ops (chunk.(2 * i), chunk.((2 * i) + 1))
+        done)
+      chunks;
+    t.chunks <- chunks;
+    t.chunks_upto <- upto
+  | Tallies { fast; slow } ->
+    t.fast <- fast;
+    t.slow <- slow
   | _ -> () (* the co-located replica's records; not ours *)
+
+(* What replaying the store's records below [upto], its disk frontier,
+   rebuilds: the decided posts whose "cdec" record synced, down to the
+   horizon [prune] keeps below the durable watermark (a pull from
+   further back is answered with the watermark's no-op blanket, as it
+   is by a coordinator that never restarted), the durable watermark,
+   the decision counts less the unsynced decisions above [upto], which
+   took effect before their fsync, and the committed-op set: the last
+   snapshot's chunks, plus one of the ops decided in the records
+   between its frontier and [upto]. *)
+let snapshot t ~upto =
+  match t.store with
+  | None -> []
+  | Some store ->
+    let decided =
+      Store.fold store ~from:t.chunks_upto ~upto
+        (fun acc record ->
+          match record with
+          | Decided { value = Some op; _ } -> op.Op.seq :: op.client :: acc
+          | _ -> acc)
+        []
+    in
+    if decided <> [] then
+      t.chunks <- Array.of_list (List.rev decided) :: t.chunks;
+    t.chunks_upto <- upto;
+    let fast, slow =
+      Store.fold store ~from:upto ~upto:(Store.appended store)
+        (fun ((fast, slow) as acc) record ->
+          match record with
+          | Decided { slow = s; _ } ->
+            if s then (fast, slow - 1) else (fast - 1, slow)
+          | _ -> acc)
+        (t.fast, t.slow)
+    in
+    let tail =
+      [ Committed_ids { upto; chunks = t.chunks }; Tallies { fast; slow } ]
+    in
+    let horizon = t.cwm_logged - prune_interval in
+    let tail =
+      if t.cwm_logged >= 0 then Decided_wm t.cwm_logged :: tail else tail
+    in
+    Hashtbl.fold
+      (fun ts post acc ->
+        match post.decided with
+        | Some value when post.durable && ts >= horizon ->
+          Decided { ts; value; slow = false } :: acc
+        | _ -> acc)
+      t.tracked tail
+
+let recovery_state t =
+  let posts =
+    Hashtbl.fold
+      (fun ts post acc ->
+        match post.decided with
+        | Some value when ts > t.w_dec -> (ts, value, post.durable) :: acc
+        | _ -> acc)
+      t.tracked []
+  in
+  [
+    ( "posts",
+      List.concat_map
+        (fun (ts, value, durable) ->
+          match value with
+          | Some (op : Op.t) -> [ ts; op.client; op.seq; Bool.to_int durable ]
+          | None -> [ ts; -1; -1; Bool.to_int durable ])
+        (List.sort compare posts) );
+    ("w_dec", [ t.w_dec ]);
+    ("cwm_logged", [ t.cwm_logged ]);
+    ( "committed_ops",
+      List.concat_map (fun (c, s) -> [ c; s ]) (Dense_ids.elements t.committed_ops)
+    );
+    ("fast_slow", [ t.fast; t.slow ]);
+  ]

@@ -105,7 +105,23 @@ val wipe_volatile : t -> unit
     with {!replay_record} over the surviving records. *)
 
 val replay_record : t -> Domino_store.Store.record -> unit
-(** Re-apply one surviving "cdec"/"cwm" record (in log order): decided
-    positions and the durable decided-watermark blanket are restored
-    without re-externalizing anything. Records it does not own — the
-    co-located replica's — are ignored. *)
+(** Re-apply one surviving "cdec"/"cwm" record or snapshot record (in
+    log order): decided positions and the durable decided-watermark
+    blanket are restored without re-externalizing anything. Records it
+    does not own — the co-located replica's — are ignored. *)
+
+val snapshot : t -> upto:int -> Domino_store.Store.record list
+(** The coordinator's records for a snapshot replacing its store's log
+    below [upto], the store's disk frontier: the decided posts still
+    tracked whose "cdec" synced, the durable decided watermark, the
+    committed-op set and the fast/slow decision counts, less the
+    unsynced decisions above [upto]. The committed-op set is the
+    previous snapshot's, shared, plus the ops of the "cdec" records
+    since its frontier: a snapshot costs what the second decided, not
+    what the run did. Empty without a store. *)
+
+val recovery_state : t -> (string * int list) list
+(** The state replay rebuilds, field by field as integers, to compare
+    two recoveries: the decided posts above the decided watermark, that
+    watermark, its durable blanket, the committed-op set and the
+    fast/slow decision counts. *)

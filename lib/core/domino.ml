@@ -2,18 +2,96 @@ open Domino_sim
 open Domino_net
 open Domino_smr
 
+module Store = Domino_store.Store
+
 type t = {
   net : Message.msg Fifo_net.t;
   cfg : Config.t;
   replicas : Replica.t array;
   coordinator : Dfp_coordinator.t;
+  coord_index : int;
+  decision_seq : int array;
+      (** per replica, the last sequence number stamped on the
+          coordinator's decision stream; see [stamp] in [create] *)
   clients : (Nodeid.t, Client.t) Hashtbl.t;
 }
 
 (* The coordinator's decision-stream high water for one destination
-   (journal kind "dsq"); see [stamp] below. *)
-type Domino_store.Store.record +=
-  | Seq_high_water of { acceptor : int; seq : int }
+   (journal kind "dsq"); see [stamp] in [create]. *)
+type Store.record += Seq_high_water of { acceptor : int; seq : int }
+
+(* --- wipe-restart recovery --- *)
+
+let wipe_volatile t i =
+  Replica.wipe_volatile t.replicas.(i);
+  if i = t.coord_index then Dfp_coordinator.wipe_volatile t.coordinator
+
+(* The highest "dsq" record per replica among [records]. *)
+let dsq_high_water hw record =
+  (match record with
+  | Seq_high_water { acceptor; seq } ->
+    hw.(acceptor) <- Stdlib.max hw.(acceptor) seq
+  | _ -> ());
+  hw
+
+let seq_slack = 64 + 1_000_000
+
+(* The co-located replica and coordinator share one store; each side
+   replays the constructors it owns and skips the rest. *)
+let replay t i records =
+  let replica = t.replicas.(i) in
+  Replica.set_replaying replica true;
+  List.iter
+    (fun record ->
+      if i = t.coord_index then
+        Dfp_coordinator.replay_record t.coordinator record;
+      Replica.replay_record replica record)
+    records;
+  Replica.set_replaying replica false;
+  if i = t.coord_index then begin
+    (* Jump well past any stamp that may have gone out after the last
+       "dsq" record was synced: sequence numbers must never be reused,
+       and the forced gap makes every replica pull. *)
+    let hw =
+      List.fold_left dsq_high_water (Array.make (Array.length t.replicas) 0)
+        records
+    in
+    Array.iteri (fun a hw -> t.decision_seq.(a) <- hw + seq_slack) hw
+  end
+
+let recover t i records =
+  wipe_volatile t i;
+  replay t i records
+
+let recovery_state t i =
+  Replica.recovery_state t.replicas.(i)
+  @
+  if i <> t.coord_index then []
+  else
+    Dfp_coordinator.recovery_state t.coordinator
+    @ [ ("decision_seq", Array.to_list t.decision_seq) ]
+
+(* Snapshots cover the disk frontier, not the log's end: a snapshot
+   over unsynced records would make them durable early, and where it
+   lands before their barrier (a slow or batched disk) it would shorten
+   the next fsync and shift every later event of the run. *)
+let snapshot t store i =
+  let upto = Store.durable_upto store in
+  let own = Replica.snapshot t.replicas.(i) ~upto in
+  if i <> t.coord_index then (own, upto)
+  else
+    let hw =
+      Store.fold store ~from:0 ~upto dsq_high_water
+        (Array.make (Array.length t.replicas) 0)
+    in
+    let dsq =
+      List.filter_map
+        (fun acceptor ->
+          let seq = hw.(acceptor) in
+          if seq > 0 then Some (Seq_high_water { acceptor; seq }) else None)
+        (List.init (Array.length hw) Fun.id)
+    in
+    (own @ Dfp_coordinator.snapshot t.coordinator ~upto @ dsq, upto)
 
 type stats = {
   dfp_fast_decisions : int;
@@ -69,7 +147,7 @@ let create (env : Protocol_intf.Group.env) cfg =
     let seq = decision_seq.(acceptor) in
     if seq land 63 = 0 then
       ignore
-        (Domino_store.Store.append coord_store ~kind:"dsq"
+        (Store.append coord_store ~kind:"dsq"
            (Seq_high_water { acceptor; seq }));
     seq
   in
@@ -115,37 +193,16 @@ let create (env : Protocol_intf.Group.env) cfg =
   in
   let coordinator = Dfp_coordinator.create ~store:coord_store cfg callbacks in
   let clients = Hashtbl.create 16 in
-  let t = { net; cfg; replicas; coordinator; clients } in
+  let t =
+    { net; cfg; replicas; coordinator; coord_index; decision_seq; clients }
+  in
   (* Crash-with-amnesia hooks: at the wipe instant volatile state drops;
-     at the restart instant the surviving WAL suffix replays. The
-     coordinator's records share the co-located replica's store; each
-     side replays the constructors it owns and skips the rest. *)
-  let seq_slack = 64 + 1_000_000 in
+     at the restart instant the surviving snapshot and WAL suffix
+     replay. *)
   Durable.install net ~replicas:cfg.Config.replicas ~stores
-    ~wipe:(fun i ->
-      Replica.wipe_volatile replicas.(i);
-      if i = coord_index then Dfp_coordinator.wipe_volatile coordinator)
-    ~replay:(fun i _snapshot records ->
-      Replica.set_replaying replicas.(i) true;
-      let dsq_hw = Array.make n 0 in
-      List.iter
-        (fun record ->
-          if i = coord_index then begin
-            match record with
-            | Seq_high_water { acceptor; seq } ->
-              dsq_hw.(acceptor) <- Stdlib.max dsq_hw.(acceptor) seq
-            | _ -> Dfp_coordinator.replay_record coordinator record
-          end;
-          Replica.replay_record replicas.(i) record)
-        records;
-      Replica.set_replaying replicas.(i) false;
-      if i = coord_index then
-        (* Jump well past any stamp that may have gone out after the
-           last "dsq" record was synced: sequence numbers must never be
-           reused, and the forced gap makes every replica pull. *)
-        Array.iteri
-          (fun a hw -> decision_seq.(a) <- hw + seq_slack)
-          dsq_hw);
+    ~wipe:(wipe_volatile t) ~replay:(replay t);
+  Durable.auto_snapshot net ~replicas:cfg.Config.replicas ~stores
+    ~encode:(fun i -> snapshot t stores.(i) i);
   (* Handlers: the coordinator replica sees learner traffic first, then
      regular replica dispatch. *)
   Array.iteri

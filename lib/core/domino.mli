@@ -42,6 +42,20 @@ val replica : t -> int -> Replica.t
 
 val stats : t -> stats
 
+val recover : t -> int -> Domino_store.Store.record list -> unit
+(** What a wiped replica does at its restart, done at once: drop
+    replica [i]'s volatile state (and the co-located coordinator's),
+    then replay [records] — a store's snapshot records and log suffix,
+    as {!Domino_store.Store.recover} returns them. *)
+
+val recovery_state : t -> int -> (string * int list) list
+(** Replica [i]'s rebuilt state ({!Replica.recovery_state}), with the
+    coordinator's ({!Dfp_coordinator.recovery_state}) and the decision
+    stream's sequence numbers when it is co-located: replaying a
+    snapshot and its suffix must leave the same fields as replaying the
+    whole log, DM instances aside (a snapshot keeps only those still
+    pending). *)
+
 module Api : Protocol_intf.S with type t = t
 (** The unified-API module, named "domino" ([Protocols.Domino]). It
     derives the {!Config.t} from [env]: [env.leader] is the coordinator,

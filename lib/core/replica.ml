@@ -38,6 +38,10 @@ type Store.record +=
         (** "dmc": DM commit, synced before execution *)
   | Dm_wm of { lane : int; upto : Time_ns.t }
         (** "dmw": DM lane watermark, synced before applying *)
+  | Exec_state of Op.t Exec_engine.image
+        (** snapshot only: the execution engine, lanes and all *)
+  | Dm_cursor of Time_ns.t
+        (** snapshot only: the highest DM proposal timestamp logged *)
 
 type dm_inst = {
   op : Op.t;
@@ -74,8 +78,9 @@ type t = {
   mutable dm_cursor : Time_ns.t;
   mutable dm_pending : dm_inst Tsmap.t;
   mutable dm_watermark_sent : Time_ns.t;
-  (* DM acceptor: commits already persisted, to keep retransmissions
-     from re-syncing. *)
+  (* DM acceptor: commits already persisted above the lane's coverage,
+     to keep retransmissions from re-syncing (a commit at or below the
+     coverage is settled; see [dm_on_commit]). *)
   dm_commit_seen : unit Postbl.t;
   dm_wm_logged : Time_ns.t array;  (** per lane, like [dfp_wm_logged] *)
   (* Optional learner role (every_replica_learns): per (ts, op) accept
@@ -342,8 +347,16 @@ let dm_on_accepted t ~ts =
       send t ~dst:inst.op.Op.client (Message.Dm_reply { op = inst.op })
     end
 
+(* A position at or below the lane's coverage is settled here: the
+   leader's lane watermark only passes a commit every replica has
+   persisted, and an executed position lies within the coverage. So
+   its mark may go (see [snapshot]) and a retransmitted commit is only
+   acknowledged. *)
 let dm_on_commit t ~leader ~ts ~op =
-  if Postbl.mem t.dm_commit_seen (leader, ts) then
+  if
+    ts <= Exec_engine.covered t.exec ~lane:leader
+    || Postbl.mem t.dm_commit_seen (leader, ts)
+  then
     send t ~dst:(replicas t).(leader)
       (Message.Dm_commit_ack { leader; ts; acceptor = t.index })
   else begin
@@ -529,7 +542,7 @@ let replay_record t record =
           acks = 1;
           committed = false;
           commit_acks = 0;
-        n_commit_acks = 0;
+          n_commit_acks = 0;
           opened = now_engine t;
         }
         t.dm_pending
@@ -541,7 +554,80 @@ let replay_record t record =
       t.dm_wm_logged.(lane) <- upto;
       Exec_engine.set_watermark t.exec ~lane upto
     end
+  | Exec_state image ->
+    Exec_engine.restore t.exec image;
+    (* Every watermark the engine holds came from a synced "dw"/"dmw"
+       record, and every pending DM decision from a "dmc" one. *)
+    let wm lane = image.lanes.(lane).Exec_engine.watermark in
+    t.dfp_wm_logged <- Stdlib.max t.dfp_wm_logged (wm (dfp_lane t));
+    Array.iteri
+      (fun lane logged ->
+        t.dm_wm_logged.(lane) <- Stdlib.max logged (wm lane);
+        List.iter
+          (fun (ts, _) -> Postbl.replace t.dm_commit_seen (lane, ts) ())
+          image.lanes.(lane).pending)
+      t.dm_wm_logged
+  | Dm_cursor ts -> t.dm_cursor <- Stdlib.max t.dm_cursor ts
   | _ -> () (* a co-located coordinator's records; not ours *)
+
+(* What replaying the store's records below [upto], its disk frontier,
+   rebuilds: the live state, less what the unsynced records above
+   [upto] did before their fsync ("dv"/"dp2a" accepts, "dmp"
+   proposals; the watermarks and commits they carry take effect only
+   after it). The DM instances are the ones still pending, not every
+   proposal since the start. Prunes the commit marks the lanes'
+   coverage has settled. *)
+let snapshot t ~upto =
+  Postbl.filter_map_inplace
+    (fun (lane, ts) () ->
+      if ts <= Exec_engine.covered t.exec ~lane then None else Some ())
+    t.dm_commit_seen;
+  let accepted, dropped, pending =
+    Store.fold t.store ~from:upto ~upto:(Store.appended t.store)
+      (fun ((accepted, dropped, pending) as acc) record ->
+        match record with
+        | Accepted { ts; op } -> (
+          match Tsmap.find_opt ts accepted with
+          | Some o when o == op ->
+            (Tsmap.remove ts accepted, Tsmap.add ts () dropped, pending)
+          | _ -> acc)
+        | Dm_proposed { ts; _ } -> (accepted, dropped, Tsmap.remove ts pending)
+        | _ -> acc)
+      (t.dfp_accepted, Tsmap.empty, t.dm_pending)
+  in
+  (* An unsynced round-1 accept may have overwritten a synced round-0
+     one: each position the tail emptied gets what the prefix left
+     there. *)
+  let accepted =
+    if Tsmap.is_empty dropped then accepted
+    else
+      Store.fold t.store ~from:0 ~upto
+        (fun accepted record ->
+          match record with
+          | Accepted { ts; op } when Tsmap.mem ts dropped ->
+            Tsmap.add ts op accepted
+          | Decided { ts; _ } when Tsmap.mem ts dropped ->
+            Tsmap.remove ts accepted
+          | _ -> accepted)
+        accepted
+  in
+  let cursor =
+    Store.fold t.store ~from:0 ~upto
+      (fun c record ->
+        match record with
+        | Dm_proposed { ts; _ } | Dm_cursor ts -> Stdlib.max c ts
+        | _ -> c)
+      (-1)
+  in
+  let records =
+    Tsmap.fold
+      (fun ts (inst : dm_inst) acc -> Dm_proposed { ts; op = inst.op } :: acc)
+      pending []
+  in
+  let records =
+    Tsmap.fold (fun ts op acc -> Accepted { ts; op } :: acc) accepted records
+  in
+  Exec_state (Exec_engine.image t.exec) :: Dm_cursor cursor :: records
 
 let set_replaying t flag = t.replaying <- flag
 
@@ -595,3 +681,40 @@ let storage_stats t =
 let late_decisions t = Exec_engine.late_decisions t.exec
 
 let exec_frontier_lane_watermark t ~lane = Exec_engine.watermark t.exec ~lane
+
+let recovery_state t =
+  let img = Exec_engine.image t.exec in
+  let op_ints = function
+    | None -> [ -1; -1 ]
+    | Some (op : Op.t) -> [ op.Op.client; op.Op.seq ]
+  in
+  let lane (l : Op.t Exec_engine.lane_image) =
+    [ l.watermark; l.covered; List.length l.pending ]
+    @ List.concat_map (fun (ts, d) -> ts :: op_ints d) l.pending
+    @ (Array.length l.seen :: Array.to_list l.seen)
+  in
+  let marks =
+    Postbl.fold
+      (fun (lane, ts) () acc ->
+        if ts > Exec_engine.covered t.exec ~lane then (lane, ts) :: acc
+        else acc)
+      t.dm_commit_seen []
+  in
+  [
+    ( "exec",
+      List.concat_map lane (Array.to_list img.lanes)
+      @ (match img.cursor with
+        | Some { Position.ts; lane } -> [ ts; lane ]
+        | None -> [ -1; -1 ])
+      @ [ img.executed; img.late ] );
+    ( "dfp_accepted",
+      List.concat_map
+        (fun (ts, op) -> ts :: op_ints (Some op))
+        (Tsmap.bindings t.dfp_accepted) );
+    ("dm_cursor", [ t.dm_cursor ]);
+    ("dm_pending", List.map fst (Tsmap.bindings t.dm_pending));
+    ( "dm_commit_seen",
+      List.concat_map (fun (l, ts) -> [ l; ts ]) (List.sort compare marks) );
+    ("dfp_wm_logged", [ t.dfp_wm_logged ]);
+    ("dm_wm_logged", Array.to_list t.dm_wm_logged);
+  ]

@@ -50,9 +50,26 @@ val wipe_volatile : t -> unit
     surviving records. *)
 
 val replay_record : t -> Domino_store.Store.record -> unit
-(** Re-apply one surviving WAL record of this replica's (in log order).
-    Records it does not own — a co-located coordinator's — are
-    ignored. *)
+(** Re-apply one surviving WAL or snapshot record of this replica's (in
+    log order). Records it does not own — a co-located coordinator's —
+    are ignored. *)
+
+val snapshot : t -> upto:int -> Domino_store.Store.record list
+(** This replica's records for a snapshot replacing its store's log
+    below [upto], which must be the store's disk frontier
+    ({!Domino_store.Store.durable_upto}): what replaying that prefix
+    rebuilds, read from the live state less the pre-fsync effects of
+    the records above it. That is the execution engine (lanes,
+    coverage, pending decisions, executed timestamps), the DFP
+    accepts, the DM proposal cursor and the DM instances still pending
+    (a full replay would re-open every proposal of the run). Also
+    drops the DM commit marks each lane's coverage has settled. *)
+
+val recovery_state : t -> (string * int list) list
+(** The state replay rebuilds, field by field as integers, to compare
+    two recoveries: the execution engine's image, the DFP accepts, the
+    DM cursor and pending timestamps, the DM commit marks above each
+    lane's coverage, and the logged watermarks. *)
 
 val set_replaying : t -> bool -> unit
 (** While true, replayed executions skip the observer — they were

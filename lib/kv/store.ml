@@ -8,7 +8,7 @@ type t = {
   mutable digest : int;
 }
 
-let create () = { table = Hashtbl.create 4096; version = 0; digest = 0 }
+let create () = { table = Hashtbl.create 64; version = 0; digest = 0 }
 
 (* MurmurHash3's 64-bit finaliser, its constants cut to fit OCaml's
    63-bit ints. *)

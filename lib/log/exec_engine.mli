@@ -72,3 +72,32 @@ val executed_held : 'op t -> int
 val late_decisions : 'op t -> int
 (** Decisions that arrived for positions already passed — must stay 0
     in a correct protocol run. *)
+
+(** {2 Snapshots}
+
+    An engine's whole state as plain data, for a protocol's WAL
+    snapshot: restoring the image into a fresh engine rebuilds what
+    re-applying every decision and watermark behind it would. *)
+
+type 'op lane_image = {
+  watermark : Time_ns.t;
+  covered : Time_ns.t;
+  pending : (Time_ns.t * 'op option) list;
+      (** decided, not yet executed, by timestamp; [None] is an
+          explicit no-op *)
+  seen : Time_ns.t array;  (** executed timestamps still held *)
+}
+
+type 'op image = {
+  lanes : 'op lane_image array;
+  cursor : Position.t option;  (** {!frontier} *)
+  executed : int;  (** {!executed_ops} *)
+  late : int;  (** {!late_decisions} *)
+}
+
+val image : 'op t -> 'op image
+
+val restore : 'op t -> 'op image -> unit
+(** Replace the engine's state with [image] (taken from an engine with
+    as many lanes). Nothing executes: [on_exec] is not called.
+    @raise Invalid_argument on a lane-count mismatch. *)

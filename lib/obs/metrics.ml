@@ -42,7 +42,7 @@ let bucket_bounds idx =
   end
 
 type histogram = {
-  buckets : int array;
+  mutable buckets : int array;  (** empty until the first observation *)
   mutable count : int;
   mutable sum : float;
   mutable mn : float;
@@ -88,7 +88,7 @@ let histogram t name =
     get_or_create t name ~want:"histogram" ~make:(fun () ->
         H
           {
-            buckets = Array.make n_buckets 0;
+            buckets = [||];
             count = 0;
             sum = 0.;
             mn = nan;
@@ -112,6 +112,7 @@ let observe h v =
   if clamp then h.clamped <- h.clamped + 1;
   let v = if clamp then 0. else v in
   let idx = bucket_index v in
+  if h.count = 0 then h.buckets <- Array.make n_buckets 0;
   h.buckets.(idx) <- h.buckets.(idx) + 1;
   h.count <- h.count + 1;
   h.sum <- h.sum +. v;
@@ -167,7 +168,7 @@ let sorted_bindings t =
 
 let histogram_json h =
   let buckets = ref [] in
-  for idx = n_buckets - 1 downto 0 do
+  for idx = Array.length h.buckets - 1 downto 0 do
     if h.buckets.(idx) > 0 then begin
       let lo, _ = bucket_bounds idx in
       buckets :=

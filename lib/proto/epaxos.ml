@@ -514,7 +514,7 @@ let replay_record t lane record =
   | _ -> ()
 
 (* EPaxos never snapshots: its log is the whole recovery state. *)
-let replay t lane _snap records =
+let replay t lane records =
   t.replaying.(lane) <- true;
   List.iter (replay_record t lane) records;
   t.replaying.(lane) <- false

@@ -434,7 +434,7 @@ let replay_record t i record =
   | _ -> ()
 
 (* Fast Paxos never snapshots: its log is the whole recovery state. *)
-let replay t i _snap records =
+let replay t i records =
   t.replaying.(i) <- true;
   List.iter (replay_record t i) records;
   t.replaying.(i) <- false

@@ -23,7 +23,8 @@ type msg =
    - "cmt": every replica, synced before the op is parked/executed —
      execution is gated on durability, so replay reproduces exactly the
      executed prefix;
-   - "applied": the snapshot's header only (see [encode]). *)
+   - "applied": the snapshot's header only (see [encode]): the next
+     slot to execute. *)
 type Store.record +=
   | Opened of { slot : int; op : Op.t }
   | Acked of { slot : int; op : Op.t }
@@ -195,39 +196,19 @@ let fresh_exec t i =
       if not t.replaying.(i) then
         t.observer.Observer.on_execute ~replica:r op ~now:(now t))
 
-(* The snapshot codec, the one place a WAL record is text: an
-   "applied" header, then the leader's decided and open slots, one
-   "<kind> <slot> <op>" line each. Its length is journaled
-   ([store.snapshot … bytes=]), so the format is fixed. Decoding yields
-   the log's own records, and replay treats both alike. *)
+(* A snapshot covers the whole log: an "applied" header, then the
+   leader's decided and open slots as the records that logged them. *)
 let encode t i =
-  let node = t.replicas.(i) in
-  let buf = Buffer.create 256 in
-  let line kind slot op =
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (Printf.sprintf "%s %d %s" kind slot (Op.to_wire op))
-  in
-  Buffer.add_string buf (Printf.sprintf "applied %d" (next_to_apply t i));
-  if Nodeid.equal node t.leader then begin
-    Hashtbl.iter (fun slot op -> line "dec" slot op) t.committed_log;
+  let records = ref [] in
+  let add r = records := r :: !records in
+  if Nodeid.equal t.replicas.(i) t.leader then begin
+    Hashtbl.iter (fun slot op -> add (Decided { slot; op })) t.committed_log;
     Hashtbl.iter
-      (fun slot (state : slot_state) -> line "open" slot state.op)
+      (fun slot (state : slot_state) -> add (Opened { slot; op = state.op }))
       t.slots
   end;
-  Buffer.contents buf
-
-let decode blob =
-  List.filter_map
-    (fun line ->
-      match String.split_on_char ' ' line with
-      | [ "applied"; n ] -> Some (Applied (int_of_string n))
-      | [ kind; s; w ] -> (
-        match (kind, Op.of_wire w) with
-        | "dec", Some op -> Some (Decided { slot = int_of_string s; op })
-        | "open", Some op -> Some (Opened { slot = int_of_string s; op })
-        | _ -> None)
-      | _ -> None)
-    (String.split_on_char '\n' blob)
+  ( Applied (next_to_apply t i) :: List.rev !records,
+    Store.appended t.stores.(i) )
 
 let wipe t i =
   let node = t.replicas.(i) in
@@ -265,9 +246,8 @@ let replay_record t i record =
   | Committed { slot; op } -> apply_commit_now t i slot op
   | _ -> ()
 
-let replay t i snap records =
+let replay t i records =
   t.replaying.(i) <- true;
-  Option.iter (fun blob -> List.iter (replay_record t i) (decode blob)) snap;
   List.iter (replay_record t i) records;
   t.replaying.(i) <- false
 
@@ -333,8 +313,7 @@ let create (env : Protocol_intf.Group.env) =
       else Fifo_net.set_handler net r (handle_follower t r))
     replicas;
   Durable.install net ~replicas ~stores ~wipe:(wipe t) ~replay:(replay t);
-  Durable.auto_snapshot net ~replicas ~stores ~interval:(Time_ns.sec 1)
-    ~encode:(encode t);
+  Durable.auto_snapshot net ~replicas ~stores ~encode:(encode t);
   (* Any node that is not a replica is a client of this protocol. *)
   for node = 0 to Fifo_net.size net - 1 do
     if not (Array.exists (Nodeid.equal node) replicas) then

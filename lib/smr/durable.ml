@@ -41,16 +41,18 @@ let install net ~replicas ~stores ~wipe ~replay =
           Store.wipe stores.(i);
           Store.recovery_span stores.(i))
         ~replay:(fun () ->
-          let snap, records = Store.recover stores.(i) in
-          replay i snap records))
+          replay i (Store.recover stores.(i))))
     replicas
 
-let auto_snapshot net ~replicas ~stores ~interval ~encode =
+let snapshot_interval = Time_ns.sec 1
+
+let auto_snapshot net ~replicas ~stores ~encode =
   Array.iteri
     (fun i r ->
       ignore
-        (Engine.every (Fifo_net.engine net) ~interval (fun () ->
+        (Engine.every (Fifo_net.engine net) ~interval:snapshot_interval
+           (fun () ->
              if Fifo_net.is_up net r then
-               let st = stores.(i) in
-               Store.snapshot st (encode i) ~upto:(Store.appended st))))
+               let records, upto = encode i in
+               Store.snapshot stores.(i) records ~upto)))
     replicas

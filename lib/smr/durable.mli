@@ -3,7 +3,15 @@
     Every protocol persists differently, but they all need the same
     scaffolding: a store per replica (from [Protocol_intf.env.stores]),
     wipe-restart hooks on the network, and — where the protocol's
-    recovery state is snapshottable — a periodic snapshot timer. *)
+    recovery state is snapshottable — a periodic snapshot timer.
+
+    Snapshots are typed: an encoder returns the records that replace a
+    log prefix, built from constructors the protocol's replay already
+    handles (plus any snapshot-only ones it adds), and the index the
+    prefix ends at. Replay sees one record list either way — the
+    snapshot's, then the surviving suffix — so a protocol has one
+    replay path. Domino and Multi-Paxos snapshot; Mencius, EPaxos and
+    Fast Paxos keep their whole log. *)
 
 open Domino_sim
 open Domino_net
@@ -39,20 +47,26 @@ val install :
   replicas:Nodeid.t array ->
   stores:Domino_store.Store.t array ->
   wipe:(int -> unit) ->
-  replay:(int -> string option -> Domino_store.Store.record list -> unit) ->
+  replay:(int -> Domino_store.Store.record list -> unit) ->
   unit
 (** Install {!Fifo_net.set_wipe_hook} for every replica: at the wipe
     instant [wipe i] drops replica [i]'s volatile state, then the store
     is wiped and its modeled recovery span returned; at the restart
-    instant [replay i snapshot records] rebuilds from what survived. *)
+    instant [replay i records] rebuilds from what survived
+    ({!Domino_store.Store.recover}: the snapshot's records, then the
+    log suffix). *)
 
 val auto_snapshot :
   'msg Fifo_net.t ->
   replicas:Nodeid.t array ->
   stores:Domino_store.Store.t array ->
-  interval:Time_ns.span ->
-  encode:(int -> string) ->
+  encode:(int -> Domino_store.Store.record list * int) ->
   unit
-(** Periodically snapshot each replica's recovery state ([encode i]) at
-    the current log frontier, truncating covered records. Skipped while
-    the node is down. *)
+(** Every second, snapshot each replica's recovery state: [encode i]
+    returns [(records, upto)], the records that replace replica [i]'s
+    log below index [upto], and the store truncates that prefix once
+    the snapshot is durable. Skipped while the node is down. [upto]
+    picks the prefix: the log frontier ({!Domino_store.Store.appended})
+    makes unsynced records durable with the snapshot, the disk frontier
+    ({!Domino_store.Store.durable_upto}) leaves the fsync schedule as
+    it is. *)

@@ -16,24 +16,6 @@ let conflicts a b = a.key = b.key && compare_id (id a) (id b) <> 0
 let pp fmt t =
   Format.fprintf fmt "op(%a#%d k=%d)" Nodeid.pp t.client t.seq t.key
 
-(* Text form for Multi-Paxos snapshots: colon-separated, no spaces, so
-   an op is a single token inside a space-separated snapshot line. *)
-let to_wire t = Printf.sprintf "%d:%d:%d:%Ld" t.client t.seq t.key t.value
-
-let of_wire s =
-  match String.split_on_char ':' s with
-  | [ c; q; k; v ] -> (
-    match
-      ( int_of_string_opt c,
-        int_of_string_opt q,
-        int_of_string_opt k,
-        Int64.of_string_opt v )
-    with
-    | Some client, Some seq, Some key, Some value ->
-      Some { client; seq; key; value }
-    | _ -> None)
-  | _ -> None
-
 module Idord = struct
   type t = id
 

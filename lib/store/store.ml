@@ -44,7 +44,8 @@ type t = {
   mutable base : int;
   mutable appended : int;
   mutable durable_upto : int;
-  mutable snap : (string * int) option;
+  mutable snap : (record list * int) option;
+      (** the durable snapshot's records and the index it covers *)
   mutable waiting : (unit -> unit) list;
   mutable barrier_open : bool;
   mutable inflight : bool;
@@ -209,18 +210,18 @@ let append_sync t ~kind record k =
   ignore (append t ~kind record);
   sync t k
 
-let snapshot t blob ~upto =
+let snapshot t records ~upto =
   if upto > t.appended then invalid_arg "Store.snapshot: upto > appended";
   t.n_snapshots <- t.n_snapshots + 1;
   if detailed t then
     store_ev t "snapshot"
-      (ints [ ("upto", upto); ("bytes", String.length blob) ]);
+      (ints [ ("upto", upto); ("recs", List.length records) ]);
   let epoch = t.epoch in
   Engine.schedule t.engine ~delay:t.params.snapshot_latency (fun () ->
       if t.epoch = epoch then begin
         (match t.snap with
         | Some (_, prev) when prev >= upto -> ()
-        | _ -> t.snap <- Some (blob, upto));
+        | _ -> t.snap <- Some (records, upto));
         (* The snapshot covers every record below [upto]: drop that
            prefix of the log. [cut] counts the durable records among
            them. *)
@@ -236,6 +237,18 @@ let snapshot t blob ~upto =
         if cut > 0 && detailed t then
           store_ev t "truncate" (ints [ ("recs", cut) ])
       end)
+
+let fold t ~from ~upto f acc =
+  let acc =
+    match t.snap with
+    | Some (records, _) when from < t.base -> List.fold_left f acc records
+    | _ -> acc
+  in
+  let acc = ref acc in
+  for i = Stdlib.max from t.base to Stdlib.min upto t.appended - 1 do
+    acc := f !acc t.log.(i - t.base)
+  done;
+  !acc
 
 let wipe t =
   t.epoch <- t.epoch + 1;
@@ -261,7 +274,6 @@ let recovery_span t =
 
 let recover t =
   let n = t.durable_upto - t.base in
-  let records = List.init n (fun i -> t.log.(i)) in
   t.n_replayed <- t.n_replayed + n;
   let span = recovery_span t in
   t.recovery_spans <- span :: t.recovery_spans;
@@ -272,7 +284,7 @@ let recover t =
       | None -> "snapshot=none " ^ counts
       | Some (_, upto) -> ints [ ("snapshot", upto) ] ^ " " ^ counts)
   end;
-  (Option.map fst t.snap, records)
+  List.rev (fold t ~from:0 ~upto:t.durable_upto (fun acc r -> r :: acc) [])
 
 let counters t =
   [

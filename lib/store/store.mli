@@ -5,10 +5,10 @@
     from the snapshot's frontier. Records are values of the extensible
     variant {!record}: each protocol adds its own constructors, writes
     them, and pattern-matches them on replay — nothing is formatted or
-    parsed on the write path. [append] is an in-memory buffer write; a
-    record only survives a {!wipe} once an fsync barrier covering it
-    has completed ({!sync}), or once a later {!snapshot} subsumes
-    it. Sync barriers take simulated time — an
+    parsed, on the write path or in a snapshot. [append] is an
+    in-memory buffer write; a record only survives a {!wipe} once an
+    fsync barrier covering it has completed ({!sync}), or once a later
+    {!snapshot} subsumes it. Sync barriers take simulated time — an
     engine timer of [sync_latency + append_latency * fresh records] —
     so protocols that fsync before externalizing state pay the disk on
     their commit critical path (visible as the journal's [sync_wait]
@@ -17,11 +17,17 @@
     (group commit); [Batched w] additionally holds each barrier open
     for a window [w] before starting it.
 
+    A snapshot is a list of records too: the ones that replace a log
+    prefix, built from constructors the owner's replay handles, so that
+    replaying the snapshot rebuilds what replaying the prefix would.
+    Once it is durable the prefix is truncated, and a store holds the
+    records of one snapshot interval instead of the whole run.
+
     Crash semantics: {!wipe} models a power cut — every record not yet
     covered by a completed barrier is lost, pending callbacks die, and
     in-flight barrier/snapshot completions are aborted (epoch guard).
-    {!recover} then returns the surviving snapshot blob and the
-    surviving records, oldest first, for the owner to replay;
+    {!recover} then returns the surviving snapshot's records followed
+    by the surviving log suffix, oldest first, for the owner to replay;
     {!recovery_span} is the modeled wall time that reload takes.
 
     All storage events (append, sync, truncate, snapshot) are journaled
@@ -71,12 +77,21 @@ val sync : t -> (unit -> unit) -> unit
 val append_sync : t -> kind:string -> record -> (unit -> unit) -> unit
 (** [append] then [sync] — the WAL idiom for "persist, then act". *)
 
-val snapshot : t -> string -> upto:int -> unit
-(** Write [blob] as a snapshot covering every record with index below
-    [upto] (typically {!appended}). After [snapshot_latency] the blob
-    becomes durable atomically and covered log records are truncated —
-    unsynced ones too, when [upto] is past {!durable_upto}.
-    Aborted by an intervening {!wipe}. *)
+val snapshot : t -> record list -> upto:int -> unit
+(** Write [records] as a snapshot replacing every record with index
+    below [upto]: replaying them must rebuild what replaying that
+    prefix would. After [snapshot_latency] the snapshot becomes durable
+    atomically and covered log records are truncated — unsynced ones
+    too, when [upto] is past {!durable_upto}, which then jumps to
+    [upto] (and shortens the next fsync). Aborted by an intervening
+    {!wipe}. The journal's [store.snapshot] detail counts the records
+    ([recs=]). *)
+
+val fold : t -> from:int -> upto:int -> ('a -> record -> 'a) -> 'a -> 'a
+(** Fold, oldest first, over the records with log index in
+    [\[from, upto)] that the store still holds. The indices below the
+    snapshot's frontier stand for the durable snapshot's records: a
+    fold from [0] starts with them. Reads only; nothing is journaled. *)
 
 val appended : t -> int
 (** Total records appended (the next record's index). *)
@@ -96,9 +111,10 @@ val recovery_span : t -> Time_ns.span
 (** Modeled duration of {!recover}: mount + snapshot load + per-record
     replay. The caller keeps the node down for this long. *)
 
-val recover : t -> string option * record list
-(** The surviving snapshot blob and log suffix (oldest first), for the
-    owner to rebuild from. Journals a [recovery.replay] event. *)
+val recover : t -> record list
+(** The surviving snapshot's records, then the surviving log suffix,
+    oldest first, for the owner to rebuild from. Journals a
+    [recovery.replay] event. *)
 
 val counters : t -> (string * int) list
 (** Monotonic event counts, stable keys: [appends], [syncs],

@@ -2,6 +2,7 @@
 """Gate the repository benchmark against its committed baseline.
 
     python3 test/perfbench_gate.py
+    python3 test/perfbench_gate.py --regenerate
 
 Run from the root of a source checkout, on an otherwise idle host. For
 every workload in test/golden/perfbench-seed42.json it runs
@@ -19,13 +20,16 @@ baseline's entry for that workload:
 
 Prints a Markdown report and exits 1 if any check fails. The baseline
 holds one result line per workload, without `attempted` (it counts
-however many runs fit in the 5 s), and with `wall_s`, `setup_s` and
-`heap_peak_mb` taken as the median of five runs. After an intended
-change, regenerate it the same way.
+however many runs fit in the 5 s), with the end-to-end metrics only,
+and with `wall_s`, `setup_s` and `heap_peak_mb` taken as the median of
+five runs. After an intended change, `--regenerate` rewrites it that
+way from five runs of every workload (it fails if the runs' exact
+figures disagree).
 """
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -69,9 +73,46 @@ def checks(base, got):
                value.get(name), ok)
 
 
+def regenerate(workloads):
+    """Rewrite the baseline from five runs of each workload."""
+    baseline = {}
+    for workload in workloads:
+        runs = [run(workload) for _ in range(5)]
+        if any(r is None for r in runs):
+            sys.exit("perfbench_gate: %s printed no result line" % workload)
+        exact = [
+            ([r[f] for f in EXACT_FIELDS],
+             [r["metrics"][m]["value"] for m in EXACT_METRICS])
+            for r in runs
+        ]
+        if any(e != exact[0] for e in exact):
+            sys.exit("perfbench_gate: %s's exact figures differ between runs"
+                     % workload)
+        last = runs[-1]
+        metrics = {}
+        for name in list(BOUNDS) + list(EXACT_METRICS):
+            metrics[name] = dict(last["metrics"][name])
+        for name in BOUNDS:
+            metrics[name]["value"] = statistics.median(
+                r["metrics"][name]["value"] for r in runs)
+        entry = {f: last[f] for f in EXACT_FIELDS}
+        entry["metrics"] = metrics
+        baseline[workload] = entry
+        print("%s: %s" % (workload, json.dumps(
+            {k: m["value"] for k, m in metrics.items()})))
+    with open(BASELINE, "w") as f:
+        json.dump(baseline, f, indent=2)
+        f.write("\n")
+
+
 def main():
     with open(BASELINE) as f:
         baseline = json.load(f)
+    if sys.argv[1:] == ["--regenerate"]:
+        regenerate(baseline)
+        return
+    if sys.argv[1:]:
+        sys.exit("usage: perfbench_gate.py [--regenerate]")
     failures = []
     print("### Perfbench gate (seed %d, %d s)" % (SEED, SECONDS))
     for workload, base in baseline.items():

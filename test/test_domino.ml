@@ -497,6 +497,190 @@ let test_e2e_storage_compression () =
   check_bool "decisions held bounded" true
     (stats.Replica.decisions_held < 5_000)
 
+(* ------------------------------------------------------------------ *)
+(* WAL snapshots                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Store = Domino_store.Store
+
+(* The globe3 setting (replicas WA, PR, NSW; six clients at 200 req/s),
+   built by hand to reach its stores. *)
+let globe3_domino ?store_params ~seed ~duration () =
+  let engine = Engine.create ~seed () in
+  let placement =
+    [| "WA"; "PR"; "NSW"; "VA"; "WA"; "PR"; "NSW"; "SG"; "HK" |]
+  in
+  let make_net ~classify:_ ~op_of:_ =
+    Topology.make_net engine Topology.globe ~placement
+  in
+  let replicas = [| 0; 1; 2 |] in
+  let env =
+    Durable.standalone engine ~replicas ~observer:Observer.null
+      { Durable.make = make_net }
+  in
+  let env =
+    match store_params with
+    | None -> env
+    | Some params ->
+      {
+        env with
+        Protocol_intf.Group.stores =
+          Array.map
+            (fun node ->
+              Store.create engine ~node ~params
+                ~journal:Domino_obs.Journal.null)
+            replicas;
+      }
+  in
+  let d = Domino.create env (Config.make ~replicas ()) in
+  ignore
+    (Domino_kv.Workload.create ~rate:200. ~clients:[ 3; 4; 5; 6; 7; 8 ]
+       ~duration ~submit:(Domino.submit d) engine);
+  (engine, d, env.Protocol_intf.Group.stores)
+
+let store_counter store key = List.assoc key (Store.counters store)
+
+(* Records the log holds: appended, less those a snapshot truncated. *)
+let held store = store_counter store "appends" - store_counter store "truncated"
+
+let test_wal_bounded () =
+  let engine, _, stores =
+    globe3_domino ~seed:7L ~duration:(Time_ns.sec 31) ()
+  in
+  Engine.run ~until:(Time_ns.ms 10_500) engine;
+  let at_10s = Array.map held stores in
+  Engine.run ~until:(Time_ns.ms 30_500) engine;
+  Array.iteri
+    (fun i store ->
+      let per_sec = store_counter store "appends" * 2 / 61 in
+      let now = held store in
+      check_bool
+        (Printf.sprintf "store %d holds at most 2 s of records (%d, %d/s)" i
+           now per_sec)
+        true
+        (now <= 2 * per_sec);
+      check_bool
+        (Printf.sprintf "store %d holds about what it held at 10 s (%d, %d)" i
+           now at_10s.(i))
+        true
+        (2 * now <= 3 * at_10s.(i) && 2 * at_10s.(i) <= 3 * now))
+    stores
+
+(* Every record a wipe would hand back, without journaling a replay. *)
+let durable_records store =
+  List.rev
+    (Store.fold store ~from:0 ~upto:(Store.durable_upto store)
+       (fun acc record -> record :: acc)
+       [])
+
+(* [got] is the state a replica rebuilt from a snapshot and its suffix,
+   [want] the one it rebuilt from the whole log. They must agree field
+   by field, except that a snapshot keeps only the DM instances still
+   pending. *)
+let check_same_state label ~got ~want =
+  List.iter2
+    (fun (field, g) (field', w) ->
+      assert (field = field');
+      if field = "dm_pending" then
+        check_bool
+          (label ^ ": snapshot's DM instances are among the log's")
+          true
+          (List.for_all (fun ts -> List.mem ts w) g)
+      else if g <> w then
+        Alcotest.failf "%s: %s differs after snapshot replay" label field)
+    got want
+
+(* The same run twice, once with snapshots that never land (the log is
+   never truncated). At each wipe point, replaying a store's snapshot
+   and suffix must rebuild what replaying its whole log does — just
+   after a snapshot truncated the log, and between snapshots — and the
+   snapshots must not have moved a single fsync. On the slow batched
+   disk a snapshot lands while records it does not cover still wait
+   for their barrier, so the records' pre-fsync effects must stay out
+   of it. *)
+let test_snapshot_replays_like_log () =
+  let slow =
+    {
+      Store.default_params with
+      sync_latency = Time_ns.ms 2;
+      mode = Store.Batched (Time_ns.ms 5);
+    }
+  in
+  List.iter
+    (fun (disk, params, seed) ->
+      let duration = Time_ns.sec 9 in
+      let never = { params with Store.snapshot_latency = Time_ns.sec 1_000 } in
+      let engine, d, stores =
+        globe3_domino ~store_params:params ~seed ~duration ()
+      in
+      let engine_full, d_full, stores_full =
+        globe3_domino ~store_params:never ~seed ~duration ()
+      in
+      (* Never run: its replica states are rebuilt from the records. *)
+      let _, blank, _ = globe3_domino ~seed ~duration () in
+      List.iter
+        (fun at ->
+          Engine.run ~until:at engine;
+          Engine.run ~until:at engine_full;
+          Array.iteri
+            (fun i store ->
+              let label =
+                Printf.sprintf "%s, seed %Ld, replica %d at %.1f ms" disk seed
+                  i (Time_ns.to_ms_f at)
+              in
+              check_int (label ^ ": snapshots left the fsync schedule alone")
+                (store_counter stores_full.(i) "sync_writes")
+                (store_counter store "sync_writes");
+              if Domino.recovery_state d i <> Domino.recovery_state d_full i
+              then Alcotest.failf "%s: the two runs diverged" label;
+              check_bool (label ^ ": a snapshot truncated the log") true
+                (store_counter store "truncated" > 0);
+              check_int (label ^ ": the full log is whole") 0
+                (store_counter stores_full.(i) "truncated");
+              Domino.recover blank i (durable_records store);
+              let got = Domino.recovery_state blank i in
+              Domino.recover blank i (durable_records stores_full.(i));
+              let want = Domino.recovery_state blank i in
+              check_same_state label ~got ~want)
+            stores)
+        [ Time_ns.us 2_002_500; Time_ns.ms 4_500; Time_ns.us 6_002_500;
+          Time_ns.ms 7_700 ])
+    [
+      ("NVMe", Store.default_params, 7L);
+      ("NVMe", Store.default_params, 42L);
+      ("disk 2ms, batched 5ms", slow, 7L);
+    ]
+
+(* A round-1 accept that has not synced yet overwrote a synced round-0
+   one at the same position: the snapshot must keep the synced value,
+   as replaying the log would. *)
+let test_snapshot_keeps_overwritten_accept () =
+  let slow =
+    {
+      Store.default_params with
+      sync_latency = Time_ns.ms 2;
+      mode = Store.Batched (Time_ns.ms 5);
+    }
+  in
+  let engine, d, stores =
+    globe3_domino ~store_params:slow ~seed:7L ~duration:0 ()
+  in
+  let _, blank, _ = globe3_domino ~seed:7L ~duration:0 () in
+  let r = Domino.replica d 1 and ts = Time_ns.sec 5 in
+  let op seq = { Op.client = 3; seq; key = 1; value = 0L } in
+  Replica.handle r ~src:0 (Message.Dfp_propose { ts; op = op 1_000_000 });
+  Engine.run ~until:(Time_ns.ms 20) engine;
+  Replica.handle r ~src:0 (Message.Dfp_p2a { ts; value = Some (op 1_000_001) });
+  let accepted records =
+    Domino.recover blank 1 records;
+    List.assoc "dfp_accepted" (Domino.recovery_state blank 1)
+  in
+  let store = stores.(1) in
+  let want = accepted (durable_records store) in
+  check_bool "the round-0 accept synced" true (List.mem ts want);
+  check_bool "the snapshot keeps it" true
+    (accepted (Replica.snapshot r ~upto:(Store.durable_upto store)) = want)
+
 (* The config and the group env must agree on the replica set: a
    mismatch is refused before any network is built. *)
 let test_create_rejects_foreign_replicas () =
@@ -558,5 +742,13 @@ let () =
           Alcotest.test_case "storage compression" `Slow test_e2e_storage_compression;
           Alcotest.test_case "create rejects foreign replicas" `Quick
             test_create_rejects_foreign_replicas;
+        ] );
+      ( "snapshots",
+        [
+          Alcotest.test_case "WAL bounded over 30 s" `Slow test_wal_bounded;
+          Alcotest.test_case "snapshot replays like the log" `Slow
+            test_snapshot_replays_like_log;
+          Alcotest.test_case "snapshot keeps an overwritten accept" `Quick
+            test_snapshot_keeps_overwritten_accept;
         ] );
     ]

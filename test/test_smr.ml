@@ -308,6 +308,32 @@ let test_quiesce_persist () =
   Engine.run engine;
   check_int "acted once" 1 !acted
 
+(* --- Dense_ids --- *)
+
+(* Four clients' seqs -1..24, added in random order with repeats: the
+   low-water mark plus table answers like a hash table of ids. *)
+let prop_dense_ids_exact =
+  QCheck.Test.make ~name:"dense id set = Hashtbl reference" ~count:300
+    QCheck.(list (pair (int_bound 3) (int_range (-1) 24)))
+    (fun ids ->
+      let set = Dense_ids.create () and reference = Hashtbl.create 16 in
+      List.iter
+        (fun id ->
+          Dense_ids.add set id;
+          Hashtbl.replace reference id ())
+        ids;
+      let universe =
+        List.concat_map
+          (fun client -> List.init 26 (fun i -> (client, i - 1)))
+          [ 0; 1; 2; 3 ]
+      in
+      List.for_all
+        (fun id -> Dense_ids.mem set id = Hashtbl.mem reference id)
+        universe
+      && Dense_ids.elements set
+         = List.sort Op.compare_id
+             (Hashtbl.fold (fun id () acc -> id :: acc) reference []))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "smr"
@@ -318,7 +344,13 @@ let () =
           Alcotest.test_case "rejects even" `Quick test_quorum_rejects_even;
           q prop_quorum_intersections;
         ] );
-      ("op", [ Alcotest.test_case "identity/conflicts" `Quick test_op_identity_and_conflicts ]);
+      ( "op",
+        [
+          Alcotest.test_case "identity/conflicts" `Quick
+            test_op_identity_and_conflicts;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+            prop_dense_ids_exact;
+        ] );
       ( "recorder",
         [
           Alcotest.test_case "commit latency" `Quick test_recorder_commit_latency;

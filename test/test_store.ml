@@ -105,9 +105,8 @@ let test_wipe_loses_unsynced_tail () =
   Store.wipe store;
   check_int "appended rewinds to the disk frontier" 1 (Store.appended store);
   check_int "loss counted" 2 (counter store "lost");
-  let snap, records = Store.recover store in
-  check_bool "no snapshot" true (snap = None);
-  check_records "only the synced prefix survives" [ 1 ] records;
+  check_records "no snapshot: only the synced prefix survives" [ 1 ]
+    (Store.recover store);
   check_bool "recovery span is positive" true (Store.recovery_span store > 0);
   check_int "recovery span recorded" 1
     (List.length (Store.recovery_spans store))
@@ -134,13 +133,12 @@ let test_snapshot_truncates_log () =
   r store 2;
   Store.sync store (fun () -> ());
   Engine.run engine;
-  Store.snapshot store "blob" ~upto:2;
+  Store.snapshot store [ R 12 ] ~upto:2;
   Engine.run engine;
   check_int "covered records truncated" 2 (counter store "truncated");
   Store.wipe store;
-  let snap, records = Store.recover store in
-  check_bool "snapshot survives the wipe" true (snap = Some "blob");
-  check_records "truncated log is empty" [] records;
+  check_records "the snapshot survives the wipe, the truncated log is empty"
+    [ 12 ] (Store.recover store);
   check_int "frontier covers the snapshot" 2 (Store.durable_upto store)
 
 (* The [store.*] and [recovery.*] details, built with the journal's
@@ -155,7 +153,7 @@ let test_journal_details () =
   Engine.run engine;
   Store.wipe store;
   ignore (Store.recover store);
-  Store.snapshot store "blob" ~upto:2;
+  Store.snapshot store [ R 12 ] ~upto:2;
   Engine.run engine;
   ignore (Store.append store ~kind:"put" (R 3));
   Store.wipe store;
@@ -169,7 +167,7 @@ let test_journal_details () =
       "@0 phase node=3 op=- name=sync_wait dur=102000";
       "@102000 recovery.wipe node=3 lost=0 durable=2";
       "@102000 recovery.replay node=3 snapshot=none records=2 span_us=102";
-      "@102000 store.snapshot node=3 upto=2 bytes=4";
+      "@102000 store.snapshot node=3 upto=2 recs=1";
       "@1102000 store.truncate node=3 recs=2";
       "@1102000 store.append node=3 rec=2 kind=put";
       "@1102000 recovery.wipe node=3 lost=1 durable=2";
@@ -188,9 +186,15 @@ let test_snapshot_past_durable_frontier () =
   Engine.run engine;
   r store 2;
   r store 3;
-  Store.snapshot store "blob" ~upto:3;
+  Store.snapshot store [ R 23 ] ~upto:3;
   r store 4;
   Engine.run engine;
+  check_records "the unsynced tail, read in place" [ 4 ]
+    (List.rev
+       (Store.fold store ~from:(Store.durable_upto store)
+          ~upto:(Store.appended store)
+          (fun acc record -> record :: acc)
+          []));
   check_int "frontier moved to the snapshot" 3 (Store.durable_upto store);
   check_int "only the synced record counts as truncated" 1
     (counter store "truncated");
@@ -198,9 +202,8 @@ let test_snapshot_past_durable_frontier () =
     (Store.unsynced_count store);
   Store.wipe store;
   check_int "it is the one lost" 1 (counter store "lost");
-  let snap, records = Store.recover store in
-  check_bool "snapshot survives" true (snap = Some "blob");
-  check_records "nothing past the snapshot survived" [] records
+  check_records "the snapshot survives, nothing past it" [ 23 ]
+    (Store.recover store)
 
 (* After a snapshot has moved the log's base, a wipe keeps the synced
    records above it — renumbered from the base, not from zero — and
@@ -210,7 +213,7 @@ let test_wipe_after_snapshot_moved_base () =
   List.iter (r store) [ 1; 2; 3 ];
   Store.sync store (fun () -> ());
   Engine.run engine;
-  Store.snapshot store "blob" ~upto:2;
+  Store.snapshot store [ R 12 ] ~upto:2;
   Engine.run engine;
   r_sync store 4 (fun () -> ());
   Engine.run engine;
@@ -220,14 +223,13 @@ let test_wipe_after_snapshot_moved_base () =
   check_int "span counts the two surviving records"
     (Time_ns.us 100 + Time_ns.ms 1 + Time_ns.us 2)
     (Store.recovery_span store);
-  let snap, records = Store.recover store in
-  check_bool "snapshot survives" true (snap = Some "blob");
-  check_records "synced records above the base survive" [ 3; 4 ] records;
+  check_records "the snapshot, then the synced records above the base"
+    [ 12; 3; 4 ] (Store.recover store);
   r_sync store 6 (fun () -> ());
   Engine.run engine;
   Store.wipe store;
-  check_records "the next incarnation appends after them" [ 3; 4; 6 ]
-    (snd (Store.recover store))
+  check_records "the next incarnation appends after them" [ 12; 3; 4; 6 ]
+    (Store.recover store)
 
 (* Recovery hands records back oldest first, across the log's growth
    past its initial capacity and a snapshot that shifts it down. *)
@@ -236,14 +238,14 @@ let test_recover_oldest_first () =
   List.iter (r store) (List.init 200 Fun.id);
   Store.sync store (fun () -> ());
   Engine.run engine;
-  Store.snapshot store "blob" ~upto:150;
+  Store.snapshot store [ R (-1) ] ~upto:150;
   List.iter (r store) (List.init 100 (fun i -> 200 + i));
   Store.sync store (fun () -> ());
   Engine.run engine;
   Store.wipe store;
   check_records "every record above the snapshot, in append order"
-    (List.init 150 (fun i -> 150 + i))
-    (snd (Store.recover store))
+    (-1 :: List.init 150 (fun i -> 150 + i))
+    (Store.recover store)
 
 let () =
   Alcotest.run "store"
